@@ -24,7 +24,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, as_distribution
+from .distributions import DiscreteDistribution, as_distribution, log_normalize
 from .errors import CapacityError, ConvergenceError, DomainError, ValidationError
 from .info import kl_divergence
 
@@ -373,16 +373,14 @@ def mean_field_update(
             expected = moved
             for probs in reversed(rest):
                 expected = expected @ probs
-            shifted = np.exp(expected - expected.max())
-            factors[i] = DiscreteDistribution(shifted / shifted.sum())
+            factors[i] = DiscreteDistribution(log_normalize(expected)[0])
     return FactorizedPosterior(tuple(factors))
 
 
 def mean_field_kl(posterior: FactorizedPosterior, joint_log_table) -> float:
     """KL(q || p(h|x)) for a factorized q against the normalized joint."""
     table = _check_mf_table(joint_log_table, posterior.shape)
-    p = np.exp(table - table.max())
-    p /= p.sum()
+    p, _ = log_normalize(table)
     q = posterior.joint_probs()
     return kl_divergence(
         DiscreteDistribution(q.ravel()), DiscreteDistribution(p.ravel())

@@ -96,7 +96,7 @@ def parse_config_file(path) -> Dict[str, object]:
 class FieldSpec:
     """Schema entry for one config key."""
 
-    kind: str  # int | real | string | bool | list
+    kind: str  # int | real | string | bool | list (of int/real elements)
     required: bool = False
     default: object = None
     check: Optional[Callable[[object], Optional[str]]] = None
@@ -111,7 +111,7 @@ class FieldSpec:
         if self.kind == "string":
             return isinstance(value, str)
         if self.kind == "list":
-            return isinstance(value, list)
+            return isinstance(value, list) and all(FieldSpec("real").type_ok(v) for v in value)
         raise ValidationError(f"unknown schema kind {self.kind!r}")
 
 
@@ -132,7 +132,8 @@ def validate_against(schema: Dict[str, FieldSpec], config: Dict[str, object]) ->
             continue
         value = config[key]
         if not spec.type_ok(value):
-            diagnostics.append(f"{key}: expected {spec.kind}, got {type(value).__name__}")
+            expected = "list of numbers" if spec.kind == "list" else spec.kind
+            diagnostics.append(f"{key}: expected {expected}, got {type(value).__name__}")
             continue
         if spec.check is not None:
             problem = spec.check(value)

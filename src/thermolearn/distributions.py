@@ -2,17 +2,20 @@
 
 These two containers are the backbone of every entropy, divergence, and
 posterior computation in the package. Validation is strict: entries must
-be non-negative and sum to one within ``SUM_TOL``.
+be non-negative and sum to one within ``SUM_TOL``. Every exact Boltzmann
+computation normalises through :func:`log_normalize` and enumerates binary
+states through :func:`state_bits`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 SUM_TOL = 1e-9
 
@@ -29,6 +32,35 @@ def _checked_probs(values, name: str) -> np.ndarray:
     if abs(total - 1.0) > SUM_TOL:
         raise ValidationError(f"{name}: entries sum to {total!r}, expected 1 within {SUM_TOL}")
     return probs
+
+
+def log_normalize(log_weights) -> Tuple[np.ndarray, float]:
+    """Probabilities exp(w - ln Z) and ln Z over all entries of log-weights w
+    of any shape, with one max shift so both stay finite for finite w."""
+    log_w = np.asarray(log_weights, dtype=float)
+    m = log_w.max()
+    probs = log_w - m
+    np.exp(probs, out=probs)
+    total = probs.sum()
+    probs /= total
+    return probs, float(m + math.log(total))
+
+
+def partition_value(log_z: float) -> float:
+    """Z = exp(ln Z), or NumericalError when Z is beyond the float range."""
+    try:
+        return math.exp(log_z)
+    except OverflowError:
+        raise NumericalError(f"partition function exp({log_z!r}) overflows a float") from None
+
+
+def state_bits(n_bits: int) -> np.ndarray:
+    """Bit i of every state index k in 0..2^n_bits - 1 as uint8 row i, so column k
+    is the state that ``ising.config_index`` and ``ebm.bm_joint_index`` map to k."""
+    bits = np.zeros((n_bits, 1 << n_bits), dtype=np.uint8)
+    for i in range(n_bits):
+        bits[i].reshape(-1, 2, 1 << i)[:, 1, :] = 1
+    return bits
 
 
 @dataclass(frozen=True)

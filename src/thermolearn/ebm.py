@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, log_normalize, partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
 
@@ -67,11 +67,6 @@ def _logistic(z):
     return np.exp(-np.logaddexp(0.0, -np.asarray(z, dtype=float)))
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(values.max())
-    return m + math.log(float(np.exp(values - m).sum()))
-
-
 def ebl_infer(energies) -> int:
     """Index of the minimum-energy label; ties go to the lowest index."""
     table = _energy_table(energies)
@@ -87,17 +82,14 @@ def gibbs_posterior(energies, beta: float) -> GibbsPosterior:
     """Exponentiate-and-normalize over labels, with the partition value.
 
     P(y) = exp(-beta E_y) / Z, computed with a max shift. beta = 0 gives
-    the uniform distribution.
+    the uniform distribution; a Z beyond the float range raises
+    NumericalError.
     """
     table = _energy_table(energies)
     if not (beta >= 0 and math.isfinite(beta)):
         raise ValidationError(f"gibbs_posterior: beta must be finite and >= 0, got {beta!r}")
-    scaled = -beta * table
-    m = scaled.max()
-    weights = np.exp(scaled - m)
-    total = weights.sum()
-    z = float(math.exp(m) * total)
-    return GibbsPosterior(DiscreteDistribution(weights / total), z)
+    probs, log_z = log_normalize(-beta * table)
+    return GibbsPosterior(DiscreteDistribution(probs), partition_value(log_z))
 
 
 def _check_label(table: np.ndarray, correct: int) -> int:
@@ -134,8 +126,7 @@ def loss_nll(energies, correct: int, beta: float) -> float:
     correct = _check_label(table, correct)
     if not (beta > 0 and math.isfinite(beta)):
         raise ValidationError(f"loss_nll: beta must be finite and > 0, got {beta!r}")
-    scaled = -beta * table
-    return float(table[correct] + _logsumexp(scaled) / beta)
+    return float(table[correct] + log_normalize(-beta * table)[1] / beta)
 
 
 @dataclass(frozen=True)
@@ -219,46 +210,36 @@ def bm_joint_index(state: BMState, machine: BoltzmannMachine) -> int:
     v = _check_binary(state.v, machine.n_visible, "v")
     h = _check_binary(state.h, machine.n_hidden, "h")
     idx = 0
-    for i, bit in enumerate(v):
+    for i, bit in enumerate(np.concatenate([v, h])):
         idx |= int(bit) << i
-    for j, bit in enumerate(h):
-        idx |= int(bit) << (machine.n_visible + j)
     return idx
 
 
 def bm_state_from_index(index: int, machine: BoltzmannMachine) -> BMState:
-    v = np.array([(index >> i) & 1 for i in range(machine.n_visible)], dtype=np.uint8)
-    h = np.array(
-        [(index >> (machine.n_visible + j)) & 1 for j in range(machine.n_hidden)],
-        dtype=np.uint8,
-    )
-    return BMState(v, h)
+    n_v = machine.n_visible
+    bits = np.array([(index >> i) & 1 for i in range(n_v + machine.n_hidden)], dtype=np.uint8)
+    return BMState(bits[:n_v], bits[n_v:])
 
 
-def _all_bit_columns(n_states: int, n_bits: int, offset: int) -> np.ndarray:
-    idx = np.arange(n_states, dtype=np.int64)
-    return np.stack([((idx >> (offset + k)) & 1) for k in range(n_bits)], axis=1).astype(float)
+def _check_capacity(machine: BoltzmannMachine) -> None:
+    n_units = machine.n_visible + machine.n_hidden
+    if n_units > MAX_EXACT_UNITS:
+        raise CapacityError(f"exact enumeration limited to {MAX_EXACT_UNITS} units, got {n_units}")
 
 
 def bm_partition_exact(machine: BoltzmannMachine):
     """Z and the joint distribution over all 2^(n_v+n_h) states.
 
     States are indexed per :func:`bm_joint_index`. Guarded at
-    ``MAX_EXACT_UNITS`` total units.
+    ``MAX_EXACT_UNITS`` total units; a Z beyond the float range raises
+    NumericalError. The reference for the visible-state routines below.
     """
-    n_units = machine.n_visible + machine.n_hidden
-    if n_units > MAX_EXACT_UNITS:
-        raise CapacityError(f"exact enumeration limited to {MAX_EXACT_UNITS} units, got {n_units}")
-    n_states = 1 << n_units
-    V = _all_bit_columns(n_states, machine.n_visible, 0)
-    H = _all_bit_columns(n_states, machine.n_hidden, machine.n_visible)
-    energies = -(V @ machine.a) - (H @ machine.b) - np.einsum("si,ij,sj->s", V, machine.W, H)
-    neg = -energies
-    m = neg.max()
-    weights = np.exp(neg - m)
-    total = weights.sum()
-    z = float(math.exp(m) * total)
-    return z, DiscreteDistribution(weights / total)
+    _check_capacity(machine)
+    bits = state_bits(machine.n_visible + machine.n_hidden)
+    V, H = bits[: machine.n_visible], bits[machine.n_visible :]
+    neg_energy = machine.a @ V + machine.b @ H + ((machine.W.T @ V) * H).sum(axis=0)
+    probs, log_z = log_normalize(neg_energy)
+    return partition_value(log_z), DiscreteDistribution(probs)
 
 
 def bm_hidden_activation(machine: BoltzmannMachine, v) -> np.ndarray:
@@ -336,23 +317,22 @@ def bm_free_energy(machine: BoltzmannMachine, v) -> float:
     return float(-machine.a @ vf - np.logaddexp(0.0, machine.b + vf @ machine.W).sum())
 
 
-def _log_z_visible(machine: BoltzmannMachine) -> float:
-    # lnZ by marginalizing the hidden layer analytically, then summing
-    # the 2^{n_v} visible free energies with a max shift
-    n_units = machine.n_visible + machine.n_hidden
-    if n_units > MAX_EXACT_UNITS:
-        raise CapacityError(f"exact likelihood limited to {MAX_EXACT_UNITS} units, got {n_units}")
-    V = _all_bit_columns(1 << machine.n_visible, machine.n_visible, 0)
-    free = -(V @ machine.a) - np.logaddexp(0.0, machine.b + V @ machine.W).sum(axis=1)
-    return _logsumexp(-free)
+def _enumerate_visible(machine: BoltzmannMachine):
+    # (bits, b + vW, F(v), p(v), ln Z) over the 2^{n_v} visible states, one
+    # row per unit; the hidden layer is summed out in closed form
+    _check_capacity(machine)
+    bits = state_bits(machine.n_visible)
+    pre = machine.b[:, None] + machine.W.T @ bits
+    free = -(machine.a @ bits) - np.logaddexp(0.0, pre).sum(axis=0)
+    return (bits, pre, free) + log_normalize(-free)
 
 
 def bm_log_likelihood(machine: BoltzmannMachine, data) -> float:
     """Mean log p(v) over the data rows, by exact enumeration."""
-    arr = _visible_matrix(data, machine.n_visible)
-    log_z = _log_z_visible(machine)
-    frees = np.array([bm_free_energy(machine, row) for row in arr])
-    return float((-frees - log_z).mean())
+    X = _visible_matrix(data, machine.n_visible)
+    _, _, free, _, log_z = _enumerate_visible(machine)
+    index = X.astype(np.int64) @ (1 << np.arange(machine.n_visible, dtype=np.int64))
+    return float((-free[index] - log_z).mean())
 
 
 def _visible_matrix(data, n_visible: int) -> np.ndarray:
@@ -366,16 +346,27 @@ def _visible_matrix(data, n_visible: int) -> np.ndarray:
     return arr.astype(float)
 
 
-def _exact_model_stats(machine: BoltzmannMachine, V_all, H_all):
-    _, joint = bm_partition_exact(machine)
-    p = joint.probs
-    return p @ V_all, p @ H_all, (V_all * p[:, None]).T @ H_all
+def _exact_model_stats(machine: BoltzmannMachine):
+    # E[v], E[h] = sum_v p(v) p(h=1|v) and E[v h^T] under the model
+    bits, pre, _, p, _ = _enumerate_visible(machine)
+    act = _logistic(pre)
+    return bits @ p, act @ p, (bits * p) @ act.T
 
 
 class BMGradient(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     W: np.ndarray
+
+
+def _gradient(machine: BoltzmannMachine, X: np.ndarray, model_stats) -> BMGradient:
+    P_h = _logistic(machine.b + X @ machine.W)
+    model_v, model_h, model_vh = model_stats
+    return BMGradient(
+        X.mean(axis=0) - model_v,
+        P_h.mean(axis=0) - model_h,
+        X.T @ P_h / X.shape[0] - model_vh,
+    )
 
 
 def bm_exact_gradient(machine: BoltzmannMachine, data) -> BMGradient:
@@ -386,19 +377,7 @@ def bm_exact_gradient(machine: BoltzmannMachine, data) -> BMGradient:
     Capacity-guarded like every other enumeration routine here.
     """
     X = _visible_matrix(data, machine.n_visible)
-    n_units = machine.n_visible + machine.n_hidden
-    if n_units > MAX_EXACT_UNITS:
-        raise CapacityError(f"exact gradient limited to {MAX_EXACT_UNITS} units, got {n_units}")
-    n_states = 1 << n_units
-    V_all = _all_bit_columns(n_states, machine.n_visible, 0)
-    H_all = _all_bit_columns(n_states, machine.n_hidden, machine.n_visible)
-    P_h = _logistic(machine.b + X @ machine.W)
-    model_v, model_h, model_vh = _exact_model_stats(machine, V_all, H_all)
-    return BMGradient(
-        X.mean(axis=0) - model_v,
-        P_h.mean(axis=0) - model_h,
-        X.T @ P_h / X.shape[0] - model_vh,
-    )
+    return _gradient(machine, X, _exact_model_stats(machine))
 
 
 class TrainResult(NamedTuple):
@@ -435,48 +414,32 @@ def bm_train(
         if rng is None:
             raise ValidationError("bm_train: cd_k requires an rng")
     X = _visible_matrix(data, machine.n_visible)
-    m = X.shape[0]
-    a = machine.a.copy()
-    b = machine.b.copy()
-    W = machine.W.copy()
-    n_units = machine.n_visible + machine.n_hidden
-    can_score = n_units <= MAX_EXACT_UNITS
-    if method == "exact_gradient" and not can_score:
-        raise CapacityError(f"exact_gradient limited to {MAX_EXACT_UNITS} units, got {n_units}")
-
-    n_states = 1 << n_units
-    V_all = _all_bit_columns(n_states, machine.n_visible, 0) if can_score else None
-    H_all = _all_bit_columns(n_states, machine.n_hidden, machine.n_visible) if can_score else None
+    if method == "exact_gradient":
+        _check_capacity(machine)
+    can_score = machine.n_visible + machine.n_hidden <= MAX_EXACT_UNITS
 
     losses: List[float] = []
-    gen = rng.generator if rng is not None else None
     for _ in range(epochs):
-        current = BoltzmannMachine(a, b, W)
-        P_h = _logistic(b + X @ W)
-        data_v = X.mean(axis=0)
-        data_h = P_h.mean(axis=0)
-        data_vh = X.T @ P_h / m
-
         if method == "exact_gradient":
-            model_v, model_h, model_vh = _exact_model_stats(current, V_all, H_all)
+            model_stats = _exact_model_stats(machine)
         else:
-            v_neg = X.copy()
+            v_neg = X
             for _ in range(k):
-                p_h = _logistic(b + v_neg @ W)
-                h_neg = (gen.random(p_h.shape) < p_h).astype(float)
-                p_v = _logistic(a + h_neg @ W.T)
-                v_neg = (gen.random(p_v.shape) < p_v).astype(float)
-            p_h_neg = _logistic(b + v_neg @ W)
-            model_v = v_neg.mean(axis=0)
-            model_h = p_h_neg.mean(axis=0)
-            model_vh = v_neg.T @ p_h_neg / m
-
-        a = a + learning_rate * (data_v - model_v)
-        b = b + learning_rate * (data_h - model_h)
-        W = W + learning_rate * (data_vh - model_vh)
+                p_h = _logistic(machine.b + v_neg @ machine.W)
+                h_neg = (rng.generator.random(p_h.shape) < p_h).astype(float)
+                p_v = _logistic(machine.a + h_neg @ machine.W.T)
+                v_neg = (rng.generator.random(p_v.shape) < p_v).astype(float)
+            p_h_neg = _logistic(machine.b + v_neg @ machine.W)
+            model_stats = (v_neg.mean(axis=0), p_h_neg.mean(axis=0), v_neg.T @ p_h_neg / X.shape[0])
+        grad = _gradient(machine, X, model_stats)
+        machine = BoltzmannMachine(
+            machine.a + learning_rate * grad.a,
+            machine.b + learning_rate * grad.b,
+            machine.W + learning_rate * grad.W,
+        )
         if can_score:
-            losses.append(-bm_log_likelihood(BoltzmannMachine(a, b, W), X))
-    return TrainResult(BoltzmannMachine(a, b, W), losses)
+            losses.append(-bm_log_likelihood(machine, X))
+    return TrainResult(machine, losses)
 
 
 def load_visible_data(path) -> np.ndarray:

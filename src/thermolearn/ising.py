@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, log_normalize, partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
 from .trace import Trace
@@ -109,29 +109,35 @@ def load_coupling_graph(path) -> CouplingGraph:
 
     First non-comment line: number of sites. Then one line per coupling
     "i j J" and one line per field "h i value". Blank lines and lines
-    starting with '#' are ignored.
+    starting with '#' are ignored. Every malformed line raises
+    ValidationError naming the file and line number.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)]
+    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValidationError(f"{path}: empty graph file")
-    try:
-        n_sites = int(lines[0])
-    except ValueError:
-        raise ValidationError(f"{path}: first line must be the site count, got {lines[0]!r}") from None
+    first_no, first = lines[0]
+    n_sites = int(first) if first.isdecimal() else 0
+    if n_sites < 1:
+        raise ValidationError(f"{path}:{first_no}: first line must be a positive site count, got {first!r}")
+    form = f"'i j J' or 'h i value' with sites in 0..{n_sites - 1} and a finite value"
     edges = []
     h = np.zeros(n_sites)
-    for ln in lines[1:]:
+    for line_no, ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "h":
-            if len(parts) != 3:
-                raise ValidationError(f"{path}: field line must be 'h i value', got {ln!r}")
-            h[int(parts[1])] = float(parts[2])
+        is_field = parts[0] == "h"
+        try:
+            sites = [int(p) for p in parts[is_field:2]]
+            value = float(parts[2]) if len(parts) == 3 else math.nan
+        except ValueError:
+            sites, value = [], math.nan
+        if not (math.isfinite(value) and all(0 <= i < n_sites for i in sites)):
+            raise ValidationError(f"{path}:{line_no}: expected {form}, got {ln!r}")
+        if is_field:
+            h[sites[0]] = value
         else:
-            if len(parts) != 3:
-                raise ValidationError(f"{path}: edge line must be 'i j J', got {ln!r}")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            edges.append((*sites, value))
     return CouplingGraph(n_sites, tuple(edges), h)
 
 
@@ -186,9 +192,11 @@ def enumerate_energies(graph: CouplingGraph) -> np.ndarray:
     n = graph.n_sites
     if n > MAX_EXACT_SITES:
         raise CapacityError(f"exact enumeration limited to {MAX_EXACT_SITES} sites, got {n}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    spin_of = [(((idx >> i) & 1) * 2 - 1).astype(np.int8) for i in range(n)]
-    energies = np.zeros(idx.size)
+    # bits 0/1 become spins -1/+1 in place: the table is never copied
+    spin_of = state_bits(n).view(np.int8)
+    spin_of *= 2
+    spin_of -= 1
+    energies = np.zeros(1 << n)
     for i, j, coupling in graph.edges:
         energies -= coupling * (spin_of[i] * spin_of[j])
     for i in range(n):
@@ -206,17 +214,15 @@ class PartitionResult(NamedTuple):
 def partition_exact(graph: CouplingGraph, beta: float) -> PartitionResult:
     """Exact partition function and Gibbs distribution over all 2^N configs.
 
-    Z = sum_s exp(-beta E(s)); probabilities are computed with a max
-    shift so low temperatures stay finite.
+    Z = sum_s exp(-beta E(s)); probabilities stay finite at low
+    temperature, and a Z beyond the float range raises NumericalError.
     """
     if not (beta >= 0 and math.isfinite(beta)):
         raise ValidationError(f"partition_exact: beta must be finite and >= 0, got {beta!r}")
-    energies = enumerate_energies(graph)
-    e_min = energies.min()
-    weights = np.exp(-beta * (energies - e_min))
-    total = weights.sum()
-    z = float(math.exp(-beta * e_min) * total)
-    return PartitionResult(z, DiscreteDistribution(weights / total))
+    log_w = enumerate_energies(graph)
+    log_w *= -beta
+    probs, log_z = log_normalize(log_w)
+    return PartitionResult(partition_value(log_z), DiscreteDistribution(probs))
 
 
 def boltzmann_entropy(multiplicity: int, k_B: float = 1.0) -> float:

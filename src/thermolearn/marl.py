@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, log_normalize
 from .errors import DomainError, ValidationError
 from .rng import RngStream
 from .trace import Trace
@@ -170,9 +170,7 @@ def boltzmann_policy(q_row, temperature: float) -> DiscreteDistribution:
         raise ValidationError("boltzmann_policy: q_row must be a finite non-empty vector")
     if not (temperature > 0 and math.isfinite(temperature)):
         raise ValidationError(f"boltzmann_policy: temperature must be > 0, got {temperature!r}")
-    z = row / temperature
-    w = np.exp(z - z.max())
-    return DiscreteDistribution(w / w.sum())
+    return DiscreteDistribution(log_normalize(row / temperature)[0])
 
 
 def mf_value(q_row, policy: DiscreteDistribution) -> float:
@@ -198,8 +196,7 @@ def mf_actor_critic_grad(policy_params, own_action: int, q_value: float) -> np.n
     a = int(own_action)
     if not 0 <= a < params.size:
         raise ValidationError(f"mf_actor_critic_grad: action {a} out of range")
-    shifted = np.exp(params - params.max())
-    pi = shifted / shifted.sum()
+    pi, _ = log_normalize(params)
     onehot = np.zeros(params.size)
     onehot[a] = 1.0
     return (onehot - pi) * q_value

@@ -89,7 +89,10 @@ def test_field_spec_type_checks():
     assert FieldSpec("bool").type_ok(False)
     assert FieldSpec("string").type_ok("x")
     assert FieldSpec("list").type_ok([1])
+    assert FieldSpec("list").type_ok([0.5, 2])
     assert not FieldSpec("list").type_ok("x")
+    assert not FieldSpec("list").type_ok([1, "a"])  # list elements are numbers
+    assert not FieldSpec("list").type_ok([0.5, True])
 
 
 def test_validate_against_diagnostics():
@@ -179,6 +182,22 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     # runner-level validation (probabilities do not sum to 1) also maps to 1
     not_dist = write_cfg(tmp_path, "nd.cfg", "probs = [0.5, 0.2]\n")
     assert cli.main(["entropy", "--config", not_dist, "--out", str(tmp_path / "o2")]) == 1
+    # list elements must be numbers: strings and bools are config errors
+    for sub, text in (
+        ("entropy", 'probs = [0.5, "a"]\n'),
+        ("entropy", "probs = [0.5, true]\n"),
+        ("conv", 'x = [1, "a"]\ny = [1.0]\n'),
+    ):
+        cfg = write_cfg(tmp_path, "list.cfg", text)
+        assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o3")]) == 1
+        assert "expected list of numbers" in capsys.readouterr().err
+    # malformed graph files: the message names the file and line
+    for text, line in (("3\nh -1 0.5\n", 2), ("3\nh 7 0.5\n", 2), ("3\n0 1 x\n", 2), ("-3\n", 1)):
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        cfg = write_cfg(tmp_path, "g.cfg", f'graph = "{graph}"\nbeta = 1.0\nsteps = 10\n')
+        assert cli.main(["ising", "--config", cfg, "--out", str(tmp_path / "o4")]) == 1
+        assert f"g.txt:{line}:" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):
@@ -198,6 +217,10 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"] == {}
     assert not (out / "result.json").exists()
+    # exact partition value beyond the float range (ln Z = 9000)
+    cfg = write_cfg(tmp_path, "cold.cfg", "n_sites = 10\nbeta = 1000.0\nsteps = 100\n")
+    assert cli.main(["ising", "--config", cfg, "--out", str(tmp_path / "cold")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_entropy_run_exit_0(tmp_path):

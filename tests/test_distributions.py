@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,13 @@ from thermolearn.distributions import (
     JointDistribution,
     as_distribution,
     as_joint,
+    log_normalize,
+    partition_value,
+    state_bits,
 )
-from thermolearn.errors import ValidationError
+from thermolearn.ebm import BoltzmannMachine, bm_state_from_index
+from thermolearn.errors import NumericalError, ValidationError
+from thermolearn.ising import config_from_index
 
 
 def test_valid_distribution_roundtrip():
@@ -70,3 +77,38 @@ def test_joint_from_independent_and_diagonal():
     d = JointDistribution.diagonal(row)
     np.testing.assert_allclose(d.table, [[0.3, 0.0], [0.0, 0.7]])
     assert as_joint(d.table).shape == (2, 2)
+
+
+# --- normaliser and state enumeration -----------------------------------------
+
+
+def test_log_normalize_shift_invariant():
+    log_w = np.random.default_rng(0).normal(size=(3, 4))
+    probs, log_z = log_normalize(log_w)
+    assert probs.shape == (3, 4)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert log_z == pytest.approx(math.log(np.exp(log_w).sum()), abs=1e-12)
+    shifted, log_z_shifted = log_normalize(log_w + 123.25)
+    np.testing.assert_allclose(shifted, probs, rtol=0, atol=1e-15)
+    assert log_z_shifted == pytest.approx(log_z + 123.25, abs=1e-12)
+
+
+def test_log_normalize_extreme_weights_stay_finite():
+    probs, log_z = log_normalize([1000.0, 0.0, -1000.0])
+    assert np.all(np.isfinite(probs))
+    assert probs[0] == 1.0
+    assert log_z == 1000.0
+    with pytest.raises(NumericalError):
+        partition_value(log_z)
+    assert partition_value(math.log(2.0)) == pytest.approx(2.0, abs=1e-15)
+
+
+def test_state_bits_match_index_conventions():
+    bits = state_bits(5)
+    assert bits.dtype == np.uint8 and bits.shape == (5, 32)
+    machine = BoltzmannMachine.zeros(2, 3)
+    for k in range(32):
+        assert np.array_equal(2 * bits[:, k].astype(int) - 1, config_from_index(k, 5))
+        state = bm_state_from_index(k, machine)
+        assert np.array_equal(bits[:, k], np.concatenate([state.v, state.h]))
+    assert state_bits(0).shape == (0, 1)

@@ -8,6 +8,7 @@ from thermolearn.ebm import (
     BMState,
     BoltzmannMachine,
     bm_energy,
+    bm_exact_gradient,
     bm_free_energy,
     bm_gibbs_sample,
     bm_hidden_activation,
@@ -25,7 +26,7 @@ from thermolearn.ebm import (
     loss_nll,
     loss_perceptron,
 )
-from thermolearn.errors import CapacityError, ValidationError
+from thermolearn.errors import CapacityError, NumericalError, ValidationError
 from thermolearn.rng import RngStream
 
 SMALL = BoltzmannMachine(a=np.array([0.5]), b=np.array([-0.25]), W=np.array([[1.0]]))
@@ -72,6 +73,15 @@ def test_posterior_normalized_and_dual_to_infer():
 def test_posterior_survives_extreme_energies():
     post, _ = gibbs_posterior([1000.0, 1001.0], beta=1.0)
     assert post.probs[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
+
+
+def test_posterior_partition_overflow_is_numerical_error():
+    with pytest.raises(NumericalError):
+        gibbs_posterior([-1000.0, 0.0], beta=1.0)
+    with pytest.raises(NumericalError):
+        bm_partition_exact(BoltzmannMachine(a=np.array([800.0]), b=np.zeros(1), W=np.zeros((1, 1))))
+    # the log-domain quantities stay finite at the same scale
+    assert loss_nll([-1000.0, 0.0], 0, beta=1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_perceptron_loss_values():
@@ -240,6 +250,19 @@ def test_free_energy_consistent_with_enumeration():
         assert bm_free_energy(m, v) == pytest.approx(-math.log(total), abs=1e-10)
 
 
+def _random_machine(seed, n_visible=4, n_hidden=3):
+    g = np.random.default_rng(seed)
+    return BoltzmannMachine(
+        g.normal(size=n_visible), g.normal(size=n_hidden), g.normal(size=(n_visible, n_hidden))
+    )
+
+
+def _joint_tables(machine):
+    # every joint state's (v, h) rows, in bm_joint_index order
+    states = [bm_state_from_index(i, machine) for i in range(1 << (machine.n_visible + machine.n_hidden))]
+    return np.array([s.v for s in states], float), np.array([s.h for s in states], float)
+
+
 def test_log_likelihood_from_joint():
     z, joint = bm_partition_exact(SMALL)
     # marginal of v=[1] over both hidden states
@@ -248,6 +271,26 @@ def test_log_likelihood_from_joint():
         for h in (0, 1)
     )
     assert bm_log_likelihood(SMALL, [np.array([1])]) == pytest.approx(math.log(p_v1), abs=1e-12)
+
+    machine = _random_machine(6)
+    _, joint = bm_partition_exact(machine)
+    V, _ = _joint_tables(machine)
+    data = (np.random.default_rng(7).random((9, 4)) < 0.5).astype(int)
+    marginal = [joint.probs[np.all(V == row, axis=1)].sum() for row in data]
+    assert bm_log_likelihood(machine, data) == pytest.approx(float(np.mean(np.log(marginal))), abs=1e-12)
+
+
+def test_exact_gradient_matches_joint_statistics():
+    machine = _random_machine(8)
+    _, joint = bm_partition_exact(machine)
+    V, H = _joint_tables(machine)
+    p = joint.probs
+    data = (np.random.default_rng(9).random((11, 4)) < 0.5).astype(float)
+    P_h = bm_hidden_activation(machine, data)
+    grad = bm_exact_gradient(machine, data)
+    assert np.allclose(grad.a, data.mean(axis=0) - p @ V, rtol=0, atol=1e-12)
+    assert np.allclose(grad.b, P_h.mean(axis=0) - p @ H, rtol=0, atol=1e-12)
+    assert np.allclose(grad.W, data.T @ P_h / 11 - (V * p[:, None]).T @ H, rtol=0, atol=1e-12)
 
 
 # --- Gibbs sampling -------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermolearn.errors import CapacityError, ValidationError
+from thermolearn.errors import CapacityError, NumericalError, ValidationError
 from thermolearn.ising import (
     CouplingGraph,
     acceptance_probability,
@@ -74,6 +74,28 @@ def test_graph_file_roundtrip(tmp_path):
     assert np.allclose(g2.fields_h, g.fields_h)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3\nh -1 0.5\n", 2),  # not a Python negative index
+        ("3\n0 1 1.0\nh 7 0.5\n", 3),
+        ("3\n0 1 strong\n", 2),
+        ("3\n0 x 1.0\n", 2),
+        ("3\n0 5 1.0\n", 2),
+        ("3\n0 1 nan\n", 2),
+        ("# comment\n-3\n", 2),
+        ("3\n0 1\n", 2),
+    ],
+    ids=["negative_site", "field_site_range", "coupling_text", "site_text", "edge_site_range",
+         "coupling_nan", "negative_count", "short_line"],
+)
+def test_graph_file_malformed_lines(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"bad.txt:{line}:"):
+        load_coupling_graph(path)
+
+
 # --- energies and configurations -------------------------------------------
 
 
@@ -127,6 +149,13 @@ def test_partition_beta_zero_is_uniform():
     result = partition_exact(chain_graph(3), beta=0.0)
     assert result.z == pytest.approx(8.0)
     assert np.allclose(result.gibbs.probs, 1.0 / 8.0)
+
+
+def test_partition_overflow_is_numerical_error():
+    # ln Z = 9000 on a 10-site open chain: finite log-weights, Z beyond float range
+    with pytest.raises(NumericalError):
+        partition_exact(chain_graph(10), beta=1000.0)
+    assert partition_exact(chain_graph(10), beta=70.0).z == pytest.approx(2 * math.exp(630.0), rel=1e-12)
 
 
 def test_partition_capacity_guard():
