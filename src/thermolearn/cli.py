@@ -212,8 +212,7 @@ def _write_artifact(out_dir: Path, name: str, data: bytes, artifacts: Dict[str, 
 
 def _write_trace(trace: Trace, out_dir: Path, name: str, fmt: str, artifacts: Dict[str, str]) -> None:
     if fmt == "json":
-        payload = {key: trace.column(key).tolist() for key in trace.column_names}
-        _write_artifact(out_dir, f"{name}.json", _json_bytes({"columns": payload}), artifacts)
+        _write_artifact(out_dir, f"{name}.json", (trace.json_text() + "\n").encode(), artifacts)
     else:
         _write_artifact(out_dir, f"{name}.csv", trace.csv_text().encode(), artifacts)
 

@@ -22,6 +22,13 @@ from .rng import RngStream
 from .trace import Trace
 
 MAX_EXACT_SITES = 20
+# Exact enumeration fills 2^ENUM_BLOCK_BITS states at a time.
+ENUM_BLOCK_BITS = 16
+# Sample rows rebuilt after a chain, or converted to float for its
+# observables, at a time. Keep it a multiple of 4: OpenBLAS's matrix-vector
+# kernel sums rows in groups of four and the rest another way, so only then
+# does each row's field term come out as it does over the whole array.
+BLOCK_ROWS = 8192
 
 __all__ = [
     "CouplingGraph",
@@ -72,7 +79,10 @@ class CouplingGraph:
             if (i, j) in seen:
                 raise ValidationError(f"CouplingGraph: duplicate edge ({i},{j})")
             seen.add((i, j))
-            normalized.append((i, j, float(coupling)))
+            coupling = float(coupling)
+            if not math.isfinite(coupling):
+                raise ValidationError(f"CouplingGraph: coupling of edge ({i},{j}) must be finite, got {coupling!r}")
+            normalized.append((i, j, coupling))
         object.__setattr__(self, "edges", tuple(normalized))
         h = np.zeros(self.n_sites) if self.fields_h is None else np.asarray(self.fields_h, dtype=float)
         if h.shape != (self.n_sites,):
@@ -192,17 +202,23 @@ def enumerate_energies(graph: CouplingGraph) -> np.ndarray:
     n = graph.n_sites
     if n > MAX_EXACT_SITES:
         raise CapacityError(f"exact enumeration limited to {MAX_EXACT_SITES} sites, got {n}")
-    # bits 0/1 become spins -1/+1 in place: the table is never copied
-    spin_of = state_bits(n).view(np.int8)
+    low = min(n, ENUM_BLOCK_BITS)
+    # spin of site i in each state of a block: the low sites take every
+    # pattern, the high sites are constant within an aligned block
+    spin_of = np.empty((n, 1 << low), dtype=np.int8)
+    spin_of[:low] = state_bits(low)
     spin_of *= 2
     spin_of -= 1
     energies = np.zeros(1 << n)
-    for i, j, coupling in graph.edges:
-        energies -= coupling * (spin_of[i] * spin_of[j])
-    for i in range(n):
-        hi = graph.fields_h[i]
-        if hi != 0.0:
-            energies -= hi * spin_of[i]
+    for start in range(0, 1 << n, 1 << low):
+        spin_of[low:] = ((start >> np.arange(low, n)) & 1)[:, None] * 2 - 1
+        block = energies[start : start + (1 << low)]
+        for i, j, coupling in graph.edges:
+            block -= coupling * (spin_of[i] * spin_of[j])
+        for i in range(n):
+            hi = graph.fields_h[i]
+            if hi != 0.0:
+                block -= hi * spin_of[i]
     return energies
 
 
@@ -290,6 +306,25 @@ class ChainResult:
         return float(self.trace.column("accepted").mean())
 
 
+def _replay_samples(initial, flip_steps, flip_sites, start: int, stop: int) -> np.ndarray:
+    """States after each step start..stop-1 of a chain from ``initial`` that
+    flipped site ``flip_sites[k]`` at step ``flip_steps[k]`` (ascending)."""
+    state = initial.copy()
+    first = np.searchsorted(flip_steps, start)
+    state[np.bincount(flip_sites[:first], minlength=state.size) % 2 == 1] *= -1
+    samples = np.zeros((stop - start, state.size), dtype=np.int8)
+    # an int8 spin s in {-1, +1} has s ^ -2 == -s, so XOR-accumulating the
+    # flip marks down a block and applying the row above it gives each row
+    for a in range(start, stop, BLOCK_ROWS):
+        block = samples[a - start : a - start + BLOCK_ROWS]
+        lo, hi = np.searchsorted(flip_steps, (a, a + len(block)))
+        block[flip_steps[lo:hi] - a, flip_sites[lo:hi]] = -2
+        np.bitwise_xor.accumulate(block, axis=0, out=block)
+        block ^= state
+        state = block[-1]
+    return samples
+
+
 def metropolis_chain(
     graph: CouplingGraph,
     beta: float,
@@ -305,9 +340,11 @@ def metropolis_chain(
     every post-burn-in step. For speed the site indices and acceptance
     uniforms are drawn up front (one of each per step, in that order,
     after the initial state when it is random); the accept rule per step
-    is identical to :func:`metropolis_step`. With ``validate_energy`` the
-    incremental energy is checked against a full recomputation at every
-    accepted step.
+    is identical to :func:`metropolis_step`. The loop records only the
+    accepted flips; the per-step trace and the samples are rebuilt from
+    them afterwards, with the same float additions in the same order.
+    With ``validate_energy`` the incremental energy is checked against a
+    full recomputation at every accepted step.
     """
     if rng is None:
         raise ValidationError("metropolis_chain: rng is required for reproducibility")
@@ -326,17 +363,17 @@ def metropolis_chain(
 
     adjacency = graph.adjacency()
     fields = [float(h) for h in graph.fields_h]
-    energy = ising_energy(spins_arr, graph)
-    mag_sum = float(sum(spins))
-    inv_n = 1.0 / n
+    energy0 = ising_energy(spins_arr, graph)
+    energy = energy0
 
-    sites = rng.generator.integers(0, n, size=steps).tolist()
+    sites_arr = rng.generator.integers(0, n, size=steps)
+    sites = sites_arr.tolist()
     uniforms = rng.generator.random(steps).tolist()
 
-    energies = np.empty(steps)
-    accepted_col = np.empty(steps, dtype=bool)
-    mags = np.empty(steps)
-    samples = np.empty((steps - burn_in, n), dtype=np.int8)
+    # step, dH and pre-flip spin of every accepted flip
+    flip_steps = []
+    flip_dh = []
+    flip_old = []
 
     exp = math.exp
     for t in range(steps):
@@ -346,27 +383,34 @@ def metropolis_chain(
         for j, coupling in adjacency[site]:
             local += coupling * spins[j]
         delta_h = 2.0 * s * local
-        accepted = delta_h <= 0.0 or uniforms[t] < exp(-beta * delta_h)
-        if accepted:
+        if delta_h <= 0.0 or uniforms[t] < exp(-beta * delta_h):
             spins[site] = -s
-            energy += delta_h
-            mag_sum -= 2.0 * s
+            flip_steps.append(t)
+            flip_dh.append(delta_h)
+            flip_old.append(s)
             if validate_energy:
+                energy += delta_h
                 fresh = ising_energy(np.array(spins, dtype=np.int8), graph)
                 if abs(fresh - energy) > 1e-9:
                     raise AssertionError(f"incremental energy drifted: {energy} vs {fresh}")
-        energies[t] = energy
-        accepted_col[t] = accepted
-        mags[t] = mag_sum * inv_n
-        if t >= burn_in:
-            samples[t - burn_in] = spins
+
+    flip_steps = np.array(flip_steps, dtype=np.int64)
+    accepted = np.zeros(steps, dtype=bool)
+    accepted[flip_steps] = True
+    # index of each step's running value: rejected steps repeat the last one
+    # rather than adding 0.0, which would turn an energy of -0.0 into 0.0
+    n_flips = np.cumsum(accepted)
+    energies = np.cumsum(np.array([energy0] + flip_dh))[n_flips]
+    mag_steps = np.array(flip_old, dtype=np.int64) * -2
+    mag_sums = np.cumsum(np.concatenate(([spins_arr.sum(dtype=np.int64)], mag_steps)))
+    samples = _replay_samples(spins_arr, flip_steps, sites_arr[flip_steps], burn_in, steps)
 
     trace = Trace(
         {
             "step": np.arange(steps),
             "energy": energies,
-            "accepted": accepted_col,
-            "magnetization": mags,
+            "accepted": accepted,
+            "magnetization": mag_sums[n_flips] * (1.0 / n),
         }
     )
     return ChainResult(samples, trace)
@@ -393,12 +437,15 @@ def estimate_observables(samples, graph: CouplingGraph, n_batches: Optional[int]
     if arr.shape[1] != graph.n_sites:
         raise ValidationError("estimate_observables: sample width must match graph.n_sites")
     m = arr.shape[0]
-    s = arr.astype(np.float64)
     energies = np.zeros(m)
-    for i, j, coupling in graph.edges:
-        energies -= coupling * s[:, i] * s[:, j]
-    energies -= s @ graph.fields_h
-    mags = s.mean(axis=1)
+    mags = np.empty(m)
+    for start in range(0, m, BLOCK_ROWS):
+        s = arr[start : start + BLOCK_ROWS].astype(np.float64)
+        block = energies[start : start + BLOCK_ROWS]
+        for i, j, coupling in graph.edges:
+            block -= coupling * s[:, i] * s[:, j]
+        block -= s @ graph.fields_h
+        mags[start : start + BLOCK_ROWS] = s.mean(axis=1)
 
     if n_batches is None:
         n_batches = max(1, min(100, int(math.sqrt(m))))

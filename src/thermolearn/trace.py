@@ -1,20 +1,45 @@
-"""Columnar run traces, written out as plain CSV."""
+"""Columnar run traces, written out as CSV or JSON text."""
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Sequence
+import json
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 
+# Rows formatted per pass: bounds the Python strings alive at once.
+CHUNK_ROWS = 8192
+
+
+def _csv_cells(values: list) -> List[str]:
+    return list(map(repr, values))
+
+
+def _json_cells(values: list) -> List[str]:
+    # one encoder call for the whole list; a JSON number never contains ", "
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _formatted(col: np.ndarray, cells: Callable[[list], List[str]]) -> List[str]:
+    """The text of every entry of a non-empty column, each distinct value formatted once.
+
+    Entries are keyed on their bit pattern, so -0.0 and 0.0 stay apart.
+    """
+    bits = col.view(f"u{col.itemsize}").tolist()
+    distinct = dict(zip(bits, col.tolist()))
+    table = dict(zip(distinct, cells(list(distinct.values()))))
+    return list(map(table.__getitem__, bits))
+
 
 class Trace:
-    """Step-indexed record of a run: named columns of equal length.
+    """Step-indexed record of a run: named numeric columns of equal length.
 
     Booleans are stored and emitted as 0/1 so the CSV stays typable.
+    Both text formats are built column-wise, CHUNK_ROWS rows at a time.
     """
 
     def __init__(self, columns: Dict[str, Sequence]):
@@ -26,6 +51,8 @@ class Trace:
             arr = np.asarray(values)
             if arr.dtype == bool:
                 arr = arr.astype(np.int8)
+            if arr.ndim != 1 or arr.dtype.kind not in "iuf" or arr.itemsize > 8:
+                raise ValidationError(f"Trace: column {name!r} must be a 1-D array of numbers")
             if length is None:
                 length = arr.shape[0]
             elif arr.shape[0] != length:
@@ -56,14 +83,26 @@ class Trace:
                 self._write(fh)
 
     def _write(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        names = self.column_names
-        writer.writerow(names)
-        cols = [self._columns[n] for n in names]
-        for i in range(self._length):
-            writer.writerow([col[i].item() for col in cols])
+        csv.writer(fh, lineterminator="\n").writerow(self.column_names)
+        cols = list(self._columns.values())
+        for start in range(0, self._length, CHUNK_ROWS):
+            cells = [_formatted(col[start : start + CHUNK_ROWS], _csv_cells) for col in cols]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
     def csv_text(self) -> str:
         buf = io.StringIO()
         self._write(buf)
         return buf.getvalue()
+
+    def json_text(self) -> str:
+        """The text of ``json.dumps({"columns": {name: values}}, indent=2, sort_keys=True)``."""
+        sep = ",\n      "
+        fields = []
+        for name in sorted(self._columns):
+            col = self._columns[name]
+            values = sep.join(
+                sep.join(_formatted(col[start : start + CHUNK_ROWS], _json_cells))
+                for start in range(0, self._length, CHUNK_ROWS)
+            )
+            fields.append(f"    {json.dumps(name)}: " + (f"[\n      {values}\n    ]" if values else "[]"))
+        return '{\n  "columns": {\n' + ",\n".join(fields) + "\n  }\n}"

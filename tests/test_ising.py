@@ -22,6 +22,7 @@ from thermolearn.ising import (
     partition_exact,
     random_spins,
 )
+from thermolearn.distributions import state_bits
 from thermolearn.rng import RngStream
 
 # frozen by independent enumeration: Z = 2 e^2 + 4 + 2 e^{-2}
@@ -57,6 +58,12 @@ def test_graph_rejects_self_loops_and_duplicates():
         CouplingGraph(3, ((0, 1, 1.0), (1, 0, 2.0)))
     with pytest.raises(ValidationError):
         CouplingGraph(2, ((0, 5, 1.0),))
+
+
+@pytest.mark.parametrize("coupling", [math.nan, math.inf, -math.inf])
+def test_graph_rejects_non_finite_couplings(coupling):
+    with pytest.raises(ValidationError, match="finite"):
+        CouplingGraph(2, ((0, 1, coupling),))
 
 
 def test_graph_normalizes_edge_orientation():
@@ -283,3 +290,119 @@ def test_observables_input_validation():
         estimate_observables(np.zeros((0, 3)), g)
     with pytest.raises(ValidationError):
         estimate_observables(np.ones((10, 4)), g)
+
+
+# --- vectorised paths against per-step / whole-array references ---------------
+
+
+def torus_graph(side, gen):
+    edges = set()
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c
+            for j in (r * side + (c + 1) % side, ((r + 1) % side) * side + c):
+                edges.add((min(i, j), max(i, j)))
+    couplings = tuple((i, j, float(gen.uniform(-1.0, 1.0))) for i, j in sorted(edges))
+    return CouplingGraph(side * side, couplings, gen.uniform(-0.3, 0.3, side * side))
+
+
+def reference_chain(graph, beta, steps, burn_in, rng, initial=None):
+    """The per-step Metropolis loop that stores every step's trace row and sample."""
+    n = graph.n_sites
+    spins_arr = random_spins(n, rng) if initial is None else np.array(initial, dtype=np.int8)
+    spins = [int(s) for s in spins_arr]
+    adjacency = graph.adjacency()
+    fields = [float(h) for h in graph.fields_h]
+    energy = ising_energy(spins_arr, graph)
+    mag_sum = float(sum(spins))
+    inv_n = 1.0 / n
+    sites = rng.generator.integers(0, n, size=steps).tolist()
+    uniforms = rng.generator.random(steps).tolist()
+    energies = np.empty(steps)
+    accepted_col = np.empty(steps, dtype=bool)
+    mags = np.empty(steps)
+    samples = np.empty((steps - burn_in, n), dtype=np.int8)
+    for t in range(steps):
+        site = sites[t]
+        s = spins[site]
+        local = fields[site]
+        for j, coupling in adjacency[site]:
+            local += coupling * spins[j]
+        delta_h = 2.0 * s * local
+        accepted = delta_h <= 0.0 or uniforms[t] < math.exp(-beta * delta_h)
+        if accepted:
+            spins[site] = -s
+            energy += delta_h
+            mag_sum -= 2.0 * s
+        energies[t] = energy
+        accepted_col[t] = accepted
+        mags[t] = mag_sum * inv_n
+        if t >= burn_in:
+            samples[t - burn_in] = spins
+    columns = {"step": np.arange(steps), "energy": energies, "accepted": accepted_col.astype(np.int8),
+               "magnetization": mags}
+    return samples, columns
+
+
+@pytest.mark.parametrize(
+    "graph, beta, steps, burn_in, initial",
+    [
+        (torus_graph(4, np.random.default_rng(1)), 0.6, 20_000, 0, None),
+        (torus_graph(4, np.random.default_rng(2)), 0.4, 20_000, 3_000, None),
+        (CouplingGraph(3), 1.0, 500, 50, None),  # initial energy -0.0
+        # initial energy -(-1.0 + 1.0) = -0.0, kept by the rejected step 0
+        (CouplingGraph(2, (), np.array([1.0, 1.0])), 3.0, 200, 0, [-1, 1]),
+    ],
+    ids=["torus_no_burn_in", "torus_burn_in", "no_edges_zero_fields", "negative_zero_rejections"],
+)
+def test_chain_matches_per_step_reference(graph, beta, steps, burn_in, initial):
+    res = metropolis_chain(graph, beta, steps, burn_in, RngStream(17), initial, validate_energy=True)
+    samples, columns = reference_chain(graph, beta, steps, burn_in, RngStream(17), initial)
+    assert res.samples.dtype == samples.dtype
+    assert np.array_equal(res.samples, samples)
+    for name, ref in columns.items():
+        col = res.trace.column(name)
+        assert col.dtype == ref.dtype, name
+        assert col.tobytes() == ref.tobytes(), name  # bit for bit, so -0.0 stays -0.0
+
+
+def test_enumeration_blocks_match_whole_table():
+    gen = np.random.default_rng(5)
+    n = 17  # two blocks of 2^16 states
+    edges = tuple((i, j, float(gen.normal())) for i in range(n) for j in range(i + 1, n) if gen.random() < 0.3)
+    g = CouplingGraph(n, edges, gen.normal(size=n))
+    spin_of = state_bits(n).astype(np.int8) * 2 - 1
+    expected = np.zeros(1 << n)
+    for i, j, coupling in g.edges:
+        expected -= coupling * (spin_of[i] * spin_of[j])
+    for i in range(n):
+        if g.fields_h[i] != 0.0:
+            expected -= g.fields_h[i] * spin_of[i]
+    assert enumerate_energies(g).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 8191, 8192, 20_001])
+def test_observables_match_whole_array_formula(rows):
+    gen = np.random.default_rng(rows)
+    g = torus_graph(4, gen)
+    samples = (gen.integers(0, 2, (rows, g.n_sites)) * 2 - 1).astype(np.int8)
+    s = samples.astype(np.float64)
+    energies = np.zeros(rows)
+    for i, j, coupling in g.edges:
+        energies -= coupling * s[:, i] * s[:, j]
+    energies -= s @ g.fields_h
+    mags = s.mean(axis=1)
+    n_batches = max(1, min(100, int(math.sqrt(rows))))
+    per = rows // n_batches
+
+    def batch_se(series):
+        if n_batches < 2:
+            return 0.0
+        means = series[: n_batches * per].reshape(n_batches, per).mean(axis=1)
+        return float(means.std(ddof=1) / math.sqrt(n_batches))
+
+    obs = estimate_observables(samples, g)
+    assert obs.mean_energy == float(energies.mean())
+    assert obs.mean_magnetization == float(mags.mean())
+    assert obs.se_energy == batch_se(energies)
+    assert obs.se_magnetization == batch_se(mags)

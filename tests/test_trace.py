@@ -1,10 +1,13 @@
+import csv
 import io
+import json
+import math
 
 import numpy as np
 import pytest
 
 from thermolearn.errors import ValidationError
-from thermolearn.trace import Trace
+from thermolearn.trace import CHUNK_ROWS, Trace
 
 
 def test_column_order_preserved_in_csv():
@@ -55,3 +58,64 @@ def test_missing_column_is_keyerror():
     t = Trace({"x": [1]})
     with pytest.raises(KeyError):
         t.column("y")
+
+
+def test_non_numeric_or_nested_columns_rejected():
+    with pytest.raises(ValidationError):
+        Trace({"x": ["a", "b"]})
+    with pytest.raises(ValidationError):
+        Trace({"x": np.zeros((2, 2))})
+
+
+# --- oracle: the writers against per-cell csv / json ---------------------------
+
+
+def reference_csv(trace):
+    """One csv.writer row per step from each cell's ``.item()``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(trace.column_names)
+    cols = [trace.column(n) for n in trace.column_names]
+    for i in range(len(trace)):
+        writer.writerow([col[i].item() for col in cols])
+    return buf.getvalue()
+
+
+def reference_json(trace):
+    payload = {name: trace.column(name).tolist() for name in trace.column_names}
+    return json.dumps({"columns": payload}, indent=2, sort_keys=True)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("length", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_writers_match_per_cell_reference(length):
+    gen = np.random.default_rng(length)
+    floats = np.where(gen.random(length) < 0.3, gen.normal(size=length), gen.choice(SPECIAL_FLOATS, size=length))
+    trace = Trace(
+        {
+            "step": np.arange(length, dtype=np.int64) - 3,
+            "value": floats,
+            "accepted": gen.random(length) < 0.5,
+            "big": gen.integers(-(2**62), 2**62, size=length),
+        }
+    )
+    assert trace.column("accepted").dtype == np.int8
+    assert trace.csv_text() == reference_csv(trace)
+    assert trace.json_text() == reference_json(trace)
+
+
+def test_writers_keep_signed_zero_and_specials_apart():
+    trace = Trace({"z": [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -0.0]})
+    assert trace.csv_text().split("\n")[1:-1] == ["0.0", "-0.0", "nan", "inf", "-inf", "5e-324", "1e+300", "-0.0"]
+    assert json.loads(trace.json_text())["columns"]["z"][:2] == [0.0, -0.0]
+    assert "-Infinity" in trace.json_text()
+    assert trace.csv_text() == reference_csv(trace)
+    assert trace.json_text() == reference_json(trace)
+
+
+def test_json_keys_sorted_and_names_escaped():
+    trace = Trace({"b": [1], 'a "q"': [2.5], "c,d": [True]})
+    assert trace.json_text() == reference_json(trace)
+    assert trace.csv_text() == reference_csv(trace)
