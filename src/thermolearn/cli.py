@@ -247,14 +247,19 @@ def _ising_graph(cfg) -> ising.CouplingGraph:
 
 def _run_ising(cfg, rng, out_dir, fmt, artifacts):
     graph = _ising_graph(cfg)
-    result = ising.metropolis_chain(
-        graph, float(cfg["beta"]), cfg["steps"], cfg["burn_in"], rng
-    )
-    _write_trace(result.trace, out_dir, "trace", fmt, artifacts)
+    beta = float(cfg["beta"])
+    result = ising.metropolis_chain(graph, beta, cfg["steps"], cfg["burn_in"], rng)
+    # The exact enumeration (two 8 MB arrays at 20 sites) is the largest
+    # allocation, so it runs while the heap holds only the chain. Run after
+    # the trace text, it would add to whatever heap that text left behind,
+    # which varies with the values written.
+    exact = graph.n_sites <= ising.MAX_EXACT_SITES
+    z = ising.partition_exact(graph, beta).z if exact else None
     obs = ising.estimate_observables(result.samples, graph)
+    _write_trace(result.trace, out_dir, "trace", fmt, artifacts)
     summary = {
         "n_sites": graph.n_sites,
-        "beta": float(cfg["beta"]),
+        "beta": beta,
         "steps": cfg["steps"],
         "burn_in": cfg["burn_in"],
         "acceptance_rate": result.acceptance_rate,
@@ -264,8 +269,7 @@ def _run_ising(cfg, rng, out_dir, fmt, artifacts):
         "se_magnetization": obs.se_magnetization,
         "n_samples": obs.n_samples,
     }
-    if graph.n_sites <= ising.MAX_EXACT_SITES:
-        z, _ = ising.partition_exact(graph, float(cfg["beta"]))
+    if exact:
         summary["partition_z"] = z
     return summary
 

@@ -306,19 +306,19 @@ class ChainResult:
         return float(self.trace.column("accepted").mean())
 
 
-def _replay_samples(initial, flip_steps, flip_sites, start: int, stop: int) -> np.ndarray:
+def _replay_samples(initial, sites, accepted, start: int, stop: int) -> np.ndarray:
     """States after each step start..stop-1 of a chain from ``initial`` that
-    flipped site ``flip_sites[k]`` at step ``flip_steps[k]`` (ascending)."""
+    proposed site ``sites[t]`` at step ``t`` and flipped it where ``accepted[t]``."""
     state = initial.copy()
-    first = np.searchsorted(flip_steps, start)
-    state[np.bincount(flip_sites[:first], minlength=state.size) % 2 == 1] *= -1
+    flips_before = np.bincount(sites[:start], weights=accepted[:start], minlength=state.size)
+    state[flips_before % 2 == 1] *= -1
     samples = np.zeros((stop - start, state.size), dtype=np.int8)
     # an int8 spin s in {-1, +1} has s ^ -2 == -s, so XOR-accumulating the
     # flip marks down a block and applying the row above it gives each row
     for a in range(start, stop, BLOCK_ROWS):
         block = samples[a - start : a - start + BLOCK_ROWS]
-        lo, hi = np.searchsorted(flip_steps, (a, a + len(block)))
-        block[flip_steps[lo:hi] - a, flip_sites[lo:hi]] = -2
+        rows = np.flatnonzero(accepted[a : a + len(block)])
+        block[rows, sites[a + rows]] = -2
         np.bitwise_xor.accumulate(block, axis=0, out=block)
         block ^= state
         state = block[-1]
@@ -370,10 +370,16 @@ def metropolis_chain(
     sites = sites_arr.tolist()
     uniforms = rng.generator.random(steps).tolist()
 
-    # step, dH and pre-flip spin of every accepted flip
-    flip_steps = []
-    flip_dh = []
-    flip_old = []
+    # Every buffer is sized by the step count, not by the number of accepted
+    # flips, so a chain's memory does not depend on its acceptance rate. The
+    # k-th accepted flip's dH goes to energy_path[k + 1], after the initial
+    # energy, and its pre-flip spin to flip_old[k].
+    accepted = np.zeros(steps, dtype=bool)
+    energy_path = np.empty(steps + 1)
+    energy_path[0] = energy0
+    flip_old = np.empty(steps, dtype=np.int8)
+    accepted_at, dh_of, old_of = memoryview(accepted), memoryview(energy_path)[1:], memoryview(flip_old)
+    k = 0
 
     exp = math.exp
     for t in range(steps):
@@ -385,32 +391,33 @@ def metropolis_chain(
         delta_h = 2.0 * s * local
         if delta_h <= 0.0 or uniforms[t] < exp(-beta * delta_h):
             spins[site] = -s
-            flip_steps.append(t)
-            flip_dh.append(delta_h)
-            flip_old.append(s)
+            accepted_at[t] = True
+            dh_of[k] = delta_h
+            old_of[k] = s
+            k += 1
             if validate_energy:
                 energy += delta_h
                 fresh = ising_energy(np.array(spins, dtype=np.int8), graph)
                 if abs(fresh - energy) > 1e-9:
                     raise AssertionError(f"incremental energy drifted: {energy} vs {fresh}")
+    del sites, uniforms  # the per-step draws as Python objects: 4 MB per 100k steps
 
-    flip_steps = np.array(flip_steps, dtype=np.int64)
-    accepted = np.zeros(steps, dtype=bool)
-    accepted[flip_steps] = True
     # index of each step's running value: rejected steps repeat the last one
     # rather than adding 0.0, which would turn an energy of -0.0 into 0.0
     n_flips = np.cumsum(accepted)
-    energies = np.cumsum(np.array([energy0] + flip_dh))[n_flips]
-    mag_steps = np.array(flip_old, dtype=np.int64) * -2
-    mag_sums = np.cumsum(np.concatenate(([spins_arr.sum(dtype=np.int64)], mag_steps)))
-    samples = _replay_samples(spins_arr, flip_steps, sites_arr[flip_steps], burn_in, steps)
+    np.cumsum(energy_path[: k + 1], out=energy_path[: k + 1])
+    mag_path = np.empty(steps + 1, dtype=np.int64)
+    mag_path[0] = spins_arr.sum(dtype=np.int64)
+    np.multiply(flip_old[:k], -2, out=mag_path[1 : k + 1])
+    np.cumsum(mag_path[: k + 1], out=mag_path[: k + 1])
+    samples = _replay_samples(spins_arr, sites_arr, accepted, burn_in, steps)
 
     trace = Trace(
         {
             "step": np.arange(steps),
-            "energy": energies,
+            "energy": energy_path[n_flips],
             "accepted": accepted,
-            "magnetization": mag_sums[n_flips] * (1.0 / n),
+            "magnetization": mag_path[n_flips] * (1.0 / n),
         }
     )
     return ChainResult(samples, trace)

@@ -82,17 +82,21 @@ class Trace:
             with open(target, "w", newline="") as fh:
                 self._write(fh)
 
-    def _write(self, fh) -> None:
-        csv.writer(fh, lineterminator="\n").writerow(self.column_names)
+    def _csv_pieces(self):
+        """The CSV text in pieces: the header line, then CHUNK_ROWS rows at a time."""
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(self.column_names)
+        yield header.getvalue()
         cols = list(self._columns.values())
         for start in range(0, self._length, CHUNK_ROWS):
             cells = [_formatted(col[start : start + CHUNK_ROWS], _csv_cells) for col in cols]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    def _write(self, fh) -> None:
+        fh.writelines(self._csv_pieces())
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
+        return "".join(self._csv_pieces())
 
     def json_text(self) -> str:
         """The text of ``json.dumps({"columns": {name: values}}, indent=2, sort_keys=True)``."""

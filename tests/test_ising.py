@@ -257,6 +257,24 @@ def test_chain_trace_energy_consistent():
         assert ising_energy(row, g) == pytest.approx(energy)
 
 
+def test_chain_memory_does_not_follow_acceptance_rate():
+    # beta 0 accepts every proposal and beta 5 almost none; the chain's
+    # buffers are sized by the step count, so both allocate the same at peak
+    import tracemalloc
+
+    g = chain_graph(20, coupling=1.0, periodic=True)
+    metropolis_chain(g, beta=1.0, steps=100, rng=RngStream(6))  # the first call pays one-time costs
+    peak, rate = {}, {}
+    for beta in (0.0, 5.0):
+        tracemalloc.start()
+        res = metropolis_chain(g, beta=beta, steps=40_000, burn_in=0, rng=RngStream(6))
+        peak[beta] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        rate[beta] = res.acceptance_rate
+    assert rate[0.0] == 1.0 and rate[5.0] < 0.05
+    assert abs(peak[0.0] - peak[5.0]) < 100_000, peak
+
+
 def test_chain_requires_rng():
     with pytest.raises(ValidationError):
         metropolis_chain(chain_graph(3), beta=1.0, steps=10, rng=None)
