@@ -1,10 +1,10 @@
 """Simulated annealing over pluggable energy landscapes.
 
-A landscape supplies three things: an energy, a proposal move, and a way
-to draw a fresh random state. The annealer runs Metropolis acceptance at
-a per-sweep temperature from a cooling schedule and reports the best
-state ever visited, not the final one, since the walk may drift uphill
-after touching the optimum.
+A landscape supplies four things: an energy, a batch of random moves,
+the state a move leads to, and a way to draw a fresh random state. The
+annealer runs Metropolis acceptance at a per-sweep temperature from a
+cooling schedule and reports the best state ever visited, not the final
+one, since the walk may drift uphill after touching the optimum.
 """
 
 from __future__ import annotations
@@ -42,7 +42,10 @@ class EnergyLandscape(ABC):
     def energy(self, state) -> float: ...
 
     @abstractmethod
-    def propose(self, state, rng: RngStream): ...
+    def moves(self, rng: RngStream, count: int): ...
+
+    @abstractmethod
+    def apply(self, state, move): ...
 
     @abstractmethod
     def random_state(self, rng: RngStream): ...
@@ -108,11 +111,14 @@ def anneal(
 ) -> AnnealResult:
     """Metropolis walk under a cooling schedule; returns the best-ever state.
 
-    Sweep k runs ``proposals_per_sweep`` proposals at T(k): downhill or
-    flat moves are accepted, uphill moves with probability
-    exp(-dH / T(k)) against a uniform draw in [0, 1). The trace records
-    one row per sweep: temperature, end-of-sweep current energy, best
-    energy so far, and the sweep's acceptance rate.
+    Sweep k runs ``proposals_per_sweep`` (P) proposals at T(k): downhill
+    or flat moves are accepted, uphill moves with probability
+    exp(-dH / T(k)) against a uniform draw in [0, 1). Draws: the initial
+    state from ``problem.random_state(rng)`` unless ``initial`` is given,
+    then per sweep ``problem.moves(rng, P)`` and then ``rng.random(P)``,
+    one uniform per proposal. The trace records one row per sweep:
+    temperature, end-of-sweep current energy, best energy so far, and the
+    sweep's acceptance rate.
     """
     if sweeps < 1:
         raise ValidationError(f"anneal: sweeps must be >= 1, got {sweeps}")
@@ -124,11 +130,9 @@ def anneal(
         raise ValidationError("anneal: initial energy is not finite")
     best_state, best_energy = state, energy
 
-    temps = np.empty(sweeps)
-    currents = np.empty(sweeps)
-    bests = np.empty(sweeps)
-    acc_rates = np.empty(sweeps)
+    temps, currents, bests, acc_rates = np.empty((4, sweeps))
     exp = math.exp
+    apply, energy_of = problem.apply, problem.energy
 
     for k in range(sweeps):
         temperature = schedule_temperature(schedule, k)
@@ -136,11 +140,13 @@ def anneal(
             raise ValidationError(f"anneal: schedule produced T={temperature!r} at sweep {k}")
         inv_t = 1.0 / temperature
         accepted = 0
-        for _ in range(proposals_per_sweep):
-            candidate = problem.propose(state, rng)
-            candidate_energy = float(problem.energy(candidate))
+        moves = problem.moves(rng, proposals_per_sweep)
+        uniforms = rng.random(proposals_per_sweep).tolist()
+        for move, u in zip(moves, uniforms):
+            candidate = apply(state, move)
+            candidate_energy = float(energy_of(candidate))
             delta = candidate_energy - energy
-            if delta <= 0.0 or rng.random() < exp(-delta * inv_t):
+            if delta <= 0.0 or u < exp(-delta * inv_t):
                 state = candidate
                 energy = candidate_energy
                 accepted += 1

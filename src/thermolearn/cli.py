@@ -92,7 +92,7 @@ SCHEMAS: Dict[str, Dict[str, FieldSpec]] = {
         "landscape": FieldSpec(
             "string", default="quadratic", check=lambda v: None if v == "quadratic" else "must be 'quadratic'"
         ),
-        "span": FieldSpec("int", default=50, check=_positive),
+        "span": FieldSpec("int", default=50, check=lambda v: None if 0 < v < 2**63 else "must be in [1, 2**63 - 1]"),
         "sweeps": FieldSpec("int", required=True, check=_positive),
         "proposals_per_sweep": FieldSpec("int", default=10, check=_positive),
         **_schedule_fields(10.0, 0.99),
@@ -275,7 +275,7 @@ def _run_ising(cfg, rng, out_dir, fmt, artifacts):
 
 
 class _QuadraticLine(EnergyLandscape):
-    """Integer line with E(x) = x^2 and unit-step proposals."""
+    """Integer line with E(x) = x^2 and unit-step moves."""
 
     def __init__(self, span: int):
         self.span = int(span)
@@ -283,8 +283,11 @@ class _QuadraticLine(EnergyLandscape):
     def energy(self, state) -> float:
         return float(state * state)
 
-    def propose(self, state, rng):
-        return state + (1 if rng.random() < 0.5 else -1)
+    def moves(self, rng, count):
+        return (2 * rng.generator.integers(2, size=count) - 1).tolist()
+
+    def apply(self, state, move):
+        return state + move
 
     def random_state(self, rng):
         return int(rng.generator.integers(-self.span, self.span + 1))

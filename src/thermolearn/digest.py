@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from itertools import accumulate
+from operator import sub
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -78,8 +80,7 @@ def _check_permutation(perm, n: int, name: str) -> Tuple[int, ...]:
     return p
 
 
-@dataclass(frozen=True)
-class DigestOrdering:
+class DigestOrdering(NamedTuple):
     """A permutation for each enzyme's fragments (indices into a and b)."""
 
     sigma: Tuple[int, ...]
@@ -96,22 +97,27 @@ def _validated(ordering: DigestOrdering, instance: DoubleDigestInstance):
     return sigma, mu
 
 
-def _implied_sorted(sigma, mu, instance: DoubleDigestInstance) -> Tuple[int, ...]:
-    # trusted-permutation fast path shared with the annealing landscape
-    total = instance.total_length
-    cuts = {0, total}
-    pos = 0
-    for idx in sigma[:-1]:
-        pos += instance.a[idx]
-        cuts.add(pos)
-    pos = 0
-    for idx in mu[:-1]:
-        pos += instance.b[idx]
-        cuts.add(pos)
-    ordered = sorted(cuts)
-    gaps = [ordered[i + 1] - ordered[i] for i in range(len(ordered) - 1)]
+def _cut_gaps(a, b, sigma, mu) -> List[int]:
+    # ascending; the total both orderings end on and each cut they share
+    # give a zero gap at the front, so there are len(a) + len(b) gaps
+    cuts = list(accumulate([a[i] for i in sigma], initial=0))
+    cuts += accumulate([b[i] for i in mu])
+    cuts.sort()
+    gaps = list(map(sub, cuts[1:], cuts))
     gaps.sort()
-    return tuple(gaps)
+    return gaps
+
+
+def _gap_energy(observed: Tuple[int, ...], gaps: List[int]) -> float:
+    # ascending c_j meets the gap as far from the end (a zero before the front),
+    # summed left to right: builtin sum is compensated from Python 3.12
+    if len(observed) > len(gaps):
+        gaps = [0] * (len(observed) - len(gaps)) + gaps
+    energy = 0.0
+    for c, v in zip(observed, gaps[len(gaps) - len(observed):]):
+        d = c - v
+        energy += d * d / c
+    return energy
 
 
 def double_digest_implied_fragments(
@@ -124,25 +130,8 @@ def double_digest_implied_fragments(
     fragments are the gaps between consecutive positions.
     """
     sigma, mu = _validated(ordering, instance)
-    return _implied_sorted(sigma, mu, instance)
-
-
-def _energy_from_sorted(observed: Tuple[int, ...], implied: Tuple[int, ...]) -> float:
-    # both ascending; pad the shorter at the front with zeros and sum the
-    # weighted squares over the observed entries only
-    n_obs, n_imp = len(observed), len(implied)
-    width = max(n_obs, n_imp)
-    energy = 0.0
-    for j in range(width):
-        obs_idx = j - (width - n_obs)
-        if obs_idx < 0:
-            continue
-        c_j = observed[obs_idx]
-        imp_idx = j - (width - n_imp)
-        c_hat = implied[imp_idx] if imp_idx >= 0 else 0
-        diff = c_j - c_hat
-        energy += diff * diff / c_j
-    return energy
+    gaps = _cut_gaps(instance.a, instance.b, sigma, mu)
+    return tuple(gaps[gaps.count(0):])
 
 
 def double_digest_energy(ordering: DigestOrdering, instance: DoubleDigestInstance) -> float:
@@ -153,28 +142,29 @@ def double_digest_energy(ordering: DigestOrdering, instance: DoubleDigestInstanc
     observed entries (their lengths are positive, so every weight is
     defined). Zero iff the multisets agree.
     """
-    implied = double_digest_implied_fragments(ordering, instance)
-    observed = tuple(sorted(instance.c))
-    return _energy_from_sorted(observed, implied)
+    sigma, mu = _validated(ordering, instance)
+    return _gap_energy(tuple(sorted(instance.c)), _cut_gaps(instance.a, instance.b, sigma, mu))
 
 
 class DigestLandscape(EnergyLandscape):
     """Annealing landscape over ordering pairs.
 
-    Proposal: pick one of the two permutations uniformly and swap two
-    distinct random positions in it; single-fragment permutations are
-    left unchanged. Transpositions reach every permutation pair.
+    A move ``(side, k)`` picks sigma (side 0) or mu (side 1) with
+    probability 1/2 and swaps positions i = k // (n - 1) and j = k % (n - 1),
+    skipping i, for k uniform in [0, n(n - 1)); single-fragment permutations
+    are left unchanged. Transpositions reach every permutation pair.
     """
 
     def __init__(self, instance: DoubleDigestInstance):
         self.instance = instance
         self._observed = tuple(sorted(instance.c))
+        self._sizes = (len(instance.a), len(instance.b))
 
     def energy(self, state: DigestOrdering) -> float:
-        # states come from random_state/propose, so the permutation
+        # states come from random_state/apply, so the permutation
         # re-validation in the public entry point is skipped here
-        implied = _implied_sorted(state.sigma, state.mu, self.instance)
-        return _energy_from_sorted(self._observed, implied)
+        instance = self.instance
+        return _gap_energy(self._observed, _cut_gaps(instance.a, instance.b, state.sigma, state.mu))
 
     def random_state(self, rng: RngStream) -> DigestOrdering:
         gen = rng.generator
@@ -182,20 +172,22 @@ class DigestLandscape(EnergyLandscape):
         mu = tuple(int(i) for i in gen.permutation(len(self.instance.b)))
         return DigestOrdering(sigma, mu)
 
-    def propose(self, state: DigestOrdering, rng: RngStream) -> DigestOrdering:
+    def moves(self, rng: RngStream, count: int) -> List[Tuple[int, int]]:
+        # exact integer draws, in this order: count sides, then count pair
+        # indices for sigma and for mu, skipping a single-fragment side
         gen = rng.generator
-        which = int(gen.integers(2))
-        perm = list(state.sigma if which == 0 else state.mu)
-        n = len(perm)
-        if n >= 2:
-            i = int(gen.integers(n))
-            j = int(gen.integers(n - 1))
-            if j >= i:
-                j += 1
+        sides = gen.integers(2, size=count).tolist()
+        pairs = [gen.integers(n * (n - 1), size=count).tolist() if n > 1 else [0] * count for n in self._sizes]
+        return [(side, pairs[side][t]) for t, side in enumerate(sides)]
+
+    def apply(self, state: DigestOrdering, move: Tuple[int, int]) -> DigestOrdering:
+        side, k = move
+        perm = list(state[side])
+        if len(perm) > 1:
+            i, j = divmod(k, len(perm) - 1)
+            j += j >= i
             perm[i], perm[j] = perm[j], perm[i]
-        if which == 0:
-            return DigestOrdering(tuple(perm), state.mu)
-        return DigestOrdering(state.sigma, tuple(perm))
+        return DigestOrdering(state.sigma, tuple(perm)) if side else DigestOrdering(tuple(perm), state.mu)
 
 
 def generate_instance(
@@ -242,29 +234,28 @@ def brute_force_min_energy(
     Duplicate fragment lengths produce equivalent orderings, so the scan
     enumerates distinct value sequences only.
     """
-    n_a, n_b = len(instance.a), len(instance.b)
 
-    def distinct_perms(values: Tuple[int, ...], n: int):
+    def distinct_perms(values: Tuple[int, ...]):
         seen = set()
-        for perm in itertools.permutations(range(n)):
+        for perm in itertools.permutations(range(len(values))):
             key = tuple(values[i] for i in perm)
             if key in seen:
                 continue
             seen.add(key)
             yield perm
 
+    a, b, observed = instance.a, instance.b, tuple(sorted(instance.c))
     best_energy = float("inf")
     best_ordering = None
     evaluated = 0
-    mu_options = list(distinct_perms(instance.b, n_b))
-    for sigma in distinct_perms(instance.a, n_a):
+    mu_options = list(distinct_perms(b))
+    for sigma in distinct_perms(a):
         for mu in mu_options:
-            ordering = DigestOrdering(sigma, mu)
-            energy = double_digest_energy(ordering, instance)
+            energy = _gap_energy(observed, _cut_gaps(a, b, sigma, mu))
             evaluated += 1
             if energy < best_energy:
                 best_energy = energy
-                best_ordering = ordering
+                best_ordering = DigestOrdering(sigma, mu)
                 if stop_at is not None and best_energy <= stop_at:
                     return BruteForceResult(best_energy, best_ordering, evaluated)
     return BruteForceResult(best_energy, best_ordering, evaluated)

@@ -19,8 +19,11 @@ class IntLine(EnergyLandscape):
     def energy(self, state):
         return float((state - 3) ** 2)
 
-    def propose(self, state, rng):
-        return state + (1 if rng.random() < 0.5 else -1)
+    def moves(self, rng, count):
+        return (2 * rng.integers(2, size=count) - 1).tolist()
+
+    def apply(self, state, move):
+        return state + move
 
     def random_state(self, rng):
         return int(rng.integers(-50, 51))

@@ -191,6 +191,10 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         cfg = write_cfg(tmp_path, "list.cfg", text)
         assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o3")]) == 1
         assert "expected list of numbers" in capsys.readouterr().err
+    # a span whose start-state draw does not fit numpy's int64 integers
+    cfg = write_cfg(tmp_path, "span.cfg", "span = 100000000000000000000\nsweeps = 5\n")
+    assert cli.main(["anneal", "--config", cfg, "--out", str(tmp_path / "o5")]) == 1
+    assert "span" in capsys.readouterr().err
     # malformed graph files: the message names the file and line
     for text, line in (("3\nh -1 0.5\n", 2), ("3\nh 7 0.5\n", 2), ("3\n0 1 x\n", 2), ("-3\n", 1)):
         graph = tmp_path / "g.txt"

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -64,6 +66,70 @@ def test_coincident_cuts_merge():
 # --- energy ---------------------------------------------------------------------
 
 
+def _reference_implied(sigma, mu, instance):
+    # the cut-set construction the energy kernel replaced, kept as its oracle
+    total = instance.total_length
+    cuts = {0, total}
+    pos = 0
+    for idx in sigma[:-1]:
+        pos += instance.a[idx]
+        cuts.add(pos)
+    pos = 0
+    for idx in mu[:-1]:
+        pos += instance.b[idx]
+        cuts.add(pos)
+    ordered = sorted(cuts)
+    gaps = [ordered[i + 1] - ordered[i] for i in range(len(ordered) - 1)]
+    gaps.sort()
+    return tuple(gaps)
+
+
+def _reference_energy(observed, implied):
+    n_obs, n_imp = len(observed), len(implied)
+    width = max(n_obs, n_imp)
+    energy = 0.0
+    for j in range(width):
+        obs_idx = j - (width - n_obs)
+        if obs_idx < 0:
+            continue
+        c_j = observed[obs_idx]
+        imp_idx = j - (width - n_imp)
+        c_hat = implied[imp_idx] if imp_idx >= 0 else 0
+        diff = c_j - c_hat
+        energy += diff * diff / c_j
+    return energy
+
+
+def _random_split(gen, total, k):
+    pos = [0] + sorted(gen.sample(range(1, total), k - 1)) + [total]
+    return tuple(y - x for x, y in zip(pos, pos[1:]))
+
+
+def test_energy_kernel_matches_reference():
+    gen = random.Random(20240)
+    seen = dict.fromkeys(("single", "duplicate", "coincident", "c_longer", "c_shorter", "beyond_int64"), 0)
+    for trial in range(3000):
+        scale = 10**20 if trial % 5 == 0 else 1  # lengths beyond int64
+        total = gen.randint(4, 24)
+        n_a, n_b = gen.randint(1, min(6, total)), gen.randint(1, min(6, total))
+        n_c = gen.randint(1, min(total, 13))
+        a, b, c = (tuple(scale * x for x in _random_split(gen, total, n)) for n in (n_a, n_b, n_c))
+        inst = DoubleDigestInstance(a, b, c)
+        ordering = DigestOrdering(tuple(gen.sample(range(n_a), n_a)), tuple(gen.sample(range(n_b), n_b)))
+        implied = _reference_implied(ordering.sigma, ordering.mu, inst)
+        expected = _reference_energy(tuple(sorted(c)), implied)
+        assert double_digest_implied_fragments(ordering, inst) == implied
+        assert double_digest_energy(ordering, inst) == expected
+        assert DigestLandscape(inst).energy(ordering) == expected
+        seen["single"] += min(n_a, n_b) == 1
+        seen["duplicate"] += len(set(a + b)) < n_a + n_b
+        seen["coincident"] += len(implied) < n_a + n_b - 1
+        seen["c_longer"] += n_c > len(implied)
+        seen["c_shorter"] += n_c < len(implied)
+        seen["beyond_int64"] += scale > 1
+    assert min(seen.values()) >= 100, seen
+
+
 def test_correct_ordering_has_zero_energy():
     assert double_digest_energy(DigestOrdering.identity(INST), INST) == 0.0
 
@@ -108,8 +174,8 @@ def test_proposal_swaps_exactly_one_permutation():
     land = DigestLandscape(inst)
     rng = RngStream(3)
     state = land.random_state(rng)
-    for _ in range(100):
-        nxt = land.propose(state, rng)
+    for move in land.moves(rng, 100):
+        nxt = land.apply(state, move)
         changed_sigma = nxt.sigma != state.sigma
         changed_mu = nxt.mu != state.mu
         assert changed_sigma != changed_mu
@@ -118,13 +184,40 @@ def test_proposal_swaps_exactly_one_permutation():
         state = nxt
 
 
+def test_moves_hit_every_ordered_pair_at_its_rate():
+    # (3, 4) fragments: 6 ordered sigma pairs at 1/2 * 1/6 = 1/12 each and 12
+    # mu pairs at 1/2 * 1/12 = 1/24 each. Seed 2024; each count must lie within
+    # 5 binomial SDs, so a correct sampler fails with probability about
+    # 18 * 5.7e-7 = 1e-5 over fresh seeds.
+    inst = DoubleDigestInstance((1, 2, 3), (1, 1, 2, 2), (1, 1, 1, 1, 2))
+    land = DigestLandscape(inst)
+    n = 120_000
+    counts = {}
+    for move in land.moves(RngStream(2024), n):
+        counts[move] = counts.get(move, 0) + 1
+    expected = {(0, k): 1 / 12 for k in range(6)}
+    expected.update({(1, k): 1 / 24 for k in range(12)})
+    assert set(counts) == set(expected)
+    for move, p in expected.items():
+        assert abs(counts[move] - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (move, counts[move])
+    # each side's ordered pairs are its transpositions, every one reached twice (i, j and j, i)
+    start = DigestOrdering.identity(inst)
+    for side, size in ((0, 3), (1, 4)):
+        swaps = []
+        for k in range(size * (size - 1)):
+            nxt = land.apply(start, (side, k))
+            assert nxt[1 - side] == start[1 - side]
+            swaps.append(frozenset(i for i, p in enumerate(nxt[side]) if p != i))
+        assert sorted(map(sorted, swaps)) == sorted(sorted(pair) for pair in itertools.permutations(range(size), 2))
+
+
 def test_singleton_side_proposal_is_fixed_point():
     inst = DoubleDigestInstance((8,), (3, 5), (3, 5))
     land = DigestLandscape(inst)
     rng = RngStream(4)
     state = DigestOrdering.identity(inst)
-    for _ in range(20):
-        nxt = land.propose(state, rng)
+    for move in land.moves(rng, 20):
+        nxt = land.apply(state, move)
         assert nxt.sigma == (0,)
         state = nxt
 
@@ -165,6 +258,44 @@ def test_brute_force_early_stop():
     assert result.evaluated <= full.evaluated
 
 
+def _reference_brute_force(inst, stop_at=None):
+    # the scan as it was: every distinct ordering pair re-validated and scored by the old path
+    def distinct(values):
+        seen = set()
+        for perm in itertools.permutations(range(len(values))):
+            key = tuple(values[i] for i in perm)
+            if key not in seen:
+                seen.add(key)
+                yield perm
+
+    observed = tuple(sorted(inst.c))
+    best, best_ordering, evaluated = float("inf"), None, 0
+    mus = list(distinct(inst.b))
+    for sigma in distinct(inst.a):
+        for mu in mus:
+            energy = _reference_energy(observed, _reference_implied(sigma, mu, inst))
+            evaluated += 1
+            if energy < best:
+                best, best_ordering = energy, DigestOrdering(sigma, mu)
+                if stop_at is not None and best <= stop_at:
+                    return best, best_ordering, evaluated
+    return best, best_ordering, evaluated
+
+
+def test_brute_force_matches_reference_scan():
+    gen = random.Random(77)
+    for k in range(20):
+        total = gen.randint(12, 40)
+        n_a, n_b = gen.randint(1, 5), gen.randint(1, 5)
+        if k % 2:
+            inst = generate_instance(n_a, n_b, total, RngStream(k))
+        else:  # c unrelated to a and b, so the minimum is positive
+            inst = DoubleDigestInstance(*(_random_split(gen, total, gen.randint(1, 6)) for _ in range(3)))
+        for stop_at in (None, 0.0):
+            got = brute_force_min_energy(inst, stop_at=stop_at)
+            assert tuple(got) == _reference_brute_force(inst, stop_at)
+
+
 def test_brute_force_on_wrong_only_instance():
     # observed c deliberately inconsistent with any ordering: min energy > 0
     inst = DoubleDigestInstance((3, 5), (2, 6), (4, 4))
@@ -188,6 +319,45 @@ def test_anneal_solves_small_benchmark():
     assert result.best_energy == 0.0
 
 
+def test_sweep_draws_moves_then_uniforms():
+    # one sweep replayed by hand from a fresh stream: moves(rng, P), then random(P)
+    inst = generate_instance(4, 5, 50, RngStream(8))
+    land = DigestLandscape(inst)
+    start = land.random_state(RngStream(9))
+    per_sweep, temperature = 60, 2.0  # 1/T is exact, so exp(-d/T) == exp(-d * (1/T))
+    result = anneal(land, CoolingSchedule("constant", temperature), 1, per_sweep, RngStream(10), initial=start)
+
+    rng = RngStream(10)
+    moves = land.moves(rng, per_sweep)
+    uniforms = rng.random(per_sweep)
+    state, energy = start, land.energy(start)
+    best_state, best_energy, accepted = state, energy, 0
+    for move, u in zip(moves, uniforms):
+        candidate = land.apply(state, move)
+        candidate_energy = land.energy(candidate)
+        delta = candidate_energy - energy
+        if delta <= 0.0 or u < math.exp(-delta / temperature):
+            state, energy = candidate, candidate_energy
+            accepted += 1
+            if energy < best_energy:
+                best_state, best_energy = state, energy
+    assert 0 < accepted < per_sweep
+    assert result.trace.column("current_energy")[0] == energy
+    assert result.trace.column("acceptance_rate")[0] == accepted / per_sweep
+    assert result.best_state == best_state
+    assert result.best_energy == best_energy
+
+
+def test_anneal_same_seed_same_trace():
+    inst = generate_instance(5, 5, 60, RngStream(21))
+    runs = [
+        anneal(DigestLandscape(inst), CoolingSchedule("geometric", 5.0, 0.97), 80, 30, RngStream(22))
+        for _ in range(2)
+    ]
+    assert runs[0].trace.csv_text() == runs[1].trace.csv_text()
+    assert runs[0].best_state == runs[1].best_state
+
+
 def test_uphill_acceptance_dies_in_final_decile():
     sweeps, per_sweep = 1000, 100
 
@@ -199,14 +369,14 @@ def test_uphill_acceptance_dies_in_final_decile():
             self.uphill_accepted = 0
             self.calls = 0
 
-        def propose(self, state, rng):
+        def apply(self, state, move):
             if self.pending is not None:
                 cand, was_uphill, sweep = self.pending
                 if was_uphill and sweep >= sweeps * 9 // 10:
                     self.uphill += 1
                     if state is cand:
                         self.uphill_accepted += 1
-            cand = super().propose(state, rng)
+            cand = super().apply(state, move)
             was_uphill = self.energy(cand) > self.energy(state)
             self.pending = (cand, was_uphill, self.calls // per_sweep)
             self.calls += 1
