@@ -60,6 +60,8 @@ class WeightedDataset:
         ys = np.asarray(self.ys)
         if xs.ndim != 1 or xs.size == 0:
             raise ValidationError("WeightedDataset: xs must be a non-empty vector")
+        if not np.all(np.isfinite(xs)):
+            raise ValidationError("WeightedDataset: xs must be finite")
         if ys.shape != xs.shape:
             raise ValidationError("WeightedDataset: xs and ys must have equal length")
         if not np.all((ys == 0) | (ys == 1)):
@@ -86,13 +88,17 @@ class WeightedDataset:
 
 
 class Hypothesis(ABC):
-    """Deterministic binary classifier: same x always gets the same label."""
+    """Deterministic binary classifier: same x always gets the same label.
+
+    ``predict_many`` labels a whole array of items as int8; ``predict``
+    labels one item through it.
+    """
 
     @abstractmethod
-    def predict(self, x) -> int: ...
+    def predict_many(self, xs) -> np.ndarray: ...
 
-    def predict_many(self, xs) -> np.ndarray:
-        return np.array([self.predict(x) for x in np.asarray(xs)], dtype=np.int8)
+    def predict(self, x) -> int:
+        return int(self.predict_many([x])[0])
 
 
 class WeakLearner(ABC):
@@ -111,30 +117,59 @@ class ThresholdHypothesis(Hypothesis):
     def __init__(self, threshold: float):
         self.threshold = float(threshold)
 
-    def predict(self, x) -> int:
-        return int(float(x) >= self.threshold)
+    def predict_many(self, xs) -> np.ndarray:
+        return (np.asarray(xs, dtype=float) >= self.threshold).astype(np.int8)
 
 
 class TableHypothesis(Hypothesis):
-    """Memorized labels for known x values, with a fallback rule for the rest."""
+    """Memorized labels for known x values, with a fallback rule for the rest.
+
+    Lookups compare x by float equality, as a dict keyed by float(x) does:
+    -0.0 finds 0.0, and NaN finds nothing. Predictions come from sorted
+    copies of the keys and labels taken at construction; ``table`` is the
+    dict they were taken from.
+    """
 
     def __init__(self, table: dict, fallback: Hypothesis):
-        self.table = dict(table)
-        self.fallback = fallback
+        table = dict(table)
+        keys = np.array(list(table), dtype=float)
+        order = np.argsort(keys, kind="stable")
+        self._set_lookup(keys[order], np.array(list(table.values()), dtype=np.int8)[order], fallback)
+        self._table = table
 
-    def predict(self, x) -> int:
-        key = float(x)
-        if key in self.table:
-            return int(self.table[key])
-        return self.fallback.predict(x)
+    @classmethod
+    def _from_sorted(cls, keys: np.ndarray, labels: np.ndarray, fallback: Hypothesis) -> "TableHypothesis":
+        """Table over distinct ascending float keys; its dict is built only if ``table`` is read."""
+        hypothesis = cls.__new__(cls)
+        hypothesis._set_lookup(keys, labels, fallback)
+        return hypothesis
+
+    def _set_lookup(self, keys, labels, fallback) -> None:
+        # a NaN after the sorted keys ends every search that runs past them in a miss
+        self._keys = np.append(keys, np.nan)
+        self._labels = np.append(labels, 0).astype(np.int8)
+        self.fallback = fallback
+        self._table = None
+
+    @property
+    def table(self) -> dict:
+        if self._table is None:
+            self._table = dict(zip(self._keys[:-1].tolist(), self._labels[:-1].tolist()))
+        return self._table
+
+    def predict_many(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        at = np.searchsorted(self._keys, xs)
+        out = self._labels[at]
+        miss = self._keys[at] != xs
+        if miss.any():
+            out[miss] = self.fallback.predict_many(xs[miss])
+        return out
 
 
 class MajorityVoteHypothesis(Hypothesis):
     def __init__(self, h1: Hypothesis, h2: Hypothesis, h3: Hypothesis):
         self.voters = (h1, h2, h3)
-
-    def predict(self, x) -> int:
-        return int(sum(h.predict(x) for h in self.voters) >= 2)
 
     def predict_many(self, xs) -> np.ndarray:
         votes = sum(h.predict_many(xs).astype(int) for h in self.voters)
@@ -163,11 +198,7 @@ class NoisyThresholdLearner(WeakLearner):
         flip_prob = 0.5 - self.gamma
         xs = np.unique(dataset.xs)
         flips = rng.generator.random(xs.size) < flip_prob
-        table = {}
-        for x, flip in zip(xs, flips):
-            label = concept.predict(x)
-            table[float(x)] = 1 - label if flip else label
-        return TableHypothesis(table, concept)
+        return TableHypothesis._from_sorted(xs, concept.predict_many(xs) ^ flips, concept)
 
 
 def empirical_risk(hypothesis: Hypothesis, dataset: WeightedDataset) -> float:
@@ -212,6 +243,17 @@ def majority_vote(h1: Hypothesis, h2: Hypothesis, h3: Hypothesis) -> MajorityVot
     return MajorityVoteHypothesis(h1, h2, h3)
 
 
+class _OnItems(Hypothesis):
+    """A hypothesis with its predictions on one array of items computed once."""
+
+    def __init__(self, hypothesis: Hypothesis, xs: np.ndarray):
+        self.hypothesis, self.xs = hypothesis, xs
+        self.preds = hypothesis.predict_many(xs)
+
+    def predict_many(self, xs) -> np.ndarray:
+        return self.preds if xs is self.xs else self.hypothesis.predict_many(xs)
+
+
 class Boost3Diagnostics(NamedTuple):
     h1_err: float
     h2_err: float
@@ -244,31 +286,35 @@ def boost3(weak: WeakLearner, dataset: WeightedDataset, rng: RngStream) -> Boost
     the closed-form bound at the learner's advantage.
     """
     bound = boost_error_bound(weak.gamma)
+    # every distribution below shares dataset.xs, so each hypothesis is
+    # evaluated on it once (m1, m2, m3) and the vote returned is of h1, h2, h3
     h1 = weak.train(dataset, rng)
-    h1_err = empirical_risk(h1, dataset)
+    m1 = _OnItems(h1, dataset.xs)
+    h1_err = empirical_risk(m1, dataset)
     if h1_err == 0.0:
         # already perfect: the rebalanced distribution does not exist, and
         # no vote can improve on h1
         diagnostics = Boost3Diagnostics(0.0, 0.0, 0.0, 0.0, bound)
         return Boost3Result(h1, diagnostics)
-    d2 = reweight_d2(dataset, h1)
+    d2 = reweight_d2(dataset, m1)
     h2 = weak.train(d2, rng)
-    h2_err = empirical_risk(h2, d2)
-    if np.array_equal(h1.predict_many(dataset.xs), h2.predict_many(dataset.xs)):
+    m2 = _OnItems(h2, dataset.xs)
+    h2_err = empirical_risk(m2, d2)
+    if np.array_equal(m1.preds, m2.preds):
         # no disagreement region: the majority vote equals h1 regardless of h3
         diagnostics = Boost3Diagnostics(h1_err, h2_err, 0.0, h1_err, bound)
         return Boost3Result(h1, diagnostics)
-    d3 = reweight_d3(dataset, h1, h2)
+    d3 = reweight_d3(dataset, m1, m2)
     h3 = weak.train(d3, rng)
-    vote = majority_vote(h1, h2, h3)
+    m3 = _OnItems(h3, dataset.xs)
     diagnostics = Boost3Diagnostics(
         h1_err=h1_err,
         h2_err=h2_err,
-        h3_err=empirical_risk(h3, d3),
-        final_err=empirical_risk(vote, dataset),
+        h3_err=empirical_risk(m3, d3),
+        final_err=empirical_risk(majority_vote(m1, m2, m3), dataset),
         bound=bound,
     )
-    return Boost3Result(vote, diagnostics)
+    return Boost3Result(majority_vote(h1, h2, h3), diagnostics)
 
 
 def boost_error_bound(gamma: float) -> float:
@@ -346,6 +392,8 @@ def load_dataset(path) -> WeightedDataset:
                 label = int(row[1])
             except ValueError:
                 raise ValidationError(f"{path}:{row_no}: non-numeric row {row!r}") from None
+            if not np.isfinite(xs[-1]):
+                raise ValidationError(f"{path}:{row_no}: x must be finite, got {row[0]!r}")
             ys.append(label)
     if not xs:
         raise ValidationError(f"{path}: no data rows")

@@ -23,6 +23,8 @@ def _as_signal(x, name: str) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a non-empty 1-D sequence")
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be real numbers, got dtype {arr.dtype}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} must be finite")
     return arr
@@ -35,34 +37,67 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
-def _bit_reverse_permute(a: np.ndarray) -> None:
-    n = a.size
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
+def _bit_reverse_permute(a: np.ndarray, work: np.ndarray) -> None:
+    # moving a[i] to the index with i's log2(n) bits reversed is reversing
+    # the axes of a seen as a 2 x 2 x ... x 2 array; work is scratch of a's size
+    bits = a.size.bit_length() - 1
+    if bits:
+        cube = (2,) * bits
+        np.copyto(work.reshape(cube), a.reshape(cube).transpose(range(bits - 1, -1, -1)))
+        a[:] = work
 
 
-def _fft_inplace(a: np.ndarray, inverse: bool) -> None:
-    # a must be complex128 with power-of-two length
-    n = a.size
-    _bit_reverse_permute(a)
+# Passes of length up to _BLOCK stay inside blocks of that many items
+# (64 KiB), so they run block by block while the block is in cache; the
+# longer passes then span the whole array.
+_BLOCK = 1 << 12
+# numpy is slow on many short rows, so a pass whose half-length is below
+# this runs column by column, each column a long strided vector.
+_FEW_COLUMNS = 8
+
+
+def _fft_inplace(signals, inverse: bool) -> None:
+    # each signal must be complex128 with the same power-of-two length; they
+    # share one scratch array and one table of twiddles
+    n = signals[0].size
+    work = np.empty(n, dtype=np.complex128)
     sign = 1.0 if inverse else -1.0
-    length = 2
-    while length <= n:
+    # each pass's twiddles are a strided slice of the last pass's: the angle
+    # of k * (n / length) over n rounds exactly as the angle of k over length
+    angles = work.view(np.float64)[: n // 2]
+    np.multiply(sign * 2.0 * math.pi, np.arange(n // 2), out=angles)
+    angles /= n
+    roots = np.multiply(1j, angles)
+    np.exp(roots, out=roots)
+    block = min(n, _BLOCK)
+    for a in signals:
+        _bit_reverse_permute(a, work)
+        for start in range(0, n, block):
+            _butterflies(a[start : start + block], 2, roots, work)
+        _butterflies(a, 2 * block, roots, work)
+
+
+def _butterflies(a: np.ndarray, length: int, roots: np.ndarray, work: np.ndarray) -> None:
+    # the passes from `length` up to a.size; roots are the last pass's
+    # twiddles for the whole transform, work is scratch of the transform's size
+    n = roots.size * 2
+    # work holds the odd products and a contiguous copy of the twiddles
+    odd, twiddle = work[: a.size // 2], work[n // 2 :]
+    while length <= a.size:
         half = length // 2
-        angles = sign * 2.0 * math.pi * np.arange(half) / length
-        twiddle = np.exp(1j * angles)
-        blocks = a.reshape(n // length, length)
-        odd = blocks[:, half:] * twiddle
-        even = blocks[:, :half].copy()
-        blocks[:, :half] = even + odd
-        blocks[:, half:] = even - odd
+        rows = a.size // length
+        twiddle[:half] = roots[:: n // length]
+        blocks = a.reshape(rows, length)
+        products = odd.reshape(rows, half)
+        if half < _FEW_COLUMNS:
+            for k in range(half):
+                np.multiply(blocks[:, half + k], twiddle[k], out=products[:, k])
+                np.subtract(blocks[:, k], products[:, k], out=blocks[:, half + k])
+                blocks[:, k] += products[:, k]
+        else:
+            np.multiply(blocks[:, half:], twiddle[:half], out=products)
+            np.subtract(blocks[:, :half], products, out=blocks[:, half:])
+            blocks[:, :half] += products
         length *= 2
 
 
@@ -78,7 +113,7 @@ def fft_radix2(x) -> np.ndarray:
     if n & (n - 1):
         raise ValidationError(f"fft_radix2: length must be a power of two, got {n}")
     out = arr.copy()
-    _fft_inplace(out, inverse=False)
+    _fft_inplace((out,), inverse=False)
     return out
 
 
@@ -91,7 +126,7 @@ def ifft_radix2(x) -> np.ndarray:
     if n & (n - 1):
         raise ValidationError(f"ifft_radix2: length must be a power of two, got {n}")
     out = arr.copy()
-    _fft_inplace(out, inverse=True)
+    _fft_inplace((out,), inverse=True)
     out /= n
     return out
 
@@ -119,10 +154,9 @@ def conv_fft(x, y) -> np.ndarray:
     fb = np.zeros(size, dtype=np.complex128)
     fa[: a.size] = a
     fb[: b.size] = b
-    _fft_inplace(fa, inverse=False)
-    _fft_inplace(fb, inverse=False)
+    _fft_inplace((fa, fb), inverse=False)
     fa *= fb
-    _fft_inplace(fa, inverse=True)
+    _fft_inplace((fa,), inverse=True)
     fa /= size
     result = fa[:out_len]
     residue = float(np.abs(result.imag).max()) if out_len else 0.0

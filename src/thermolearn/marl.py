@@ -256,6 +256,8 @@ def run_ising_game(
     """
     if episodes < 1 or steps_per_episode < 1:
         raise ValidationError("run_ising_game: episodes and steps_per_episode must be >= 1")
+    if n_bins < 1:
+        raise ValidationError(f"run_ising_game: n_bins must be >= 1, got {n_bins}")
     if not 0 <= alpha <= 1:
         raise ValidationError(f"run_ising_game: alpha must be in [0, 1], got {alpha!r}")
     if not 0 <= gamma < 1:
@@ -271,50 +273,71 @@ def run_ising_game(
     n = graph.n_agents
     coupling = env.coupling
     neighbor_lists = [list(row) for row in graph.neighbors]
-    inv_deg = [1.0 / len(row) for row in neighbor_lists]
     state = 0
 
-    spins = [int(s) for s in (rng.generator.integers(0, 2, n) * 2 - 1)]
+    # With two actions the mean-action bin depends only on the number of up
+    # neighbours, so cells[j][up] is agent j's Q row at that bin: [Q(action
+    # 0), Q(action 1), bin, action 0 not yet updated, action 1 not yet
+    # updated]. Counts in the same bin share one row, as they share QTable keys.
     tables = [QTable() for _ in range(n)]
-    mags = np.empty(episodes)
-    uniforms = rng.generator.random((episodes, steps_per_episode, n)).tolist()
+    cells = []
+    for row in neighbor_lists:
+        inv_deg = 1.0 / len(row)
+        rows_by_bin = {}
+        cell_row = []
+        for up in range(len(row) + 1):
+            mean_bin = discretize_mean([1.0 - up * inv_deg, up * inv_deg], n_bins)
+            cell_row.append(rows_by_bin.setdefault(mean_bin, [0.0, 0.0, mean_bin, True, True]))
+        cells.append(cell_row)
 
-    exp = math.exp
+    spins = [int(s) for s in (rng.generator.integers(0, 2, n) * 2 - 1)]
+    up_counts = [sum(spins[k] > 0 for k in row) for row in neighbor_lists]
+    degrees = [len(row) for row in neighbor_lists]
+    mags = np.empty(episodes)
+    uniforms = rng.generator.random((episodes, steps_per_episode, n))
+
+    exp, isfinite = math.exp, math.isfinite
+    keep = 1.0 - alpha
     for episode in range(episodes):
         temperature = float(temp_at(episode))
         if not (temperature > 0 and math.isfinite(temperature)):
             raise ValidationError(f"run_ising_game: schedule gave T={temperature!r} at episode {episode}")
         inv_t = 1.0 / temperature
-        for step in range(steps_per_episode):
-            u_row = uniforms[episode][step]
-            for j in range(n):
-                up = 0
-                for k in neighbor_lists[j]:
-                    if spins[k] > 0:
-                        up += 1
-                frac_up = up * inv_deg[j]
-                mean_bin = (
-                    min(n_bins - 1, int((1.0 - frac_up) * n_bins)),
-                    min(n_bins - 1, int(frac_up * n_bins)),
-                )
-                table = tables[j]
-                q0 = table.get((state, 0, mean_bin))
-                q1 = table.get((state, 1, mean_bin))
+        for u_row in uniforms[episode].tolist():
+            for j, u in enumerate(u_row):
+                up = up_counts[j]
+                cell = cells[j][up]
+                q0, q1 = cell[0], cell[1]
                 # softmax over the two actions at the current temperature
                 z0, z1 = q0 * inv_t, q1 * inv_t
                 m = z0 if z0 > z1 else z1
                 w0 = exp(z0 - m)
                 w1 = exp(z1 - m)
                 p0 = w0 / (w0 + w1)
-                action = 0 if u_row[j] < p0 else 1
-                spins[j] = 2 * action - 1
-                total = 0
-                for k in neighbor_lists[j]:
-                    total += spins[k]
-                reward = spins[j] * coupling * total
+                action = 0 if u < p0 else 1
+                spin = 2 * action - 1
+                if spin != spins[j]:
+                    spins[j] = spin
+                    for k in neighbor_lists[j]:
+                        up_counts[k] += spin
+                # the neighbours' spin sum: up of them +1, the rest -1
+                reward = spin * coupling * (2 * up - degrees[j])
                 next_value = p0 * q0 + (1.0 - p0) * q1
-                mf_q_update(table, (state, action, mean_bin), reward, next_value, alpha, gamma)
+                # mf_q_update with a same-key bootstrap value
+                value = keep * cell[action] + alpha * (reward + gamma * next_value)
+                if not isfinite(value):
+                    key = (state, action, cell[2])
+                    raise ValidationError(f"QTable: value for {key} must be finite, got {value!r}")
+                cell[action] = value
+                if cell[3 + action]:
+                    # the first update places the key in the QTable's order
+                    cell[3 + action] = False
+                    tables[j].values[(state, action, cell[2])] = cell
         mags[episode] = abs(sum(spins)) / n
+
+    for table in tables:
+        for key, cell in table.values.items():
+            table.set(key, cell[key[1]])
 
     trace = Trace({"episode": np.arange(episodes), "magnetization": mags})
     return IsingGameResult(tables, trace, np.array(spins, dtype=np.int8))

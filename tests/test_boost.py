@@ -52,6 +52,12 @@ def test_dataset_validation():
         WeightedDataset.uniform([0.1], [0, 1])
 
 
+def test_dataset_rejects_non_finite_xs():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError):
+            WeightedDataset.uniform([0.1, bad], [0, 1])
+
+
 def test_uniform_weights():
     ds = WeightedDataset.uniform([0.1, 0.2, 0.3, 0.4], [0, 0, 1, 1])
     assert np.allclose(ds.weights.probs, 0.25)
@@ -81,6 +87,54 @@ def test_table_hypothesis_overrides_fallback():
     assert h.predict(0.2) == 1
     assert h.predict(0.7) == 1
     assert h.predict(0.3) == 0
+
+
+# Table lookups once went through the dict one x at a time, with the
+# threshold fallback's scalar rule for misses; that lookup is the oracle
+# for the array lookup.
+
+
+def _dict_lookup(h, x):
+    key = float(x)
+    if key in h.table:
+        return int(h.table[key])
+    return int(float(x) >= h.fallback.threshold)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {},
+        {0.0: 1},
+        {-0.0: 1},
+        {-0.0: 1, 0.5: 0, 2.0: 1},
+        {0.9: 0, -3.0: 1, 0.1: 1, 1e300: 0, -1e-300: 0},  # not in key order
+    ],
+)
+def test_table_predict_many_replays_dict_lookup(table):
+    h = TableHypothesis(table, ThresholdHypothesis(0.5))
+    queries = np.array(
+        [0.0, -0.0, 0.5, 2.0, 0.9, -3.0, 0.1, 1e300, -1e-300,  # keys and their signed zeros
+         -np.inf, -5.0, 7.0, np.inf,  # below the smallest and above the largest key
+         0.49, 0.51, 0.3, 1.0, np.nan]  # misses on both sides of the fallback threshold
+    )
+    want = [_dict_lookup(h, x) for x in queries]
+    got = h.predict_many(queries)
+    assert got.dtype == np.int8
+    assert got.tolist() == want
+    assert [h.predict(x) for x in queries] == want
+
+
+def test_noisy_learner_table_replays_scalar_labels():
+    ds = threshold_data(500, 0.5, seed=12)
+    h = NoisyThresholdLearner(0.5, gamma=0.2).train(ds, RngStream(4))
+    flips = RngStream(4).generator.random(np.unique(ds.xs).size) < 0.5 - 0.2
+    want = {}
+    for x, flip in zip(np.unique(ds.xs), flips):
+        label = int(float(x) >= 0.5)
+        want[float(x)] = 1 - label if flip else label
+    assert list(h.table.items()) == list(want.items())
+    assert all(type(k) is float and type(v) is int for k, v in h.table.items())
 
 
 def test_risk_perfect_and_constant():

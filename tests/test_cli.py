@@ -195,6 +195,13 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "span.cfg", "span = 100000000000000000000\nsweeps = 5\n")
     assert cli.main(["anneal", "--config", cfg, "--out", str(tmp_path / "o5")]) == 1
     assert "span" in capsys.readouterr().err
+    # a dataset row whose x is not finite: the message names the file and line
+    for x in ("nan", "inf", "-inf"):
+        data = tmp_path / "d.csv"
+        data.write_text(f"x,y\n0.25,0\n{x},1\n")
+        cfg = write_cfg(tmp_path, "d.cfg", f'dataset = "{data}"\n')
+        assert cli.main(["boost", "--config", cfg, "--out", str(tmp_path / "o6")]) == 1
+        assert "d.csv:3:" in capsys.readouterr().err
     # malformed graph files: the message names the file and line
     for text, line in (("3\nh -1 0.5\n", 2), ("3\nh 7 0.5\n", 2), ("3\n0 1 x\n", 2), ("-3\n", 1)):
         graph = tmp_path / "g.txt"

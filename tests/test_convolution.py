@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from thermolearn.convolution import (
+    _bit_reverse_permute,
     conv_fft,
     conv_naive,
     fft_radix2,
@@ -63,6 +66,68 @@ def test_fft_parseval():
     assert np.sum(np.abs(x) ** 2) == pytest.approx(np.sum(np.abs(X) ** 2) / 256)
 
 
+# --- replay of the swap-loop transform ---------------------------------------
+# The transform once permuted with a Python swap loop and built every pass's
+# twiddles and butterfly temporaries afresh; that code is kept here as the
+# oracle, and the current transform must match it bit for bit.
+
+
+def _swap_loop_bit_reverse(a):
+    n = a.size
+    j = 0
+    for i in range(1, n):
+        bit = n >> 1
+        while j & bit:
+            j ^= bit
+            bit >>= 1
+        j |= bit
+        if i < j:
+            a[i], a[j] = a[j], a[i]
+
+
+def _reference_transform(x, inverse):
+    a = np.array(x, dtype=np.complex128)
+    n = a.size
+    _swap_loop_bit_reverse(a)
+    sign = 1.0 if inverse else -1.0
+    length = 2
+    while length <= n:
+        half = length // 2
+        angles = sign * 2.0 * math.pi * np.arange(half) / length
+        twiddle = np.exp(1j * angles)
+        blocks = a.reshape(n // length, length)
+        odd = blocks[:, half:] * twiddle
+        even = blocks[:, :half].copy()
+        blocks[:, :half] = even + odd
+        blocks[:, half:] = even - odd
+        length *= 2
+    if inverse:
+        a /= n
+    return a
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_bit_reversal_matches_swap_loop(k):
+    n = 1 << k
+    a = np.arange(n) + 0.5j * np.arange(n)
+    want = a.copy()
+    _swap_loop_bit_reverse(want)
+    got, work = a.copy(), np.empty(n, dtype=complex)
+    _bit_reverse_permute(got, work)
+    assert np.array_equal(got, want)
+    _bit_reverse_permute(got, work)  # reversing the bits twice is the identity
+    assert np.array_equal(got, a)
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_transforms_replay_reference_bit_for_bit(k):
+    n = 1 << k
+    gen = np.random.default_rng(k)
+    x = gen.normal(size=n) + 1j * gen.normal(size=n)
+    assert fft_radix2(x).tobytes() == _reference_transform(x, inverse=False).tobytes()
+    assert ifft_radix2(x).tobytes() == _reference_transform(x, inverse=True).tobytes()
+
+
 # --- convolution -------------------------------------------------------------
 
 
@@ -121,3 +186,18 @@ def test_conv_validation():
         conv_fft(np.array([[1.0]]), np.array([1.0]))
     with pytest.raises(ValidationError):
         conv_fft(np.array([np.nan]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("bad", [["a", "b"], np.array([1, None], dtype=object), [1 + 2j, 3], np.array([1.0], dtype=complex)])
+def test_conv_rejects_non_real_signals(bad):
+    for route in (conv_fft, conv_naive):
+        with pytest.raises(ValidationError):
+            route(bad, [1.0, 2.0])
+        with pytest.raises(ValidationError):
+            route([1.0, 2.0], bad)
+
+
+def test_conv_accepts_bool_and_int_signals():
+    for x in ([True, False, True], np.array([1, 0, 1], dtype=np.uint8), [1, 0, 1]):
+        assert np.allclose(conv_fft(x, [2, 3]), [2.0, 3.0, 2.0, 3.0], atol=1e-12)
+        assert np.array_equal(conv_naive(x, [2, 3]), [2.0, 3.0, 2.0, 3.0])

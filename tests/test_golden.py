@@ -1,0 +1,113 @@
+"""Golden sha256 digests of the library's learn paths on fixed seeds.
+
+Each case hashes the exact bytes a library call returns: ``conv_fft`` and
+the radix-2 transforms, ``boost3`` diagnostics and predictions,
+``boost_recursive`` predictions, and ``run_ising_game`` traces, final
+spins and Q tables (items in dict order, floats by repr). A byte change
+in any of them fails here until the digest is updated on purpose, with
+the reason recorded in CHANGES.md. Print the current digests with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from thermolearn.anneal import CoolingSchedule
+from thermolearn.boost import NoisyThresholdLearner, WeightedDataset, boost3, boost_recursive
+from thermolearn.convolution import conv_fft, fft_radix2, ifft_radix2
+from thermolearn.marl import IsingGameEnv, NeighborGraph, run_ising_game, torus_graph
+from thermolearn.rng import RngStream
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def _conv(len_x, len_y, seed):
+    gen = np.random.default_rng(seed)
+    return _sha(conv_fft(gen.normal(size=len_x), gen.normal(size=len_y)).tobytes())
+
+
+def _transforms(n, seed):
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=n) + 1j * gen.normal(size=n)
+    return _sha(fft_radix2(x).tobytes(), ifft_radix2(x).tobytes())
+
+
+def _boost_data(n, seed):
+    xs = np.random.default_rng(seed).random(n)
+    queries = np.concatenate([xs, np.linspace(-0.5, 1.5, 257)])  # unseen xs reach the fallback
+    return WeightedDataset.uniform(xs, (xs >= 0.5).astype(int)), queries
+
+
+def _boost3(n, seed):
+    dataset, queries = _boost_data(n, seed)
+    hyp, diag = boost3(NoisyThresholdLearner(0.5, 0.1), dataset, RngStream(seed))
+    voters = getattr(hyp, "voters", (hyp,))
+    return _sha(np.array(diag).tobytes(), hyp.predict_many(queries).tobytes(),
+                *(h.predict_many(queries).tobytes() for h in voters))
+
+
+def _boost_recursive(n, target, seed):
+    dataset, queries = _boost_data(n, seed)
+    hyp = boost_recursive(NoisyThresholdLearner(0.5, 0.1), dataset, target, RngStream(seed))
+    return _sha(hyp.predict_many(queries).tobytes())
+
+
+def _game(graph, episodes, n_bins, seed):
+    env = IsingGameEnv(graph, coupling=1.0)
+    schedule = CoolingSchedule("geometric", 10.0, (0.1 / 10.0) ** (1.0 / (episodes - 1)))
+    result = run_ising_game(env, episodes, 10, 0.1, 0.9, schedule, RngStream(seed), n_bins=n_bins)
+    return _sha(result.trace.column("magnetization").tobytes(), result.final_spins.tobytes(),
+                [list(table.values.items()) for table in result.q_tables])
+
+
+IRREGULAR = NeighborGraph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5), (4, 6), (5, 6), (2, 6)])
+
+CASES = {
+    "conv_fft n16": lambda: _conv(5, 9, 1),
+    "conv_fft n4096": lambda: _conv(3000, 1097, 29),
+    "conv_fft n65536": lambda: _conv(40000, 25537, 1),
+    "fft/ifft n1": lambda: _transforms(1, 1),
+    "fft/ifft n1024": lambda: _transforms(1024, 29),
+    "boost3 seed1": lambda: _boost3(3000, 1),
+    "boost3 seed29": lambda: _boost3(3000, 29),
+    "boost_recursive depth3 seed1": lambda: _boost_recursive(2000, 0.2, 1),
+    "boost_recursive depth2 seed29": lambda: _boost_recursive(2000, 0.3, 29),
+    "game torus8 seed1": lambda: _game(torus_graph(8, 8), 60, 11, 1),
+    "game torus8 seed29": lambda: _game(torus_graph(8, 8), 60, 11, 29),
+    "game irregular bins3": lambda: _game(IRREGULAR, 40, 3, 1),
+}
+
+GOLDEN = {
+    'boost3 seed1': '13f33b17aefa4fd416d18857774d1ae484c94e42e1ea584aa9c03d80d5e5d9fa',
+    'boost3 seed29': '475daec0e6c9cf96a3b3ab0763c2efef0a3f61fae575f43f017d47cff8bef9e3',
+    'boost_recursive depth2 seed29': 'ebdaf2fcb705a89c2d1a33fb5320c5661e60173a1d9a2424338bf37f439eda19',
+    'boost_recursive depth3 seed1': 'dd8200234c115d21acb24f231f87906ffee06cae174e6a95a451759eac07bdcf',
+    'conv_fft n16': '3c4e6c64feb2edd40602fbe0d5e64cf780f584a05c4e5d01118ce923f4f5a7f0',
+    'conv_fft n4096': '0b0b06829ab99538fd4adb3ebc36f721a31793e520f662a52a7da262a45f3371',
+    'conv_fft n65536': '3e7ac8b28068522f38bfac840162e61cf9a32d33a9e4670e08f21a36675532b9',
+    'fft/ifft n1': '172754589b16e0ae9af7349cdb301926c2ebd9858cb8ff64f65633cc5c3f3b80',
+    'fft/ifft n1024': 'edb7eab403ba51482e09dfa2c182087c93b48fb05a88576eb0e40d4174fe6c24',
+    'game irregular bins3': '6a9e7c39718fc499a2c8ae75f56972d6ef80798e53a189352f937f84fd93d3d5',
+    'game torus8 seed1': 'a7ca62a1f70758fbfb973b5ca26f252263e72717ab6c97990a52e02f85c5c3d0',
+    'game torus8 seed29': 'fec422fd76cc3c227f2b2e51412c1c08b9fa7979b07c9efd37c965485b19facd',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest(name):
+    assert CASES[name]() == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        print(f"    {name!r}: {CASES[name]()!r},")

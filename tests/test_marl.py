@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -325,3 +327,90 @@ def test_game_parameter_validation():
         run_ising_game(env, 5, 5, 1.5, 0.9, lambda k: 1.0, RngStream(9))
     with pytest.raises(ValidationError):
         run_ising_game(env, 5, 5, 0.1, 1.0, lambda k: 1.0, RngStream(9))
+
+def test_game_rejects_empty_bin_range():
+    env = IsingGameEnv(graph=torus_graph(3, 3), coupling=1.0)
+    for n_bins in (0, -1):
+        with pytest.raises(ValidationError):
+            run_ising_game(env, 5, 5, 0.1, 0.9, lambda k: 1.0, RngStream(9), n_bins=n_bins)
+
+
+def test_game_non_finite_q_raises():
+    env = IsingGameEnv(graph=torus_graph(3, 3), coupling=1e308)
+    with pytest.raises(ValidationError):
+        run_ising_game(env, 5, 5, 1.0, 0.9, lambda k: 1.0, RngStream(9))
+
+
+# --- replay of the dict-keyed game loop ----------------------------------------
+# The game once kept every Q value in QTable dicts keyed by
+# (state, action, mean bin) and called mf_q_update on each agent-step. That
+# loop is kept here as the oracle; the dense-table loop must reproduce its
+# trace, final spins and Q tables (values and key order) bit for bit.
+
+
+def _dict_keyed_game(env, episodes, steps_per_episode, alpha, gamma, temp_at, rng, n_bins):
+    n = env.graph.n_agents
+    neighbor_lists = [list(row) for row in env.graph.neighbors]
+    inv_deg = [1.0 / len(row) for row in neighbor_lists]
+    state = 0
+    spins = [int(s) for s in (rng.generator.integers(0, 2, n) * 2 - 1)]
+    tables = [QTable() for _ in range(n)]
+    mags = np.empty(episodes)
+    uniforms = rng.generator.random((episodes, steps_per_episode, n)).tolist()
+    for episode in range(episodes):
+        inv_t = 1.0 / float(temp_at(episode))
+        for step in range(steps_per_episode):
+            u_row = uniforms[episode][step]
+            for j in range(n):
+                up = 0
+                for k in neighbor_lists[j]:
+                    if spins[k] > 0:
+                        up += 1
+                frac_up = up * inv_deg[j]
+                mean_bin = (
+                    min(n_bins - 1, int((1.0 - frac_up) * n_bins)),
+                    min(n_bins - 1, int(frac_up * n_bins)),
+                )
+                table = tables[j]
+                q0 = table.get((state, 0, mean_bin))
+                q1 = table.get((state, 1, mean_bin))
+                z0, z1 = q0 * inv_t, q1 * inv_t
+                m = z0 if z0 > z1 else z1
+                w0 = math.exp(z0 - m)
+                w1 = math.exp(z1 - m)
+                p0 = w0 / (w0 + w1)
+                action = 0 if u_row[j] < p0 else 1
+                spins[j] = 2 * action - 1
+                total = 0
+                for k in neighbor_lists[j]:
+                    total += spins[k]
+                reward = spins[j] * env.coupling * total
+                next_value = p0 * q0 + (1.0 - p0) * q1
+                mf_q_update(table, (state, action, mean_bin), reward, next_value, alpha, gamma)
+        mags[episode] = abs(sum(spins)) / n
+    return tables, mags, np.array(spins, dtype=np.int8)
+
+
+REPLAY_GRAPHS = {
+    "torus8": torus_graph(8, 8),
+    # degrees 1 to 4, and a vertex whose neighbours have mixed degrees
+    "irregular": NeighborGraph.from_edges(
+        8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 5), (3, 6), (5, 6), (6, 7)]
+    ),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(REPLAY_GRAPHS))
+@pytest.mark.parametrize("n_bins", [1, 11])
+@pytest.mark.parametrize("coupling", [1.0, -0.7])
+def test_game_replays_dict_keyed_loop(graph, n_bins, coupling):
+    env = IsingGameEnv(graph=REPLAY_GRAPHS[graph], coupling=coupling)
+    schedule = CoolingSchedule("geometric", 10.0, (0.05 / 10.0) ** (1.0 / 59.0))
+    result = run_ising_game(env, 60, 7, 0.3, 0.9, schedule, RngStream(11), n_bins=n_bins)
+    tables, mags, spins = _dict_keyed_game(env, 60, 7, 0.3, 0.9, schedule.temperature, RngStream(11), n_bins)
+    assert result.trace.column("magnetization").tobytes() == mags.tobytes()
+    assert result.final_spins.tobytes() == spins.tobytes()
+    assert len(result.q_tables) == len(tables)
+    for got, want in zip(result.q_tables, tables):
+        assert list(got.values.items()) == list(want.values.items())
+        assert [v.hex() for v in got.values.values()] == [v.hex() for v in want.values.values()]
