@@ -217,11 +217,14 @@ class DiscreteMDP:
 
 
 def mdp_from_json(text: str) -> DiscreteMDP:
-    payload = json.loads(text)
-    missing = {"n_states", "n_actions", "gamma", "transition", "reward"} - set(payload)
-    if missing:
-        raise ValidationError(f"MDP JSON missing keys: {sorted(missing)}")
-    mdp = DiscreteMDP(np.asarray(payload["transition"]), np.asarray(payload["reward"]), payload["gamma"])
+    try:
+        payload = json.loads(text)
+        missing = {"n_states", "n_actions", "gamma", "transition", "reward"} - set(payload)
+        if missing:
+            raise ValidationError(f"missing keys: {sorted(missing)}")
+        mdp = DiscreteMDP(np.asarray(payload["transition"]), np.asarray(payload["reward"]), payload["gamma"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"MDP JSON: {exc}") from None
     if mdp.n_states != payload["n_states"] or mdp.n_actions != payload["n_actions"]:
         raise ValidationError("MDP JSON: declared sizes disagree with table shapes")
     return mdp

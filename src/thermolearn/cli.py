@@ -443,6 +443,9 @@ def _run_marl(cfg, rng, out_dir, fmt, artifacts):
     }
 
 
+# the config key naming each subcommand's input file, if it reads one
+_INPUT_FILE = {"ising": "graph", "digest": "instance", "ebm": "data", "boost": "dataset", "activeinf": "mdp"}
+
 _RUNNERS = {
     "entropy": _run_entropy,
     "ising": _run_ising,
@@ -500,8 +503,9 @@ def run_experiment(
     except ThermolearnError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        where = f"{cfg[_INPUT_FILE[subcommand]]}: " if isinstance(exc, UnicodeDecodeError) else ""
+        print(f"i/o failure: {where}{exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
     result_payload = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand, **result}

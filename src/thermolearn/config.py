@@ -87,7 +87,7 @@ def parse_config_file(path) -> Dict[str, object]:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
 

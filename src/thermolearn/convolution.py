@@ -20,7 +20,10 @@ __all__ = ["fft_radix2", "ifft_radix2", "conv_naive", "conv_fft", "next_pow2"]
 
 
 def _as_signal(x, name: str) -> np.ndarray:
-    arr = np.asarray(x)
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a non-empty 1-D sequence") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a non-empty 1-D sequence")
     if arr.dtype.kind not in "biuf":
@@ -101,33 +104,32 @@ def _butterflies(a: np.ndarray, length: int, roots: np.ndarray, work: np.ndarray
         length *= 2
 
 
+def _transform(x, name: str, inverse: bool) -> np.ndarray:
+    # validated copy of x as complex128, transformed in place (unscaled)
+    try:
+        out = np.array(x, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name}: need a non-empty 1-D sequence of numbers") from None
+    if out.ndim != 1 or out.size == 0:
+        raise ValidationError(f"{name}: need a non-empty 1-D sequence of numbers")
+    if out.size & (out.size - 1):
+        raise ValidationError(f"{name}: length must be a power of two, got {out.size}")
+    _fft_inplace((out,), inverse)
+    return out
+
+
 def fft_radix2(x) -> np.ndarray:
     """Discrete Fourier transform of a power-of-two-length sequence.
 
     Uses X_k = sum_m x_m exp(-2 pi i k m / n) with no normalization.
     """
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("fft_radix2: need a non-empty 1-D sequence")
-    n = arr.size
-    if n & (n - 1):
-        raise ValidationError(f"fft_radix2: length must be a power of two, got {n}")
-    out = arr.copy()
-    _fft_inplace((out,), inverse=False)
-    return out
+    return _transform(x, "fft_radix2", inverse=False)
 
 
 def ifft_radix2(x) -> np.ndarray:
     """Inverse transform: conjugate twiddles and a 1/n scale."""
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("ifft_radix2: need a non-empty 1-D sequence")
-    n = arr.size
-    if n & (n - 1):
-        raise ValidationError(f"ifft_radix2: length must be a power of two, got {n}")
-    out = arr.copy()
-    _fft_inplace((out,), inverse=True)
-    out /= n
+    out = _transform(x, "ifft_radix2", inverse=True)
+    out /= out.size
     return out
 
 

@@ -151,9 +151,7 @@ class BoltzmannMachine:
         for name, arr in (("a", a), ("b", b), ("W", W)):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"BoltzmannMachine: {name} must be finite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "W", W)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_visible(self) -> int:
@@ -175,11 +173,14 @@ class BoltzmannMachine:
 
     @classmethod
     def from_json(cls, text: str) -> "BoltzmannMachine":
-        payload = json.loads(text)
-        missing = {"a", "b", "W"} - set(payload)
-        if missing:
-            raise ValidationError(f"machine JSON missing keys: {sorted(missing)}")
-        return cls(np.asarray(payload["a"]), np.asarray(payload["b"]), np.asarray(payload["W"]))
+        try:
+            payload = json.loads(text)
+            missing = {"a", "b", "W"} - set(payload)
+            if missing:
+                raise ValidationError(f"missing keys: {sorted(missing)}")
+            return cls(np.asarray(payload["a"]), np.asarray(payload["b"]), np.asarray(payload["W"]))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"machine JSON: {exc}") from None
 
 
 class BMState(NamedTuple):
@@ -198,10 +199,8 @@ def _check_binary(vec, length: int, name: str) -> np.ndarray:
 
 def bm_energy(state: BMState, machine: BoltzmannMachine) -> float:
     """E(v,h) = -a.v - b.h - v W h."""
-    v = _check_binary(state.v, machine.n_visible, "v")
-    h = _check_binary(state.h, machine.n_hidden, "h")
-    vf = v.astype(float)
-    hf = h.astype(float)
+    vf = _check_binary(state.v, machine.n_visible, "v").astype(float)
+    hf = _check_binary(state.h, machine.n_hidden, "h").astype(float)
     return float(-machine.a @ vf - machine.b @ hf - vf @ machine.W @ hf)
 
 
@@ -209,15 +208,14 @@ def bm_joint_index(state: BMState, machine: BoltzmannMachine) -> int:
     """Flat state index: visible bits low (bit i = v_i), hidden bits above."""
     v = _check_binary(state.v, machine.n_visible, "v")
     h = _check_binary(state.h, machine.n_hidden, "h")
-    idx = 0
-    for i, bit in enumerate(np.concatenate([v, h])):
-        idx |= int(bit) << i
-    return idx
+    return sum(int(bit) << i for i, bit in enumerate(np.concatenate([v, h])))
 
 
 def bm_state_from_index(index: int, machine: BoltzmannMachine) -> BMState:
-    n_v = machine.n_visible
-    bits = np.array([(index >> i) & 1 for i in range(n_v + machine.n_hidden)], dtype=np.uint8)
+    n_v, n_units = machine.n_visible, machine.n_visible + machine.n_hidden
+    if not 0 <= index < 1 << n_units:
+        raise ValidationError(f"state index {index} out of range for {n_units} units")
+    bits = np.array([(index >> i) & 1 for i in range(n_units)], dtype=np.uint8)
     return BMState(bits[:n_v], bits[n_v:])
 
 
@@ -243,15 +241,27 @@ def bm_partition_exact(machine: BoltzmannMachine):
 
 
 def bm_hidden_activation(machine: BoltzmannMachine, v) -> np.ndarray:
-    """p(h_j = 1 | v) = logistic(b_j + sum_i v_i w_ij)."""
-    vf = np.asarray(v, dtype=float)
-    return _logistic(machine.b + vf @ machine.W)
+    """p(h_j = 1 | v) = logistic(b_j + sum_i v_i w_ij), for one row v or a stack of rows."""
+    try:
+        pre = machine.b + np.asarray(v, dtype=float) @ machine.W
+    except (TypeError, ValueError):
+        raise ValidationError(f"v must be numeric rows of {machine.n_visible} visible units") from None
+    return _logistic(pre)
 
 
 def bm_visible_activation(machine: BoltzmannMachine, h) -> np.ndarray:
-    """p(v_i = 1 | h) = logistic(a_i + sum_j w_ij h_j)."""
-    hf = np.asarray(h, dtype=float)
-    return _logistic(machine.a + machine.W @ hf)
+    """p(v_i = 1 | h) = logistic(a_i + sum_j w_ij h_j), for one row h or a stack of rows."""
+    try:
+        pre = machine.a + np.asarray(h, dtype=float) @ machine.W.T
+    except (TypeError, ValueError):
+        raise ValidationError(f"h must be numeric rows of {machine.n_hidden} hidden units") from None
+    return _logistic(pre)
+
+
+def _gibbs_step(machine: BoltzmannMachine, v, u_h: np.ndarray, u_v: np.ndarray):
+    # h ~ p(h|v), then v ~ p(v|h), for one row v or one row per chain; returns 0/1 floats
+    h = (u_h < bm_hidden_activation(machine, v)).astype(float)
+    return h, (u_v < bm_visible_activation(machine, h)).astype(float)
 
 
 class GibbsSampleRun(Sequence):
@@ -284,7 +294,8 @@ def bm_gibbs_sample(
     all visible units given the new h; one recorded state per full step.
 
     The stationary distribution is the machine's exact joint. ``start``
-    defaults to all zeros.
+    defaults to all zeros. Draws, all up front: ``rng.random((steps, n_h))``,
+    then ``rng.random((steps, n_v))``; step t uses row t of each.
     """
     if steps < 1:
         raise ValidationError(f"bm_gibbs_sample: steps must be >= 1, got {steps}")
@@ -294,20 +305,13 @@ def bm_gibbs_sample(
     else:
         v = _check_binary(start.v, n_v, "start.v")
         _check_binary(start.h, n_h, "start.h")
-    gen = rng.generator
     visible = np.empty((steps, n_v), dtype=np.uint8)
     hidden = np.empty((steps, n_h), dtype=np.uint8)
-    u_h = gen.random((steps, n_h))
-    u_v = gen.random((steps, n_v))
-    vf = v.astype(float)
+    u_h = rng.generator.random((steps, n_h))
+    u_v = rng.generator.random((steps, n_v))
     for t in range(steps):
-        p_h = _logistic(machine.b + vf @ machine.W)
-        h = (u_h[t] < p_h).astype(np.uint8)
-        p_v = _logistic(machine.a + machine.W @ h.astype(float))
-        v = (u_v[t] < p_v).astype(np.uint8)
-        vf = v.astype(float)
-        visible[t] = v
-        hidden[t] = h
+        hidden[t], visible[t] = _gibbs_step(machine, v, u_h[t], u_v[t])
+        v = visible[t]
     return GibbsSampleRun(visible, hidden)
 
 
@@ -359,14 +363,14 @@ class BMGradient(NamedTuple):
     W: np.ndarray
 
 
+def _row_stats(machine: BoltzmannMachine, V: np.ndarray):
+    # mean v, mean p(h|v) and V^T p(h|V) / m over the m float rows of V
+    P_h = bm_hidden_activation(machine, V)
+    return V.mean(axis=0), P_h.mean(axis=0), V.T @ P_h / V.shape[0]
+
+
 def _gradient(machine: BoltzmannMachine, X: np.ndarray, model_stats) -> BMGradient:
-    P_h = _logistic(machine.b + X @ machine.W)
-    model_v, model_h, model_vh = model_stats
-    return BMGradient(
-        X.mean(axis=0) - model_v,
-        P_h.mean(axis=0) - model_h,
-        X.T @ P_h / X.shape[0] - model_vh,
-    )
+    return BMGradient(*(data - model for data, model in zip(_row_stats(machine, X), model_stats)))
 
 
 def bm_exact_gradient(machine: BoltzmannMachine, data) -> BMGradient:
@@ -425,18 +429,12 @@ def bm_train(
         else:
             v_neg = X
             for _ in range(k):
-                p_h = _logistic(machine.b + v_neg @ machine.W)
-                h_neg = (rng.generator.random(p_h.shape) < p_h).astype(float)
-                p_v = _logistic(machine.a + h_neg @ machine.W.T)
-                v_neg = (rng.generator.random(p_v.shape) < p_v).astype(float)
-            p_h_neg = _logistic(machine.b + v_neg @ machine.W)
-            model_stats = (v_neg.mean(axis=0), p_h_neg.mean(axis=0), v_neg.T @ p_h_neg / X.shape[0])
+                u_h = rng.generator.random((X.shape[0], machine.n_hidden))
+                _, v_neg = _gibbs_step(machine, v_neg, u_h, rng.generator.random(X.shape))
+            model_stats = _row_stats(machine, v_neg)
+        params = (machine.a, machine.b, machine.W)
         grad = _gradient(machine, X, model_stats)
-        machine = BoltzmannMachine(
-            machine.a + learning_rate * grad.a,
-            machine.b + learning_rate * grad.b,
-            machine.W + learning_rate * grad.W,
-        )
+        machine = BoltzmannMachine(*(p + learning_rate * g for p, g in zip(params, grad)))
         if can_score:
             losses.append(-bm_log_likelihood(machine, X))
     return TrainResult(machine, losses)

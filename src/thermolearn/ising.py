@@ -185,6 +185,8 @@ def config_index(spins) -> int:
 
 
 def config_from_index(index: int, n_sites: int) -> np.ndarray:
+    if not 0 <= index < 1 << n_sites:
+        raise ValidationError(f"config index {index} out of range for {n_sites} sites")
     return np.array([1 if (index >> i) & 1 else -1 for i in range(n_sites)], dtype=np.int8)
 
 

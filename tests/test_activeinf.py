@@ -239,6 +239,21 @@ def test_mdp_json_roundtrip():
         mdp_from_json('{"n_states": 1}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"n_states": 1,',
+    '{"n_states": 1, "n_actions": 1, "gamma": 0.5, "transition": [[["x"]]], "reward": [[0]]}',
+    '{"n_states": 1, "n_actions": 1, "gamma": "a", "transition": [[[1.0]]], "reward": [[0]]}',
+    '{"n_states": 1, "n_actions": 1, "gamma": 0.5, "transition": [[[1.0]], [[1.0, 0.0]]], "reward": [[0]]}',
+    "[1, 2]",
+    "3",
+])
+def test_mdp_json_malformed_is_validation_error(text):
+    # invalid JSON, non-numeric and ragged tables, a non-numeric discount and
+    # payloads that are not objects were JSONDecodeError/ValueError/TypeError
+    with pytest.raises(ValidationError, match="MDP JSON"):
+        mdp_from_json(text)
+
+
 # --- free-energy value iteration ----------------------------------------------------------
 
 

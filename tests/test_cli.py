@@ -76,6 +76,13 @@ def test_parse_config_file_missing(tmp_path):
         parse_config_file(tmp_path / "nope.cfg")
 
 
+def test_parse_config_file_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("label = caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ValidationError, match="cannot read config .*latin1.cfg"):
+        parse_config_file(path)
+
+
 # --- schema validation -------------------------------------------------------
 
 
@@ -202,6 +209,36 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         cfg = write_cfg(tmp_path, "d.cfg", f'dataset = "{data}"\n')
         assert cli.main(["boost", "--config", cfg, "--out", str(tmp_path / "o6")]) == 1
         assert "d.csv:3:" in capsys.readouterr().err
+    # malformed MDP files: invalid JSON, a non-numeric table, a non-numeric discount
+    for text in (
+        '{"n_states": 1,',
+        '{"n_states": 1, "n_actions": 1, "gamma": 0.5, "transition": [[["x"]]], "reward": [[0]]}',
+        '{"n_states": 1, "n_actions": 1, "gamma": "a", "transition": [[[1.0]]], "reward": [[0]]}',
+    ):
+        mdp = tmp_path / "m.json"
+        mdp.write_text(text)
+        cfg = write_cfg(tmp_path, "m.cfg", f'mdp = "{mdp}"\n')
+        assert cli.main(["activeinf", "--config", cfg, "--out", str(tmp_path / "o7")]) == 1
+        assert "MDP JSON" in capsys.readouterr().err
+    # files that are not UTF-8 text: the config itself, then each subcommand's
+    # input file; the message names the file
+    latin1 = "caf\u00e9\n".encode("latin-1")
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"probs = [0.5, 0.5]\n# " + latin1)
+    assert cli.main(["entropy", "--config", str(cfg), "--out", str(tmp_path / "o8")]) == 1
+    assert "latin1.cfg" in capsys.readouterr().err
+    for sub, key, extra in (
+        ("ising", "graph", "beta = 1.0\nsteps = 10\n"),
+        ("ebm", "data", "n_hidden = 2\n"),
+        ("digest", "instance", ""),
+        ("boost", "dataset", ""),
+        ("activeinf", "mdp", ""),
+    ):
+        data = tmp_path / f"{sub}.latin1"
+        data.write_bytes(b"1\n" + latin1)
+        cfg = write_cfg(tmp_path, "u.cfg", f'{key} = "{data}"\n{extra}')
+        assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o9")]) == 1
+        assert f"{sub}.latin1" in capsys.readouterr().err
     # malformed graph files: the message names the file and line
     for text, line in (("3\nh -1 0.5\n", 2), ("3\nh 7 0.5\n", 2), ("3\n0 1 x\n", 2), ("-3\n", 1)):
         graph = tmp_path / "g.txt"

@@ -186,6 +186,20 @@ def test_conv_validation():
         conv_fft(np.array([[1.0]]), np.array([1.0]))
     with pytest.raises(ValidationError):
         conv_fft(np.array([np.nan]), np.array([1.0]))
+    # ragged input: numpy's "inhomogeneous shape" ValueError escaped before
+    for route in (conv_fft, conv_naive):
+        with pytest.raises(ValidationError, match="1-D sequence"):
+            route([[1, 2], [3]], [1])
+        with pytest.raises(ValidationError, match="1-D sequence"):
+            route([1], [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("bad", [["a", "b"], [[1, 2], [3]], [{"a": 1}, 2], [], [[1.0, 2.0]], 3.0])
+def test_transforms_reject_malformed_input(bad):
+    # strings and ragged rows raised numpy's ValueError, a dict its TypeError
+    for name, transform in (("fft_radix2", fft_radix2), ("ifft_radix2", ifft_radix2)):
+        with pytest.raises(ValidationError, match=f"{name}: need a non-empty 1-D sequence"):
+            transform(bad)
 
 
 @pytest.mark.parametrize("bad", [["a", "b"], np.array([1, None], dtype=object), [1 + 2j, 3], np.array([1.0], dtype=complex)])

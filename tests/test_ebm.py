@@ -170,6 +170,20 @@ def test_machine_json_roundtrip():
     assert np.allclose(back.W, SMALL.W)
 
 
+@pytest.mark.parametrize("text", [
+    '{"a": [0.5],',
+    '{"a": [0.5], "b": [0.0], "W": [["x"]]}',
+    '{"a": [0.5], "b": [0.0], "W": [[1.0], [2.0, 3.0]]}',
+    '{"a": [0.5], "b": {"x": 1}, "W": [[1.0]]}',
+    '{"a": [0.5], "b": [0.0]}',
+    '["a", "b", "W"]',
+    "3",
+])
+def test_machine_json_malformed_is_validation_error(text):
+    with pytest.raises(ValidationError, match="machine JSON"):
+        BoltzmannMachine.from_json(text)
+
+
 def test_energy_zero_machine():
     m = BoltzmannMachine.zeros(2, 3)
     assert bm_energy(BMState(np.array([1, 0]), np.array([1, 1, 0])), m) == 0.0
@@ -195,6 +209,14 @@ def test_state_index_roundtrip():
     for idx in range(16):
         state = bm_state_from_index(idx, m)
         assert bm_joint_index(state, m) == idx
+
+
+def test_state_from_index_rejects_out_of_range():
+    # 99 used to read as state 3 on three units and -1 as all ones
+    m = BoltzmannMachine.zeros(2, 1)
+    for idx in (-1, 8, 99):
+        with pytest.raises(ValidationError, match="out of range"):
+            bm_state_from_index(idx, m)
 
 
 # --- exact inference ---------------------------------------------------------------
@@ -231,6 +253,31 @@ def test_hidden_activation_hand_value():
 def test_visible_activation_zero_hidden():
     p = bm_visible_activation(SMALL, np.array([0]))
     assert p[0] == pytest.approx(1.0 / (1.0 + math.exp(-0.5)), abs=1e-12)
+
+
+def test_activations_of_a_stack_match_per_row_calls():
+    # BLAS sums a stack in another order than single rows, so the last bit
+    # may differ; the largest relative gap seen on these cases was 1.8e-15
+    gen = np.random.default_rng(11)
+    for _ in range(300):
+        n_v, n_h = gen.integers(1, 9, size=2)
+        m = BoltzmannMachine(gen.normal(size=n_v), gen.normal(size=n_h), gen.normal(size=(n_v, n_h)))
+        V = (gen.random((gen.integers(1, 40), n_v)) < 0.5).astype(np.uint8)
+        H = (gen.random((gen.integers(1, 40), n_h)) < 0.5).astype(np.uint8)
+        P_h, P_v = bm_hidden_activation(m, V), bm_visible_activation(m, H)
+        assert P_h.shape == (len(V), n_h) and P_v.shape == (len(H), n_v)
+        np.testing.assert_allclose(P_h, [bm_hidden_activation(m, v) for v in V], rtol=4e-15, atol=0)
+        np.testing.assert_allclose(P_v, [bm_visible_activation(m, h) for h in H], rtol=4e-15, atol=0)
+
+
+def test_activations_reject_rows_of_the_wrong_width():
+    m = BoltzmannMachine.zeros(3, 2)
+    for v in ([1, 0], np.zeros((4, 2)), np.zeros((2, 4)), 1.0, ["a", "b", "c"]):
+        with pytest.raises(ValidationError, match="3 visible units"):
+            bm_hidden_activation(m, v)
+    for h in ([1, 0, 1], np.zeros((4, 3)), 0.0):
+        with pytest.raises(ValidationError, match="2 hidden units"):
+            bm_visible_activation(m, h)
 
 
 def test_free_energy_consistent_with_enumeration():

@@ -2,10 +2,12 @@
 
 Each case hashes the exact bytes a library call returns: ``conv_fft`` and
 the radix-2 transforms, ``boost3`` diagnostics and predictions,
-``boost_recursive`` predictions, and ``run_ising_game`` traces, final
-spins and Q tables (items in dict order, floats by repr). A byte change
-in any of them fails here until the digest is updated on purpose, with
-the reason recorded in CHANGES.md. Print the current digests with
+``boost_recursive`` predictions, ``run_ising_game`` traces, final spins
+and Q tables (items in dict order, floats by repr), and the Boltzmann
+machine's block-Gibbs trajectories, trained parameters with their loss
+curves, and exact gradient. A byte change in any of them fails here
+until the digest is updated on purpose, with the reason recorded in
+CHANGES.md. Print the current digests with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -20,6 +22,7 @@ import pytest
 from thermolearn.anneal import CoolingSchedule
 from thermolearn.boost import NoisyThresholdLearner, WeightedDataset, boost3, boost_recursive
 from thermolearn.convolution import conv_fft, fft_radix2, ifft_radix2
+from thermolearn.ebm import BMState, BoltzmannMachine, bm_exact_gradient, bm_gibbs_sample, bm_train
 from thermolearn.marl import IsingGameEnv, NeighborGraph, run_ising_game, torus_graph
 from thermolearn.rng import RngStream
 
@@ -70,6 +73,34 @@ def _game(graph, episodes, n_bins, seed):
                 [list(table.values.items()) for table in result.q_tables])
 
 
+def _machine(n_v, n_h, seed):
+    gen = np.random.default_rng(seed)
+    return BoltzmannMachine(gen.normal(size=n_v), gen.normal(size=n_h), gen.normal(size=(n_v, n_h)))
+
+
+def _bm_data(n_v, rows, seed):
+    return (np.random.default_rng(seed).random((rows, n_v)) < 0.4).astype(np.uint8)
+
+
+def _params(machine):
+    return (machine.a.tobytes(), machine.b.tobytes(), machine.W.tobytes())
+
+
+def _gibbs(n_v, n_h, steps, seed, start=None):
+    run = bm_gibbs_sample(_machine(n_v, n_h, seed), steps, RngStream(seed), start)
+    return _sha(run.visible.tobytes(), run.hidden.tobytes())
+
+
+def _train(method, k, seed):
+    machine = BoltzmannMachine(np.zeros(6), np.zeros(4), 0.01 * np.random.default_rng(seed).normal(size=(6, 4)))
+    trained, losses = bm_train(machine, _bm_data(6, 24, seed), method, 0.1, 40, k, RngStream(seed))
+    return _sha(*_params(trained), losses)
+
+
+def _exact_gradient(seed):
+    return _sha(*_params(bm_exact_gradient(_machine(7, 5, seed), _bm_data(7, 30, seed))))
+
+
 IRREGULAR = NeighborGraph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5), (4, 6), (5, 6), (2, 6)])
 
 CASES = {
@@ -85,9 +116,21 @@ CASES = {
     "game torus8 seed1": lambda: _game(torus_graph(8, 8), 60, 11, 1),
     "game torus8 seed29": lambda: _game(torus_graph(8, 8), 60, 11, 29),
     "game irregular bins3": lambda: _game(IRREGULAR, 40, 3, 1),
+    "bm_gibbs_sample 8x6": lambda: _gibbs(8, 6, 2000, 1),
+    "bm_gibbs_sample 1x1 from start": lambda: _gibbs(1, 1, 300, 29, BMState(np.ones(1), np.zeros(1))),
+    "bm_train exact_gradient": lambda: _train("exact_gradient", 1, 1),
+    "bm_train cd_k k1": lambda: _train("cd_k", 1, 29),
+    "bm_train cd_k k3": lambda: _train("cd_k", 3, 1),
+    "bm_exact_gradient 7x5": lambda: _exact_gradient(29),
 }
 
 GOLDEN = {
+    'bm_exact_gradient 7x5': '329e21402ad76d7e343e466d18cddd80b1cbece0dacbfad817e7624ee79e6f65',
+    'bm_gibbs_sample 1x1 from start': 'db2e35cf11fc630063813de0b0fad4c2a0a0fea2a31a0969c7f7da2b8273a3fc',
+    'bm_gibbs_sample 8x6': '0e42b7ca698e3cf10f55b8d2bfbc12699867a375b45371665e42cc60ff4c3ea9',
+    'bm_train cd_k k1': 'f3835de04b37565556cda88a5930e06a9408cf321e98b987adf84f18dc85719c',
+    'bm_train cd_k k3': 'cb1f370b80112fa89263cc2d19790e880e761a1d07db51983dbfbe42be0686b2',
+    'bm_train exact_gradient': 'd755a0e48ade0a0240bceeb710c62718aaa35d222a8ef6f70f8493b2d53a81b0',
     'boost3 seed1': '13f33b17aefa4fd416d18857774d1ae484c94e42e1ea584aa9c03d80d5e5d9fa',
     'boost3 seed29': '475daec0e6c9cf96a3b3ab0763c2efef0a3f61fae575f43f017d47cff8bef9e3',
     'boost_recursive depth2 seed29': 'ebdaf2fcb705a89c2d1a33fb5320c5661e60173a1d9a2424338bf37f439eda19',

@@ -113,6 +113,13 @@ def test_config_index_roundtrip():
         assert config_index(spins) == idx
 
 
+def test_config_from_index_rejects_out_of_range():
+    # 8 used to read as all -1 on three sites and -1 as all +1
+    for idx in (-1, 8, 99):
+        with pytest.raises(ValidationError, match="out of range"):
+            config_from_index(idx, 3)
+
+
 def test_chain_energy_hand_values():
     g = chain_graph(3)
     assert ising_energy(np.array([1, 1, 1]), g) == pytest.approx(-2.0)
