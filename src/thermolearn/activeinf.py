@@ -201,7 +201,7 @@ class DiscreteMDP:
             raise ValidationError("DiscreteMDP: transition rows must sum to 1")
         if not np.all(np.isfinite(reward)):
             raise ValidationError("DiscreteMDP: rewards must be finite")
-        if not 0 <= self.gamma < 1:
+        if isinstance(self.gamma, (bool, np.bool_)) or not 0 <= self.gamma < 1:
             raise ValidationError(f"DiscreteMDP: gamma must be in [0, 1), got {self.gamma!r}")
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "reward", reward)
@@ -225,8 +225,9 @@ def mdp_from_json(text: str) -> DiscreteMDP:
         mdp = DiscreteMDP(np.asarray(payload["transition"]), np.asarray(payload["reward"]), payload["gamma"])
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"MDP JSON: {exc}") from None
-    if mdp.n_states != payload["n_states"] or mdp.n_actions != payload["n_actions"]:
-        raise ValidationError("MDP JSON: declared sizes disagree with table shapes")
+    declared = (payload["n_states"], payload["n_actions"])
+    if any(type(size) is not int for size in declared) or declared != (mdp.n_states, mdp.n_actions):
+        raise ValidationError("MDP JSON: declared sizes must be integers matching the table shapes")
     return mdp
 
 

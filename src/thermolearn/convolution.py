@@ -109,9 +109,9 @@ def _transform(x, name: str, inverse: bool) -> np.ndarray:
     try:
         out = np.array(x, dtype=np.complex128)
     except (TypeError, ValueError):
-        raise ValidationError(f"{name}: need a non-empty 1-D sequence of numbers") from None
-    if out.ndim != 1 or out.size == 0:
-        raise ValidationError(f"{name}: need a non-empty 1-D sequence of numbers")
+        raise ValidationError(f"{name}: need a non-empty 1-D sequence of finite numbers") from None
+    if out.ndim != 1 or out.size == 0 or not np.all(np.isfinite(out)):
+        raise ValidationError(f"{name}: need a non-empty 1-D sequence of finite numbers")
     if out.size & (out.size - 1):
         raise ValidationError(f"{name}: length must be a power of two, got {out.size}")
     _fft_inplace((out,), inverse)

@@ -24,10 +24,7 @@ from .trace import Trace
 MAX_EXACT_SITES = 20
 # Exact enumeration fills 2^ENUM_BLOCK_BITS states at a time.
 ENUM_BLOCK_BITS = 16
-# Sample rows rebuilt after a chain, or converted to float for its
-# observables, at a time. Keep it a multiple of 4: OpenBLAS's matrix-vector
-# kernel sums rows in groups of four and the rest another way, so only then
-# does each row's field term come out as it does over the whole array.
+# Sample rows rebuilt after a chain, or scored for its observables, at a time.
 BLOCK_ROWS = 8192
 
 __all__ = [
@@ -193,10 +190,22 @@ def config_from_index(index: int, n_sites: int) -> np.ndarray:
 def ising_energy(spins, graph: CouplingGraph) -> float:
     """Total energy of a configuration under the graph's Hamiltonian."""
     s = check_spins(spins, graph.n_sites)
-    energy = -float(graph.fields_h @ s)
+    energy = -math.fsum(graph.fields_h * s)
     for i, j, coupling in graph.edges:
         energy -= coupling * float(s[i] * s[j])
     return energy
+
+
+def _subtract_energies(energies: np.ndarray, spin_of: np.ndarray, graph: CouplingGraph) -> None:
+    """Subtract each state's energy from ``energies``; ``spin_of[i]`` holds
+    site i's spin in every state. The edge terms go in graph order, then the
+    nonzero field terms in site order, so no state's energy depends on how
+    the states are grouped or on a BLAS kernel."""
+    for i, j, coupling in graph.edges:
+        energies -= coupling * (spin_of[i] * spin_of[j])
+    for i, hi in enumerate(graph.fields_h):
+        if hi != 0.0:
+            energies -= hi * spin_of[i]
 
 
 def enumerate_energies(graph: CouplingGraph) -> np.ndarray:
@@ -214,13 +223,7 @@ def enumerate_energies(graph: CouplingGraph) -> np.ndarray:
     energies = np.zeros(1 << n)
     for start in range(0, 1 << n, 1 << low):
         spin_of[low:] = ((start >> np.arange(low, n)) & 1)[:, None] * 2 - 1
-        block = energies[start : start + (1 << low)]
-        for i, j, coupling in graph.edges:
-            block -= coupling * (spin_of[i] * spin_of[j])
-        for i in range(n):
-            hi = graph.fields_h[i]
-            if hi != 0.0:
-                block -= hi * spin_of[i]
+        _subtract_energies(energies[start : start + (1 << low)], spin_of, graph)
     return energies
 
 
@@ -281,6 +284,8 @@ def metropolis_step(spins, graph: CouplingGraph, beta: float, rng: RngStream) ->
     accepts with probability exactly 1. On rejection the input array is
     returned unchanged; on acceptance a flipped copy is returned.
     """
+    if not (beta >= 0 and math.isfinite(beta)):
+        raise ValidationError(f"metropolis_step: beta must be finite and >= 0, got {beta!r}")
     s = check_spins(spins, graph.n_sites)
     site = int(rng.generator.integers(graph.n_sites))
     adjacency = graph.adjacency()
@@ -334,7 +339,6 @@ def metropolis_chain(
     burn_in: Optional[int] = None,
     rng: RngStream = None,
     initial=None,
-    validate_energy: bool = False,
 ) -> ChainResult:
     """Run a single-flip Metropolis chain and record every step.
 
@@ -345,8 +349,6 @@ def metropolis_chain(
     is identical to :func:`metropolis_step`. The loop records only the
     accepted flips; the per-step trace and the samples are rebuilt from
     them afterwards, with the same float additions in the same order.
-    With ``validate_energy`` the incremental energy is checked against a
-    full recomputation at every accepted step.
     """
     if rng is None:
         raise ValidationError("metropolis_chain: rng is required for reproducibility")
@@ -365,9 +367,6 @@ def metropolis_chain(
 
     adjacency = graph.adjacency()
     fields = [float(h) for h in graph.fields_h]
-    energy0 = ising_energy(spins_arr, graph)
-    energy = energy0
-
     sites_arr = rng.generator.integers(0, n, size=steps)
     sites = sites_arr.tolist()
     uniforms = rng.generator.random(steps).tolist()
@@ -378,7 +377,7 @@ def metropolis_chain(
     # energy, and its pre-flip spin to flip_old[k].
     accepted = np.zeros(steps, dtype=bool)
     energy_path = np.empty(steps + 1)
-    energy_path[0] = energy0
+    energy_path[0] = ising_energy(spins_arr, graph)
     flip_old = np.empty(steps, dtype=np.int8)
     accepted_at, dh_of, old_of = memoryview(accepted), memoryview(energy_path)[1:], memoryview(flip_old)
     k = 0
@@ -397,11 +396,6 @@ def metropolis_chain(
             dh_of[k] = delta_h
             old_of[k] = s
             k += 1
-            if validate_energy:
-                energy += delta_h
-                fresh = ising_energy(np.array(spins, dtype=np.int8), graph)
-                if abs(fresh - energy) > 1e-9:
-                    raise AssertionError(f"incremental energy drifted: {energy} vs {fresh}")
     del sites, uniforms  # the per-step draws as Python objects: 4 MB per 100k steps
 
     # index of each step's running value: rejected steps repeat the last one
@@ -437,27 +431,29 @@ class Observables:
 def estimate_observables(samples, graph: CouplingGraph, n_batches: Optional[int] = None) -> Observables:
     """Mean energy and magnetization with batch-means standard errors.
 
-    ``samples`` is an (m, n_sites) array of configurations. With fewer
-    than two batches the standard errors degenerate to zero.
+    ``samples`` is an (m, n_sites) array of configurations with entries
+    -1 or +1. With fewer than two batches the standard errors degenerate
+    to zero.
     """
     arr = np.asarray(samples)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValidationError("estimate_observables: need a non-empty (m, n_sites) sample array")
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.dtype.kind not in "biuf":
+        raise ValidationError("estimate_observables: need a non-empty (m, n_sites) array of numbers")
     if arr.shape[1] != graph.n_sites:
         raise ValidationError("estimate_observables: sample width must match graph.n_sites")
     m = arr.shape[0]
+    if n_batches is None:
+        n_batches = max(1, min(100, int(math.sqrt(m))))
+    if n_batches < 1:
+        raise ValidationError(f"estimate_observables: n_batches must be >= 1, got {n_batches!r}")
     energies = np.zeros(m)
     mags = np.empty(m)
     for start in range(0, m, BLOCK_ROWS):
-        s = arr[start : start + BLOCK_ROWS].astype(np.float64)
-        block = energies[start : start + BLOCK_ROWS]
-        for i, j, coupling in graph.edges:
-            block -= coupling * s[:, i] * s[:, j]
-        block -= s @ graph.fields_h
+        s = arr[start : start + BLOCK_ROWS]
+        if not np.all(np.abs(s) == 1):  # other values would overflow int8 products
+            raise ValidationError("estimate_observables: samples must be -1 or +1")
+        s = s.astype(np.int8, copy=False)
+        _subtract_energies(energies[start : start + BLOCK_ROWS], s.T, graph)
         mags[start : start + BLOCK_ROWS] = s.mean(axis=1)
-
-    if n_batches is None:
-        n_batches = max(1, min(100, int(math.sqrt(m))))
     per = m // n_batches
 
     def batch_se(series):

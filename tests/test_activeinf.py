@@ -227,6 +227,9 @@ def test_mdp_validation():
         DiscreteMDP(np.full((2, 1, 2), 0.6), np.zeros((2, 1)), gamma=0.9)
     with pytest.raises(ValidationError):
         DiscreteMDP(np.ones((1, 1, 1)), np.zeros((1, 1)), gamma=1.0)
+    for flag in (False, np.False_):  # a bool is not a discount
+        with pytest.raises(ValidationError, match="gamma"):
+            DiscreteMDP(np.ones((1, 1, 1)), np.zeros((1, 1)), gamma=flag)
 
 
 def test_mdp_json_roundtrip():
@@ -246,10 +249,14 @@ def test_mdp_json_roundtrip():
     '{"n_states": 1, "n_actions": 1, "gamma": 0.5, "transition": [[[1.0]], [[1.0, 0.0]]], "reward": [[0]]}',
     "[1, 2]",
     "3",
+    '{"n_states": 1, "n_actions": 1, "gamma": false, "transition": [[[1.0]]], "reward": [[0]]}',
+    '{"n_states": 1.0, "n_actions": 1, "gamma": 0.5, "transition": [[[1.0]]], "reward": [[0]]}',
+    '{"n_states": 1, "n_actions": true, "gamma": 0.5, "transition": [[[1.0]]], "reward": [[0]]}',
 ])
 def test_mdp_json_malformed_is_validation_error(text):
     # invalid JSON, non-numeric and ragged tables, a non-numeric discount and
-    # payloads that are not objects were JSONDecodeError/ValueError/TypeError
+    # payloads that are not objects were JSONDecodeError/ValueError/TypeError;
+    # a bool discount and non-integer declared sizes were accepted
     with pytest.raises(ValidationError, match="MDP JSON"):
         mdp_from_json(text)
 

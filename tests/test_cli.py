@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from thermolearn.config import (
 )
 from thermolearn.digest import DoubleDigestInstance, dump_instance
 from thermolearn.errors import ValidationError
+from thermolearn.ising import CouplingGraph, dump_coupling_graph
 
 
 # --- config grammar ---------------------------------------------------------
@@ -209,11 +215,13 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         cfg = write_cfg(tmp_path, "d.cfg", f'dataset = "{data}"\n')
         assert cli.main(["boost", "--config", cfg, "--out", str(tmp_path / "o6")]) == 1
         assert "d.csv:3:" in capsys.readouterr().err
-    # malformed MDP files: invalid JSON, a non-numeric table, a non-numeric discount
+    # malformed MDP files: invalid JSON, a non-numeric table, a non-numeric
+    # discount, a bool discount
     for text in (
         '{"n_states": 1,',
         '{"n_states": 1, "n_actions": 1, "gamma": 0.5, "transition": [[["x"]]], "reward": [[0]]}',
         '{"n_states": 1, "n_actions": 1, "gamma": "a", "transition": [[[1.0]]], "reward": [[0]]}',
+        '{"n_states": 1, "n_actions": 1, "gamma": false, "transition": [[[1.0]]], "reward": [[0]]}',
     ):
         mdp = tmp_path / "m.json"
         mdp.write_text(text)
@@ -329,6 +337,33 @@ def test_different_seed_changes_samples(tmp_path):
         assert cli.main(["ising", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
         outs.append((out / "trace.csv").read_bytes())
     assert outs[0] != outs[1]
+
+
+def test_ising_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+    # a 4x4 torus with random couplings and fields; at seed 4 the old BLAS
+    # field sum gave another result.json under OpenBLAS's Prescott kernel
+    gen = np.random.default_rng(4)
+    pairs = sorted({tuple(sorted((r * 4 + c, r * 4 + (c + 1) % 4))) for r in range(4) for c in range(4)}
+                   | {tuple(sorted((r * 4 + c, (r + 1) % 4 * 4 + c))) for r in range(4) for c in range(4)})
+    graph = CouplingGraph(16, tuple((i, j, float(gen.uniform(-1, 1))) for i, j in pairs), gen.uniform(-0.3, 0.3, 16))
+    dump_coupling_graph(graph, tmp_path / "torus.txt")
+    cfg = write_cfg(tmp_path, "t.cfg", f'graph = "{tmp_path / "torus.txt"}"\nbeta = 0.6\nsteps = 20000\nburn_in = 2000\n')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    base["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [base.get("PYTHONPATH")])])
+    variants = {"default": {}, "one thread": {"OPENBLAS_NUM_THREADS": "1"}, "two threads": {"OPENBLAS_NUM_THREADS": "2"}}
+    if platform.machine().lower() in ("x86_64", "amd64"):
+        variants["prescott"] = {"OPENBLAS_CORETYPE": "Prescott"}  # SSE3 kernels run on any x86-64
+    artifacts = {}
+    for name, extra in variants.items():
+        out = tmp_path / name.replace(" ", "_")
+        argv = [sys.executable, "-m", "thermolearn.cli", "ising", "--config", cfg, "--seed", "4", "--out", str(out)]
+        subprocess.run(argv, env={**base, **extra}, check=True, capture_output=True, timeout=120)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["out_dir"]
+        artifacts[name] = (manifest, (out / "result.json").read_bytes(), (out / "trace.csv").read_bytes())
+    for name, got in artifacts.items():
+        assert got == artifacts["default"], name
 
 
 def test_json_format_trace(tmp_path):

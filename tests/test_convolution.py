@@ -194,9 +194,14 @@ def test_conv_validation():
             route([1], [[1, 2], [3]])
 
 
-@pytest.mark.parametrize("bad", [["a", "b"], [[1, 2], [3]], [{"a": 1}, 2], [], [[1.0, 2.0]], 3.0])
+@pytest.mark.parametrize(
+    "bad",
+    [["a", "b"], [[1, 2], [3]], [{"a": 1}, 2], [], [[1.0, 2.0]], 3.0,
+     [None, 1.0], [math.nan, 1.0], [math.inf, 0.0], [complex(0.0, -math.inf), 1.0]],
+)
 def test_transforms_reject_malformed_input(bad):
-    # strings and ragged rows raised numpy's ValueError, a dict its TypeError
+    # strings and ragged rows raised numpy's ValueError, a dict its TypeError;
+    # None (which numpy reads as NaN), NaN and infinities gave NaN or inf output
     for name, transform in (("fft_radix2", fft_radix2), ("ifft_radix2", ifft_radix2)):
         with pytest.raises(ValidationError, match=f"{name}: need a non-empty 1-D sequence"):
             transform(bad)

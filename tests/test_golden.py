@@ -5,7 +5,8 @@ the radix-2 transforms, ``boost3`` diagnostics and predictions,
 ``boost_recursive`` predictions, ``run_ising_game`` traces, final spins
 and Q tables (items in dict order, floats by repr), and the Boltzmann
 machine's block-Gibbs trajectories, trained parameters with their loss
-curves, and exact gradient. A byte change in any of them fails here
+curves, and exact gradient, and the Ising model's exact energies and
+Gibbs distribution, Metropolis samples and trace columns, and observables. A byte change in any of them fails here
 until the digest is updated on purpose, with the reason recorded in
 CHANGES.md. Print the current digests with
 
@@ -23,6 +24,7 @@ from thermolearn.anneal import CoolingSchedule
 from thermolearn.boost import NoisyThresholdLearner, WeightedDataset, boost3, boost_recursive
 from thermolearn.convolution import conv_fft, fft_radix2, ifft_radix2
 from thermolearn.ebm import BMState, BoltzmannMachine, bm_exact_gradient, bm_gibbs_sample, bm_train
+from thermolearn.ising import CouplingGraph, enumerate_energies, estimate_observables, metropolis_chain, partition_exact
 from thermolearn.marl import IsingGameEnv, NeighborGraph, run_ising_game, torus_graph
 from thermolearn.rng import RngStream
 
@@ -101,6 +103,28 @@ def _exact_gradient(seed):
     return _sha(*_params(bm_exact_gradient(_machine(7, 5, seed), _bm_data(7, 30, seed))))
 
 
+def _ising_graph(n, with_fields, seed):
+    gen = np.random.default_rng(seed)
+    edges = tuple((i, j, float(gen.normal())) for i in range(n) for j in range(i + 1, n) if gen.random() < 0.3)
+    return CouplingGraph(n, edges, gen.normal(size=n) if with_fields else None)
+
+
+def _enumerate(n, beta, seed):
+    g = _ising_graph(n, True, seed)
+    exact = partition_exact(g, beta)
+    return _sha(enumerate_energies(g).tobytes(), exact.z, exact.gibbs.probs.tobytes())
+
+
+def _chain(n, with_fields, columns, seed):
+    g = _ising_graph(n, with_fields, seed)
+    res = metropolis_chain(g, 0.8, 30_000, 3_000, RngStream(seed))
+    parts = [res.samples.tobytes(), *(res.trace.column(name).tobytes() for name in columns)]
+    if not with_fields:
+        obs = estimate_observables(res.samples, g)
+        parts += [obs.mean_energy, obs.mean_magnetization, obs.se_energy, obs.se_magnetization, obs.n_samples]
+    return _sha(*parts)
+
+
 IRREGULAR = NeighborGraph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5), (4, 6), (5, 6), (2, 6)])
 
 CASES = {
@@ -122,6 +146,11 @@ CASES = {
     "bm_train cd_k k1": lambda: _train("cd_k", 1, 29),
     "bm_train cd_k k3": lambda: _train("cd_k", 3, 1),
     "bm_exact_gradient 7x5": lambda: _exact_gradient(29),
+    "ising enumerate/partition 12 sites with fields": lambda: _enumerate(12, 0.7, 1),
+    "ising enumerate/partition 17 sites with fields": lambda: _enumerate(17, 0.3, 29),
+    # with fields the energy column moves with the initial energy's field sum
+    "ising chain 12 sites with fields": lambda: _chain(12, True, ("step", "accepted", "magnetization"), 1),
+    "ising chain and observables 16 sites": lambda: _chain(16, False, ("step", "energy", "accepted", "magnetization"), 29),
 }
 
 GOLDEN = {
@@ -131,6 +160,10 @@ GOLDEN = {
     'bm_train cd_k k1': 'f3835de04b37565556cda88a5930e06a9408cf321e98b987adf84f18dc85719c',
     'bm_train cd_k k3': 'cb1f370b80112fa89263cc2d19790e880e761a1d07db51983dbfbe42be0686b2',
     'bm_train exact_gradient': 'd755a0e48ade0a0240bceeb710c62718aaa35d222a8ef6f70f8493b2d53a81b0',
+    'ising chain 12 sites with fields': 'ec406cc0a3790c7c78f2481bfd29b66e599afc9fbfcfeda1f7702c8e62ba2ea1',
+    'ising chain and observables 16 sites': '868bfa9e1ad83d7b4b352d0ce1743496c84d48eff102c59e50fd3be92486f375',
+    'ising enumerate/partition 12 sites with fields': 'f2b5e508310ee54718187062da1d832a1391870dd15add6f75a8b8cc99dcdb4f',
+    'ising enumerate/partition 17 sites with fields': 'ee37a7171ba87434b147432497eac5f439ca78581def1fdd0e5647d67e367da8',
     'boost3 seed1': '13f33b17aefa4fd416d18857774d1ae484c94e42e1ea584aa9c03d80d5e5d9fa',
     'boost3 seed29': '475daec0e6c9cf96a3b3ab0763c2efef0a3f61fae575f43f017d47cff8bef9e3',
     'boost_recursive depth2 seed29': 'ebdaf2fcb705a89c2d1a33fb5320c5661e60173a1d9a2424338bf37f439eda19',

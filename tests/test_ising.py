@@ -22,6 +22,7 @@ from thermolearn.ising import (
     partition_exact,
     random_spins,
 )
+from thermolearn import ising
 from thermolearn.distributions import state_bits
 from thermolearn.rng import RngStream
 
@@ -134,6 +135,14 @@ def test_field_contribution():
     assert ising_energy(np.array([1, -1]), g) == pytest.approx(1.0 - 0.5 - 0.5)
 
 
+def test_field_term_is_exactly_rounded():
+    # a left-to-right sum of 1e16 + 1.0 - 1e16 gives 0.0; the exact sum is 1.0
+    g = CouplingGraph(3, (), fields_h=np.array([1e16, 1.0, -1e16]))
+    assert ising_energy(np.array([1, 1, 1]), g) == -1.0
+    # all-zero fields give an energy of -0.0, as the chain's first trace row shows
+    assert math.copysign(1.0, ising_energy(np.array([1, -1]), CouplingGraph(2))) == -1.0
+
+
 def test_enumerate_matches_pointwise_energy():
     g = complete_graph(4, coupling=0.7)
     energies = enumerate_energies(g)
@@ -213,6 +222,12 @@ def test_step_at_beta_zero_always_accepts():
         spins = out.spins
 
 
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+def test_step_rejects_bad_beta(beta):
+    with pytest.raises(ValidationError, match="beta"):
+        metropolis_step(np.ones(3, dtype=np.int8), chain_graph(3), beta, RngStream(0))
+
+
 def test_step_preserves_spin_alphabet():
     g = complete_graph(4)
     rng = RngStream(1)
@@ -254,11 +269,17 @@ def test_chain_is_reproducible():
     assert np.array_equal(a.trace.column("energy"), b.trace.column("energy"))
 
 
+def assert_energies_match_table(graph, res):
+    """Each step's energy against the exact energy of the state after it, within
+    1e-9; ``res`` comes from a chain with burn_in 0, so it samples every step."""
+    exact = enumerate_energies(graph)[[config_index(row) for row in res.samples]]
+    assert np.all(np.abs(res.trace.column("energy") - exact) <= 1e-9)
+
+
 def test_chain_trace_energy_consistent():
     g = chain_graph(4)
-    res = metropolis_chain(
-        g, beta=1.0, steps=300, burn_in=0, rng=RngStream(5), validate_energy=True
-    )
+    res = metropolis_chain(g, beta=1.0, steps=300, burn_in=0, rng=RngStream(5))
+    assert_energies_match_table(g, res)
     energies = res.trace.column("energy")
     for row, energy in zip(res.samples[-20:], energies[-20:]):
         assert ising_energy(row, g) == pytest.approx(energy)
@@ -315,6 +336,25 @@ def test_observables_input_validation():
         estimate_observables(np.zeros((0, 3)), g)
     with pytest.raises(ValidationError):
         estimate_observables(np.ones((10, 4)), g)
+    for bad in (np.array([["a", "b", "c"]]), np.array([[None, 1, 1]], dtype=object)):
+        with pytest.raises(ValidationError):  # numpy's ValueError or TypeError escaped before
+            estimate_observables(bad, g)
+
+
+@pytest.mark.parametrize("n_batches", [0, -3])
+def test_observables_reject_bad_batch_count(n_batches):
+    samples = np.ones((50, 3), dtype=np.int8)
+    with pytest.raises(ValidationError, match="n_batches"):
+        estimate_observables(samples, chain_graph(3), n_batches=n_batches)
+
+
+@pytest.mark.parametrize("bad", [0, 2, 100, -128, math.nan])
+def test_observables_reject_values_other_than_spins(bad):
+    # 100 * 100 would wrap around in int8; the bad value sits in the second block
+    samples = np.ones((10_000, 3))
+    samples[9_000, 1] = bad
+    with pytest.raises(ValidationError, match="-1 or \\+1"):
+        estimate_observables(samples, chain_graph(3))
 
 
 # --- vectorised paths against per-step / whole-array references ---------------
@@ -381,8 +421,13 @@ def reference_chain(graph, beta, steps, burn_in, rng, initial=None):
     ids=["torus_no_burn_in", "torus_burn_in", "no_edges_zero_fields", "negative_zero_rejections"],
 )
 def test_chain_matches_per_step_reference(graph, beta, steps, burn_in, initial):
-    res = metropolis_chain(graph, beta, steps, burn_in, RngStream(17), initial, validate_energy=True)
+    res = metropolis_chain(graph, beta, steps, burn_in, RngStream(17), initial)
     samples, columns = reference_chain(graph, beta, steps, burn_in, RngStream(17), initial)
+    # the draws do not depend on burn_in, so a chain that samples every step
+    # has the same trace and lets every step's energy be checked
+    every = res if burn_in == 0 else metropolis_chain(graph, beta, steps, 0, RngStream(17), initial)
+    assert every.trace.column("energy").tobytes() == res.trace.column("energy").tobytes()
+    assert_energies_match_table(graph, every)
     assert res.samples.dtype == samples.dtype
     assert np.array_equal(res.samples, samples)
     for name, ref in columns.items():
@@ -415,7 +460,9 @@ def test_observables_match_whole_array_formula(rows):
     energies = np.zeros(rows)
     for i, j, coupling in g.edges:
         energies -= coupling * s[:, i] * s[:, j]
-    energies -= s @ g.fields_h
+    for i, hi in enumerate(g.fields_h):  # site by site, in a fixed order
+        if hi != 0.0:
+            energies -= hi * s[:, i]
     mags = s.mean(axis=1)
     n_batches = max(1, min(100, int(math.sqrt(rows))))
     per = rows // n_batches
@@ -431,3 +478,13 @@ def test_observables_match_whole_array_formula(rows):
     assert obs.mean_magnetization == float(mags.mean())
     assert obs.se_energy == batch_se(energies)
     assert obs.se_magnetization == batch_se(mags)
+
+
+def test_observables_do_not_depend_on_the_block_size(monkeypatch):
+    gen = np.random.default_rng(3)
+    g = torus_graph(4, gen)
+    samples = (gen.integers(0, 2, (20_001, g.n_sites)) * 2 - 1).astype(np.int8)
+    expected = estimate_observables(samples, g)
+    for rows in (1, 7, 4099):
+        monkeypatch.setattr(ising, "BLOCK_ROWS", rows)
+        assert estimate_observables(samples, g) == expected, rows
