@@ -14,12 +14,14 @@ the whole pipeline is deterministic given the weak learner.
 from __future__ import annotations
 
 import csv
+import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import _read_text
 from .distributions import DiscreteDistribution
 from .errors import ConvergenceError, DegenerateSplitError, ValidationError
 from .rng import RngStream
@@ -381,20 +383,20 @@ def boost_recursive(
 def load_dataset(path) -> WeightedDataset:
     """Read 'x,y' CSV rows (optional header) into a uniform-weight dataset."""
     xs, ys = [], []
-    with open(path, newline="") as fh:
-        for row_no, row in enumerate(csv.reader(fh), 1):
-            if not row or (row_no == 1 and row[0].strip().lower() == "x"):
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{row_no}: expected 'x,y', got {row!r}")
-            try:
-                xs.append(float(row[0]))
-                label = int(row[1])
-            except ValueError:
-                raise ValidationError(f"{path}:{row_no}: non-numeric row {row!r}") from None
-            if not np.isfinite(xs[-1]):
-                raise ValidationError(f"{path}:{row_no}: x must be finite, got {row[0]!r}")
-            ys.append(label)
+    rows = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
+    for row_no, row in enumerate(rows, 1):
+        if not row or (row_no == 1 and row[0].strip().lower() == "x"):
+            continue
+        if len(row) != 2:
+            raise ValidationError(f"{path}:{row_no}: expected 'x,y', got {row!r}")
+        try:
+            xs.append(float(row[0]))
+            label = int(row[1])
+        except ValueError:
+            raise ValidationError(f"{path}:{row_no}: non-numeric row {row!r}") from None
+        if not np.isfinite(xs[-1]):
+            raise ValidationError(f"{path}:{row_no}: x must be finite, got {row[0]!r}")
+        ys.append(label)
     if not xs:
         raise ValidationError(f"{path}: no data rows")
     return WeightedDataset.uniform(np.array(xs), np.array(ys))

@@ -25,7 +25,7 @@ import numpy as np
 from . import activeinf, boost, convolution, digest, ebm, info, ising, marl
 from .anneal import SCHEDULE_KINDS, CoolingSchedule, EnergyLandscape
 from .anneal import anneal as run_anneal
-from .config import FieldSpec, parse_config_file, resolved, validate_against
+from .config import FieldSpec, _read_text, parse_config_file, resolved, validate_against
 from .distributions import DiscreteDistribution
 from .errors import NumericalError, ThermolearnError
 from .rng import RngStream
@@ -205,18 +205,6 @@ def _json_bytes(payload) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _write_artifact(out_dir: Path, name: str, data: bytes, artifacts: Dict[str, str]) -> None:
-    (out_dir / name).write_bytes(data)
-    artifacts[name] = hashlib.sha256(data).hexdigest()
-
-
-def _write_trace(trace: Trace, out_dir: Path, name: str, fmt: str, artifacts: Dict[str, str]) -> None:
-    if fmt == "json":
-        _write_artifact(out_dir, f"{name}.json", (trace.json_text() + "\n").encode(), artifacts)
-    else:
-        _write_artifact(out_dir, f"{name}.csv", trace.csv_text().encode(), artifacts)
-
-
 def _schedule_from(cfg) -> CoolingSchedule:
     return CoolingSchedule(
         kind=cfg["schedule.kind"],
@@ -226,7 +214,7 @@ def _schedule_from(cfg) -> CoolingSchedule:
     )
 
 
-def _run_entropy(cfg, rng, out_dir, fmt, artifacts):
+def _run_entropy(cfg, rng):
     dist = DiscreteDistribution(np.asarray(cfg["probs"], dtype=float))
     base = float(cfg["log_base"])
     return {
@@ -234,7 +222,7 @@ def _run_entropy(cfg, rng, out_dir, fmt, artifacts):
         "entropy_nats": info.entropy_nats(dist),
         "log_base": base,
         "n_outcomes": len(dist),
-    }
+    }, {}
 
 
 def _ising_graph(cfg) -> ising.CouplingGraph:
@@ -245,7 +233,7 @@ def _ising_graph(cfg) -> ising.CouplingGraph:
     )
 
 
-def _run_ising(cfg, rng, out_dir, fmt, artifacts):
+def _run_ising(cfg, rng):
     graph = _ising_graph(cfg)
     beta = float(cfg["beta"])
     result = ising.metropolis_chain(graph, beta, cfg["steps"], cfg["burn_in"], rng)
@@ -256,7 +244,6 @@ def _run_ising(cfg, rng, out_dir, fmt, artifacts):
     exact = graph.n_sites <= ising.MAX_EXACT_SITES
     z = ising.partition_exact(graph, beta).z if exact else None
     obs = ising.estimate_observables(result.samples, graph)
-    _write_trace(result.trace, out_dir, "trace", fmt, artifacts)
     summary = {
         "n_sites": graph.n_sites,
         "beta": beta,
@@ -271,7 +258,7 @@ def _run_ising(cfg, rng, out_dir, fmt, artifacts):
     }
     if exact:
         summary["partition_z"] = z
-    return summary
+    return summary, {"trace": result.trace}
 
 
 class _QuadraticLine(EnergyLandscape):
@@ -293,22 +280,21 @@ class _QuadraticLine(EnergyLandscape):
         return int(rng.generator.integers(-self.span, self.span + 1))
 
 
-def _run_anneal(cfg, rng, out_dir, fmt, artifacts):
+def _run_anneal(cfg, rng):
     problem = _QuadraticLine(cfg["span"])
     result = run_anneal(
         problem, _schedule_from(cfg), cfg["sweeps"], cfg["proposals_per_sweep"], rng
     )
-    _write_trace(result.trace, out_dir, "trace", fmt, artifacts)
     return {
         "landscape": "quadratic",
         "best_state": int(result.best_state),
         "best_energy": result.best_energy,
         "sweeps": cfg["sweeps"],
         "proposals_per_sweep": cfg["proposals_per_sweep"],
-    }
+    }, {"trace": result.trace}
 
 
-def _run_digest(cfg, rng, out_dir, fmt, artifacts):
+def _run_digest(cfg, rng):
     if "instance" in cfg:
         instance = digest.load_instance(cfg["instance"])
     else:
@@ -319,7 +305,6 @@ def _run_digest(cfg, rng, out_dir, fmt, artifacts):
     result = run_anneal(
         landscape, _schedule_from(cfg), cfg["sweeps"], cfg["proposals_per_sweep"], rng
     )
-    _write_trace(result.trace, out_dir, "trace", fmt, artifacts)
     ordering = result.best_state
     return {
         "a": list(instance.a),
@@ -330,10 +315,10 @@ def _run_digest(cfg, rng, out_dir, fmt, artifacts):
         "best_sigma": list(ordering.sigma),
         "best_mu": list(ordering.mu),
         "implied_fragments": list(digest.double_digest_implied_fragments(ordering, instance)),
-    }
+    }, {"trace": result.trace}
 
 
-def _run_ebm(cfg, rng, out_dir, fmt, artifacts):
+def _run_ebm(cfg, rng):
     data = ebm.load_visible_data(cfg["data"])
     n_visible = data.shape[1]
     n_hidden = cfg["n_hidden"]
@@ -353,10 +338,9 @@ def _run_ebm(cfg, rng, out_dir, fmt, artifacts):
         k=cfg["k"],
         rng=rng.substream(2),
     )
-    _write_artifact(out_dir, "machine.json", trained.to_json().encode() + b"\n", artifacts)
+    outputs = {"machine.json": trained.to_json().encode() + b"\n"}
     if losses:
-        curve = Trace({"epoch": np.arange(1, len(losses) + 1), "nll": np.asarray(losses)})
-        _write_trace(curve, out_dir, "loss_curve", fmt, artifacts)
+        outputs["loss_curve"] = Trace({"epoch": np.arange(1, len(losses) + 1), "nll": np.asarray(losses)})
     return {
         "n_visible": n_visible,
         "n_hidden": n_hidden,
@@ -364,10 +348,10 @@ def _run_ebm(cfg, rng, out_dir, fmt, artifacts):
         "epochs": cfg["epochs"],
         "n_rows": int(data.shape[0]),
         "final_nll": losses[-1] if losses else None,
-    }
+    }, outputs
 
 
-def _run_conv(cfg, rng, out_dir, fmt, artifacts):
+def _run_conv(cfg, rng):
     if "x" in cfg and "y" in cfg:
         x = np.asarray(cfg["x"], dtype=float)
         y = np.asarray(cfg["y"], dtype=float)
@@ -379,7 +363,7 @@ def _run_conv(cfg, rng, out_dir, fmt, artifacts):
     fast = convolution.conv_fft(x, y)
     direct = convolution.conv_naive(x, y)
     max_diff = float(np.max(np.abs(fast - direct)))
-    if max_diff > 1e-9:
+    if not max_diff <= 1e-9:  # also NaN
         raise NumericalError(f"conv: fast and direct routes disagree by {max_diff:g}")
     return {
         "n_x": int(x.size),
@@ -388,10 +372,10 @@ def _run_conv(cfg, rng, out_dir, fmt, artifacts):
         "max_abs_route_diff": max_diff,
         "result": fast.tolist() if fast.size <= 64 else fast[:64].tolist(),
         "result_truncated": bool(fast.size > 64),
-    }
+    }, {}
 
 
-def _run_boost(cfg, rng, out_dir, fmt, artifacts):
+def _run_boost(cfg, rng):
     threshold = float(cfg["threshold"])
     if "dataset" in cfg:
         dataset = boost.load_dataset(cfg["dataset"])
@@ -401,22 +385,21 @@ def _run_boost(cfg, rng, out_dir, fmt, artifacts):
         dataset = boost.WeightedDataset.uniform(xs, ys)
     learner = boost.NoisyThresholdLearner(threshold, float(cfg["gamma"]))
     _, diagnostics = boost.boost3(learner, dataset, rng.substream(2))
-    return diagnostics.to_dict()
+    return diagnostics.to_dict(), {}
 
 
-def _run_activeinf(cfg, rng, out_dir, fmt, artifacts):
-    with open(cfg["mdp"]) as fh:
-        mdp = activeinf.mdp_from_json(fh.read())
+def _run_activeinf(cfg, rng):
+    mdp = activeinf.mdp_from_json(_read_text(cfg["mdp"]))
     result = activeinf.value_iteration(mdp, float(cfg["tolerance"]))
     return {
         "V": result.values.tolist(),
         "policy": result.policy.tolist(),
         "iterations": result.iterations,
         "residual": result.residual,
-    }
+    }, {}
 
 
-def _run_marl(cfg, rng, out_dir, fmt, artifacts):
+def _run_marl(cfg, rng):
     env = marl.IsingGameEnv(marl.torus_graph(cfg["rows"], cfg["cols"]), float(cfg["coupling"]))
     episodes = cfg["episodes"]
     t_start, t_end = float(cfg["temp.start"]), float(cfg["temp.end"])
@@ -432,7 +415,6 @@ def _run_marl(cfg, rng, out_dir, fmt, artifacts):
         rng,
         n_bins=cfg["n_bins"],
     )
-    _write_trace(result.trace, out_dir, "trace", fmt, artifacts)
     mags = result.trace.column("magnetization")
     return {
         "n_agents": env.graph.n_agents,
@@ -440,11 +422,8 @@ def _run_marl(cfg, rng, out_dir, fmt, artifacts):
         "steps_per_episode": cfg["steps_per_episode"],
         "final_magnetization": float(mags[-1]),
         "mean_magnetization_last_decile": float(mags[-max(1, episodes // 10):].mean()),
-    }
+    }, {"trace": result.trace}
 
-
-# the config key naming each subcommand's input file, if it reads one
-_INPUT_FILE = {"ising": "graph", "digest": "instance", "ebm": "data", "boost": "dataset", "activeinf": "mdp"}
 
 _RUNNERS = {
     "entropy": _run_entropy,
@@ -496,20 +475,24 @@ def run_experiment(
     rng = RngStream(int(seed))
     artifacts: Dict[str, str] = {}
     try:
-        result = _RUNNERS[subcommand](cfg, rng, out_path, fmt, artifacts)
+        summary, outputs = _RUNNERS[subcommand](cfg, rng)
+        outputs["result.json"] = _json_bytes({"schema_version": SCHEMA_VERSION, "subcommand": subcommand, **summary})
+        for name, data in outputs.items():
+            if isinstance(data, Trace):
+                name = f"{name}.{fmt}"
+                data = (data.json_text() + "\n").encode() if fmt == "json" else data.csv_text().encode()
+            (out_path / name).write_bytes(data)
+            artifacts[name] = hashlib.sha256(data).hexdigest()
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ThermolearnError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, UnicodeDecodeError) as exc:
-        where = f"{cfg[_INPUT_FILE[subcommand]]}: " if isinstance(exc, UnicodeDecodeError) else ""
-        print(f"i/o failure: {where}{exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    result_payload = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand, **result}
-    _write_artifact(out_path, "result.json", _json_bytes(result_payload), artifacts)
     manifest["artifacts"] = artifacts
     (out_path / "manifest.json").write_bytes(_json_bytes(manifest))
     return EXIT_OK

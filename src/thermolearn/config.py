@@ -13,6 +13,7 @@ any other bare token -> string.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -85,11 +86,27 @@ def parse_config(text: str) -> Dict[str, object]:
 
 def parse_config_file(path) -> Dict[str, object]:
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        text = _read_text(path)
+    except (OSError, ValidationError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
+
+
+def _read_text(path, newline=None) -> str:
+    """Every input file's text, decoded as UTF-8 whatever the locale (other text raises ValidationError)."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _content_lines(path):
+    """(line number, stripped text) of each line of an input file that is neither blank nor a '#' comment."""
+    for line_no, line in enumerate(_read_text(path).split("\n"), 1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            yield line_no, text
 
 
 @dataclass(frozen=True)
@@ -114,12 +131,20 @@ class FieldSpec:
             return isinstance(value, list) and all(FieldSpec("real").type_ok(v) for v in value)
         raise ValidationError(f"unknown schema kind {self.kind!r}")
 
+    def finite_ok(self, value) -> bool:
+        """Whether a real, or each element of a list, is a finite float (``1e999`` parses to inf)."""
+        values = value if self.kind == "list" else [value] if self.kind == "real" else []
+        try:
+            return all(map(math.isfinite, values))
+        except OverflowError:  # an int beyond the float range
+            return False
+
 
 def validate_against(schema: Dict[str, FieldSpec], config: Dict[str, object]) -> List[str]:
     """Diagnostics for a config under a schema; empty means valid.
 
-    Flags unknown keys, missing required keys, type mismatches, and any
-    per-field constraint failures. Each diagnostic names the key.
+    Flags unknown keys, missing required keys, type mismatches, reals
+    that are not finite, and any per-field constraint failures. Each diagnostic names the key.
     """
     diagnostics: List[str] = []
     for key in config:
@@ -134,6 +159,9 @@ def validate_against(schema: Dict[str, FieldSpec], config: Dict[str, object]) ->
         if not spec.type_ok(value):
             expected = "list of numbers" if spec.kind == "list" else spec.kind
             diagnostics.append(f"{key}: expected {expected}, got {type(value).__name__}")
+            continue
+        if not spec.finite_ok(value):
+            diagnostics.append(f"{key}: must be finite")
             continue
         if spec.check is not None:
             problem = spec.check(value)

@@ -146,7 +146,7 @@ def conv_fft(x, y) -> np.ndarray:
     The product theorem gives circular convolution at the padded size;
     padding to at least len(x) + len(y) - 1 makes it linear. The result is
     real: the imaginary residue is checked against ``IMAG_RESIDUE_TOL``
-    and discarded.
+    and discarded. A result that is not finite raises NumericalError.
     """
     a = _as_signal(x, "x")
     b = _as_signal(y, "y")
@@ -161,6 +161,8 @@ def conv_fft(x, y) -> np.ndarray:
     _fft_inplace((fa,), inverse=True)
     fa /= size
     result = fa[:out_len]
+    if not np.isfinite(result).all():
+        raise NumericalError("conv_fft: result is not finite; the signals overflow the float range")
     residue = float(np.abs(result.imag).max()) if out_len else 0.0
     scale = max(1.0, float(np.abs(result.real).max()))
     if residue > IMAG_RESIDUE_TOL * scale:

@@ -18,6 +18,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .anneal import EnergyLandscape
+from .config import _content_lines
 from .errors import ValidationError
 from .rng import RngStream
 
@@ -264,23 +265,19 @@ def brute_force_min_energy(
 def load_instance(path) -> DoubleDigestInstance:
     """Read the three-line instance format: 'a: ...', 'b: ...', 'c: ...'."""
     parts = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if ":" not in text:
-                raise ValidationError(f"{path}:{line_no}: expected 'name: values', got {text!r}")
-            name, _, rest = text.partition(":")
-            name = name.strip().lower()
-            if name not in ("a", "b", "c"):
-                raise ValidationError(f"{path}:{line_no}: unknown multiset {name!r}")
-            if name in parts:
-                raise ValidationError(f"{path}:{line_no}: duplicate line for {name!r}")
-            try:
-                parts[name] = tuple(int(tok) for tok in rest.split())
-            except ValueError:
-                raise ValidationError(f"{path}:{line_no}: fragments must be integers") from None
+    for line_no, text in _content_lines(path):
+        if ":" not in text:
+            raise ValidationError(f"{path}:{line_no}: expected 'name: values', got {text!r}")
+        name, _, rest = text.partition(":")
+        name = name.strip().lower()
+        if name not in ("a", "b", "c"):
+            raise ValidationError(f"{path}:{line_no}: unknown multiset {name!r}")
+        if name in parts:
+            raise ValidationError(f"{path}:{line_no}: duplicate line for {name!r}")
+        try:
+            parts[name] = tuple(int(tok) for tok in rest.split())
+        except ValueError:
+            raise ValidationError(f"{path}:{line_no}: fragments must be integers") from None
     missing = {"a", "b", "c"} - set(parts)
     if missing:
         raise ValidationError(f"{path}: missing lines for {sorted(missing)}")

@@ -20,6 +20,7 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import _content_lines
 from .distributions import DiscreteDistribution, log_normalize, partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
@@ -443,14 +444,10 @@ def bm_train(
 def load_visible_data(path) -> np.ndarray:
     """Read binary rows, one string of 0/1 characters per line."""
     rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if set(text) - {"0", "1"}:
-                raise ValidationError(f"{path}:{line_no}: expected only 0/1 characters, got {text!r}")
-            rows.append([int(ch) for ch in text])
+    for line_no, text in _content_lines(path):
+        if set(text) - {"0", "1"}:
+            raise ValidationError(f"{path}:{line_no}: expected only 0/1 characters, got {text!r}")
+        rows.append([int(ch) for ch in text])
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

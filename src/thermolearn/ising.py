@@ -16,6 +16,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .config import _content_lines
 from .distributions import DiscreteDistribution, log_normalize, partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
@@ -119,9 +120,7 @@ def load_coupling_graph(path) -> CouplingGraph:
     starting with '#' are ignored. Every malformed line raises
     ValidationError naming the file and line number.
     """
-    with open(path) as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1)]
-    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
+    lines = list(_content_lines(path))
     if not lines:
         raise ValidationError(f"{path}: empty graph file")
     first_no, first = lines[0]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -322,3 +324,15 @@ def test_dataset_file_roundtrip(tmp_path):
     assert np.allclose(back.xs, ds.xs)
     assert np.array_equal(back.ys, ds.ys)
     assert np.allclose(back.weights.probs, ds.weights.probs)
+
+
+def test_dataset_file_line_endings_reach_the_csv_reader(tmp_path):
+    # CRLF and CR rows parse alike; a quoted field keeps its own line break,
+    # as csv.reader sees it on a file opened with newline=""
+    for name, data in (("crlf.csv", b"x,y\r\n0.25,0\r\n0.75,1\r\n"), ("cr.csv", b"x,y\r0.25,0\r0.75,1\r")):
+        (tmp_path / name).write_bytes(data)
+        back = load_dataset(tmp_path / name)
+        assert back.xs.tolist() == [0.25, 0.75] and back.ys.tolist() == [0, 1]
+    (tmp_path / "quoted.csv").write_bytes(b'x,y\r\n"0.25\r\n1",0\r\n')
+    with pytest.raises(ValidationError, match=re.escape(r"quoted.csv:2: non-numeric row ['0.25\r\n1', '0']")):
+        load_dataset(tmp_path / "quoted.csv")

@@ -11,6 +11,7 @@ import pytest
 
 from thermolearn import cli
 from thermolearn.activeinf import DiscreteMDP, mdp_to_json
+from thermolearn.boost import load_dataset
 from thermolearn.config import (
     FieldSpec,
     parse_config,
@@ -19,9 +20,10 @@ from thermolearn.config import (
     resolved,
     validate_against,
 )
-from thermolearn.digest import DoubleDigestInstance, dump_instance
+from thermolearn.digest import DoubleDigestInstance, dump_instance, load_instance
+from thermolearn.ebm import load_visible_data
 from thermolearn.errors import ValidationError
-from thermolearn.ising import CouplingGraph, dump_coupling_graph
+from thermolearn.ising import CouplingGraph, dump_coupling_graph, load_coupling_graph
 
 
 # --- config grammar ---------------------------------------------------------
@@ -89,6 +91,34 @@ def test_parse_config_file_not_utf8(tmp_path):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize("load", [load_coupling_graph, load_visible_data, load_instance, load_dataset])
+def test_loaders_reject_text_that_is_not_utf8(tmp_path, load):
+    # each raised a bare UnicodeDecodeError before
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("1\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ValidationError, match="latin1.txt: not UTF-8 text"):
+        load(path)
+
+
+def test_inputs_are_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # Python decodes open() text as ASCII under this environment; the run
+    # exited 1 on the non-ASCII comments before
+    graph = tmp_path / "ring.txt"
+    graph.write_text("# anneau à trois sites — café\n3\n0 1 1.0\n1 2 -0.5\n2 0 1.0\nh 1 0.25\n", encoding="utf-8")
+    cfg = tmp_path / "ring.cfg"
+    cfg.write_text(f'# réglage: β = 0.5\ngraph = "{graph}"\nbeta = 0.5\nsteps = 500\n', encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHON"))}
+    env.update(PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    argv = ["ising", "--config", str(cfg), "--seed", "3", "--out"]
+    proc = subprocess.run([sys.executable, "-m", "thermolearn.cli", *argv, str(tmp_path / "c")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main([*argv, str(tmp_path / "utf8")]) == 0
+    for name in ("result.json", "trace.csv"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "utf8" / name).read_bytes()
+
+
 # --- schema validation -------------------------------------------------------
 
 
@@ -119,6 +149,11 @@ def test_validate_against_diagnostics():
     assert any(d.startswith("steps:") for d in diags)
     assert any(d.startswith("steps:") for d in validate_against(schema, {}))
     assert any("expected int" in d for d in validate_against(schema, {"steps": "ten"}))
+    # reals and list elements must be finite floats; an int beyond the float range is not
+    lists = {"xs": FieldSpec("list")}
+    for value in (float("inf"), float("nan"), 10**400):
+        assert validate_against(schema, {"steps": 1, "beta": value}) == ["beta: must be finite"]
+        assert validate_against(lists, {"xs": [1.0, value]}) == ["xs: must be finite"]
 
 
 def test_resolved_fills_defaults():
@@ -204,6 +239,18 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         cfg = write_cfg(tmp_path, "list.cfg", text)
         assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o3")]) == 1
         assert "expected list of numbers" in capsys.readouterr().err
+    # reals and list elements that are not finite: 1e999 parses to inf, and
+    # before this check log_base = inf and threshold = nan ran and exited 0
+    for sub, text, key in (
+        ("entropy", "probs = [0.5, 0.5]\nlog_base = inf\n", "log_base"),
+        ("entropy", "probs = [0.5, 0.5]\nlog_base = 1e999\n", "log_base"),
+        ("boost", "threshold = nan\nn_items = 100\n", "threshold"),
+        ("conv", "x = [1.0, 1e999]\ny = [1.0]\n", "x"),
+        ("ising", f"n_sites = 3\nbeta = 1.0\nsteps = 10\ncoupling = {10**400}\n", "coupling"),
+    ):
+        cfg = write_cfg(tmp_path, "inf.cfg", text)
+        assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o10")]) == 1
+        assert f"config error: {key}: must be finite" in capsys.readouterr().err
     # a span whose start-state draw does not fit numpy's int64 integers
     cfg = write_cfg(tmp_path, "span.cfg", "span = 100000000000000000000\nsweeps = 5\n")
     assert cli.main(["anneal", "--config", cfg, "--out", str(tmp_path / "o5")]) == 1
@@ -256,7 +303,7 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         assert f"g.txt:{line}:" in capsys.readouterr().err
 
 
-def test_numerical_failure_exits_2(tmp_path, capsys):
+def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
     # discount so close to 1 that value iteration stalls out its sweep budget
     mdp = DiscreteMDP(
         transition=np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.5], [0.4, 0.6]]]),
@@ -277,6 +324,15 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cold.cfg", "n_sites = 10\nbeta = 1000.0\nsteps = 100\n")
     assert cli.main(["ising", "--config", cfg, "--out", str(tmp_path / "cold")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    # a convolution that overflows the float range (it used to write NaN and Infinity)
+    cfg = write_cfg(tmp_path, "big.cfg", "x = [1e308]\ny = [1e308]\n")
+    assert cli.main(["conv", "--config", cfg, "--out", str(tmp_path / "big")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    # the route gate catches a NaN difference, which compares false with any bound
+    cfg = write_cfg(tmp_path, "c.cfg", "x = [1.0, 2.0]\ny = [1.0]\n")
+    monkeypatch.setattr(cli.convolution, "conv_naive", lambda x, y: np.full(2, np.nan))
+    assert cli.main(["conv", "--config", cfg, "--out", str(tmp_path / "nan")]) == 2
+    assert "disagree by nan" in capsys.readouterr().err
 
 
 def test_entropy_run_exit_0(tmp_path):

@@ -11,7 +11,7 @@ from thermolearn.convolution import (
     ifft_radix2,
     next_pow2,
 )
-from thermolearn.errors import ValidationError
+from thermolearn.errors import NumericalError, ValidationError
 from thermolearn.rng import RngStream
 
 
@@ -192,6 +192,15 @@ def test_conv_validation():
             route([[1, 2], [3]], [1])
         with pytest.raises(ValidationError, match="1-D sequence"):
             route([1], [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("x, y", [([1e308], [1e308]), ([1e300, 1.0], [1e10, 1.0]), ([1e200] * 3, [-1e200, 1e200])])
+def test_conv_fft_overflow_is_numerical_error(x, y):
+    # the residue check compares false for NaN and for an infinite scale, so
+    # an overflowing product came back as inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="not finite"):
+            conv_fft(x, y)
 
 
 @pytest.mark.parametrize(
