@@ -157,9 +157,11 @@ def conv_fft(x, y) -> np.ndarray:
     fa[: a.size] = a
     fb[: b.size] = b
     _fft_inplace((fa, fb), inverse=False)
-    fa *= fb
-    _fft_inplace((fa,), inverse=True)
-    fa /= size
+    # an overflow shows as a non-finite result, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        fa *= fb
+        _fft_inplace((fa,), inverse=True)
+        fa /= size
     result = fa[:out_len]
     if not np.isfinite(result).all():
         raise NumericalError("conv_fft: result is not finite; the signals overflow the float range")

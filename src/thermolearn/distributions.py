@@ -37,13 +37,17 @@ def _checked_probs(values, name: str) -> np.ndarray:
 def log_normalize(log_weights) -> Tuple[np.ndarray, float]:
     """Probabilities exp(w - ln Z) and ln Z over all entries of log-weights w
     of any shape, with one max shift so both stay finite for finite w."""
-    log_w = np.asarray(log_weights, dtype=float)
+    return _log_normalize_inplace(np.array(log_weights, dtype=float))
+
+
+def _log_normalize_inplace(log_w: np.ndarray) -> Tuple[np.ndarray, float]:
+    # log_normalize on a float array the caller owns, overwritten with the probabilities
     m = log_w.max()
-    probs = log_w - m
-    np.exp(probs, out=probs)
-    total = probs.sum()
-    probs /= total
-    return probs, float(m + math.log(total))
+    log_w -= m
+    np.exp(log_w, out=log_w)
+    total = log_w.sum()
+    log_w /= total
+    return log_w, float(m + math.log(total))
 
 
 def partition_value(log_z: float) -> float:

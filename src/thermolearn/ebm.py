@@ -26,6 +26,7 @@ from .errors import CapacityError, ValidationError
 from .rng import RngStream
 
 MAX_EXACT_UNITS = 20
+_MEMO_ROWS = 4096  # conditional rows a Gibbs chain keeps, so its memory is bounded by the trajectory
 
 __all__ = [
     "ebl_infer",
@@ -198,6 +199,12 @@ def _check_binary(vec, length: int, name: str) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
+def _count(name: str, value, least: int) -> int:
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def bm_energy(state: BMState, machine: BoltzmannMachine) -> float:
     """E(v,h) = -a.v - b.h - v W h."""
     vf = _check_binary(state.v, machine.n_visible, "v").astype(float)
@@ -298,8 +305,9 @@ def bm_gibbs_sample(
     defaults to all zeros. Draws, all up front: ``rng.random((steps, n_h))``,
     then ``rng.random((steps, n_v))``; step t uses row t of each.
     """
-    if steps < 1:
-        raise ValidationError(f"bm_gibbs_sample: steps must be >= 1, got {steps}")
+    steps = _count("bm_gibbs_sample: steps", steps, 1)
+    if rng is None:
+        raise ValidationError("bm_gibbs_sample: requires an rng")
     n_v, n_h = machine.n_visible, machine.n_hidden
     if start is None:
         v = np.zeros(n_v, dtype=np.uint8)
@@ -310,10 +318,24 @@ def bm_gibbs_sample(
     hidden = np.empty((steps, n_h), dtype=np.uint8)
     u_h = rng.generator.random((steps, n_h))
     u_v = rng.generator.random((steps, n_v))
+    p_h, p_v = {}, {}
     for t in range(steps):
-        hidden[t], visible[t] = _gibbs_step(machine, v, u_h[t], u_v[t])
+        hidden[t] = u_h[t] < _memo_row(p_h, bm_hidden_activation, machine, v)
+        visible[t] = u_v[t] < _memo_row(p_v, bm_visible_activation, machine, hidden[t])
         v = visible[t]
     return GibbsSampleRun(visible, hidden)
+
+
+def _memo_row(memo: dict, activation, machine: BoltzmannMachine, row: np.ndarray) -> np.ndarray:
+    # activation(machine, row), looked up by the uint8 row's bytes: a chain
+    # revisits few states, and a state stored is the array a fresh call returns
+    key = row.tobytes()
+    act = memo.get(key)
+    if act is None:
+        act = activation(machine, row)
+        if len(memo) < _MEMO_ROWS:
+            memo[key] = act
+    return act
 
 
 def bm_free_energy(machine: BoltzmannMachine, v) -> float:
@@ -411,11 +433,9 @@ def bm_train(
     """
     if method not in ("exact_gradient", "cd_k"):
         raise ValidationError(f"bm_train: unknown method {method!r}")
-    if epochs < 0:
-        raise ValidationError("bm_train: epochs must be >= 0")
+    epochs = _count("bm_train: epochs", epochs, 0)
     if method == "cd_k":
-        if k < 1:
-            raise ValidationError("bm_train: cd_k requires k >= 1")
+        k = _count("bm_train: cd_k's k", k, 1)
         if rng is None:
             raise ValidationError("bm_train: cd_k requires an rng")
     X = _visible_matrix(data, machine.n_visible)

@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .config import _content_lines
-from .distributions import DiscreteDistribution, log_normalize, partition_value, state_bits
+from .distributions import DiscreteDistribution, _log_normalize_inplace, partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
 from .trace import Trace
@@ -241,7 +241,7 @@ def partition_exact(graph: CouplingGraph, beta: float) -> PartitionResult:
         raise ValidationError(f"partition_exact: beta must be finite and >= 0, got {beta!r}")
     log_w = enumerate_energies(graph)
     log_w *= -beta
-    probs, log_z = log_normalize(log_w)
+    probs, log_z = _log_normalize_inplace(log_w)
     return PartitionResult(partition_value(log_z), DiscreteDistribution(probs))
 
 

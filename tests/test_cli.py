@@ -335,6 +335,17 @@ def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert "disagree by nan" in capsys.readouterr().err
 
 
+def test_conv_overflow_prints_only_the_failure_line(tmp_path):
+    # numpy's overflow warnings and their source lines came first
+    cfg = write_cfg(tmp_path, "big.cfg", "x = [1e308]\ny = [1e308]\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "thermolearn.cli", "conv", "--config", cfg, "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("numerical failure: conv_fft")
+
+
 def test_entropy_run_exit_0(tmp_path):
     cfg = write_cfg(tmp_path, "e.cfg", "probs = [0.25, 0.75]\n")
     out = tmp_path / "run"

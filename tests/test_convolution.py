@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -197,8 +198,10 @@ def test_conv_validation():
 @pytest.mark.parametrize("x, y", [([1e308], [1e308]), ([1e300, 1.0], [1e10, 1.0]), ([1e200] * 3, [-1e200, 1e200])])
 def test_conv_fft_overflow_is_numerical_error(x, y):
     # the residue check compares false for NaN and for an infinite scale, so
-    # an overflowing product came back as inf and NaN
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing product came back as inf and NaN; numpy's overflow
+    # warnings were printed above the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="not finite"):
             conv_fft(x, y)
 

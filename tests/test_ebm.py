@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from thermolearn.distributions import DiscreteDistribution
 from thermolearn.ebm import (
+    _gibbs_step,
     BMState,
     BoltzmannMachine,
     bm_energy,
@@ -297,10 +299,10 @@ def test_free_energy_consistent_with_enumeration():
         assert bm_free_energy(m, v) == pytest.approx(-math.log(total), abs=1e-10)
 
 
-def _random_machine(seed, n_visible=4, n_hidden=3):
+def _random_machine(seed, n_visible=4, n_hidden=3, scale=1.0):
     g = np.random.default_rng(seed)
     return BoltzmannMachine(
-        g.normal(size=n_visible), g.normal(size=n_hidden), g.normal(size=(n_visible, n_hidden))
+        *(scale * g.normal(size=shape) for shape in (n_visible, n_hidden, (n_visible, n_hidden)))
     )
 
 
@@ -376,6 +378,65 @@ def test_gibbs_reproducible():
     assert np.array_equal(a.hidden, b.hidden)
 
 
+def _replay_gibbs(machine, steps, rng, start=None):
+    # the per-step loop that recomputes both conditionals every step: the
+    # reference the memoised sampler must reproduce bit for bit
+    v = np.zeros(machine.n_visible, dtype=np.uint8) if start is None else np.asarray(start.v).astype(np.uint8)
+    visible = np.empty((steps, machine.n_visible), dtype=np.uint8)
+    hidden = np.empty((steps, machine.n_hidden), dtype=np.uint8)
+    u_h = rng.generator.random((steps, machine.n_hidden))
+    u_v = rng.generator.random((steps, machine.n_visible))
+    for t in range(steps):
+        hidden[t], visible[t] = _gibbs_step(machine, v, u_h[t], u_v[t])
+        v = visible[t]
+    return visible, hidden
+
+
+# 40x30 visits more than 4096 distinct visible and hidden states, past the memo's cap
+@pytest.mark.parametrize("n_v, n_h, steps, scale", [(1, 1, 500, 1.0), (8, 6, 3000, 1.0), (12, 10, 6000, 0.25), (40, 30, 6000, 0.5)])
+@pytest.mark.parametrize("start", ["zeros", "float", "bool"])
+def test_gibbs_matches_the_per_step_reference_bit_for_bit(n_v, n_h, steps, scale, start):
+    seed = n_v + 100 * n_h
+    machine = _random_machine(seed, n_v, n_h, scale)
+    bits = np.random.default_rng(seed).random(n_v + n_h) < 0.5
+    state = {"zeros": None, "float": BMState(bits[:n_v].astype(float), bits[n_v:].astype(float)),
+             "bool": BMState(bits[:n_v], bits[n_v:])}[start]
+    run = bm_gibbs_sample(machine, steps, RngStream(seed), state)
+    visible, hidden = _replay_gibbs(machine, steps, RngStream(seed), state)
+    assert run.visible.dtype == visible.dtype and run.hidden.dtype == hidden.dtype
+    assert np.array_equal(run.visible, visible)
+    assert np.array_equal(run.hidden, hidden)
+
+
+def _gibbs_peak_bytes(machine, steps):
+    tracemalloc.start()
+    try:
+        bm_gibbs_sample(machine, steps, RngStream(7))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gibbs_memory_grows_only_by_trajectory_and_uniforms():
+    # nearly every state of a 40x30 chain is new, so an unbounded memo would
+    # grow with steps; 9 bytes per unit per step are the float64 uniforms and
+    # the uint8 trajectory
+    machine = _random_machine(3, 40, 30, 0.5)
+    growth = _gibbs_peak_bytes(machine, 40_000) - _gibbs_peak_bytes(machine, 10_000)
+    assert growth <= 9 * 70 * 30_000 + 2**20
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5, True, "5", None])
+def test_gibbs_rejects_a_step_count_that_is_not_a_positive_integer(steps):
+    with pytest.raises(ValidationError, match="steps must"):
+        bm_gibbs_sample(SMALL, steps, RngStream(0))
+
+
+def test_gibbs_requires_rng():
+    with pytest.raises(ValidationError, match="rng"):
+        bm_gibbs_sample(SMALL, 10, None)
+
+
 # --- training ----------------------------------------------------------------------------
 
 
@@ -421,6 +482,13 @@ def test_cd_k_improves_likelihood():
     result = bm_train(m, data, method="cd_k", learning_rate=0.1, epochs=60, k=1, rng=rng)
     assert bm_log_likelihood(result.machine, data) > before
     assert len(result.loss_curve) == 60
+
+
+@pytest.mark.parametrize("epochs, k, name", [(2.5, 1, "epochs"), (-1, 1, "epochs"), (True, 1, "epochs"),
+                                             (3, 1.5, "k"), (3, 0, "k"), (3, True, "k"), (3, "2", "k")])
+def test_train_rejects_counts_that_are_not_integers(epochs, k, name):
+    with pytest.raises(ValidationError, match=f"{name} must"):
+        bm_train(SMALL, [np.array([1])], method="cd_k", epochs=epochs, k=k, rng=RngStream(0))
 
 
 def test_cd_k_requires_rng():

@@ -75,9 +75,9 @@ def _game(graph, episodes, n_bins, seed):
                 [list(table.values.items()) for table in result.q_tables])
 
 
-def _machine(n_v, n_h, seed):
+def _machine(n_v, n_h, seed, scale=1.0):
     gen = np.random.default_rng(seed)
-    return BoltzmannMachine(gen.normal(size=n_v), gen.normal(size=n_h), gen.normal(size=(n_v, n_h)))
+    return BoltzmannMachine(*(scale * gen.normal(size=shape) for shape in (n_v, n_h, (n_v, n_h))))
 
 
 def _bm_data(n_v, rows, seed):
@@ -88,8 +88,8 @@ def _params(machine):
     return (machine.a.tobytes(), machine.b.tobytes(), machine.W.tobytes())
 
 
-def _gibbs(n_v, n_h, steps, seed, start=None):
-    run = bm_gibbs_sample(_machine(n_v, n_h, seed), steps, RngStream(seed), start)
+def _gibbs(n_v, n_h, steps, seed, start=None, scale=1.0):
+    run = bm_gibbs_sample(_machine(n_v, n_h, seed, scale), steps, RngStream(seed), start)
     return _sha(run.visible.tobytes(), run.hidden.tobytes())
 
 
@@ -141,6 +141,8 @@ CASES = {
     "game torus8 seed29": lambda: _game(torus_graph(8, 8), 60, 11, 29),
     "game irregular bins3": lambda: _game(IRREGULAR, 40, 3, 1),
     "bm_gibbs_sample 8x6": lambda: _gibbs(8, 6, 2000, 1),
+    # weak weights: the chain visits about 3.7k of the 4096 visible states
+    "bm_gibbs_sample 12x10": lambda: _gibbs(12, 10, 10_000, 1, scale=0.25),
     "bm_gibbs_sample 1x1 from start": lambda: _gibbs(1, 1, 300, 29, BMState(np.ones(1), np.zeros(1))),
     "bm_train exact_gradient": lambda: _train("exact_gradient", 1, 1),
     "bm_train cd_k k1": lambda: _train("cd_k", 1, 29),
@@ -155,6 +157,7 @@ CASES = {
 
 GOLDEN = {
     'bm_exact_gradient 7x5': '329e21402ad76d7e343e466d18cddd80b1cbece0dacbfad817e7624ee79e6f65',
+    'bm_gibbs_sample 12x10': 'dd4e435ae22a209f3f4784d52fc2fc6272e02f3b4ac7fd6fae0907bbd447de91',
     'bm_gibbs_sample 1x1 from start': 'db2e35cf11fc630063813de0b0fad4c2a0a0fea2a31a0969c7f7da2b8273a3fc',
     'bm_gibbs_sample 8x6': '0e42b7ca698e3cf10f55b8d2bfbc12699867a375b45371665e42cc60ff4c3ea9',
     'bm_train cd_k k1': 'f3835de04b37565556cda88a5930e06a9408cf321e98b987adf84f18dc85719c',
