@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterable, Iterator, List
 
 import numpy as np
 
@@ -203,6 +203,24 @@ _CROSS_CHECKS = {
 
 def _json_bytes(payload) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _trace_bytes(trace: Trace, fmt: str) -> Iterator[bytes]:
+    # a trace's artifact a chunk of rows at a time; JSON ends with a newline
+    for piece in trace._text_pieces(fmt):
+        yield piece.encode()
+    if fmt == "json":
+        yield b"\n"
+
+
+def _write_artifact(path: Path, pieces: Iterable[bytes]) -> str:
+    """Write the concatenated pieces to path; returns their sha256 hex digest."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for piece in pieces:
+            fh.write(piece)
+            digest.update(piece)
+    return digest.hexdigest()
 
 
 def _schedule_from(cfg) -> CoolingSchedule:
@@ -478,11 +496,10 @@ def run_experiment(
         summary, outputs = _RUNNERS[subcommand](cfg, rng)
         outputs["result.json"] = _json_bytes({"schema_version": SCHEMA_VERSION, "subcommand": subcommand, **summary})
         for name, data in outputs.items():
+            pieces = [data]
             if isinstance(data, Trace):
-                name = f"{name}.{fmt}"
-                data = (data.json_text() + "\n").encode() if fmt == "json" else data.csv_text().encode()
-            (out_path / name).write_bytes(data)
-            artifacts[name] = hashlib.sha256(data).hexdigest()
+                name, pieces = f"{name}.{fmt}", _trace_bytes(data, fmt)
+            artifacts[name] = _write_artifact(out_path / name, pieces)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

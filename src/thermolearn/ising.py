@@ -11,6 +11,7 @@ with every undirected pair counted once. Exact enumeration is guarded at
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -219,7 +220,11 @@ def enumerate_energies(graph: CouplingGraph) -> np.ndarray:
     spin_of[:low] = state_bits(low)
     spin_of *= 2
     spin_of -= 1
-    energies = np.zeros(1 << n)
+    # The table gets its own zero-filled mapping, whose pages leave the
+    # process when the table is dropped. From malloc, a freed 2^20-entry table
+    # stays in the heap, and what runs next piles onto its pages, so peak
+    # memory would depend on the calls that came before.
+    energies = np.frombuffer(mmap.mmap(-1, (1 << n) * 8), dtype=float)
     for start in range(0, 1 << n, 1 << low):
         spin_of[low:] = ((start >> np.arange(low, n)) & 1)[:, None] * 2 - 1
         _subtract_energies(energies[start : start + (1 << low)], spin_of, graph)
@@ -367,8 +372,7 @@ def metropolis_chain(
     adjacency = graph.adjacency()
     fields = [float(h) for h in graph.fields_h]
     sites_arr = rng.generator.integers(0, n, size=steps)
-    sites = sites_arr.tolist()
-    uniforms = rng.generator.random(steps).tolist()
+    uniforms_arr = rng.generator.random(steps)
 
     # Every buffer is sized by the step count, not by the number of accepted
     # flips, so a chain's memory does not depend on its acceptance rate. The
@@ -382,20 +386,26 @@ def metropolis_chain(
     k = 0
 
     exp = math.exp
-    for t in range(steps):
-        site = sites[t]
-        s = spins[site]
-        local = fields[site]
-        for j, coupling in adjacency[site]:
-            local += coupling * spins[j]
-        delta_h = 2.0 * s * local
-        if delta_h <= 0.0 or uniforms[t] < exp(-beta * delta_h):
-            spins[site] = -s
-            accepted_at[t] = True
-            dh_of[k] = delta_h
-            old_of[k] = s
-            k += 1
-    del sites, uniforms  # the per-step draws as Python objects: 4 MB per 100k steps
+    # The draws become Python lists (about 40 bytes a step) one block at a
+    # time, so the loop's speed costs no memory that grows with the steps.
+    for a in range(0, steps, BLOCK_ROWS):
+        sites = sites_arr[a : a + BLOCK_ROWS].tolist()
+        uniforms = uniforms_arr[a : a + BLOCK_ROWS].tolist()
+        accepted_here = accepted_at[a : a + BLOCK_ROWS]
+        for t in range(len(sites)):
+            site = sites[t]
+            s = spins[site]
+            local = fields[site]
+            for j, coupling in adjacency[site]:
+                local += coupling * spins[j]
+            delta_h = 2.0 * s * local
+            if delta_h <= 0.0 or uniforms[t] < exp(-beta * delta_h):
+                spins[site] = -s
+                accepted_here[t] = True
+                dh_of[k] = delta_h
+                old_of[k] = s
+                k += 1
+    del sites, uniforms, uniforms_arr
 
     # index of each step's running value: rejected steps repeat the last one
     # rather than adding 0.0, which would turn an energy of -0.0 into 0.0

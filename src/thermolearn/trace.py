@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -39,7 +39,8 @@ class Trace:
     """Step-indexed record of a run: named numeric columns of equal length.
 
     Booleans are stored and emitted as 0/1 so the CSV stays typable.
-    Both text formats are built column-wise, CHUNK_ROWS rows at a time.
+    Both text formats are built column-wise, CHUNK_ROWS rows at a time;
+    ``_text_pieces`` hands them out a chunk at a time.
     """
 
     def __init__(self, columns: Dict[str, Sequence]):
@@ -82,31 +83,52 @@ class Trace:
             with open(target, "w", newline="") as fh:
                 self._write(fh)
 
-    def _csv_pieces(self):
-        """The CSV text in pieces: the header line, then CHUNK_ROWS rows at a time."""
-        header = io.StringIO()
-        csv.writer(header, lineterminator="\n").writerow(self.column_names)
-        yield header.getvalue()
+    def _write(self, fh) -> None:
+        fh.writelines(self._text_pieces("csv"))
+
+    def _rows(self, start: int, stop: int) -> "Trace":
+        # rows start..stop-1 as a trace over views of this one's columns
+        return Trace({name: col[start:stop] for name, col in self._columns.items()})
+
+    def _text_pieces(self, fmt: str) -> Iterator[str]:
+        """The ``csv_text()`` or ``json_text()`` of the trace in consecutive pieces
+        of at most CHUNK_ROWS rows each, so that a writer never holds the whole text."""
+        if fmt == "json":
+            return self._json_pieces()
+        if fmt != "csv":
+            raise ValidationError(f"Trace: unknown text format {fmt!r}")
+        header = len(self._csv_header())
+        return (
+            self._rows(start, start + CHUNK_ROWS).csv_text()[header if start else 0 :]
+            for start in range(0, self._length or 1, CHUNK_ROWS)
+        )
+
+    def _csv_header(self) -> str:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow(self.column_names)
+        return line.getvalue()
+
+    def csv_text(self) -> str:
+        pieces = [self._csv_header()]
         cols = list(self._columns.values())
         for start in range(0, self._length, CHUNK_ROWS):
             cells = [_formatted(col[start : start + CHUNK_ROWS], _csv_cells) for col in cols]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+            pieces.append("\n".join(map(",".join, zip(*cells))) + "\n")
+        return "".join(pieces)
 
-    def _write(self, fh) -> None:
-        fh.writelines(self._csv_pieces())
-
-    def csv_text(self) -> str:
-        return "".join(self._csv_pieces())
+    def _json_pieces(self) -> Iterator[str]:
+        sep = ",\n      "
+        yield '{\n  "columns": {\n'
+        for index, name in enumerate(sorted(self._columns)):
+            col = self._columns[name]
+            opening = "[\n      " if self._length else "[]"
+            yield (",\n" if index else "") + f"    {json.dumps(name)}: {opening}"
+            for start in range(0, self._length, CHUNK_ROWS):
+                yield (sep if start else "") + sep.join(_formatted(col[start : start + CHUNK_ROWS], _json_cells))
+            if self._length:
+                yield "\n    ]"
+        yield "\n  }\n}"
 
     def json_text(self) -> str:
         """The text of ``json.dumps({"columns": {name: values}}, indent=2, sort_keys=True)``."""
-        sep = ",\n      "
-        fields = []
-        for name in sorted(self._columns):
-            col = self._columns[name]
-            values = sep.join(
-                sep.join(_formatted(col[start : start + CHUNK_ROWS], _json_cells))
-                for start in range(0, self._length, CHUNK_ROWS)
-            )
-            fields.append(f"    {json.dumps(name)}: " + (f"[\n      {values}\n    ]" if values else "[]"))
-        return '{\n  "columns": {\n' + ",\n".join(fields) + "\n  }\n}"
+        return "".join(self._json_pieces())

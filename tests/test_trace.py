@@ -104,6 +104,8 @@ def test_writers_match_per_cell_reference(length):
     assert trace.column("accepted").dtype == np.int8
     assert trace.csv_text() == reference_csv(trace)
     assert trace.json_text() == reference_json(trace)
+    assert "".join(trace._text_pieces("csv")) == reference_csv(trace)
+    assert "".join(trace._text_pieces("json")) == reference_json(trace)
 
 
 def test_writers_keep_signed_zero_and_specials_apart():
@@ -119,3 +121,35 @@ def test_json_keys_sorted_and_names_escaped():
     trace = Trace({"b": [1], 'a "q"': [2.5], "c,d": [True]})
     assert trace.json_text() == reference_json(trace)
     assert trace.csv_text() == reference_csv(trace)
+
+
+def test_text_pieces_are_chunks_and_reject_unknown_format():
+    trace = Trace({"x": np.arange(2 * CHUNK_ROWS + 5)})
+    assert [piece.count("\n") for piece in trace._text_pieces("csv")] == [CHUNK_ROWS + 1, CHUNK_ROWS, 5]
+    with pytest.raises(ValidationError):
+        trace._text_pieces("tsv")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_writes_a_trace_in_memory_that_does_not_grow_with_its_length(tmp_path, fmt):
+    import hashlib
+    import tracemalloc
+
+    from thermolearn.cli import _trace_bytes, _write_artifact
+
+    peaks = []
+    for chunks in (2, 16):
+        gen = np.random.default_rng(chunks)
+        n = chunks * CHUNK_ROWS
+        trace = Trace({"step": np.arange(n), "energy": gen.normal(size=n), "accepted": gen.random(n) < 0.5})
+        data = ((trace.json_text() + "\n") if fmt == "json" else trace.csv_text()).encode()
+        tracemalloc.start()
+        try:
+            digest = _write_artifact(tmp_path / "trace", _trace_bytes(trace, fmt))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "trace").read_bytes() == data
+        assert digest == hashlib.sha256(data).hexdigest()
+    # eight times the rows, about the same peak: one chunk's text at a time
+    assert peaks[1] < 1.5 * peaks[0]
