@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import _count
 from .errors import ValidationError
 from .rng import RngStream
 from .trace import Trace
@@ -120,10 +121,8 @@ def anneal(
     temperature, end-of-sweep current energy, best energy so far, and the
     sweep's acceptance rate.
     """
-    if sweeps < 1:
-        raise ValidationError(f"anneal: sweeps must be >= 1, got {sweeps}")
-    if proposals_per_sweep < 1:
-        raise ValidationError(f"anneal: proposals_per_sweep must be >= 1, got {proposals_per_sweep}")
+    sweeps = _count("anneal: sweeps", sweeps, 1)
+    proposals_per_sweep = _count("anneal: proposals_per_sweep", proposals_per_sweep, 1)
     state = problem.random_state(rng) if initial is None else initial
     energy = float(problem.energy(state))
     if not math.isfinite(energy):

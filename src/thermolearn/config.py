@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from .errors import ValidationError
 
 KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
@@ -107,6 +109,13 @@ def _content_lines(path):
         text = line.strip()
         if text and not text.startswith("#"):
             yield line_no, text
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int when it is an integer (not a bool) >= ``least``; otherwise ValidationError."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

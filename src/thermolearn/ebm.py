@@ -20,7 +20,7 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import _content_lines
+from .config import _content_lines, _count
 from .distributions import DiscreteDistribution, log_normalize, partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
@@ -197,12 +197,6 @@ def _check_binary(vec, length: int, name: str) -> np.ndarray:
     if not np.all((arr == 0) | (arr == 1)):
         raise ValidationError(f"{name} entries must be 0 or 1")
     return arr.astype(np.uint8)
-
-
-def _count(name: str, value, least: int) -> int:
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def bm_energy(state: BMState, machine: BoltzmannMachine) -> float:

@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .config import _content_lines
+from .config import _content_lines, _count
 from .distributions import DiscreteDistribution, _log_normalize_inplace, partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
@@ -356,10 +356,10 @@ def metropolis_chain(
     """
     if rng is None:
         raise ValidationError("metropolis_chain: rng is required for reproducibility")
-    if burn_in is None:
-        burn_in = steps // 10
-    if not steps > burn_in >= 0:
-        raise ValidationError(f"metropolis_chain: need steps > burn_in >= 0, got {steps}, {burn_in}")
+    steps = _count("metropolis_chain: steps", steps, 1)
+    burn_in = steps // 10 if burn_in is None else _count("metropolis_chain: burn_in", burn_in, 0)
+    if not steps > burn_in:
+        raise ValidationError(f"metropolis_chain: need steps > burn_in, got {steps}, {burn_in}")
     if not (beta >= 0 and math.isfinite(beta)):
         raise ValidationError(f"metropolis_chain: beta must be finite and >= 0, got {beta!r}")
     n = graph.n_sites

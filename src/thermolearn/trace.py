@@ -27,12 +27,20 @@ def _json_cells(values: list) -> List[str]:
 def _formatted(col: np.ndarray, cells: Callable[[list], List[str]]) -> List[str]:
     """The text of every entry of a non-empty column, each distinct value formatted once.
 
-    Entries are keyed on their bit pattern, so -0.0 and 0.0 stay apart.
+    Entries are keyed on their bit pattern, so -0.0 and 0.0 stay apart: a
+    stable sort of the bits puts equal entries in runs, and each entry's
+    code is the index of its run.
     """
-    bits = col.view(f"u{col.itemsize}").tolist()
-    distinct = dict(zip(bits, col.tolist()))
-    table = dict(zip(distinct, cells(list(distinct.values()))))
-    return list(map(table.__getitem__, bits))
+    bits = col.view(f"u{col.itemsize}")
+    order = np.argsort(bits, kind="stable")
+    sorted_bits = bits[order]
+    starts = np.empty(len(bits), dtype=bool)
+    starts[0] = True
+    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=starts[1:])
+    codes = np.empty(len(bits), dtype=np.intp)
+    codes[order] = np.cumsum(starts) - 1
+    texts = np.array(cells(col[order[starts]].tolist()), dtype=object)
+    return texts[codes].tolist()
 
 
 class Trace:
@@ -74,17 +82,6 @@ class Trace:
 
     def row(self, i: int) -> dict:
         return {name: arr[i].item() for name, arr in self._columns.items()}
-
-    def to_csv(self, target) -> None:
-        """Write the trace to a path or file-like object."""
-        if hasattr(target, "write"):
-            self._write(target)
-        else:
-            with open(target, "w", newline="") as fh:
-                self._write(fh)
-
-    def _write(self, fh) -> None:
-        fh.writelines(self._text_pieces("csv"))
 
     def _rows(self, start: int, stop: int) -> "Trace":
         # rows start..stop-1 as a trace over views of this one's columns

@@ -162,3 +162,21 @@ def test_anneal_validation():
         anneal(IntLine(), CoolingSchedule("constant", 1.0), 0, 5, RngStream(0))
     with pytest.raises(ValidationError):
         anneal(IntLine(), CoolingSchedule("constant", 1.0), 5, 0, RngStream(0))
+
+
+@pytest.mark.parametrize("sweeps", [0, 2.5, 2.0, True, "5", None])
+def test_anneal_rejects_a_sweep_count_that_is_not_a_positive_integer(sweeps):
+    with pytest.raises(ValidationError, match="sweeps must"):
+        anneal(IntLine(), CoolingSchedule("constant", 1.0), sweeps, 5, RngStream(0))
+
+
+@pytest.mark.parametrize("proposals", [0, 2.5, 2.0, True, "5", None])
+def test_anneal_rejects_a_proposal_count_that_is_not_a_positive_integer(proposals):
+    with pytest.raises(ValidationError, match="proposals_per_sweep must"):
+        anneal(IntLine(), CoolingSchedule("constant", 1.0), 5, proposals, RngStream(0))
+
+
+def test_anneal_takes_numpy_integer_counts():
+    a = anneal(IntLine(), CoolingSchedule("constant", 1.0), np.int64(4), np.int32(3), RngStream(0))
+    b = anneal(IntLine(), CoolingSchedule("constant", 1.0), 4, 3, RngStream(0))
+    assert len(a.trace) == 4 and a.trace.csv_text() == b.trace.csv_text()

@@ -55,6 +55,8 @@ CASES = {
     "entropy": ("entropy", {"probs": [0.125, 0.375, 0.5], "log_base": 3.0}),
     "ising-generated": ("ising", {"n_sites": 24, "field": 0.25, "periodic": True, "beta": 0.7, "steps": 3000, "burn_in": 300}),
     "ising-file": ("ising", {"graph": "graph.txt", "beta": 0.5, "steps": 2000, "burn_in": 100}),
+    # 20000 trace rows: three CHUNK_ROWS chunks, where the cases above write one
+    "ising-chunked": ("ising", {"n_sites": 20, "field": -0.1, "periodic": True, "beta": 0.4, "steps": 20000, "burn_in": 2000}),
     "anneal": ("anneal", {"span": 20, "sweeps": 80, "proposals_per_sweep": 10}),
     "digest-generated": ("digest", {"n_a": 3, "n_b": 3, "total_length": 30, "sweeps": 60, "proposals_per_sweep": 20}),
     "digest-file": ("digest", {"instance": "digest.inst", "sweeps": 60, "proposals_per_sweep": 20}),

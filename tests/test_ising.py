@@ -313,6 +313,18 @@ def test_chain_burn_in_must_leave_samples():
         metropolis_chain(chain_graph(3), beta=1.0, steps=10, burn_in=10, rng=RngStream(0))
 
 
+@pytest.mark.parametrize("steps", [0, -3, 100.5, 100.0, True, "100", None])
+def test_chain_rejects_a_step_count_that_is_not_a_positive_integer(steps):
+    with pytest.raises(ValidationError, match="steps must"):
+        metropolis_chain(chain_graph(3), 0.4, steps, rng=RngStream(0))
+
+
+@pytest.mark.parametrize("burn_in", [-1, 10.5, 10.0, False, "10"])
+def test_chain_rejects_a_burn_in_that_is_not_a_non_negative_integer(burn_in):
+    with pytest.raises(ValidationError, match="burn_in must"):
+        metropolis_chain(chain_graph(3), 0.4, 100, burn_in, rng=RngStream(0))
+
+
 # --- observable estimation ----------------------------------------------------
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thermolearn.errors import ValidationError
 from thermolearn.trace import CHUNK_ROWS, Trace
@@ -39,13 +41,6 @@ def test_length_and_names():
 def test_unequal_lengths_rejected():
     with pytest.raises(ValidationError):
         Trace({"x": [1, 2], "y": [1]})
-
-
-def test_to_csv_writes_target():
-    t = Trace({"v": [1.25, 2.5]})
-    buf = io.StringIO()
-    t.to_csv(buf)
-    assert buf.getvalue() == t.csv_text()
 
 
 def test_csv_roundtrip_values():
@@ -106,6 +101,60 @@ def test_writers_match_per_cell_reference(length):
     assert trace.json_text() == reference_json(trace)
     assert "".join(trace._text_pieces("csv")) == reference_csv(trace)
     assert "".join(trace._text_pieces("json")) == reference_json(trace)
+
+
+TRACE_DTYPES = [
+    np.dtype(name)
+    for name in ("int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64", "float16", "float32", "float64", "bool")
+]
+
+
+def special_bits(dtype):
+    """Bit patterns at the edges of ``dtype``: the extreme integers (uint64
+    above 2**63 included), and for floats -0.0, +-inf, NaNs with different
+    sign and payload, and the smallest and largest subnormals."""
+    if dtype == bool:
+        return [0, 1]
+    bits = 8 * dtype.itemsize
+    top = 1 << (bits - 1)
+    if dtype.kind != "f":
+        return [0, 1, top - 1, top, top + 1, 2 * top - 1]
+    mantissa = (1 << np.finfo(dtype).nmant) - 1
+    inf = (top - 1) & ~mantissa
+    return [0, top, inf, top | inf, inf | 1, inf | (mantissa + 1) >> 1, top | inf | mantissa, 1, mantissa, top | 1]
+
+
+@st.composite
+def trace_columns(draw):
+    """1-3 columns of any dtype a Trace accepts, at lengths around the chunk size.
+
+    Each column is either random bytes (nearly every value distinct) or
+    draws from a short pool of bit patterns, the dtype's special ones among
+    them (long runs of repeats)."""
+    length = draw(st.sampled_from([0, 1, 2, 7, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for index, dtype in enumerate(draw(st.lists(st.sampled_from(TRACE_DTYPES), min_size=1, max_size=3))):
+        raw = np.dtype(f"u{dtype.itemsize}")
+        if dtype != bool and draw(st.booleans()):
+            bits = np.frombuffer(gen.bytes(length * dtype.itemsize), dtype=raw)
+        else:
+            edge = 1 if dtype == bool else (1 << 8 * dtype.itemsize) - 1
+            pool = np.array(special_bits(dtype) + draw(st.lists(st.integers(0, edge), max_size=8)), dtype=raw)
+            bits = pool[gen.integers(len(pool), size=length)]
+        columns[f"c{index}"] = bits.view(dtype)
+    return columns
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(trace_columns())
+def test_writers_match_per_cell_reference_on_every_dtype(columns):
+    trace = Trace(columns)
+    csv_ref, json_ref = reference_csv(trace), reference_json(trace)
+    assert trace.csv_text() == csv_ref
+    assert trace.json_text() == json_ref
+    assert "".join(trace._text_pieces("csv")) == csv_ref
+    assert "".join(trace._text_pieces("json")) == json_ref
 
 
 def test_writers_keep_signed_zero_and_specials_apart():
