@@ -18,12 +18,12 @@ The default (False) keeps the literal additive form.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .config import _count, _real
 from .distributions import DiscreteDistribution, as_distribution, log_normalize
 from .errors import CapacityError, ConvergenceError, DomainError, ValidationError
 from .info import kl_divergence
@@ -51,12 +51,9 @@ __all__ = [
 
 def helmholtz_free_energy(internal_energy: float, temperature: float, entropy: float) -> float:
     """A = U - T S."""
-    for name, value in (("U", internal_energy), ("T", temperature), ("S", entropy)):
-        if not math.isfinite(value):
-            raise ValidationError(f"helmholtz_free_energy: {name} must be finite, got {value!r}")
-    if temperature < 0:
-        raise ValidationError(f"helmholtz_free_energy: T must be >= 0, got {temperature!r}")
-    return internal_energy - temperature * entropy
+    internal_energy = _real("helmholtz_free_energy: U", internal_energy)
+    temperature = _real("helmholtz_free_energy: T", temperature, 0)
+    return internal_energy - temperature * _real("helmholtz_free_energy: S", entropy)
 
 
 def variational_free_energy(q, prior, likelihood, evidence_index=None) -> float:
@@ -201,11 +198,9 @@ class DiscreteMDP:
             raise ValidationError("DiscreteMDP: transition rows must sum to 1")
         if not np.all(np.isfinite(reward)):
             raise ValidationError("DiscreteMDP: rewards must be finite")
-        if isinstance(self.gamma, (bool, np.bool_)) or not 0 <= self.gamma < 1:
-            raise ValidationError(f"DiscreteMDP: gamma must be in [0, 1), got {self.gamma!r}")
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "reward", reward)
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", _real("DiscreteMDP: gamma", self.gamma, 0, 1, "[)"))
 
     @property
     def n_states(self) -> int:
@@ -280,8 +275,7 @@ def value_iteration(mdp: DiscreteMDP, tolerance: float = 1e-10) -> ValueIteratio
     backup), and sup_diffs records every sweep's change for contraction
     checks. The greedy policy breaks ties toward the lowest action index.
     """
-    if not tolerance > 0:
-        raise ValidationError(f"value_iteration: tolerance must be > 0, got {tolerance!r}")
+    tolerance = _real("value_iteration: tolerance", tolerance, 0, ends="(]")
 
     def q_of_v(values):
         return mdp.reward + mdp.gamma * np.einsum("san,n->sa", mdp.transition, values)
@@ -302,10 +296,8 @@ def fe_value_iteration(
     The model carries no discount of its own, so it is a parameter here.
     See the module docstring for ``negate_reward``.
     """
-    if not tolerance > 0:
-        raise ValidationError(f"fe_value_iteration: tolerance must be > 0, got {tolerance!r}")
-    if not 0 <= discount < 1:
-        raise ValidationError(f"fe_value_iteration: discount must be in [0, 1), got {discount!r}")
+    tolerance = _real("fe_value_iteration: tolerance", tolerance, 0, ends="(]")
+    discount = _real("fe_value_iteration: discount", discount, 0, 1, "[)")
     reward_sign = -1.0 if negate_reward else 1.0
     cost = reward_sign * model.expected_reward_per_state()[:, None] + model.transition_entropy().T
 
@@ -365,8 +357,7 @@ def mean_field_update(
     posterior never increases across a sweep. Zero sweeps returns the
     input unchanged.
     """
-    if sweeps < 0:
-        raise ValidationError(f"mean_field_update: sweeps must be >= 0, got {sweeps}")
+    sweeps = _count("mean_field_update: sweeps", sweeps, 0)
     table = _check_mf_table(joint_log_table, posterior.shape)
     factors = list(posterior.factors)
     n = len(factors)

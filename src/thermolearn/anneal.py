@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import _count
+from .config import _count, _real
 from .errors import ValidationError
 from .rng import RngStream
 from .trace import Trace
@@ -69,15 +69,12 @@ class CoolingSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValidationError(f"CoolingSchedule: kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if not (self.t0 > 0 and math.isfinite(self.t0)):
-            raise ValidationError(f"CoolingSchedule: T0 must be finite and > 0, got {self.t0!r}")
-        if self.kind == "geometric" and not (0 < self.parameter <= 1):
-            raise ValidationError(f"CoolingSchedule: geometric ratio must be in (0, 1], got {self.parameter!r}")
+        _real("CoolingSchedule: T0", self.t0, 0, ends="(]")
+        if self.kind == "geometric":
+            _real("CoolingSchedule: geometric ratio", self.parameter, 0, 1, "(]")
         if self.kind == "linear":
-            if self.parameter < 0:
-                raise ValidationError("CoolingSchedule: linear decrement must be >= 0")
-            if not (0 < self.floor <= self.t0):
-                raise ValidationError("CoolingSchedule: linear floor must satisfy 0 < floor <= T0")
+            _real("CoolingSchedule: linear decrement", self.parameter, 0)
+            _real("CoolingSchedule: linear floor", self.floor, 0, self.t0, "(]")
 
     def temperature(self, k: int) -> float:
         return schedule_temperature(self, k)
@@ -85,8 +82,7 @@ class CoolingSchedule:
 
 def schedule_temperature(schedule: CoolingSchedule, k: int) -> float:
     """Temperature at sweep k under the schedule; always > 0."""
-    if k < 0:
-        raise ValidationError(f"schedule_temperature: k must be >= 0, got {k}")
+    k = _count("schedule_temperature: k", k, 0)
     if schedule.kind == "geometric":
         return schedule.t0 * schedule.parameter**k
     if schedule.kind == "linear":
@@ -124,9 +120,7 @@ def anneal(
     sweeps = _count("anneal: sweeps", sweeps, 1)
     proposals_per_sweep = _count("anneal: proposals_per_sweep", proposals_per_sweep, 1)
     state = problem.random_state(rng) if initial is None else initial
-    energy = float(problem.energy(state))
-    if not math.isfinite(energy):
-        raise ValidationError("anneal: initial energy is not finite")
+    energy = _real("anneal: initial energy", float(problem.energy(state)))
     best_state, best_energy = state, energy
 
     temps, currents, bests, acc_rates = np.empty((4, sweeps))
@@ -134,9 +128,7 @@ def anneal(
     apply, energy_of = problem.apply, problem.energy
 
     for k in range(sweeps):
-        temperature = schedule_temperature(schedule, k)
-        if not (temperature > 0 and math.isfinite(temperature)):
-            raise ValidationError(f"anneal: schedule produced T={temperature!r} at sweep {k}")
+        temperature = _real(f"anneal: T at sweep {k}", schedule_temperature(schedule, k), 0, ends="(]")
         inv_t = 1.0 / temperature
         accepted = 0
         moves = problem.moves(rng, proposals_per_sweep)

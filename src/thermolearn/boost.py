@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import _read_text
+from .config import _read_text, _real
 from .distributions import DiscreteDistribution
 from .errors import ConvergenceError, DegenerateSplitError, ValidationError
 from .rng import RngStream
@@ -190,10 +190,8 @@ class NoisyThresholdLearner(WeakLearner):
     """
 
     def __init__(self, threshold: float, gamma: float):
-        if not 0 < gamma <= 0.5:
-            raise ValidationError(f"NoisyThresholdLearner: gamma must be in (0, 1/2], got {gamma!r}")
-        self.threshold = float(threshold)
-        self.gamma = float(gamma)
+        self.threshold = _real("NoisyThresholdLearner: threshold", threshold)
+        self.gamma = _real("NoisyThresholdLearner: gamma", gamma, 0, 0.5, "(]")
 
     def train(self, dataset: WeightedDataset, rng: RngStream) -> Hypothesis:
         concept = ThresholdHypothesis(self.threshold)
@@ -264,13 +262,7 @@ class Boost3Diagnostics(NamedTuple):
     bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "h1_err": self.h1_err,
-            "h2_err": self.h2_err,
-            "h3_err": self.h3_err,
-            "final_err": self.final_err,
-            "bound": self.bound,
-        }
+        return self._asdict()
 
 
 class Boost3Result(NamedTuple):
@@ -322,22 +314,15 @@ def boost3(weak: WeakLearner, dataset: WeightedDataset, rng: RngStream) -> Boost
 def boost_error_bound(gamma: float) -> float:
     """Error of the three-way vote when each voter errs at 1/2 - gamma:
     3p^2 - 2p^3 with p = 1/2 - gamma."""
-    if not (0 <= gamma <= 0.5):
-        raise ValidationError(f"boost_error_bound: gamma must be in [0, 1/2], got {gamma!r}")
-    p = 0.5 - gamma
+    p = 0.5 - _real("boost_error_bound: gamma", gamma, 0, 0.5)
     return 3.0 * p * p - 2.0 * p * p * p
 
 
 def boost_recursion_depth(gamma: float, target_epsilon: float, max_depth: int = 64) -> int:
     """Smallest d such that iterating p -> 3p^2 - 2p^3 d times from
     p = 1/2 - gamma lands at or below target_epsilon."""
-    if not (0 < target_epsilon < 0.5):
-        raise ValidationError(
-            f"boost_recursion_depth: target_epsilon must be in (0, 1/2), got {target_epsilon!r}"
-        )
-    if not (0 <= gamma <= 0.5):
-        raise ValidationError(f"boost_recursion_depth: gamma must be in [0, 1/2], got {gamma!r}")
-    error = 0.5 - gamma
+    target_epsilon = _real("boost_recursion_depth: target_epsilon", target_epsilon, 0, 0.5, "()")
+    error = 0.5 - _real("boost_recursion_depth: gamma", gamma, 0, 0.5)
     depth = 0
     # absolute slop so an iterate that lands on the target up to float
     # rounding (e.g. 0.35200000000000004 vs 0.352) counts as reaching it

@@ -25,14 +25,13 @@ import numpy as np
 from . import activeinf, boost, convolution, digest, ebm, info, ising, marl
 from .anneal import SCHEDULE_KINDS, CoolingSchedule, EnergyLandscape
 from .anneal import anneal as run_anneal
-from .config import FieldSpec, _read_text, parse_config_file, resolved, validate_against
+from .config import FieldSpec, _read_text, _within, parse_config_file, resolved, validate_against
 from .distributions import DiscreteDistribution
 from .errors import NumericalError, ThermolearnError
 from .rng import RngStream
 from .trace import Trace
 
 SCHEMA_VERSION = 1
-SUBCOMMANDS = ("entropy", "ising", "anneal", "digest", "ebm", "conv", "boost", "activeinf", "marl")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -42,22 +41,9 @@ EXIT_USAGE = 64
 __all__ = ["main", "run_experiment", "validate_config", "SUBCOMMANDS"]
 
 
-def _positive(value):
-    if value <= 0:
-        return f"must be > 0, got {value}"
-    return None
-
-
-def _non_negative(value):
-    if value < 0:
-        return f"must be >= 0, got {value}"
-    return None
-
-
-def _unit_interval(value):
-    if not 0 <= value <= 1:
-        return f"must be in [0, 1], got {value}"
-    return None
+# checks shared by many keys, with the library's rule and wording for each domain
+_INT_GE_1, _INT_GE_0 = _within(1, integer=True), _within(0, integer=True)
+_REAL_GT_0, _REAL_GE_0 = _within(0, ends="(]"), _within(0)
 
 
 def _schedule_fields(default_t0: float, default_ratio: float) -> Dict[str, FieldSpec]:
@@ -67,86 +53,84 @@ def _schedule_fields(default_t0: float, default_ratio: float) -> Dict[str, Field
             default="geometric",
             check=lambda v: None if v in SCHEDULE_KINDS else f"must be one of {SCHEDULE_KINDS}",
         ),
-        "schedule.t0": FieldSpec("real", default=default_t0, check=_positive),
+        "schedule.t0": FieldSpec("real", default=default_t0, check=_REAL_GT_0),
         "schedule.parameter": FieldSpec("real", default=default_ratio),
-        "schedule.floor": FieldSpec("real", default=1e-9, check=_positive),
+        "schedule.floor": FieldSpec("real", default=1e-9, check=_REAL_GT_0),
     }
 
 
 SCHEMAS: Dict[str, Dict[str, FieldSpec]] = {
     "entropy": {
         "probs": FieldSpec("list", required=True),
-        "log_base": FieldSpec("real", default=2.0, check=lambda v: None if v > 1 else "must be > 1"),
+        "log_base": FieldSpec("real", default=2.0, check=_within(1, ends="(]")),
     },
     "ising": {
         "graph": FieldSpec("string"),
-        "n_sites": FieldSpec("int", check=_positive),
+        "n_sites": FieldSpec("int", check=_INT_GE_1),
         "coupling": FieldSpec("real", default=1.0),
         "field": FieldSpec("real", default=0.0),
         "periodic": FieldSpec("bool", default=False),
-        "beta": FieldSpec("real", required=True, check=_non_negative),
-        "steps": FieldSpec("int", required=True, check=_positive),
-        "burn_in": FieldSpec("int", default=0, check=_non_negative),
+        "beta": FieldSpec("real", required=True, check=_REAL_GE_0),
+        "steps": FieldSpec("int", required=True, check=_INT_GE_1),
+        "burn_in": FieldSpec("int", default=0, check=_INT_GE_0),
     },
     "anneal": {
         "landscape": FieldSpec(
             "string", default="quadratic", check=lambda v: None if v == "quadratic" else "must be 'quadratic'"
         ),
-        "span": FieldSpec("int", default=50, check=lambda v: None if 0 < v < 2**63 else "must be in [1, 2**63 - 1]"),
-        "sweeps": FieldSpec("int", required=True, check=_positive),
-        "proposals_per_sweep": FieldSpec("int", default=10, check=_positive),
+        "span": FieldSpec("int", default=50, check=_within(1, 2**63 - 1, integer=True)),
+        "sweeps": FieldSpec("int", required=True, check=_INT_GE_1),
+        "proposals_per_sweep": FieldSpec("int", default=10, check=_INT_GE_1),
         **_schedule_fields(10.0, 0.99),
     },
     "digest": {
         "instance": FieldSpec("string"),
-        "n_a": FieldSpec("int", check=_positive),
-        "n_b": FieldSpec("int", check=_positive),
-        "total_length": FieldSpec("int", check=_positive),
-        "sweeps": FieldSpec("int", default=1000, check=_positive),
-        "proposals_per_sweep": FieldSpec("int", default=100, check=_positive),
+        "n_a": FieldSpec("int", check=_INT_GE_1),
+        "n_b": FieldSpec("int", check=_INT_GE_1),
+        "total_length": FieldSpec("int", check=_INT_GE_1),
+        "sweeps": FieldSpec("int", default=1000, check=_INT_GE_1),
+        "proposals_per_sweep": FieldSpec("int", default=100, check=_INT_GE_1),
         **_schedule_fields(5.0, 0.995),
     },
     "ebm": {
         "data": FieldSpec("string", required=True),
-        "n_hidden": FieldSpec("int", required=True, check=_positive),
+        "n_hidden": FieldSpec("int", required=True, check=_INT_GE_1),
         "method": FieldSpec(
             "string",
             default="exact_gradient",
             check=lambda v: None if v in ("exact_gradient", "cd_k") else "must be exact_gradient or cd_k",
         ),
-        "learning_rate": FieldSpec("real", default=0.1, check=_positive),
-        "epochs": FieldSpec("int", default=100, check=_non_negative),
-        "k": FieldSpec("int", default=1, check=_positive),
-        "init_scale": FieldSpec("real", default=0.01, check=_non_negative),
+        "learning_rate": FieldSpec("real", default=0.1, check=_REAL_GT_0),
+        "epochs": FieldSpec("int", default=100, check=_INT_GE_0),
+        "k": FieldSpec("int", default=1, check=_INT_GE_1),
+        "init_scale": FieldSpec("real", default=0.01, check=_REAL_GE_0),
     },
     "conv": {
-        "n": FieldSpec("int", check=_positive),
+        "n": FieldSpec("int", check=_INT_GE_1),
         "x": FieldSpec("list"),
         "y": FieldSpec("list"),
     },
     "boost": {
         "dataset": FieldSpec("string"),
-        "n_items": FieldSpec("int", default=10000, check=_positive),
+        "n_items": FieldSpec("int", default=10000, check=_INT_GE_1),
         "threshold": FieldSpec("real", default=0.5),
-        "gamma": FieldSpec(
-            "real", default=0.1, check=lambda v: None if 0 < v <= 0.5 else "must be in (0, 1/2]"
-        ),
+        "gamma": FieldSpec("real", default=0.1, check=_within(0, 0.5, "(]")),
     },
     "activeinf": {
         "mdp": FieldSpec("string", required=True),
-        "tolerance": FieldSpec("real", default=1e-10, check=_positive),
+        "tolerance": FieldSpec("real", default=1e-10, check=_REAL_GT_0),
     },
     "marl": {
-        "rows": FieldSpec("int", default=4, check=_positive),
-        "cols": FieldSpec("int", default=4, check=_positive),
+        "rows": FieldSpec("int", default=4, check=_INT_GE_1),
+        "cols": FieldSpec("int", default=4, check=_INT_GE_1),
         "coupling": FieldSpec("real", default=1.0),
-        "episodes": FieldSpec("int", default=500, check=_positive),
-        "steps_per_episode": FieldSpec("int", default=10, check=_positive),
-        "alpha": FieldSpec("real", default=0.1, check=_unit_interval),
-        "gamma": FieldSpec("real", default=0.9, check=lambda v: None if 0 <= v < 1 else "must be in [0, 1)"),
-        "temp.start": FieldSpec("real", default=10.0, check=_positive),
-        "temp.end": FieldSpec("real", default=0.1, check=_positive),
-        "n_bins": FieldSpec("int", default=11, check=_positive),
+        "episodes": FieldSpec("int", default=500, check=_INT_GE_1),
+        "steps_per_episode": FieldSpec("int", default=10, check=_INT_GE_1),
+        "alpha": FieldSpec("real", default=0.1, check=_within(0, 1)),
+        "gamma": FieldSpec("real", default=0.9, check=_within(0, 1, "[)")),
+        "temp.start": FieldSpec("real", default=10.0, check=_REAL_GT_0),
+        "temp.end": FieldSpec("real", default=0.1, check=_REAL_GT_0),
+        "n_bins": FieldSpec("int", default=11, check=_INT_GE_1),
     },
 }
 
@@ -454,6 +438,7 @@ _RUNNERS = {
     "activeinf": _run_activeinf,
     "marl": _run_marl,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def run_experiment(

@@ -111,11 +111,52 @@ def _content_lines(path):
             yield line_no, text
 
 
+def _problem(value, low=-math.inf, high=math.inf, ends: str = "[]", integer: bool = False) -> Optional[str]:
+    """Why ``value`` is not a scalar argument in its domain, as ``must be ..., got ...``; None if it is.
+
+    The one rule for every scalar argument of the library and every checked key of a CLI config.
+    The domain holds the integers (``integer``) or the finite reals, numpy scalars included and
+    bools never, from ``low`` to ``high``; ``ends`` marks each end closed (``[``, ``]``) or open
+    (``(``, ``)``).
+    """
+    try:
+        ok = (
+            isinstance(value, (int, np.integer) if integer else (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and (integer or math.isfinite(value))
+            and (low < value if ends[0] == "(" else low <= value)
+            and (value < high if ends[1] == ")" else value <= high)
+        )
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if ok:
+        return None
+    if high != math.inf:
+        bound = f" in {ends[0]}{low}, {high}{ends[1]}"
+    else:
+        bound = "" if low == -math.inf else f" {'>' if ends[0] == '(' else '>='} {low}"
+    return f"must be {'an integer' if integer else 'a finite real'}{bound}, got {value!r}"
+
+
 def _count(name: str, value, least: int) -> int:
     """``value`` as an int when it is an integer (not a bool) >= ``least``; otherwise ValidationError."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    problem = _problem(value, least, integer=True)
+    if problem:
+        raise ValidationError(f"{name} {problem}")
     return int(value)
+
+
+def _real(name: str, value, low=-math.inf, high=math.inf, ends: str = "[]") -> float:
+    """``value`` as a float when it is a finite real in the domain of :func:`_problem`; otherwise ValidationError."""
+    problem = _problem(value, low, high, ends)
+    if problem:
+        raise ValidationError(f"{name} {problem}")
+    return float(value)
+
+
+def _within(low=-math.inf, high=math.inf, ends: str = "[]", integer: bool = False):
+    """A ``FieldSpec.check`` that applies the rule of :func:`_count` (``integer``) or :func:`_real`."""
+    return lambda value: _problem(value, low, high, ends, integer)
 
 
 @dataclass(frozen=True)
@@ -143,10 +184,7 @@ class FieldSpec:
     def finite_ok(self, value) -> bool:
         """Whether a real, or each element of a list, is a finite float (``1e999`` parses to inf)."""
         values = value if self.kind == "list" else [value] if self.kind == "real" else []
-        try:
-            return all(map(math.isfinite, values))
-        except OverflowError:  # an int beyond the float range
-            return False
+        return not any(map(_problem, values))
 
 
 def validate_against(schema: Dict[str, FieldSpec], config: Dict[str, object]) -> List[str]:

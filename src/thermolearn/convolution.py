@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .config import _count
 from .errors import NumericalError, ValidationError
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -35,9 +36,7 @@ def _as_signal(x, name: str) -> np.ndarray:
 
 def next_pow2(n: int) -> int:
     """Smallest power of two >= n."""
-    if n < 1:
-        raise ValidationError(f"next_pow2: need n >= 1, got {n}")
-    return 1 << (n - 1).bit_length()
+    return 1 << (_count("next_pow2: n", n, 1) - 1).bit_length()
 
 
 def _bit_reverse_permute(a: np.ndarray, work: np.ndarray) -> None:

@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .anneal import EnergyLandscape
-from .config import _content_lines
+from .config import _content_lines, _count
 from .errors import ValidationError
 from .rng import RngStream
 
@@ -37,15 +37,10 @@ __all__ = [
 
 
 def _fragment_tuple(values, name: str) -> Tuple[int, ...]:
-    out = []
-    for x in values:
-        xi = int(x)
-        if xi != x or xi <= 0:
-            raise ValidationError(f"{name} fragments must be positive integers, got {x!r}")
-        out.append(xi)
+    out = tuple(_count(f"{name} fragments", x, 1) for x in values)
     if not out:
         raise ValidationError(f"{name} must contain at least one fragment")
-    return tuple(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -200,12 +195,8 @@ def generate_instance(
     segment of the given length; a and b are stored in positional order,
     so the identity ordering has energy exactly 0.
     """
-    if n_a < 1 or n_b < 1:
-        raise ValidationError("generate_instance: need at least one fragment per enzyme")
-    if total_length < max(n_a, n_b):
-        raise ValidationError(
-            f"generate_instance: total_length {total_length} too short for {max(n_a, n_b)} fragments"
-        )
+    n_a, n_b = _count("generate_instance: n_a", n_a, 1), _count("generate_instance: n_b", n_b, 1)
+    total_length = _count("generate_instance: total_length", total_length, max(n_a, n_b))
     gen = rng.generator
 
     def draw_cuts(n_frags: int) -> set:

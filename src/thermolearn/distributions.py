@@ -10,11 +10,13 @@ states through :func:`state_bits`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import _count
 from .errors import NumericalError, ValidationError
 
 SUM_TOL = 1e-9
@@ -60,11 +62,29 @@ def partition_value(log_z: float) -> float:
 
 def state_bits(n_bits: int) -> np.ndarray:
     """Bit i of every state index k in 0..2^n_bits - 1 as uint8 row i, so column k
-    is the state that ``ising.config_index`` and ``ebm.bm_joint_index`` map to k."""
+    is the state that :func:`_pack_bits` maps to k."""
     bits = np.zeros((n_bits, 1 << n_bits), dtype=np.uint8)
     for i in range(n_bits):
         bits[i].reshape(-1, 2, 1 << i)[:, 1, :] = 1
     return bits
+
+
+def _pack_bits(bits):
+    """State index of 0/1 units (any nonzero entry is a 1): bit i is unit i along the last axis.
+
+    One state gives an int, a stack of states an array of indices. Past 63 units the
+    indices are Python ints, so they stay exact at any width.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    weights = 1 << np.arange(bits.shape[-1], dtype=object if bits.shape[-1] > 63 else np.int64)
+    index = bits @ weights
+    return int(index) if bits.ndim == 1 else index
+
+
+def _unpack_bits(index: int, n_bits: int) -> np.ndarray:
+    """The uint8 units 0..n_bits-1 of a state index, the inverse of :func:`_pack_bits`."""
+    raw = operator.index(index).to_bytes(-(-n_bits // 8), "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n_bits, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -87,8 +107,7 @@ class DiscreteDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "DiscreteDistribution":
-        if n < 1:
-            raise ValidationError("uniform: need at least one outcome")
+        n = _count("DiscreteDistribution.uniform: n", n, 1)
         return cls(np.full(n, 1.0 / n))
 
     @classmethod

@@ -14,14 +14,13 @@ convention maps onto this one by v = (s+1)/2 with rescaled parameters.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import _content_lines, _count
-from .distributions import DiscreteDistribution, log_normalize, partition_value, state_bits
+from .config import _content_lines, _count, _real
+from .distributions import DiscreteDistribution, _pack_bits, _unpack_bits, log_normalize, partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
 
@@ -88,8 +87,7 @@ def gibbs_posterior(energies, beta: float) -> GibbsPosterior:
     NumericalError.
     """
     table = _energy_table(energies)
-    if not (beta >= 0 and math.isfinite(beta)):
-        raise ValidationError(f"gibbs_posterior: beta must be finite and >= 0, got {beta!r}")
+    beta = _real("gibbs_posterior: beta", beta, 0)
     probs, log_z = log_normalize(-beta * table)
     return GibbsPosterior(DiscreteDistribution(probs), partition_value(log_z))
 
@@ -111,11 +109,9 @@ def loss_perceptron(energies, correct: int) -> float:
 
 def loss_hinge(e_correct: float, e_incorrect: float, margin: float) -> float:
     """max(0, margin + E_correct - E_incorrect)."""
-    if not (margin >= 0 and math.isfinite(margin)):
-        raise ValidationError(f"loss_hinge: margin must be finite and >= 0, got {margin!r}")
-    if not (math.isfinite(e_correct) and math.isfinite(e_incorrect)):
-        raise ValidationError("loss_hinge: energies must be finite")
-    return max(0.0, margin + e_correct - e_incorrect)
+    margin = _real("loss_hinge: margin", margin, 0)
+    e_correct = _real("loss_hinge: e_correct", e_correct)
+    return max(0.0, margin + e_correct - _real("loss_hinge: e_incorrect", e_incorrect))
 
 
 def loss_nll(energies, correct: int, beta: float) -> float:
@@ -126,8 +122,7 @@ def loss_nll(energies, correct: int, beta: float) -> float:
     """
     table = _energy_table(energies)
     correct = _check_label(table, correct)
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValidationError(f"loss_nll: beta must be finite and > 0, got {beta!r}")
+    beta = _real("loss_nll: beta", beta, 0, ends="(]")
     return float(table[correct] + log_normalize(-beta * table)[1] / beta)
 
 
@@ -210,14 +205,14 @@ def bm_joint_index(state: BMState, machine: BoltzmannMachine) -> int:
     """Flat state index: visible bits low (bit i = v_i), hidden bits above."""
     v = _check_binary(state.v, machine.n_visible, "v")
     h = _check_binary(state.h, machine.n_hidden, "h")
-    return sum(int(bit) << i for i, bit in enumerate(np.concatenate([v, h])))
+    return _pack_bits(np.concatenate([v, h]))
 
 
 def bm_state_from_index(index: int, machine: BoltzmannMachine) -> BMState:
     n_v, n_units = machine.n_visible, machine.n_visible + machine.n_hidden
     if not 0 <= index < 1 << n_units:
         raise ValidationError(f"state index {index} out of range for {n_units} units")
-    bits = np.array([(index >> i) & 1 for i in range(n_units)], dtype=np.uint8)
+    bits = _unpack_bits(index, n_units)
     return BMState(bits[:n_v], bits[n_v:])
 
 
@@ -352,8 +347,7 @@ def bm_log_likelihood(machine: BoltzmannMachine, data) -> float:
     """Mean log p(v) over the data rows, by exact enumeration."""
     X = _visible_matrix(data, machine.n_visible)
     _, _, free, _, log_z = _enumerate_visible(machine)
-    index = X.astype(np.int64) @ (1 << np.arange(machine.n_visible, dtype=np.int64))
-    return float((-free[index] - log_z).mean())
+    return float((-free[_pack_bits(X)] - log_z).mean())
 
 
 def _visible_matrix(data, n_visible: int) -> np.ndarray:
@@ -428,6 +422,7 @@ def bm_train(
     if method not in ("exact_gradient", "cd_k"):
         raise ValidationError(f"bm_train: unknown method {method!r}")
     epochs = _count("bm_train: epochs", epochs, 0)
+    learning_rate = _real("bm_train: learning_rate", learning_rate, 0)
     if method == "cd_k":
         k = _count("bm_train: cd_k's k", k, 1)
         if rng is None:

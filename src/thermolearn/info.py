@@ -13,6 +13,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .distributions import DiscreteDistribution, JointDistribution, as_distribution, as_joint
+from .config import _real
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -38,9 +39,7 @@ def entropy_shannon(dist, log_base: float = 2.0) -> float:
 
     ``log_base`` must exceed 1; base 2 gives bits, base e gives nats.
     """
-    if not (log_base > 1.0):
-        raise ValidationError(f"entropy_shannon: log_base must be > 1, got {log_base!r}")
-    return entropy_nats(dist) / math.log(log_base)
+    return entropy_nats(dist) / math.log(_real("entropy_shannon: log_base", log_base, 1, ends="(]"))
 
 
 def entropy_gibbs(dist, k_B: float = 1.0) -> float:
@@ -48,9 +47,7 @@ def entropy_gibbs(dist, k_B: float = 1.0) -> float:
 
     For the uniform distribution over Omega states this equals k_B ln Omega.
     """
-    if not (k_B > 0):
-        raise ValidationError(f"entropy_gibbs: k_B must be positive, got {k_B!r}")
-    return k_B * entropy_nats(dist)
+    return _real("entropy_gibbs: k_B", k_B, 0, ends="(]") * entropy_nats(dist)
 
 
 def info_gain(parent, children: Iterable[Tuple[float, "DiscreteDistribution"]], log_base: float = 2.0) -> float:
@@ -104,6 +101,5 @@ def ib_objective(joint_xt, joint_ty, beta: float) -> float:
     Trades compression of the representation against the relevance it
     retains; beta >= 0 sets the exchange rate.
     """
-    if beta < 0:
-        raise ValidationError(f"ib_objective: beta must be non-negative, got {beta!r}")
+    beta = _real("ib_objective: beta", beta, 0)
     return mutual_information(joint_xt) - beta * mutual_information(joint_ty)

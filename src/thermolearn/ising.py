@@ -17,8 +17,9 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .config import _content_lines, _count
-from .distributions import DiscreteDistribution, _log_normalize_inplace, partition_value, state_bits
+from .config import _content_lines, _count, _real
+from .distributions import DiscreteDistribution, _log_normalize_inplace, _pack_bits, _unpack_bits
+from .distributions import partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
 from .trace import Trace
@@ -63,8 +64,7 @@ class CouplingGraph:
     fields_h: np.ndarray = None
 
     def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValidationError("CouplingGraph: n_sites must be >= 1")
+        _count("CouplingGraph: n_sites", self.n_sites, 1)
         seen = set()
         normalized = []
         for i, j, coupling in self.edges:
@@ -78,10 +78,7 @@ class CouplingGraph:
             if (i, j) in seen:
                 raise ValidationError(f"CouplingGraph: duplicate edge ({i},{j})")
             seen.add((i, j))
-            coupling = float(coupling)
-            if not math.isfinite(coupling):
-                raise ValidationError(f"CouplingGraph: coupling of edge ({i},{j}) must be finite, got {coupling!r}")
-            normalized.append((i, j, coupling))
+            normalized.append((i, j, _real(f"CouplingGraph: coupling of edge ({i},{j})", coupling)))
         object.__setattr__(self, "edges", tuple(normalized))
         h = np.zeros(self.n_sites) if self.fields_h is None else np.asarray(self.fields_h, dtype=float)
         if h.shape != (self.n_sites,):
@@ -101,6 +98,7 @@ class CouplingGraph:
 
 def chain_graph(n_sites: int, coupling: float = 1.0, h: float = 0.0, periodic: bool = False) -> CouplingGraph:
     """1-D chain of n sites with uniform coupling and field."""
+    n_sites = _count("chain_graph: n_sites", n_sites, 1)
     edges = [(i, i + 1, coupling) for i in range(n_sites - 1)]
     if periodic and n_sites > 2:
         edges.append((0, n_sites - 1, coupling))
@@ -174,17 +172,13 @@ def random_spins(n_sites: int, rng: RngStream) -> np.ndarray:
 
 def config_index(spins) -> int:
     """Pack a configuration into an integer: bit i set iff spin i is +1."""
-    idx = 0
-    for i, s in enumerate(spins):
-        if s > 0:
-            idx |= 1 << i
-    return idx
+    return _pack_bits(np.asarray(spins) > 0)
 
 
 def config_from_index(index: int, n_sites: int) -> np.ndarray:
     if not 0 <= index < 1 << n_sites:
         raise ValidationError(f"config index {index} out of range for {n_sites} sites")
-    return np.array([1 if (index >> i) & 1 else -1 for i in range(n_sites)], dtype=np.int8)
+    return _unpack_bits(index, n_sites).astype(np.int8) * 2 - 1
 
 
 def ising_energy(spins, graph: CouplingGraph) -> float:
@@ -242,8 +236,7 @@ def partition_exact(graph: CouplingGraph, beta: float) -> PartitionResult:
     Z = sum_s exp(-beta E(s)); probabilities stay finite at low
     temperature, and a Z beyond the float range raises NumericalError.
     """
-    if not (beta >= 0 and math.isfinite(beta)):
-        raise ValidationError(f"partition_exact: beta must be finite and >= 0, got {beta!r}")
+    beta = _real("partition_exact: beta", beta, 0)
     log_w = enumerate_energies(graph)
     log_w *= -beta
     probs, log_z = _log_normalize_inplace(log_w)
@@ -252,11 +245,8 @@ def partition_exact(graph: CouplingGraph, beta: float) -> PartitionResult:
 
 def boltzmann_entropy(multiplicity: int, k_B: float = 1.0) -> float:
     """S = k_B ln(Omega) for a macro-state with the given multiplicity."""
-    if multiplicity < 1:
-        raise ValidationError(f"boltzmann_entropy: multiplicity must be >= 1, got {multiplicity!r}")
-    if not k_B > 0:
-        raise ValidationError("boltzmann_entropy: k_B must be positive")
-    return k_B * math.log(multiplicity)
+    multiplicity = _count("boltzmann_entropy: multiplicity", multiplicity, 1)
+    return _real("boltzmann_entropy: k_B", k_B, 0, ends="(]") * math.log(multiplicity)
 
 
 def acceptance_probability(delta_h: float, beta: float) -> float:
@@ -288,17 +278,13 @@ def metropolis_step(spins, graph: CouplingGraph, beta: float, rng: RngStream) ->
     accepts with probability exactly 1. On rejection the input array is
     returned unchanged; on acceptance a flipped copy is returned.
     """
-    if not (beta >= 0 and math.isfinite(beta)):
-        raise ValidationError(f"metropolis_step: beta must be finite and >= 0, got {beta!r}")
+    beta = _real("metropolis_step: beta", beta, 0)
     s = check_spins(spins, graph.n_sites)
     site = int(rng.generator.integers(graph.n_sites))
     adjacency = graph.adjacency()
     delta_h = 2.0 * float(s[site]) * _local_field(s, adjacency, graph.fields_h, site)
-    if delta_h <= 0:
-        accepted = True
-    else:
-        accepted = rng.generator.random() < math.exp(-beta * delta_h)
-    if accepted:
+    # a uniform is drawn for uphill moves only
+    if delta_h <= 0 or rng.generator.random() < acceptance_probability(delta_h, beta):
         out = s.copy()
         out[site] = -out[site]
         return StepResult(out, True, delta_h)
@@ -360,8 +346,7 @@ def metropolis_chain(
     burn_in = steps // 10 if burn_in is None else _count("metropolis_chain: burn_in", burn_in, 0)
     if not steps > burn_in:
         raise ValidationError(f"metropolis_chain: need steps > burn_in, got {steps}, {burn_in}")
-    if not (beta >= 0 and math.isfinite(beta)):
-        raise ValidationError(f"metropolis_chain: beta must be finite and >= 0, got {beta!r}")
+    beta = _real("metropolis_chain: beta", beta, 0)
     n = graph.n_sites
     if initial is None:
         spins_arr = random_spins(n, rng)
@@ -452,8 +437,7 @@ def estimate_observables(samples, graph: CouplingGraph, n_batches: Optional[int]
     m = arr.shape[0]
     if n_batches is None:
         n_batches = max(1, min(100, int(math.sqrt(m))))
-    if n_batches < 1:
-        raise ValidationError(f"estimate_observables: n_batches must be >= 1, got {n_batches!r}")
+    n_batches = _count("estimate_observables: n_batches", n_batches, 1)
     energies = np.zeros(m)
     mags = np.empty(m)
     for start in range(0, m, BLOCK_ROWS):

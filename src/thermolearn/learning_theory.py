@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError
+from .config import _count, _real
 
 __all__ = ["pac_sample_bound", "approximation_ratio"]
 
@@ -16,14 +16,10 @@ def pac_sample_bound(epsilon: float, delta: float, hypothesis_count: int, k: flo
     Natural log is used; accuracy epsilon and confidence delta must lie
     in (0, 1].
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError(f"pac_sample_bound: epsilon must be in (0, 1], got {epsilon!r}")
-    if not 0.0 < delta <= 1.0:
-        raise ValidationError(f"pac_sample_bound: delta must be in (0, 1], got {delta!r}")
-    if hypothesis_count < 1:
-        raise ValidationError(f"pac_sample_bound: hypothesis_count must be >= 1, got {hypothesis_count!r}")
-    if not math.isfinite(k):
-        raise ValidationError("pac_sample_bound: k must be finite")
+    epsilon = _real("pac_sample_bound: epsilon", epsilon, 0, 1, "(]")
+    delta = _real("pac_sample_bound: delta", delta, 0, 1, "(]")
+    hypothesis_count = _count("pac_sample_bound: hypothesis_count", hypothesis_count, 1)
+    k = _real("pac_sample_bound: k", k)
     bound = (math.log(hypothesis_count / delta) + k) / epsilon
     return max(0, math.ceil(bound))
 
@@ -34,6 +30,6 @@ def approximation_ratio(cost: float, optimal_cost: float) -> float:
     Symmetric in its arguments and always >= 1; both costs must be
     strictly positive.
     """
-    if not (cost > 0 and optimal_cost > 0):
-        raise ValidationError("approximation_ratio: both costs must be strictly positive")
+    cost = _real("approximation_ratio: cost", cost, 0, ends="(]")
+    optimal_cost = _real("approximation_ratio: optimal_cost", optimal_cost, 0, ends="(]")
     return max(cost / optimal_cost, optimal_cost / cost)

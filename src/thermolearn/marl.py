@@ -16,6 +16,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .config import _count, _real
 from .distributions import DiscreteDistribution, log_normalize
 from .errors import DomainError, ValidationError
 from .rng import RngStream
@@ -80,8 +81,7 @@ class NeighborGraph:
 
 def torus_graph(rows: int, cols: int) -> NeighborGraph:
     """Periodic 2-D lattice with 4-neighbor connectivity."""
-    if rows < 1 or cols < 1:
-        raise ValidationError("torus_graph: rows and cols must be >= 1")
+    rows, cols = _count("torus_graph: rows", rows, 1), _count("torus_graph: cols", cols, 1)
 
     def idx(r, c):
         return (r % rows) * cols + (c % cols)
@@ -100,8 +100,7 @@ def torus_graph(rows: int, cols: int) -> NeighborGraph:
 
 def mean_action(neighbor_actions: Sequence[int], n_actions: int) -> np.ndarray:
     """Average of one-hot encodings; a point in the action simplex."""
-    if n_actions < 1:
-        raise ValidationError(f"mean_action: n_actions must be >= 1, got {n_actions}")
+    n_actions = _count("mean_action: n_actions", n_actions, 1)
     actions = list(neighbor_actions)
     if not actions:
         raise DomainError("mean_action: empty neighborhood (the average divides by its size)")
@@ -116,8 +115,7 @@ def mean_action(neighbor_actions: Sequence[int], n_actions: int) -> np.ndarray:
 
 def discretize_mean(mean: np.ndarray, n_bins: int = DEFAULT_MEAN_BINS) -> Tuple[int, ...]:
     """Map each simplex coordinate in [0, 1] to one of n_bins equal bins."""
-    if n_bins < 1:
-        raise ValidationError(f"discretize_mean: n_bins must be >= 1, got {n_bins}")
+    n_bins = _count("discretize_mean: n_bins", n_bins, 1)
     arr = np.asarray(mean, dtype=float)
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValidationError("discretize_mean: coordinates must lie in [0, 1]")
@@ -134,9 +132,7 @@ class QTable:
         return self.values.get(key, 0.0)
 
     def set(self, key: tuple, value: float) -> None:
-        if not math.isfinite(value):
-            raise ValidationError(f"QTable: value for {key} must be finite, got {value!r}")
-        self.values[key] = value
+        self.values[key] = _real(f"QTable: value for {key}", value)
 
     def row(self, state, mean_bin, n_actions: int) -> np.ndarray:
         return np.array([self.get((state, a, mean_bin)) for a in range(n_actions)])
@@ -154,10 +150,8 @@ def mf_q_update(
     (single-sample bootstrap in the game loop). Updates in place and
     returns the same table.
     """
-    if not 0 <= alpha <= 1:
-        raise ValidationError(f"mf_q_update: alpha must be in [0, 1], got {alpha!r}")
-    if not 0 <= gamma < 1:
-        raise ValidationError(f"mf_q_update: gamma must be in [0, 1), got {gamma!r}")
+    alpha = _real("mf_q_update: alpha", alpha, 0, 1)
+    gamma = _real("mf_q_update: gamma", gamma, 0, 1, "[)")
     target = reward + gamma * next_value
     q.set(key, (1.0 - alpha) * q.get(key) + alpha * target)
     return q
@@ -168,8 +162,7 @@ def boltzmann_policy(q_row, temperature: float) -> DiscreteDistribution:
     row = np.asarray(q_row, dtype=float)
     if row.ndim != 1 or row.size == 0 or not np.all(np.isfinite(row)):
         raise ValidationError("boltzmann_policy: q_row must be a finite non-empty vector")
-    if not (temperature > 0 and math.isfinite(temperature)):
-        raise ValidationError(f"boltzmann_policy: temperature must be > 0, got {temperature!r}")
+    temperature = _real("boltzmann_policy: temperature", temperature, 0, ends="(]")
     return DiscreteDistribution(log_normalize(row / temperature)[0])
 
 
@@ -191,8 +184,7 @@ def mf_actor_critic_grad(policy_params, own_action: int, q_value: float) -> np.n
     params = np.asarray(policy_params, dtype=float)
     if params.ndim != 1 or params.size == 0 or not np.all(np.isfinite(params)):
         raise ValidationError("mf_actor_critic_grad: params must be a finite non-empty vector")
-    if not math.isfinite(q_value):
-        raise ValidationError("mf_actor_critic_grad: q_value must be finite")
+    q_value = _real("mf_actor_critic_grad: q_value", q_value)
     a = int(own_action)
     if not 0 <= a < params.size:
         raise ValidationError(f"mf_actor_critic_grad: action {a} out of range")
@@ -213,8 +205,7 @@ class IsingGameEnv:
     n_actions = 2
 
     def __post_init__(self):
-        if not math.isfinite(self.coupling):
-            raise ValidationError("IsingGameEnv: coupling must be finite")
+        _real("IsingGameEnv: coupling", self.coupling)
         for j, row in enumerate(self.graph.neighbors):
             if not row:
                 raise DomainError(f"IsingGameEnv: agent {j} has no neighbors")
@@ -254,14 +245,11 @@ def run_ising_game(
     ``temperature_schedule`` is a CoolingSchedule or any callable mapping
     the episode index to a positive temperature.
     """
-    if episodes < 1 or steps_per_episode < 1:
-        raise ValidationError("run_ising_game: episodes and steps_per_episode must be >= 1")
-    if n_bins < 1:
-        raise ValidationError(f"run_ising_game: n_bins must be >= 1, got {n_bins}")
-    if not 0 <= alpha <= 1:
-        raise ValidationError(f"run_ising_game: alpha must be in [0, 1], got {alpha!r}")
-    if not 0 <= gamma < 1:
-        raise ValidationError(f"run_ising_game: gamma must be in [0, 1), got {gamma!r}")
+    episodes = _count("run_ising_game: episodes", episodes, 1)
+    steps_per_episode = _count("run_ising_game: steps_per_episode", steps_per_episode, 1)
+    n_bins = _count("run_ising_game: n_bins", n_bins, 1)
+    alpha = _real("run_ising_game: alpha", alpha, 0, 1)
+    gamma = _real("run_ising_game: gamma", gamma, 0, 1, "[)")
     if hasattr(temperature_schedule, "temperature"):
         temp_at = temperature_schedule.temperature
     elif callable(temperature_schedule):
@@ -299,9 +287,7 @@ def run_ising_game(
     exp, isfinite = math.exp, math.isfinite
     keep = 1.0 - alpha
     for episode in range(episodes):
-        temperature = float(temp_at(episode))
-        if not (temperature > 0 and math.isfinite(temperature)):
-            raise ValidationError(f"run_ising_game: schedule gave T={temperature!r} at episode {episode}")
+        temperature = _real(f"run_ising_game: T at episode {episode}", temp_at(episode), 0, ends="(]")
         inv_t = 1.0 / temperature
         for u_row in uniforms[episode].tolist():
             for j, u in enumerate(u_row):
@@ -326,8 +312,7 @@ def run_ising_game(
                 # mf_q_update with a same-key bootstrap value
                 value = keep * cell[action] + alpha * (reward + gamma * next_value)
                 if not isfinite(value):
-                    key = (state, action, cell[2])
-                    raise ValidationError(f"QTable: value for {key} must be finite, got {value!r}")
+                    tables[j].set((state, action, cell[2]), value)  # raises QTable's ValidationError
                 cell[action] = value
                 if cell[3 + action]:
                     # the first update places the key in the QTable's order

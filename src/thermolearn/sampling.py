@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _count, _problem, _real
 from .errors import DomainError, ValidationError
 from .rng import RngStream
 
@@ -28,8 +29,7 @@ class WeightedSample:
     weight: float
 
     def __post_init__(self):
-        if not (self.weight >= 0 and math.isfinite(self.weight)):
-            raise ValidationError(f"WeightedSample: weight must be finite and >= 0, got {self.weight!r}")
+        _real("WeightedSample: weight", self.weight, 0)
 
 
 def importance_estimate(h_values, p_densities, q_densities) -> float:
@@ -58,8 +58,7 @@ class Bernoulli:
     p: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValidationError(f"Bernoulli: p must lie in [0, 1], got {self.p!r}")
+        _real("Bernoulli: p", self.p, 0, 1)
 
     @property
     def mean(self):
@@ -81,8 +80,7 @@ class UniformReal:
     high: float = 1.0
 
     def __post_init__(self):
-        if not self.high > self.low:
-            raise ValidationError("UniformReal: need high > low")
+        _real("UniformReal: high", self.high, _real("UniformReal: low", self.low), ends="(]")
 
     @property
     def mean(self):
@@ -103,8 +101,7 @@ class Exponential:
     rate: float = 1.0
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValidationError("Exponential: rate must be positive")
+        _real("Exponential: rate", self.rate, 0, ends="(]")
 
     @property
     def mean(self):
@@ -124,11 +121,10 @@ def clt_standardized_sums(sampler, n: int, reps: int, rng: RngStream) -> np.ndar
     As ``reps`` grows the empirical mean tends to 0 and the variance to 1;
     as ``n`` grows the whole empirical law approaches a standard normal.
     """
-    if n < 1 or reps < 1:
-        raise ValidationError("clt_standardized_sums: n and reps must be >= 1")
+    n, reps = _count("clt_standardized_sums: n", n, 1), _count("clt_standardized_sums: reps", reps, 1)
     mu = float(sampler.mean)
     var = float(sampler.variance)
-    if not (var > 0 and math.isfinite(var) and math.isfinite(mu)):
+    if _problem(var, 0, ends="(]") or _problem(mu):
         raise DomainError("clt_standardized_sums: sampler needs finite mean and positive variance")
     sums = sampler.sample(rng, (reps, n)).sum(axis=1)
     return (sums - n * mu) / (math.sqrt(var) * math.sqrt(n))

@@ -5,6 +5,8 @@ import pytest
 
 from thermolearn.distributions import (
     DiscreteDistribution,
+    _pack_bits,
+    _unpack_bits,
     JointDistribution,
     as_distribution,
     as_joint,
@@ -12,9 +14,9 @@ from thermolearn.distributions import (
     partition_value,
     state_bits,
 )
-from thermolearn.ebm import BoltzmannMachine, bm_state_from_index
+from thermolearn.ebm import BoltzmannMachine, bm_joint_index, bm_state_from_index
 from thermolearn.errors import NumericalError, ValidationError
-from thermolearn.ising import config_from_index
+from thermolearn.ising import config_from_index, config_index
 
 
 def test_valid_distribution_roundtrip():
@@ -112,3 +114,18 @@ def test_state_bits_match_index_conventions():
         state = bm_state_from_index(k, machine)
         assert np.array_equal(bits[:, k], np.concatenate([state.v, state.h]))
     assert state_bits(0).shape == (0, 1)
+
+
+@pytest.mark.parametrize("n_bits", [1, 8, 63, 64, 70, 130])
+def test_state_index_is_exact_past_63_bits(n_bits):
+    bits = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
+    bits[-1] = 1
+    index = sum(int(bit) << i for i, bit in enumerate(bits))
+    assert config_index(2 * bits.astype(int) - 1) == index
+    assert np.array_equal(config_from_index(index, n_bits), 2 * bits.astype(np.int8) - 1)
+    machine = BoltzmannMachine.zeros(n_bits - n_bits // 2, n_bits // 2)
+    state = bm_state_from_index(index, machine)
+    assert np.array_equal(np.concatenate([state.v, state.h]), bits)
+    assert bm_joint_index(state, machine) == index
+    assert list(_pack_bits(np.stack([bits, 1 - bits]))) == [index, (1 << n_bits) - 1 - index]
+    assert np.array_equal(_unpack_bits(index, n_bits), bits)
