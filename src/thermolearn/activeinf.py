@@ -23,7 +23,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .config import _count, _real
+from .config import _array, _count, _index, _real, _stochastic
 from .distributions import DiscreteDistribution, as_distribution, log_normalize
 from .errors import CapacityError, ConvergenceError, DomainError, ValidationError
 from .info import kl_divergence
@@ -60,23 +60,16 @@ def variational_free_energy(q, prior, likelihood, evidence_index=None) -> float:
     """KL from the approximate posterior q(Z) to the exact posterior P(Z|X).
 
     ``likelihood`` is either the vector P(x_obs | Z) over hidden states,
-    or a (n_states, n_obs) matrix from which ``evidence_index`` selects
-    the observed column. The exact posterior is prior * likelihood,
+    or, given ``evidence_index``, a (n_states, n_obs) matrix whose column
+    at that index is the observed one. The exact posterior is prior * likelihood,
     normalized. Zero iff q equals the exact posterior.
     """
     q = as_distribution(q)
     prior = as_distribution(prior)
-    lik = np.asarray(likelihood, dtype=float)
-    if lik.ndim == 2:
-        if evidence_index is None:
-            raise ValidationError("variational_free_energy: matrix likelihood needs evidence_index")
-        if not 0 <= int(evidence_index) < lik.shape[1]:
-            raise ValidationError(f"variational_free_energy: evidence_index {evidence_index} out of range")
-        lik = lik[:, int(evidence_index)]
-    if lik.ndim != 1 or lik.size != len(prior):
-        raise ValidationError("variational_free_energy: likelihood must give one value per hidden state")
-    if np.any(lik < 0) or not np.all(np.isfinite(lik)):
-        raise ValidationError("variational_free_energy: likelihood values must be finite and >= 0")
+    shape = (len(prior),) if evidence_index is None else (len(prior), None)
+    lik = _array("variational_free_energy: likelihood", likelihood, shape, 0)
+    if evidence_index is not None:
+        lik = lik[:, _index("variational_free_energy: evidence_index", evidence_index, lik.shape[1])]
     if len(q) != len(prior):
         raise DomainError("variational_free_energy: q and prior must share the hidden state space")
     joint = prior.probs * lik
@@ -103,23 +96,10 @@ class GenerativeModel:
 
     def __post_init__(self):
         prior = as_distribution(self.prior)
-        lik = np.asarray(self.likelihood, dtype=float)
-        trans = np.asarray(self.transition, dtype=float)
-        reward = np.asarray(self.reward, dtype=float)
         n = len(prior)
-        if lik.ndim != 2 or lik.shape[0] != n:
-            raise ValidationError(f"GenerativeModel: likelihood must be (n_states={n}, n_obs)")
-        n_obs = lik.shape[1]
-        if np.any(lik < 0) or np.max(np.abs(lik.sum(axis=1) - 1.0)) > 1e-9:
-            raise ValidationError("GenerativeModel: likelihood rows must be distributions")
-        if trans.ndim != 3 or trans.shape[1:] != (n, n):
-            raise ValidationError(f"GenerativeModel: transition must be (n_actions, {n}, {n})")
-        if np.any(trans < 0) or np.max(np.abs(trans.sum(axis=2) - 1.0)) > 1e-9:
-            raise ValidationError("GenerativeModel: transition rows must be distributions")
-        if reward.shape != (n_obs, n):
-            raise ValidationError(f"GenerativeModel: reward must be (n_obs={n_obs}, n_states={n})")
-        if not np.all(np.isfinite(reward)):
-            raise ValidationError("GenerativeModel: rewards must be finite")
+        lik = _stochastic("GenerativeModel: likelihood", self.likelihood, (n, None))
+        trans = _stochastic("GenerativeModel: transition", self.transition, (None, n, n))
+        reward = _array("GenerativeModel: reward", self.reward, (lik.shape[1], n))
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "likelihood", lik)
         object.__setattr__(self, "transition", trans)
@@ -170,9 +150,7 @@ def expected_free_energy(
     p = start.probs.copy()
     total = 0.0
     for action in policy:
-        a = int(action)
-        if not 0 <= a < model.n_actions:
-            raise ValidationError(f"expected_free_energy: action {a} out of range")
+        a = _index("expected_free_energy: action", action, model.n_actions)
         total += reward_sign * float(p @ r_per_state) + float(p @ entropies[a])
         p = p @ model.transition[a]
     return total
@@ -187,17 +165,10 @@ class DiscreteMDP:
     gamma: float
 
     def __post_init__(self):
-        trans = np.asarray(self.transition, dtype=float)
-        reward = np.asarray(self.reward, dtype=float)
-        if trans.ndim != 3 or trans.shape[0] != trans.shape[2]:
-            raise ValidationError("DiscreteMDP: transition must be (n_states, n_actions, n_states)")
-        n_states, n_actions = trans.shape[0], trans.shape[1]
-        if reward.shape != (n_states, n_actions):
-            raise ValidationError(f"DiscreteMDP: reward must be ({n_states}, {n_actions})")
-        if np.any(trans < 0) or np.max(np.abs(trans.sum(axis=2) - 1.0)) > 1e-9:
-            raise ValidationError("DiscreteMDP: transition rows must sum to 1")
-        if not np.all(np.isfinite(reward)):
-            raise ValidationError("DiscreteMDP: rewards must be finite")
+        name = "DiscreteMDP: transition"
+        n_states = len(_array(name, self.transition, (None, None, None)))
+        trans = _stochastic(name, self.transition, (n_states, None, n_states))
+        reward = _array("DiscreteMDP: reward", self.reward, trans.shape[:2])
         object.__setattr__(self, "transition", trans)
         object.__setattr__(self, "reward", reward)
         object.__setattr__(self, "gamma", _real("DiscreteMDP: gamma", self.gamma, 0, 1, "[)"))
@@ -217,7 +188,7 @@ def mdp_from_json(text: str) -> DiscreteMDP:
         missing = {"n_states", "n_actions", "gamma", "transition", "reward"} - set(payload)
         if missing:
             raise ValidationError(f"missing keys: {sorted(missing)}")
-        mdp = DiscreteMDP(np.asarray(payload["transition"]), np.asarray(payload["reward"]), payload["gamma"])
+        mdp = DiscreteMDP(payload["transition"], payload["reward"], payload["gamma"])
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"MDP JSON: {exc}") from None
     declared = (payload["n_states"], payload["n_actions"])
@@ -334,17 +305,13 @@ class FactorizedPosterior:
         return cls(tuple(DiscreteDistribution.uniform(k) for k in shape))
 
 
-def _check_mf_table(log_joint, shape: Tuple[int, ...]) -> np.ndarray:
-    table = np.asarray(log_joint, dtype=float)
-    if table.ndim != len(shape) or table.shape != shape:
-        raise ValidationError(f"log joint shape {table.shape} does not match factors {shape}")
-    if table.ndim > MAX_MF_VARIABLES or any(k > MAX_MF_VALUES for k in table.shape):
+def _check_mf_table(name: str, log_joint, shape: Tuple[int, ...]) -> np.ndarray:
+    # a finite log joint (a strictly positive joint) over the factors' values
+    if len(shape) > MAX_MF_VARIABLES or any(k > MAX_MF_VALUES for k in shape):
         raise CapacityError(
-            f"mean field limited to {MAX_MF_VARIABLES} variables of {MAX_MF_VALUES} values, got {table.shape}"
+            f"mean field limited to {MAX_MF_VARIABLES} variables of {MAX_MF_VALUES} values, got {shape}"
         )
-    if not np.all(np.isfinite(table)):
-        raise ValidationError("log joint must be finite (strictly positive joint)")
-    return table
+    return _array(f"{name}: joint_log_table", log_joint, shape)
 
 
 def mean_field_update(
@@ -358,7 +325,7 @@ def mean_field_update(
     input unchanged.
     """
     sweeps = _count("mean_field_update: sweeps", sweeps, 0)
-    table = _check_mf_table(joint_log_table, posterior.shape)
+    table = _check_mf_table("mean_field_update", joint_log_table, posterior.shape)
     factors = list(posterior.factors)
     n = len(factors)
     for _ in range(sweeps):
@@ -374,7 +341,7 @@ def mean_field_update(
 
 def mean_field_kl(posterior: FactorizedPosterior, joint_log_table) -> float:
     """KL(q || p(h|x)) for a factorized q against the normalized joint."""
-    table = _check_mf_table(joint_log_table, posterior.shape)
+    table = _check_mf_table("mean_field_kl", joint_log_table, posterior.shape)
     p, _ = log_normalize(table)
     q = posterior.joint_probs()
     return kl_divergence(

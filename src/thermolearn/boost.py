@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import _read_text, _real
+from .config import _array, _read_text, _real
 from .distributions import DiscreteDistribution
 from .errors import ConvergenceError, DegenerateSplitError, ValidationError
 from .rng import RngStream
@@ -58,23 +58,15 @@ class WeightedDataset:
     weights: DiscreteDistribution
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys)
-        if xs.ndim != 1 or xs.size == 0:
-            raise ValidationError("WeightedDataset: xs must be a non-empty vector")
-        if not np.all(np.isfinite(xs)):
-            raise ValidationError("WeightedDataset: xs must be finite")
-        if ys.shape != xs.shape:
-            raise ValidationError("WeightedDataset: xs and ys must have equal length")
-        if not np.all((ys == 0) | (ys == 1)):
-            raise ValidationError("WeightedDataset: labels must be 0 or 1")
+        xs = _array("WeightedDataset: xs", self.xs)
+        ys = _array("WeightedDataset: ys", self.ys, xs.shape, 0, 1, dtype=np.int8)
         weights = self.weights
         if not isinstance(weights, DiscreteDistribution):
             weights = DiscreteDistribution(weights)
         if len(weights) != xs.size:
             raise ValidationError("WeightedDataset: one weight per item required")
         object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys.astype(np.int8))
+        object.__setattr__(self, "ys", ys)
         object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
@@ -82,7 +74,7 @@ class WeightedDataset:
 
     @classmethod
     def uniform(cls, xs, ys) -> "WeightedDataset":
-        xs = np.asarray(xs, dtype=float)
+        xs = _array("WeightedDataset.uniform: xs", xs)
         return cls(xs, ys, DiscreteDistribution.uniform(xs.size))
 
     def reweighted(self, weights) -> "WeightedDataset":

@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import ValidationError
 
+SUM_TOL = 1e-9
+# the dtype kinds of entries that an array of each dtype kind takes
+_ENTRY_KINDS = {"c": "iufc", "b": "biuf"}
 KEY_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
 
 __all__ = [
@@ -131,11 +134,13 @@ def _problem(value, low=-math.inf, high=math.inf, ends: str = "[]", integer: boo
         ok = False
     if ok:
         return None
+    return f"must be {'an integer' if integer else 'a finite real'}{_bound(low, high, ends)}, got {value!r}"
+
+
+def _bound(low, high, ends: str) -> str:
     if high != math.inf:
-        bound = f" in {ends[0]}{low}, {high}{ends[1]}"
-    else:
-        bound = "" if low == -math.inf else f" {'>' if ends[0] == '(' else '>='} {low}"
-    return f"must be {'an integer' if integer else 'a finite real'}{bound}, got {value!r}"
+        return f" in {ends[0]}{low}, {high}{ends[1]}"
+    return "" if low == -math.inf else f" {'>' if ends[0] == '(' else '>='} {low}"
 
 
 def _count(name: str, value, least: int) -> int:
@@ -152,6 +157,70 @@ def _real(name: str, value, low=-math.inf, high=math.inf, ends: str = "[]") -> f
     if problem:
         raise ValidationError(f"{name} {problem}")
     return float(value)
+
+
+def _index(name: str, value, size: int) -> int:
+    """``value`` as an int when it is an integer (not a bool) in [0, ``size``); otherwise ValidationError."""
+    problem = _problem(value, 0, size, "[)", integer=True)
+    if problem:
+        raise ValidationError(f"{name} out of range: {problem}")
+    return int(value)
+
+
+def _array(name: str, value, shape=(None,), low=-math.inf, high=math.inf, ends: str = "[]", dtype=float) -> np.ndarray:
+    """``value`` as a ``dtype`` array of ``shape`` whose entries each pass :func:`_problem`; otherwise ValidationError.
+
+    The array counterpart of :func:`_real`. ``shape`` holds one size per axis, ``None`` for any
+    length >= 1, so the array is empty only where a size is 0. Entries are finite reals, finite
+    complex numbers for a complex ``dtype`` (which takes no bounds), or integer values for an
+    integer or bool ``dtype`` (whose bounds must lie within its range). Bools are entries only of
+    a bool ``dtype``. An array already of ``dtype`` is returned as is.
+    """
+    dtype = np.dtype(dtype)
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # ragged rows, or objects numpy cannot lay out
+        arr = None
+    unbounded = low == -math.inf and high == math.inf
+    if arr is None or arr.dtype.kind not in _ENTRY_KINDS.get(dtype.kind, "iuf"):
+        got = f"a ragged {type(value).__name__}" if arr is None else f"entries of dtype {arr.dtype}"
+    elif arr.shape != shape and (arr.ndim != len(shape) or any(n == 0 if s is None else n != s for s, n in zip(shape, arr.shape))):
+        got = f"shape {arr.shape}"
+    elif arr.dtype.kind == "b":  # only a bool dtype takes bools
+        return arr
+    else:
+        # one pass where finiteness is the only bound; otherwise min and max, which see every
+        # entry (a NaN carries through) and make no temporary
+        if unbounded:
+            ok = np.isfinite(arr).all()
+        else:
+            ok = not arr.size or not (_problem(arr.min(), low, high, ends) or _problem(arr.max(), low, high, ends))
+        if ok:
+            out = arr.astype(dtype, copy=False)
+            # floats cast to an integer dtype must survive the cast unchanged
+            if dtype.kind in "fc" or arr.dtype.kind != "f" or np.array_equal(out, arr):
+                return out
+            bad = out != arr
+        else:
+            bad = ~np.isfinite(arr) if unbounded else np.vectorize(lambda x: _problem(x, low, high, ends) is not None)(arr)
+        at = np.unravel_index(np.argmax(bad), arr.shape)
+        got = f"{arr[at].item()!r} at [{', '.join(map(str, at))}]"
+    sizes = ", ".join("n" if s is None else str(s) for s in shape) + ("," if len(shape) == 1 else "")
+    form = f"a non-empty {len(shape)}-D sequence" if set(shape) == {None} else f"a {len(shape)}-D sequence of shape ({sizes})"
+    entries = {"c": "finite numbers", "f": "finite reals"}.get(dtype.kind, "integers")
+    raise ValidationError(f"{name} must be {form} of {entries}{_bound(low, high, ends)}, got {got}")
+
+
+def _stochastic(name: str, value, shape=(None,)) -> np.ndarray:
+    """``value`` as a float array per :func:`_array` whose entries are >= 0 and whose rows along
+    the last axis each sum to 1 within ``SUM_TOL``; otherwise ValidationError."""
+    arr = _array(name, value, shape, 0)
+    sums = arr.sum(axis=-1)
+    miss = np.abs(sums - 1.0)
+    if miss.max() > SUM_TOL:
+        worst = float(np.take(sums, np.argmax(miss)))
+        raise ValidationError(f"{name} must sum to 1 along its last axis within {SUM_TOL}, got a sum of {worst!r}")
+    return arr
 
 
 def _within(low=-math.inf, high=math.inf, ends: str = "[]", integer: bool = False):

@@ -12,26 +12,12 @@ import math
 
 import numpy as np
 
-from .config import _count
+from .config import _array, _count
 from .errors import NumericalError, ValidationError
 
 IMAG_RESIDUE_TOL = 1e-9
 
 __all__ = ["fft_radix2", "ifft_radix2", "conv_naive", "conv_fft", "next_pow2"]
-
-
-def _as_signal(x, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(x)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be a non-empty 1-D sequence") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError(f"{name} must be a non-empty 1-D sequence")
-    if arr.dtype.kind not in "biuf":
-        raise ValidationError(f"{name} must be real numbers, got dtype {arr.dtype}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} must be finite")
-    return arr
 
 
 def next_pow2(n: int) -> int:
@@ -105,12 +91,7 @@ def _butterflies(a: np.ndarray, length: int, roots: np.ndarray, work: np.ndarray
 
 def _transform(x, name: str, inverse: bool) -> np.ndarray:
     # validated copy of x as complex128, transformed in place (unscaled)
-    try:
-        out = np.array(x, dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name}: need a non-empty 1-D sequence of finite numbers") from None
-    if out.ndim != 1 or out.size == 0 or not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name}: need a non-empty 1-D sequence of finite numbers")
+    out = np.array(_array(f"{name}: x", x, dtype=np.complex128))
     if out.size & (out.size - 1):
         raise ValidationError(f"{name}: length must be a power of two, got {out.size}")
     _fft_inplace((out,), inverse)
@@ -134,9 +115,7 @@ def ifft_radix2(x) -> np.ndarray:
 
 def conv_naive(x, y) -> np.ndarray:
     """Direct linear convolution, length len(x) + len(y) - 1."""
-    a = _as_signal(x, "x")
-    b = _as_signal(y, "y")
-    return np.convolve(a.astype(np.float64), b.astype(np.float64))
+    return np.convolve(_array("conv_naive: x", x), _array("conv_naive: y", y))
 
 
 def conv_fft(x, y) -> np.ndarray:
@@ -147,8 +126,8 @@ def conv_fft(x, y) -> np.ndarray:
     real: the imaginary residue is checked against ``IMAG_RESIDUE_TOL``
     and discarded. A result that is not finite raises NumericalError.
     """
-    a = _as_signal(x, "x")
-    b = _as_signal(y, "y")
+    a = _array("conv_fft: x", x)
+    b = _array("conv_fft: y", y)
     out_len = a.size + b.size - 1
     size = next_pow2(out_len)
     fa = np.zeros(size, dtype=np.complex128)

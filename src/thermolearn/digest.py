@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .anneal import EnergyLandscape
-from .config import _content_lines, _count
+from .config import _array, _content_lines, _count
 from .errors import ValidationError
 from .rng import RngStream
 
@@ -70,7 +70,7 @@ class DoubleDigestInstance:
 
 
 def _check_permutation(perm, n: int, name: str) -> Tuple[int, ...]:
-    p = tuple(int(x) for x in perm)
+    p = tuple(_array(name, perm, (n,), 0, n, "[)", dtype=np.intp).tolist())
     if sorted(p) != list(range(n)):
         raise ValidationError(f"{name} must be a permutation of 0..{n - 1}, got {p}")
     return p

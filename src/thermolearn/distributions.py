@@ -16,25 +16,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import _count
+from .config import SUM_TOL, _array, _count, _index, _stochastic
 from .errors import NumericalError, ValidationError
-
-SUM_TOL = 1e-9
-
-
-def _checked_probs(values, name: str) -> np.ndarray:
-    probs = np.asarray(values, dtype=float)
-    if probs.size == 0:
-        raise ValidationError(f"{name}: must be non-empty")
-    if not np.all(np.isfinite(probs)):
-        raise ValidationError(f"{name}: entries must be finite")
-    if np.any(probs < 0):
-        raise ValidationError(f"{name}: entries must be non-negative")
-    total = float(probs.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValidationError(f"{name}: entries sum to {total!r}, expected 1 within {SUM_TOL}")
-    return probs
-
 
 def log_normalize(log_weights) -> Tuple[np.ndarray, float]:
     """Probabilities exp(w - ln Z) and ln Z over all entries of log-weights w
@@ -95,7 +78,7 @@ class DiscreteDistribution:
     labels: Optional[Sequence] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _checked_probs(self.probs, "DiscreteDistribution"))
+        object.__setattr__(self, "probs", _stochastic("DiscreteDistribution: probs", self.probs))
         if self.labels is not None and len(self.labels) != self.probs.size:
             raise ValidationError("DiscreteDistribution: labels length must match probs")
 
@@ -112,8 +95,8 @@ class DiscreteDistribution:
 
     @classmethod
     def point_mass(cls, index: int, n: int) -> "DiscreteDistribution":
-        probs = np.zeros(n)
-        probs[index] = 1.0
+        probs = np.zeros(_count("DiscreteDistribution.point_mass: n", n, 1))
+        probs[_index("DiscreteDistribution.point_mass: index", index, n)] = 1.0
         return cls(probs)
 
     def mean(self) -> float:
@@ -125,7 +108,7 @@ def as_distribution(dist) -> DiscreteDistribution:
     """Coerce an array-like of probabilities into a validated distribution."""
     if isinstance(dist, DiscreteDistribution):
         return dist
-    return DiscreteDistribution(np.asarray(dist, dtype=float))
+    return DiscreteDistribution(dist)
 
 
 @dataclass(frozen=True)
@@ -135,10 +118,8 @@ class JointDistribution:
     table: np.ndarray = field()
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != 2 or table.size == 0:
-            raise ValidationError("JointDistribution: table must be a non-empty 2-D array")
-        _checked_probs(table.ravel(), "JointDistribution")
+        table = _array("JointDistribution: table", self.table, (None, None))
+        _stochastic("JointDistribution: table", table.reshape(-1))
         object.__setattr__(self, "table", table)
 
     @property
@@ -165,4 +146,4 @@ class JointDistribution:
 def as_joint(joint) -> JointDistribution:
     if isinstance(joint, JointDistribution):
         return joint
-    return JointDistribution(np.asarray(joint, dtype=float))
+    return JointDistribution(joint)

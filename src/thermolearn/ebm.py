@@ -19,7 +19,7 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import _content_lines, _count, _real
+from .config import _array, _content_lines, _count, _index, _real
 from .distributions import DiscreteDistribution, _pack_bits, _unpack_bits, log_normalize, partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
@@ -55,23 +55,13 @@ __all__ = [
 ]
 
 
-def _energy_table(energies) -> np.ndarray:
-    arr = np.asarray(energies, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("energy table must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("energy table entries must be finite")
-    return arr
-
-
 def _logistic(z):
     return np.exp(-np.logaddexp(0.0, -np.asarray(z, dtype=float)))
 
 
 def ebl_infer(energies) -> int:
     """Index of the minimum-energy label; ties go to the lowest index."""
-    table = _energy_table(energies)
-    return int(np.argmin(table))
+    return int(np.argmin(_array("ebl_infer: energies", energies)))
 
 
 class GibbsPosterior(NamedTuple):
@@ -86,25 +76,17 @@ def gibbs_posterior(energies, beta: float) -> GibbsPosterior:
     the uniform distribution; a Z beyond the float range raises
     NumericalError.
     """
-    table = _energy_table(energies)
+    table = _array("gibbs_posterior: energies", energies)
     beta = _real("gibbs_posterior: beta", beta, 0)
     probs, log_z = log_normalize(-beta * table)
     return GibbsPosterior(DiscreteDistribution(probs), partition_value(log_z))
 
 
-def _check_label(table: np.ndarray, correct: int) -> int:
-    correct = int(correct)
-    if not 0 <= correct < table.size:
-        raise ValidationError(f"label index {correct} out of range for {table.size} labels")
-    return correct
-
-
 def loss_perceptron(energies, correct: int) -> float:
     """Energy gap between the correct label and the best label; zero iff
     the correct label attains the minimum."""
-    table = _energy_table(energies)
-    correct = _check_label(table, correct)
-    return float(table[correct] - table.min())
+    table = _array("loss_perceptron: energies", energies)
+    return float(table[_index("loss_perceptron: correct", correct, table.size)] - table.min())
 
 
 def loss_hinge(e_correct: float, e_incorrect: float, margin: float) -> float:
@@ -120,8 +102,8 @@ def loss_nll(energies, correct: int, beta: float) -> float:
     Equals -(1/beta) log of the Gibbs posterior at the correct label;
     the log-sum-exp is max-shifted.
     """
-    table = _energy_table(energies)
-    correct = _check_label(table, correct)
+    table = _array("loss_nll: energies", energies)
+    correct = _index("loss_nll: correct", correct, table.size)
     beta = _real("loss_nll: beta", beta, 0, ends="(]")
     return float(table[correct] + log_normalize(-beta * table)[1] / beta)
 
@@ -136,19 +118,11 @@ class BoltzmannMachine:
     W: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        W = np.atleast_2d(np.asarray(self.W, dtype=float))
-        if a.ndim != 1 or b.ndim != 1:
-            raise ValidationError("BoltzmannMachine: biases must be vectors")
-        if W.shape != (a.size, b.size):
-            raise ValidationError(
-                f"BoltzmannMachine: W shape {W.shape} does not match ({a.size}, {b.size})"
-            )
-        for name, arr in (("a", a), ("b", b), ("W", W)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"BoltzmannMachine: {name} must be finite")
-            object.__setattr__(self, name, arr)
+        a = _layer("BoltzmannMachine: a", self.a)
+        b = _layer("BoltzmannMachine: b", self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "W", _array("BoltzmannMachine: W", self.W, (a.size, b.size)))
 
     @property
     def n_visible(self) -> int:
@@ -175,9 +149,16 @@ class BoltzmannMachine:
             missing = {"a", "b", "W"} - set(payload)
             if missing:
                 raise ValidationError(f"missing keys: {sorted(missing)}")
-            return cls(np.asarray(payload["a"]), np.asarray(payload["b"]), np.asarray(payload["W"]))
+            return cls(payload["a"], payload["b"], payload["W"])
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"machine JSON: {exc}") from None
+
+
+def _layer(name: str, value) -> np.ndarray:
+    # a layer's biases: a layer may have no units, given as an empty list or vector
+    if getattr(value, "shape", None) == (0,) or (isinstance(value, (list, tuple)) and not value):
+        return np.zeros(0)
+    return _array(name, value)
 
 
 class BMState(NamedTuple):
@@ -185,34 +166,28 @@ class BMState(NamedTuple):
     h: np.ndarray
 
 
-def _check_binary(vec, length: int, name: str) -> np.ndarray:
-    arr = np.asarray(vec)
-    if arr.shape != (length,):
-        raise ValidationError(f"{name} must have shape ({length},), got {arr.shape}")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValidationError(f"{name} entries must be 0 or 1")
-    return arr.astype(np.uint8)
+def _units(name: str, value, shape) -> np.ndarray:
+    # 0/1 units, bools included, as bools
+    return _array(name, value, shape, 0, 1, dtype=bool)
 
 
 def bm_energy(state: BMState, machine: BoltzmannMachine) -> float:
     """E(v,h) = -a.v - b.h - v W h."""
-    vf = _check_binary(state.v, machine.n_visible, "v").astype(float)
-    hf = _check_binary(state.h, machine.n_hidden, "h").astype(float)
+    vf = _units("bm_energy: v", state.v, (machine.n_visible,)).astype(float)
+    hf = _units("bm_energy: h", state.h, (machine.n_hidden,)).astype(float)
     return float(-machine.a @ vf - machine.b @ hf - vf @ machine.W @ hf)
 
 
 def bm_joint_index(state: BMState, machine: BoltzmannMachine) -> int:
     """Flat state index: visible bits low (bit i = v_i), hidden bits above."""
-    v = _check_binary(state.v, machine.n_visible, "v")
-    h = _check_binary(state.h, machine.n_hidden, "h")
+    v = _units("bm_joint_index: v", state.v, (machine.n_visible,))
+    h = _units("bm_joint_index: h", state.h, (machine.n_hidden,))
     return _pack_bits(np.concatenate([v, h]))
 
 
 def bm_state_from_index(index: int, machine: BoltzmannMachine) -> BMState:
     n_v, n_units = machine.n_visible, machine.n_visible + machine.n_hidden
-    if not 0 <= index < 1 << n_units:
-        raise ValidationError(f"state index {index} out of range for {n_units} units")
-    bits = _unpack_bits(index, n_units)
+    bits = _unpack_bits(_index("bm_state_from_index: index", index, 1 << n_units), n_units)
     return BMState(bits[:n_v], bits[n_v:])
 
 
@@ -301,8 +276,8 @@ def bm_gibbs_sample(
     if start is None:
         v = np.zeros(n_v, dtype=np.uint8)
     else:
-        v = _check_binary(start.v, n_v, "start.v")
-        _check_binary(start.h, n_h, "start.h")
+        v = _units("bm_gibbs_sample: start.v", start.v, (n_v,))
+        _units("bm_gibbs_sample: start.h", start.h, (n_h,))
     visible = np.empty((steps, n_v), dtype=np.uint8)
     hidden = np.empty((steps, n_h), dtype=np.uint8)
     u_h = rng.generator.random((steps, n_h))
@@ -329,7 +304,7 @@ def _memo_row(memo: dict, activation, machine: BoltzmannMachine, row: np.ndarray
 
 def bm_free_energy(machine: BoltzmannMachine, v) -> float:
     """F(v) = -a.v - sum_j softplus(b_j + (vW)_j); p(v) = exp(-F(v))/Z."""
-    vf = np.asarray(v, dtype=float)
+    vf = _units("bm_free_energy: v", v, (machine.n_visible,)).astype(float)
     return float(-machine.a @ vf - np.logaddexp(0.0, machine.b + vf @ machine.W).sum())
 
 
@@ -345,20 +320,9 @@ def _enumerate_visible(machine: BoltzmannMachine):
 
 def bm_log_likelihood(machine: BoltzmannMachine, data) -> float:
     """Mean log p(v) over the data rows, by exact enumeration."""
-    X = _visible_matrix(data, machine.n_visible)
+    X = _units("bm_log_likelihood: data", data, (None, machine.n_visible))
     _, _, free, _, log_z = _enumerate_visible(machine)
     return float((-free[_pack_bits(X)] - log_z).mean())
-
-
-def _visible_matrix(data, n_visible: int) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != n_visible:
-        raise ValidationError(f"data must be (m, {n_visible}) binary rows")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValidationError("data entries must be 0 or 1")
-    return arr.astype(float)
 
 
 def _exact_model_stats(machine: BoltzmannMachine):
@@ -391,7 +355,7 @@ def bm_exact_gradient(machine: BoltzmannMachine, data) -> BMGradient:
     hidden data statistics taken from the analytic activations p(h|v).
     Capacity-guarded like every other enumeration routine here.
     """
-    X = _visible_matrix(data, machine.n_visible)
+    X = _units("bm_exact_gradient: data", data, (None, machine.n_visible)).astype(float)
     return _gradient(machine, X, _exact_model_stats(machine))
 
 
@@ -427,7 +391,8 @@ def bm_train(
         k = _count("bm_train: cd_k's k", k, 1)
         if rng is None:
             raise ValidationError("bm_train: cd_k requires an rng")
-    X = _visible_matrix(data, machine.n_visible)
+    bits = _units("bm_train: data", data, (None, machine.n_visible))
+    X = bits.astype(float)
     if method == "exact_gradient":
         _check_capacity(machine)
     can_score = machine.n_visible + machine.n_hidden <= MAX_EXACT_UNITS
@@ -446,7 +411,7 @@ def bm_train(
         grad = _gradient(machine, X, model_stats)
         machine = BoltzmannMachine(*(p + learning_rate * g for p, g in zip(params, grad)))
         if can_score:
-            losses.append(-bm_log_likelihood(machine, X))
+            losses.append(-bm_log_likelihood(machine, bits))
     return TrainResult(machine, losses)
 
 

@@ -13,7 +13,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .distributions import DiscreteDistribution, JointDistribution, as_distribution, as_joint
-from .config import _real
+from .config import _real, _stochastic
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -56,13 +56,9 @@ def info_gain(parent, children: Iterable[Tuple[float, "DiscreteDistribution"]], 
     H(parent) - sum_c w_c H(child_c), in bits by default. Child weights
     must sum to 1.
     """
-    children = [(float(w), as_distribution(d)) for w, d in children]
-    if not children:
-        raise ValidationError("info_gain: need at least one child")
-    weights = np.array([w for w, _ in children])
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValidationError("info_gain: child weights must be non-negative and sum to 1")
-    split_entropy = sum(w * entropy_shannon(d, log_base) for w, d in children)
+    children = [(w, as_distribution(d)) for w, d in children]
+    weights = _stochastic("info_gain: child weights", [w for w, _ in children]).tolist()
+    split_entropy = sum(w * entropy_shannon(d, log_base) for w, (_, d) in zip(weights, children))
     return entropy_shannon(parent, log_base) - split_entropy
 
 

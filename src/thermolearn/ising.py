@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .config import _content_lines, _count, _real
+from .config import _array, _content_lines, _count, _index, _real
 from .distributions import DiscreteDistribution, _log_normalize_inplace, _pack_bits, _unpack_bits
 from .distributions import partition_value, state_bits
 from .errors import CapacityError, ValidationError
@@ -64,27 +64,21 @@ class CouplingGraph:
     fields_h: np.ndarray = None
 
     def __post_init__(self):
-        _count("CouplingGraph: n_sites", self.n_sites, 1)
+        n = _count("CouplingGraph: n_sites", self.n_sites, 1)
         seen = set()
         normalized = []
         for i, j, coupling in self.edges:
-            i, j = int(i), int(j)
+            i, j = (_index(f"CouplingGraph: a site of edge ({i}, {j})", k, n) for k in (i, j))
             if i == j:
                 raise ValidationError(f"CouplingGraph: self-loop at site {i}")
             if i > j:
                 i, j = j, i
-            if not (0 <= i < self.n_sites and 0 <= j < self.n_sites):
-                raise ValidationError(f"CouplingGraph: edge ({i},{j}) out of range for {self.n_sites} sites")
             if (i, j) in seen:
                 raise ValidationError(f"CouplingGraph: duplicate edge ({i},{j})")
             seen.add((i, j))
             normalized.append((i, j, _real(f"CouplingGraph: coupling of edge ({i},{j})", coupling)))
         object.__setattr__(self, "edges", tuple(normalized))
-        h = np.zeros(self.n_sites) if self.fields_h is None else np.asarray(self.fields_h, dtype=float)
-        if h.shape != (self.n_sites,):
-            raise ValidationError("CouplingGraph: fields_h must have one entry per site")
-        if not np.all(np.isfinite(h)):
-            raise ValidationError("CouplingGraph: fields must be finite")
+        h = np.zeros(n) if self.fields_h is None else _array("CouplingGraph: fields_h", self.fields_h, (n,))
         object.__setattr__(self, "fields_h", h)
 
     def adjacency(self) -> List[List[Tuple[int, float]]]:
@@ -123,12 +117,15 @@ def load_coupling_graph(path) -> CouplingGraph:
     if not lines:
         raise ValidationError(f"{path}: empty graph file")
     first_no, first = lines[0]
-    n_sites = int(first) if first.isdecimal() else 0
+    try:
+        n_sites = int(first) if first.isdecimal() else 0
+        h = np.zeros(n_sites)
+    except (ValueError, MemoryError):  # more digits than int() takes, or more sites than numpy or the machine holds
+        raise ValidationError(f"{path}:{first_no}: site count {first} is too large to hold") from None
     if n_sites < 1:
         raise ValidationError(f"{path}:{first_no}: first line must be a positive site count, got {first!r}")
     form = f"'i j J' or 'h i value' with sites in 0..{n_sites - 1} and a finite value"
     edges = []
-    h = np.zeros(n_sites)
     for line_no, ln in lines[1:]:
         parts = ln.split()
         is_field = parts[0] == "h"
@@ -156,14 +153,18 @@ def dump_coupling_graph(graph: CouplingGraph, path) -> None:
                 fh.write(f"h {i} {float(hi)!r}\n")
 
 
+def _spins(name: str, value, shape) -> np.ndarray:
+    """``value`` as an int8 array of ``shape`` (per :func:`config._array`) whose entries are -1 or +1."""
+    spins = _array(name, value, shape, -1, 1, dtype=np.int8)
+    if not spins.all():
+        at = np.unravel_index(np.argmin(spins != 0), spins.shape)
+        raise ValidationError(f"{name} must be -1 or +1, got 0 at [{', '.join(map(str, at))}]")
+    return spins
+
+
 def check_spins(spins, n_sites: int) -> np.ndarray:
     """Validate a spin configuration: entries in {-1,+1}, matching length."""
-    arr = np.asarray(spins)
-    if arr.shape != (n_sites,):
-        raise ValidationError(f"spin config has shape {arr.shape}, expected ({n_sites},)")
-    if not np.all(np.abs(arr) == 1):
-        raise ValidationError("spins must be -1 or +1")
-    return arr.astype(np.int8)
+    return _spins("check_spins: spins", spins, (n_sites,))
 
 
 def random_spins(n_sites: int, rng: RngStream) -> np.ndarray:
@@ -176,8 +177,8 @@ def config_index(spins) -> int:
 
 
 def config_from_index(index: int, n_sites: int) -> np.ndarray:
-    if not 0 <= index < 1 << n_sites:
-        raise ValidationError(f"config index {index} out of range for {n_sites} sites")
+    n_sites = _count("config_from_index: n_sites", n_sites, 0)
+    index = _index("config_from_index: index", index, 1 << n_sites)
     return _unpack_bits(index, n_sites).astype(np.int8) * 2 - 1
 
 
@@ -429,11 +430,7 @@ def estimate_observables(samples, graph: CouplingGraph, n_batches: Optional[int]
     -1 or +1. With fewer than two batches the standard errors degenerate
     to zero.
     """
-    arr = np.asarray(samples)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.dtype.kind not in "biuf":
-        raise ValidationError("estimate_observables: need a non-empty (m, n_sites) array of numbers")
-    if arr.shape[1] != graph.n_sites:
-        raise ValidationError("estimate_observables: sample width must match graph.n_sites")
+    arr = _spins("estimate_observables: samples", samples, (None, graph.n_sites))
     m = arr.shape[0]
     if n_batches is None:
         n_batches = max(1, min(100, int(math.sqrt(m))))
@@ -442,9 +439,6 @@ def estimate_observables(samples, graph: CouplingGraph, n_batches: Optional[int]
     mags = np.empty(m)
     for start in range(0, m, BLOCK_ROWS):
         s = arr[start : start + BLOCK_ROWS]
-        if not np.all(np.abs(s) == 1):  # other values would overflow int8 products
-            raise ValidationError("estimate_observables: samples must be -1 or +1")
-        s = s.astype(np.int8, copy=False)
         _subtract_energies(energies[start : start + BLOCK_ROWS], s.T, graph)
         mags[start : start + BLOCK_ROWS] = s.mean(axis=1)
     per = m // n_batches

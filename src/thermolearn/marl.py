@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .config import _count, _real
+from .config import _array, _count, _index, _real
 from .distributions import DiscreteDistribution, log_normalize
 from .errors import DomainError, ValidationError
 from .rng import RngStream
@@ -47,16 +47,15 @@ class NeighborGraph:
     neighbors: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        lists = tuple(tuple(int(k) for k in row) for row in self.neighbors)
-        n = len(lists)
+        rows = tuple(self.neighbors)
+        n = len(rows)
         if n == 0:
             raise ValidationError("NeighborGraph: need at least one agent")
+        lists = tuple(tuple(_index(f"NeighborGraph: a neighbor of agent {j}", k, n) for k in row) for j, row in enumerate(rows))
         for j, row in enumerate(lists):
             if len(set(row)) != len(row):
                 raise ValidationError(f"NeighborGraph: repeated neighbor in list of agent {j}")
             for k in row:
-                if not 0 <= k < n:
-                    raise ValidationError(f"NeighborGraph: neighbor {k} of agent {j} out of range")
                 if k == j:
                     raise ValidationError(f"NeighborGraph: self-loop at agent {j}")
                 if j not in lists[k]:
@@ -69,11 +68,9 @@ class NeighborGraph:
 
     @classmethod
     def from_edges(cls, n_agents: int, edges: Sequence[Tuple[int, int]]) -> "NeighborGraph":
-        lists = [[] for _ in range(n_agents)]
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if not (0 <= i < n_agents and 0 <= j < n_agents):
-                raise ValidationError(f"NeighborGraph: edge ({i}, {j}) out of range for {n_agents} agents")
+        lists = [[] for _ in range(_count("NeighborGraph.from_edges: n_agents", n_agents, 0))]
+        for edge in edges:
+            i, j = (_index(f"NeighborGraph.from_edges: a site of edge {edge}", k, n_agents) for k in edge)
             lists[i].append(j)
             lists[j].append(i)
         return cls(tuple(tuple(row) for row in lists))
@@ -104,21 +101,14 @@ def mean_action(neighbor_actions: Sequence[int], n_actions: int) -> np.ndarray:
     actions = list(neighbor_actions)
     if not actions:
         raise DomainError("mean_action: empty neighborhood (the average divides by its size)")
-    out = np.zeros(n_actions)
-    for a in actions:
-        a = int(a)
-        if not 0 <= a < n_actions:
-            raise ValidationError(f"mean_action: action {a} out of range")
-        out[a] += 1.0
-    return out / len(actions)
+    actions = _array("mean_action: neighbor_actions", actions, (None,), 0, n_actions, "[)", dtype=np.intp)
+    return np.bincount(actions, minlength=n_actions) / actions.size
 
 
 def discretize_mean(mean: np.ndarray, n_bins: int = DEFAULT_MEAN_BINS) -> Tuple[int, ...]:
     """Map each simplex coordinate in [0, 1] to one of n_bins equal bins."""
     n_bins = _count("discretize_mean: n_bins", n_bins, 1)
-    arr = np.asarray(mean, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise ValidationError("discretize_mean: coordinates must lie in [0, 1]")
+    arr = _array("discretize_mean: mean", mean, (None,), 0, 1)
     return tuple(min(n_bins - 1, int(x * n_bins)) for x in arr)
 
 
@@ -159,21 +149,14 @@ def mf_q_update(
 
 def boltzmann_policy(q_row, temperature: float) -> DiscreteDistribution:
     """softmax(q / temperature), max-shifted."""
-    row = np.asarray(q_row, dtype=float)
-    if row.ndim != 1 or row.size == 0 or not np.all(np.isfinite(row)):
-        raise ValidationError("boltzmann_policy: q_row must be a finite non-empty vector")
+    row = _array("boltzmann_policy: q_row", q_row)
     temperature = _real("boltzmann_policy: temperature", temperature, 0, ends="(]")
     return DiscreteDistribution(log_normalize(row / temperature)[0])
 
 
 def mf_value(q_row, policy: DiscreteDistribution) -> float:
     """Expected Q under the policy: V = sum_a pi(a) Q(a)."""
-    row = np.asarray(q_row, dtype=float)
-    if row.shape != policy.probs.shape:
-        raise ValidationError(
-            f"mf_value: q_row length {row.shape} does not match policy {policy.probs.shape}"
-        )
-    return float(row @ policy.probs)
+    return float(_array("mf_value: q_row", q_row, policy.probs.shape) @ policy.probs)
 
 
 def mf_actor_critic_grad(policy_params, own_action: int, q_value: float) -> np.ndarray:
@@ -181,13 +164,9 @@ def mf_actor_critic_grad(policy_params, own_action: int, q_value: float) -> np.n
 
     grad log pi(a) * Q = (onehot(a) - softmax(params)) * Q.
     """
-    params = np.asarray(policy_params, dtype=float)
-    if params.ndim != 1 or params.size == 0 or not np.all(np.isfinite(params)):
-        raise ValidationError("mf_actor_critic_grad: params must be a finite non-empty vector")
+    params = _array("mf_actor_critic_grad: policy_params", policy_params)
     q_value = _real("mf_actor_critic_grad: q_value", q_value)
-    a = int(own_action)
-    if not 0 <= a < params.size:
-        raise ValidationError(f"mf_actor_critic_grad: action {a} out of range")
+    a = _index("mf_actor_critic_grad: own_action", own_action, params.size)
     pi, _ = log_normalize(params)
     onehot = np.zeros(params.size)
     onehot[a] = 1.0

@@ -16,9 +16,11 @@ sharing one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ValidationError
+from .config import _count
 
 _MASK64 = (1 << 64) - 1
 _PHI64 = 0x9E3779B97F4A7C15
@@ -69,6 +71,4 @@ def as_stream(rng) -> RngStream:
     """Coerce an int seed or RngStream into an RngStream."""
     if isinstance(rng, RngStream):
         return rng
-    if isinstance(rng, (int, np.integer)):
-        return RngStream(int(rng))
-    raise ValidationError(f"expected an RngStream or integer seed, got {type(rng).__name__}")
+    return RngStream(_count("as_stream: rng, if not an RngStream,", rng, -math.inf))

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _count, _problem, _real
-from .errors import DomainError, ValidationError
+from .config import _array, _count, _problem, _real
+from .errors import DomainError
 from .rng import RngStream
 
 __all__ = [
@@ -39,11 +39,9 @@ def importance_estimate(h_values, p_densities, q_densities) -> float:
     strictly positive; when p and q coincide this reduces bit-exactly to
     the plain Monte Carlo mean of h.
     """
-    h = np.asarray(h_values, dtype=float)
-    p = np.asarray(p_densities, dtype=float)
-    q = np.asarray(q_densities, dtype=float)
-    if not (h.shape == p.shape == q.shape) or h.ndim != 1 or h.size == 0:
-        raise ValidationError("importance_estimate: h, p, q must be equal-length non-empty vectors")
+    h = _array("importance_estimate: h_values", h_values)
+    p = _array("importance_estimate: p_densities", p_densities, h.shape)
+    q = _array("importance_estimate: q_densities", q_densities, h.shape)
     if np.any(q <= 0):
         raise DomainError("importance_estimate: proposal density must be strictly positive at every sample")
     if np.any(p < 0):

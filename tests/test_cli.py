@@ -108,7 +108,9 @@ def test_inputs_are_read_as_utf8_under_an_ascii_locale(tmp_path):
     cfg = tmp_path / "ring.cfg"
     cfg.write_text(f'# réglage: β = 0.5\ngraph = "{graph}"\nbeta = 0.5\nsteps = 500\n', encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHON"))}
+    # PYTHONDONTWRITEBYTECODE passes through, so a run that asks for no bytecode leaves none in src/
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "LANG", "PYTHON")) or k == "PYTHONDONTWRITEBYTECODE"}
     env.update(PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     argv = ["ising", "--config", str(cfg), "--seed", "3", "--out"]
     proc = subprocess.run([sys.executable, "-m", "thermolearn.cli", *argv, str(tmp_path / "c")],
@@ -269,6 +271,8 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         '{"n_states": 1, "n_actions": 1, "gamma": 0.5, "transition": [[["x"]]], "reward": [[0]]}',
         '{"n_states": 1, "n_actions": 1, "gamma": "a", "transition": [[[1.0]]], "reward": [[0]]}',
         '{"n_states": 1, "n_actions": 1, "gamma": false, "transition": [[[1.0]]], "reward": [[0]]}',
+        # a NaN transition ran 100 000 sweeps and exited 2 ("did not reach tolerance")
+        '{"n_states": 1, "n_actions": 1, "gamma": 0.5, "transition": [[[NaN]]], "reward": [[0]]}',
     ):
         mdp = tmp_path / "m.json"
         mdp.write_text(text)
@@ -295,7 +299,10 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         assert cli.main([sub, "--config", cfg, "--out", str(tmp_path / "o9")]) == 1
         assert f"{sub}.latin1" in capsys.readouterr().err
     # malformed graph files: the message names the file and line
-    for text, line in (("3\nh -1 0.5\n", 2), ("3\nh 7 0.5\n", 2), ("3\n0 1 x\n", 2), ("-3\n", 1)):
+    # a site count numpy cannot hold escaped as its ValueError (counts of 2^63 and more fail
+    # before anything is allocated)
+    huge = ((f"{count}\n0 1 1.0\n", 1) for count in (2**63, 10**20))
+    for text, line in (("3\nh -1 0.5\n", 2), ("3\nh 7 0.5\n", 2), ("3\n0 1 x\n", 2), ("-3\n", 1), *huge):
         graph = tmp_path / "g.txt"
         graph.write_text(text)
         cfg = write_cfg(tmp_path, "g.cfg", f'graph = "{graph}"\nbeta = 1.0\nsteps = 10\n')

@@ -1,6 +1,7 @@
-"""The scalar-argument rule shared by the library and the CLI schema, and config-input fuzzing."""
+"""The scalar, array and index argument rules shared by the library and the CLI schema, and config-input fuzzing."""
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,27 +11,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermolearn import cli
-from thermolearn.activeinf import DiscreteMDP, FactorizedPosterior, mean_field_update, value_iteration
+from thermolearn.activeinf import (
+    DiscreteMDP,
+    FactorizedPosterior,
+    GenerativeModel,
+    expected_free_energy,
+    mean_field_kl,
+    mean_field_update,
+    value_iteration,
+    variational_free_energy,
+)
 from thermolearn.anneal import CoolingSchedule, schedule_temperature
-from thermolearn.boost import NoisyThresholdLearner
-from thermolearn.config import _count, _problem, _real, parse_config
+from thermolearn.boost import NoisyThresholdLearner, WeightedDataset
+from thermolearn.config import _array, _count, _index, _problem, _real, _stochastic, parse_config
+from thermolearn.convolution import conv_naive, fft_radix2
 from thermolearn.digest import generate_instance
-from thermolearn.ebm import BoltzmannMachine, bm_train, gibbs_posterior, loss_hinge
+from thermolearn.distributions import DiscreteDistribution, JointDistribution
+from thermolearn.ebm import (
+    BoltzmannMachine,
+    bm_free_energy,
+    bm_state_from_index,
+    bm_train,
+    ebl_infer,
+    gibbs_posterior,
+    loss_hinge,
+    loss_perceptron,
+)
 from thermolearn.errors import ThermolearnError, ValidationError
-from thermolearn.info import entropy_shannon, ib_objective
-from thermolearn.ising import boltzmann_entropy, chain_graph, estimate_observables, metropolis_chain, partition_exact
+from thermolearn.info import entropy_shannon, ib_objective, info_gain
+from thermolearn.ising import (
+    CouplingGraph,
+    boltzmann_entropy,
+    chain_graph,
+    check_spins,
+    config_from_index,
+    estimate_observables,
+    metropolis_chain,
+    partition_exact,
+)
 from thermolearn.learning_theory import pac_sample_bound
 from thermolearn.marl import (
     IsingGameEnv,
+    NeighborGraph,
     QTable,
+    boltzmann_policy,
     discretize_mean,
     mean_action,
+    mf_actor_critic_grad,
     mf_q_update,
     run_ising_game,
     torus_graph,
 )
-from thermolearn.rng import RngStream
-from thermolearn.sampling import Bernoulli, Exponential, clt_standardized_sums
+from thermolearn.rng import RngStream, as_stream
+from thermolearn.sampling import Bernoulli, Exponential, clt_standardized_sums, importance_estimate
 
 INF, NAN = math.inf, math.nan
 
@@ -141,6 +174,104 @@ TIGHTENED = [
 @pytest.mark.parametrize("arg, call", TIGHTENED, ids=[f"{i:02d}-{arg}" for i, (arg, _) in enumerate(TIGHTENED)])
 def test_tightened_scalar_inputs_raise_validation_error(arg, call):
     with pytest.raises(ValidationError, match=f"{arg} must be "):
+        call()
+
+
+# --- the array and index rules ---------------------------------------------------
+
+
+def test_array_rule_wording():
+    assert _array("f: x", [1, 2]).dtype == np.float64
+    with pytest.raises(ValidationError, match=r"^f: x must be a non-empty 1-D sequence of finite reals, got shape \(0,\)$"):
+        _array("f: x", [])
+    with pytest.raises(ValidationError, match=r"^f: x must be a 2-D sequence of shape \(n, 2\) of finite reals in \[0, 1\), got 1\.0 at \[1, 0\]$"):
+        _array("f: x", [[0.0, 0.5], [1.0, 0.0]], (None, 2), 0, 1, "[)")
+    with pytest.raises(ValidationError, match=r"^f: x must be a 1-D sequence of shape \(2,\) of integers in \[0, 1\], got 0\.5 at \[1\]$"):
+        _array("f: x", [1.0, 0.5], (2,), 0, 1, dtype=bool)
+    with pytest.raises(ValidationError, match=r"^f: x must be a non-empty 1-D sequence of finite reals, got a ragged list$"):
+        _array("f: x", [[1.0], [1.0, 2.0]])
+    # a size of 0 asks for an empty axis; bools are entries of a bool dtype only
+    assert _array("f: x", np.zeros((2, 0)), (2, 0)).shape == (2, 0)
+    assert _array("f: x", [True, False], (2,), 0, 1, dtype=bool).dtype == np.bool_
+    with pytest.raises(ValidationError, match="got entries of dtype bool"):
+        _array("f: x", [True, False], (2,), 0, 1, dtype=np.int8)
+
+
+def test_array_rule_copies_no_float64_input():
+    a = np.array([0.25, 0.75])
+    assert _array("f: x", a) is a and _array("f: x", a, (2,), 0, 1) is a
+    assert np.shares_memory(DiscreteDistribution(a).probs, a)
+    assert np.shares_memory(_stochastic("f: x", a), a)
+
+
+def test_stochastic_and_index_rules():
+    with pytest.raises(ValidationError, match=r"^f: x must sum to 1 along its last axis within 1e-09, got a sum of 0\.75$"):
+        _stochastic("f: x", [[0.5, 0.5], [0.5, 0.25]], (2, 2))
+    assert _index("f: i", np.int64(2), 3) == 2
+    for bad in (3, -1, 2.0, True, "1", None):
+        with pytest.raises(ValidationError, match=r"^f: i out of range: must be an integer in \[0, 3\), got "):
+            _index("f: i", bad, 3)
+
+
+# Each raised ValueError, TypeError or IndexError, or was accepted, before the
+# library's array and index checks went through config's rules.
+M21 = BoltzmannMachine.zeros(2, 1)
+MODEL = GenerativeModel(DiscreteDistribution([1.0]), [[1.0]], [[[1.0]]], [[0.0]])
+TIGHTENED_ARRAYS = [
+    # raised ValueError, TypeError or IndexError
+    ("DiscreteDistribution: probs", lambda: DiscreteDistribution(["a"])),
+    ("JointDistribution: table", lambda: JointDistribution([["a"]])),
+    ("ebl_infer: energies", lambda: ebl_infer(["a"])),
+    ("boltzmann_policy: q_row", lambda: boltzmann_policy(["a"], 1.0)),
+    ("mf_actor_critic_grad: policy_params", lambda: mf_actor_critic_grad(["a"], 0, 1.0)),
+    ("check_spins: spins", lambda: check_spins(["a", "b"], 2)),
+    ("WeightedDataset: xs", lambda: WeightedDataset(["x"], [0], [1.0])),
+    ("importance_estimate: h_values", lambda: importance_estimate(["a"], [1.0], [1.0])),
+    ("BoltzmannMachine: a", lambda: BoltzmannMachine(["a"], [0.0], [[0.0]])),
+    ("bm_free_energy: v", lambda: bm_free_energy(M21, ["a", "b"])),
+    ("bm_free_energy: v", lambda: bm_free_energy(M21, [1, 0, 1])),
+    ("GenerativeModel: likelihood", lambda: GenerativeModel(DiscreteDistribution([1.0]), [["a"]], [[[1.0]]], [[0.0]])),
+    ("DiscreteMDP: transition", lambda: DiscreteMDP([[["a"]]], [[0.0]], 0.5)),
+    ("variational_free_energy: likelihood", lambda: variational_free_energy([1.0], [1.0], ["a"])),
+    ("info_gain: child weights", lambda: info_gain([0.5, 0.5], [("a", [0.5, 0.5])])),
+    ("mean_field_kl: joint_log_table", lambda: mean_field_kl(FactorizedPosterior.uniform((1,)), ["a"])),
+    ("CouplingGraph: fields_h", lambda: CouplingGraph(1, (), ["a"])),
+    ("mean_action: neighbor_actions", lambda: mean_action(["a"], 2)),
+    ("discretize_mean: mean", lambda: discretize_mean(["a"])),
+    ("discretize_mean: mean", lambda: discretize_mean([NAN])),
+    ("DiscreteDistribution.point_mass: index", lambda: DiscreteDistribution.point_mass(5, 2)),
+    ("config_from_index: index", lambda: config_from_index(2.5, 3)),
+    ("bm_state_from_index: index", lambda: bm_state_from_index(2.5, M21)),
+    ("NeighborGraph.from_edges: a site of edge", lambda: NeighborGraph.from_edges(2, [("a", 1)])),
+    # accepted without complaint
+    ("DiscreteDistribution: probs", lambda: DiscreteDistribution([[0.5, 0.5]])),
+    ("DiscreteDistribution: probs", lambda: DiscreteDistribution([True])),
+    ("ebl_infer: energies", lambda: ebl_infer([True, False])),
+    ("conv_naive: x", lambda: conv_naive([True], [1.0])),
+    ("fft_radix2: x", lambda: fft_radix2([True, False])),
+    ("importance_estimate: h_values", lambda: importance_estimate([NAN], [1.0], [1.0])),  # returned nan
+    ("importance_estimate: p_densities", lambda: importance_estimate([1.0], [NAN], [1.0])),  # returned nan
+    ("importance_estimate: q_densities", lambda: importance_estimate([1.0], [1.0], [INF])),  # returned 0.0
+    ("bm_free_energy: v", lambda: bm_free_energy(M21, [2, 0])),
+    ("GenerativeModel: likelihood", lambda: GenerativeModel(DiscreteDistribution([1.0]), [[NAN]], [[[1.0]]], [[0.0]])),
+    ("GenerativeModel: transition", lambda: GenerativeModel(DiscreteDistribution([1.0]), [[1.0]], [[[NAN]]], [[0.0]])),
+    ("DiscreteMDP: transition", lambda: DiscreteMDP([[[NAN]]], [[0.0]], 0.5)),
+    ("info_gain: child weights", lambda: info_gain([0.5, 0.5], [(NAN, [0.5, 0.5])])),  # returned nan
+    ("mean_action: neighbor_actions", lambda: mean_action([0.5], 2)),
+    ("DiscreteDistribution.point_mass: index", lambda: DiscreteDistribution.point_mass(-1, 2)),  # mass on index 1
+    ("expected_free_energy: action", lambda: expected_free_energy([0.5], MODEL)),
+    ("loss_perceptron: correct", lambda: loss_perceptron([0.0, 1.0], 0.5)),
+    ("variational_free_energy: evidence_index", lambda: variational_free_energy([1.0], [1.0], [[1.0, 0.5]], evidence_index=0.5)),
+    ("mf_actor_critic_grad: own_action", lambda: mf_actor_critic_grad([1.0, 2.0], 0.5, 1.0)),
+    ("NeighborGraph: a neighbor of agent", lambda: NeighborGraph(((1.5,), (0,)))),
+    ("CouplingGraph: a site of edge", lambda: CouplingGraph(2, ((0.5, 1, 1.0),))),
+    ("as_stream: rng", lambda: as_stream(True)),  # returned RngStream(seed=1)
+]
+
+
+@pytest.mark.parametrize("prefix, call", TIGHTENED_ARRAYS, ids=[f"{i:02d}-{p}" for i, (p, _) in enumerate(TIGHTENED_ARRAYS)])
+def test_tightened_array_and_index_inputs_raise_validation_error(prefix, call):
+    with pytest.raises(ValidationError, match=f"^{re.escape(prefix)}"):
         call()
 
 

@@ -215,7 +215,7 @@ def test_transforms_reject_malformed_input(bad):
     # strings and ragged rows raised numpy's ValueError, a dict its TypeError;
     # None (which numpy reads as NaN), NaN and infinities gave NaN or inf output
     for name, transform in (("fft_radix2", fft_radix2), ("ifft_radix2", ifft_radix2)):
-        with pytest.raises(ValidationError, match=f"{name}: need a non-empty 1-D sequence"):
+        with pytest.raises(ValidationError, match=f"{name}: x must be a non-empty 1-D sequence"):
             transform(bad)
 
 
@@ -228,7 +228,11 @@ def test_conv_rejects_non_real_signals(bad):
             route([1.0, 2.0], bad)
 
 
-def test_conv_accepts_bool_and_int_signals():
-    for x in ([True, False, True], np.array([1, 0, 1], dtype=np.uint8), [1, 0, 1]):
+def test_conv_accepts_int_signals_but_not_bool_ones():
+    for x in (np.array([1, 0, 1], dtype=np.uint8), [1, 0, 1]):
         assert np.allclose(conv_fft(x, [2, 3]), [2.0, 3.0, 2.0, 3.0], atol=1e-12)
         assert np.array_equal(conv_naive(x, [2, 3]), [2.0, 3.0, 2.0, 3.0])
+    # a bool is never a number here, as for every real argument
+    for route in (conv_fft, conv_naive):
+        with pytest.raises(ValidationError, match="x must be a non-empty 1-D sequence of finite reals, got entries of dtype bool"):
+            route([True, False, True], [2, 3])

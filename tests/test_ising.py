@@ -365,7 +365,7 @@ def test_observables_reject_values_other_than_spins(bad):
     # 100 * 100 would wrap around in int8; the bad value sits in the second block
     samples = np.ones((10_000, 3))
     samples[9_000, 1] = bad
-    with pytest.raises(ValidationError, match="-1 or \\+1"):
+    with pytest.raises(ValidationError, match=r"samples must be (-1 or \+1|a 2-D sequence of shape \(n, 3\) of integers in \[-1, 1\])"):
         estimate_observables(samples, chain_graph(3))
 
 

@@ -74,3 +74,12 @@ def test_as_stream_passthrough_and_coercion():
 def test_as_stream_rejects_junk():
     with pytest.raises(ValidationError):
         as_stream("not an rng")
+    # a bool was taken as the seed 1
+    for junk in (True, np.True_, 2.0):
+        with pytest.raises(ValidationError, match="as_stream: rng, if not an RngStream, must be an integer"):
+            as_stream(junk)
+
+
+def test_as_stream_takes_any_integer_seed():
+    for seed in (-5, np.int64(-5), np.uint8(7), 2**70):
+        np.testing.assert_array_equal(as_stream(seed).random(3), RngStream(int(seed)).random(3))
