@@ -167,6 +167,17 @@ def _index(name: str, value, size: int) -> int:
     return int(value)
 
 
+def _items(name: str, value, size: int) -> tuple:
+    """``value`` as a tuple when it is a sequence of ``size`` items; otherwise ValidationError."""
+    try:
+        items = tuple(value)
+    except TypeError:  # not iterable
+        items = None
+    if items is None or len(items) != size:
+        raise ValidationError(f"{name} must be a sequence of {size} items, got {value!r}")
+    return items
+
+
 def _array(name: str, value, shape=(None,), low=-math.inf, high=math.inf, ends: str = "[]", dtype=float) -> np.ndarray:
     """``value`` as a ``dtype`` array of ``shape`` whose entries each pass :func:`_problem`; otherwise ValidationError.
 

@@ -44,25 +44,28 @@ _BLOCK = 1 << 12
 _FEW_COLUMNS = 8
 
 
-def _fft_inplace(signals, inverse: bool) -> None:
-    # each signal must be complex128 with the same power-of-two length; they
-    # share one scratch array and one table of twiddles
-    n = signals[0].size
-    work = np.empty(n, dtype=np.complex128)
-    sign = 1.0 if inverse else -1.0
-    # each pass's twiddles are a strided slice of the last pass's: the angle
-    # of k * (n / length) over n rounds exactly as the angle of k over length
+def _twiddles(n: int, work: np.ndarray) -> np.ndarray:
+    # the forward transform's last-pass twiddles exp(-2 pi i k / n), k < n/2;
+    # work is scratch of size n. Each pass's twiddles are a strided slice of
+    # these: the angle of k * (n / length) over n rounds exactly as the angle
+    # of k over length. The inverse uses their conjugate.
     angles = work.view(np.float64)[: n // 2]
-    np.multiply(sign * 2.0 * math.pi, np.arange(n // 2), out=angles)
+    np.multiply(-2.0 * math.pi, np.arange(n // 2), out=angles)
     angles /= n
     roots = np.multiply(1j, angles)
     np.exp(roots, out=roots)
+    return roots
+
+
+def _fft_inplace(a: np.ndarray, roots: np.ndarray, work: np.ndarray) -> None:
+    # unscaled transform of complex128 a, whose size is a power of two, with
+    # roots from _twiddles (conjugated for the inverse) and scratch of a's size
+    n = a.size
     block = min(n, _BLOCK)
-    for a in signals:
-        _bit_reverse_permute(a, work)
-        for start in range(0, n, block):
-            _butterflies(a[start : start + block], 2, roots, work)
-        _butterflies(a, 2 * block, roots, work)
+    _bit_reverse_permute(a, work)
+    for start in range(0, n, block):
+        _butterflies(a[start : start + block], 2, roots, work)
+    _butterflies(a, 2 * block, roots, work)
 
 
 def _butterflies(a: np.ndarray, length: int, roots: np.ndarray, work: np.ndarray) -> None:
@@ -94,7 +97,11 @@ def _transform(x, name: str, inverse: bool) -> np.ndarray:
     out = np.array(_array(f"{name}: x", x, dtype=np.complex128))
     if out.size & (out.size - 1):
         raise ValidationError(f"{name}: length must be a power of two, got {out.size}")
-    _fft_inplace((out,), inverse)
+    work = np.empty_like(out)
+    roots = _twiddles(out.size, work)
+    if inverse:
+        np.conjugate(roots, out=roots)
+    _fft_inplace(out, roots, work)
     return out
 
 
@@ -118,33 +125,69 @@ def conv_naive(x, y) -> np.ndarray:
     return np.convolve(_array("conv_naive: x", x), _array("conv_naive: y", y))
 
 
+def _peak(v: np.ndarray) -> float:
+    # max |v| of a real array, without an |v| temporary
+    return float(max(v.max(), -v.min()))
+
+
 def conv_fft(x, y) -> np.ndarray:
     """Linear convolution via zero-padding to a power of two and the radix-2 FFT.
 
-    The product theorem gives circular convolution at the padded size;
-    padding to at least len(x) + len(y) - 1 makes it linear. The result is
-    real: the imaginary residue is checked against ``IMAG_RESIDUE_TOL``
-    and discarded. A result that is not finite raises NumericalError.
+    The product theorem gives circular convolution at the padded size N;
+    padding to at least len(x) + len(y) - 1 makes it linear. Both real
+    signals go through one forward transform, x as the real and y as the
+    imaginary part of z. With Z = FFT(z), (Z_k + conj Z_{N-k})(Z_k - conj
+    Z_{N-k}) = 4i X_k Y_k, formed in place over the lower half of the
+    spectrum; the upper half is its Hermitian mirror. One inverse transform,
+    scaled by -i/(4N), gives the convolution. Each signal is first scaled
+    by a power of two to a peak in [0.5, 1), and the result by the inverse
+    powers: these scalings are exact, and they keep a small signal from
+    being lost in a large one's rounding. Both transforms share one table of
+    twiddles, the inverse taking its conjugate, and one scratch array.
+
+    The result is real: the imaginary residue is checked against
+    ``IMAG_RESIDUE_TOL`` and discarded. A result that is not finite raises
+    NumericalError.
     """
     a = _array("conv_fft: x", x)
     b = _array("conv_fft: y", y)
     out_len = a.size + b.size - 1
     size = next_pow2(out_len)
-    fa = np.zeros(size, dtype=np.complex128)
-    fb = np.zeros(size, dtype=np.complex128)
-    fa[: a.size] = a
-    fb[: b.size] = b
-    _fft_inplace((fa, fb), inverse=False)
+    z = np.zeros(size, dtype=np.complex128)
+    # 4N is a power of two, so dividing by it folds into the exact rescaling
+    shift = 1 - (4 * size).bit_length()
+    for part, signal in ((z.real, a), (z.imag, b)):
+        exponent = math.frexp(_peak(signal))[1]
+        np.ldexp(signal, -exponent, out=part[: signal.size])
+        shift += exponent
+    work = np.empty_like(z)
+    roots = _twiddles(size, work)
+    _fft_inplace(z, roots, work)
+    # k = 0 and k = N/2 pair with themselves: the product is 4i Re Z_k Im Z_k
+    half = size // 2
+    for k in {0, half}:
+        z[k] = 4j * z[k].real * z[k].imag
+    if half > 1:
+        lower, mirror = z[1:half], z[: half : -1]
+        plus, minus = work[: half - 1], work[half - 1 : size - 2]
+        np.conjugate(mirror, out=plus)
+        np.subtract(lower, plus, out=minus)
+        plus += lower
+        np.multiply(plus, minus, out=lower)
+        upper = z[half + 1 :]
+        np.conjugate(lower[::-1], out=upper)
+        np.negative(upper, out=upper)
+    np.conjugate(roots, out=roots)
+    _fft_inplace(z, roots, work)
+    del work, roots  # so the result below is made with only z alive
+    # times -i/(4N), the real part is Im z / (4N) and the residue -Re z / (4N);
     # an overflow shows as a non-finite result, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        fa *= fb
-        _fft_inplace((fa,), inverse=True)
-        fa /= size
-    result = fa[:out_len]
+    with np.errstate(over="ignore"):
+        result = np.ldexp(z.imag[:out_len], shift)
+        residue = float(np.ldexp(_peak(z.real[:out_len]), shift))
     if not np.isfinite(result).all():
         raise NumericalError("conv_fft: result is not finite; the signals overflow the float range")
-    residue = float(np.abs(result.imag).max()) if out_len else 0.0
-    scale = max(1.0, float(np.abs(result.real).max()))
+    scale = max(1.0, _peak(result))
     if residue > IMAG_RESIDUE_TOL * scale:
         raise NumericalError(f"conv_fft: imaginary residue {residue:g} exceeds tolerance")
-    return result.real.copy()
+    return result

@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .config import _array, _content_lines, _count, _index, _real
+from .config import _array, _content_lines, _count, _index, _items, _real
 from .distributions import DiscreteDistribution, _log_normalize_inplace, _pack_bits, _unpack_bits
 from .distributions import partition_value, state_bits
 from .errors import CapacityError, ValidationError
@@ -67,7 +67,8 @@ class CouplingGraph:
         n = _count("CouplingGraph: n_sites", self.n_sites, 1)
         seen = set()
         normalized = []
-        for i, j, coupling in self.edges:
+        for edge in self.edges:
+            i, j, coupling = _items("CouplingGraph: edge (i, j, coupling)", edge, 3)
             i, j = (_index(f"CouplingGraph: a site of edge ({i}, {j})", k, n) for k in (i, j))
             if i == j:
                 raise ValidationError(f"CouplingGraph: self-loop at site {i}")

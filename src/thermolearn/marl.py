@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .config import _array, _count, _index, _real
+from .config import _array, _count, _index, _items, _real
 from .distributions import DiscreteDistribution, log_normalize
 from .errors import DomainError, ValidationError
 from .rng import RngStream
@@ -70,7 +70,8 @@ class NeighborGraph:
     def from_edges(cls, n_agents: int, edges: Sequence[Tuple[int, int]]) -> "NeighborGraph":
         lists = [[] for _ in range(_count("NeighborGraph.from_edges: n_agents", n_agents, 0))]
         for edge in edges:
-            i, j = (_index(f"NeighborGraph.from_edges: a site of edge {edge}", k, n_agents) for k in edge)
+            pair = _items("NeighborGraph.from_edges: edge (i, j)", edge, 2)
+            i, j = (_index(f"NeighborGraph.from_edges: a site of edge {edge}", k, n_agents) for k in pair)
             lists[i].append(j)
             lists[j].append(i)
         return cls(tuple(tuple(row) for row in lists))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -172,6 +173,40 @@ def test_routes_agree_on_seeded_pairs():
         fast = conv_fft(x, y)
         slow = conv_naive(x, y)
         assert np.max(np.abs(fast - slow)) <= 1e-9
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 3), (2, 4), (1, 5), (5, 1)])
+def test_conv_agrees_with_naive_at_the_shortest_outputs(nx, ny):
+    # outputs of length 1, 2, 3 and 5 pad to 1, 2, 4 and 8 points, where the
+    # DC and Nyquist bins pair with themselves in the packed spectrum
+    gen = np.random.default_rng(10 * nx + ny)
+    x, y = gen.normal(size=nx), gen.normal(size=ny)
+    assert np.max(np.abs(conv_fft(x, y) - conv_naive(x, y))) <= 1e-12
+
+
+@pytest.mark.parametrize("scale_x, scale_y", [(1e150, 1e-150), (1e-150, 1e150), (1e150, 1e150), (1e-150, 1e-150)])
+def test_conv_keeps_signals_of_very_different_scale(scale_x, scale_y):
+    # x and y share one transform; unscaled, the small signal was lost in the
+    # large one's rounding
+    gen = np.random.default_rng(11)
+    x, y = scale_x * gen.normal(size=300), scale_y * gen.normal(size=200)
+    slow = conv_naive(x, y)
+    assert np.max(np.abs(conv_fft(x, y) - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+def test_conv_traced_peak_is_under_three_spectra():
+    # the packed signal, the scratch array and the half-size twiddle table are
+    # 2.5 spectra of 16 bytes a point; a further full-size buffer would pass 3
+    size = 1 << 16
+    gen = np.random.default_rng(12)
+    x, y = gen.uniform(-1, 1, size // 2), gen.uniform(-1, 1, size // 2 + 1)
+    tracemalloc.start()
+    try:
+        conv_fft(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * size * 16
 
 
 def test_conv_scales_linearly():

@@ -171,9 +171,9 @@ GOLDEN = {
     'boost3 seed29': '475daec0e6c9cf96a3b3ab0763c2efef0a3f61fae575f43f017d47cff8bef9e3',
     'boost_recursive depth2 seed29': 'ebdaf2fcb705a89c2d1a33fb5320c5661e60173a1d9a2424338bf37f439eda19',
     'boost_recursive depth3 seed1': 'dd8200234c115d21acb24f231f87906ffee06cae174e6a95a451759eac07bdcf',
-    'conv_fft n16': '3c4e6c64feb2edd40602fbe0d5e64cf780f584a05c4e5d01118ce923f4f5a7f0',
-    'conv_fft n4096': '0b0b06829ab99538fd4adb3ebc36f721a31793e520f662a52a7da262a45f3371',
-    'conv_fft n65536': '3e7ac8b28068522f38bfac840162e61cf9a32d33a9e4670e08f21a36675532b9',
+    'conv_fft n16': '776dc970622af48eb40223c9d705305034079d0d85a7469429f71aa6deb86adc',
+    'conv_fft n4096': '7713c60ae9cd75a46a45590f589fc35dfbaae828831389f03ea6f9652acc4baf',
+    'conv_fft n65536': '840d317ddc403bee5149e312f44c0096259fdeb7ab25ad30d4fc959415b57f38',
     'fft/ifft n1': '172754589b16e0ae9af7349cdb301926c2ebd9858cb8ff64f65633cc5c3f3b80',
     'fft/ifft n1024': 'edb7eab403ba51482e09dfa2c182087c93b48fb05a88576eb0e40d4174fe6c24',
     'game irregular bins3': '6a9e7c39718fc499a2c8ae75f56972d6ef80798e53a189352f937f84fd93d3d5',

@@ -61,6 +61,13 @@ def test_graph_rejects_self_loops_and_duplicates():
         CouplingGraph(2, ((0, 5, 1.0),))
 
 
+@pytest.mark.parametrize("edge", [(0, 1), (5,), 5, (0, 1, 1.0, 2.0), None])
+def test_graph_rejects_edges_of_the_wrong_arity(edge):
+    # Python's own unpacking ValueError or TypeError escaped before
+    with pytest.raises(ValidationError, match=r"CouplingGraph: edge \(i, j, coupling\) must be a sequence of 3 items"):
+        CouplingGraph(2, (edge,))
+
+
 @pytest.mark.parametrize("coupling", [math.nan, math.inf, -math.inf])
 def test_graph_rejects_non_finite_couplings(coupling):
     with pytest.raises(ValidationError, match="finite"):

@@ -34,6 +34,13 @@ def test_graph_symmetry_and_validation():
         NeighborGraph.from_edges(2, [(0, 3)])
 
 
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 1, None])
+def test_from_edges_rejects_edges_of_the_wrong_arity(edge):
+    # Python's own unpacking ValueError or TypeError escaped before
+    with pytest.raises(ValidationError, match=r"NeighborGraph.from_edges: edge \(i, j\) must be a sequence of 2 items"):
+        NeighborGraph.from_edges(3, [edge])
+
+
 def test_torus_degree_four():
     g = torus_graph(4, 4)
     assert g.n_agents == 16
