@@ -22,11 +22,9 @@ from typing import Dict, Iterable, Iterator, List
 
 import numpy as np
 
-from . import activeinf, boost, convolution, digest, ebm, info, ising, marl
 from .anneal import SCHEDULE_KINDS, CoolingSchedule, EnergyLandscape
 from .anneal import anneal as run_anneal
-from .config import FieldSpec, _read_text, _within, parse_config_file, resolved, validate_against
-from .distributions import DiscreteDistribution
+from .config import FieldSpec, _problem, _read_text, _within, parse_config_file, resolved, validate_against
 from .errors import NumericalError, ThermolearnError
 from .rng import RngStream
 from .trace import Trace
@@ -174,6 +172,8 @@ def _check_conv(cfg) -> List[str]:
 def _check_marl(cfg) -> List[str]:
     if cfg["rows"] * cfg["cols"] < 2:
         return ["rows: lattice needs at least 2 agents"]
+    if cfg["temp.end"] > cfg["temp.start"]:
+        return ["temp.end: must not exceed temp.start"]
     return []
 
 
@@ -216,7 +216,11 @@ def _schedule_from(cfg) -> CoolingSchedule:
     )
 
 
+# Each runner imports its own subsystem, so a run loads only what its subcommand
+# needs, and calls through module attributes (``ising.metropolis_chain``).
 def _run_entropy(cfg, rng):
+    from . import info
+    from .distributions import DiscreteDistribution
     dist = DiscreteDistribution(np.asarray(cfg["probs"], dtype=float))
     base = float(cfg["log_base"])
     return {
@@ -227,16 +231,12 @@ def _run_entropy(cfg, rng):
     }, {}
 
 
-def _ising_graph(cfg) -> ising.CouplingGraph:
-    if "graph" in cfg:
-        return ising.load_coupling_graph(cfg["graph"])
-    return ising.chain_graph(
-        cfg["n_sites"], float(cfg["coupling"]), float(cfg["field"]), cfg["periodic"]
-    )
-
-
 def _run_ising(cfg, rng):
-    graph = _ising_graph(cfg)
+    from . import ising
+    if "graph" in cfg:
+        graph = ising.load_coupling_graph(cfg["graph"])
+    else:
+        graph = ising.chain_graph(cfg["n_sites"], float(cfg["coupling"]), float(cfg["field"]), cfg["periodic"])
     beta = float(cfg["beta"])
     # The exact enumeration (two 8 MB arrays at 20 sites) is the largest
     # allocation, so it runs first, on a heap that holds neither the chain's
@@ -297,6 +297,7 @@ def _run_anneal(cfg, rng):
 
 
 def _run_digest(cfg, rng):
+    from . import digest
     if "instance" in cfg:
         instance = digest.load_instance(cfg["instance"])
     else:
@@ -321,6 +322,7 @@ def _run_digest(cfg, rng):
 
 
 def _run_ebm(cfg, rng):
+    from . import ebm
     data = ebm.load_visible_data(cfg["data"])
     n_visible = data.shape[1]
     n_hidden = cfg["n_hidden"]
@@ -354,6 +356,7 @@ def _run_ebm(cfg, rng):
 
 
 def _run_conv(cfg, rng):
+    from . import convolution
     if "x" in cfg and "y" in cfg:
         x = np.asarray(cfg["x"], dtype=float)
         y = np.asarray(cfg["y"], dtype=float)
@@ -378,6 +381,7 @@ def _run_conv(cfg, rng):
 
 
 def _run_boost(cfg, rng):
+    from . import boost
     threshold = float(cfg["threshold"])
     if "dataset" in cfg:
         dataset = boost.load_dataset(cfg["dataset"])
@@ -391,6 +395,7 @@ def _run_boost(cfg, rng):
 
 
 def _run_activeinf(cfg, rng):
+    from . import activeinf
     mdp = activeinf.mdp_from_json(_read_text(cfg["mdp"]))
     result = activeinf.value_iteration(mdp, float(cfg["tolerance"]))
     return {
@@ -402,11 +407,12 @@ def _run_activeinf(cfg, rng):
 
 
 def _run_marl(cfg, rng):
+    from . import marl
     env = marl.IsingGameEnv(marl.torus_graph(cfg["rows"], cfg["cols"]), float(cfg["coupling"]))
     episodes = cfg["episodes"]
     t_start, t_end = float(cfg["temp.start"]), float(cfg["temp.end"])
     ratio = 1.0 if episodes == 1 else (t_end / t_start) ** (1.0 / (episodes - 1))
-    schedule = CoolingSchedule("geometric", t_start, min(1.0, ratio))
+    schedule = CoolingSchedule("geometric", t_start, ratio)
     result = marl.run_ising_game(
         env,
         episodes,
@@ -454,6 +460,11 @@ def run_experiment(
         return EXIT_USAGE
     if fmt not in ("csv", "json"):
         print(f"unknown format: {fmt}", file=sys.stderr)
+        return EXIT_USAGE
+    # a U64: RngStream would reduce any other int mod 2^64, so two manifests would share one run
+    seed_problem = _problem(seed, 0, 2**64, "[)", integer=True)
+    if seed_problem:
+        print(f"usage error: seed {seed_problem}", file=sys.stderr)
         return EXIT_USAGE
     diagnostics = validate_config(subcommand, config)
     if diagnostics:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thermolearn
 from thermolearn import cli
 from thermolearn.activeinf import DiscreteMDP, mdp_to_json
 from thermolearn.boost import load_dataset
@@ -200,6 +201,9 @@ def test_validate_config_cross_checks():
     # marl: at least two agents
     assert cli.validate_config("marl", {"rows": 1, "cols": 1}) != []
     assert cli.validate_config("marl", {"rows": 1, "cols": 2}) == []
+    # marl: the temperature schedule cools or holds (a rising one ran at a constant temp.start)
+    assert cli.validate_config("marl", {"temp.start": 1.0, "temp.end": 2.0}) == ["temp.end: must not exceed temp.start"]
+    assert cli.validate_config("marl", {"temp.start": 2.0, "temp.end": 2.0}) == []
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -218,6 +222,21 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert cli.main(["entropy", "--config", cfg, "--format", "xml"]) == 64
     assert cli.run_experiment("frobnicate", {}, out_dir=str(tmp_path / "o")) == 64
     capsys.readouterr()
+
+
+def test_seed_outside_u64_exits_64(tmp_path, capsys):
+    # RngStream reduces a seed mod 2^64, so -1 and 2^64 - 1 ran alike under two manifests
+    cfg = write_cfg(tmp_path, "e.cfg", "probs = [0.5, 0.5]\n")
+    for seed in (-1, 2**64):
+        out = tmp_path / f"o{seed}"
+        assert cli.main(["entropy", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 64
+        assert f"usage error: seed must be an integer in [0, {2**64}), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+    assert cli.run_experiment("entropy", {"probs": [0.5, 0.5]}, seed=-1, out_dir=str(tmp_path / "api")) == 64
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / f"o{seed}"
+        assert cli.main(["entropy", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
 
 def test_validation_errors_exit_1(tmp_path, capsys):
@@ -337,7 +356,7 @@ def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert "numerical failure" in capsys.readouterr().err
     # the route gate catches a NaN difference, which compares false with any bound
     cfg = write_cfg(tmp_path, "c.cfg", "x = [1.0, 2.0]\ny = [1.0]\n")
-    monkeypatch.setattr(cli.convolution, "conv_naive", lambda x, y: np.full(2, np.nan))
+    monkeypatch.setattr(thermolearn.convolution, "conv_naive", lambda x, y: np.full(2, np.nan))
     assert cli.main(["conv", "--config", cfg, "--out", str(tmp_path / "nan")]) == 2
     assert "disagree by nan" in capsys.readouterr().err
 
@@ -351,6 +370,31 @@ def test_conv_overflow_prints_only_the_failure_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("numerical failure: conv_fft")
+
+
+def test_marl_rising_temperature_exits_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "m.cfg", "rows = 2\ncols = 2\nepisodes = 3\ntemp.start = 0.5\ntemp.end = 5.0\n")
+    out = tmp_path / "run"
+    assert cli.main(["marl", "--config", cfg, "--out", str(out)]) == 1
+    assert "config error: temp.end: must not exceed temp.start" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+def test_python_m_thermolearn_matches_main(tmp_path):
+    cfg = write_cfg(tmp_path, "i.cfg", ISING_CFG)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "thermolearn", "ising", "--config", cfg, "--seed", "9", "--out", "by_m"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["ising", "--config", cfg, "--seed", "9", "--out", str(tmp_path / "by_main")]) == 0
+    digests = {}
+    for run in ("by_m", "by_main"):
+        artifacts = json.loads((tmp_path / run / "manifest.json").read_text())["artifacts"]
+        assert sorted(artifacts) == ["result.json", "trace.csv"]
+        for name, hex_digest in artifacts.items():
+            assert hashlib.sha256((tmp_path / run / name).read_bytes()).hexdigest() == hex_digest
+        digests[run] = artifacts
+    assert digests["by_m"] == digests["by_main"]
 
 
 def test_entropy_run_exit_0(tmp_path):
