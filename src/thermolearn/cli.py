@@ -174,7 +174,16 @@ def _check_marl(cfg) -> List[str]:
         return ["rows: lattice needs at least 2 agents"]
     if cfg["temp.end"] > cfg["temp.start"]:
         return ["temp.end: must not exceed temp.start"]
+    ratio = _cooling_ratio(cfg)
+    if not 0.0 < ratio <= 1.0:  # also NaN
+        return [f"temp.end: too far below temp.start to cool over the episodes (ratio per episode {ratio!r})"]
     return []
+
+
+def _cooling_ratio(cfg) -> float:
+    """The geometric ratio per episode that takes marl's temperature from temp.start to temp.end."""
+    episodes = cfg["episodes"]
+    return 1.0 if episodes == 1 else (float(cfg["temp.end"]) / float(cfg["temp.start"])) ** (1.0 / (episodes - 1))
 
 
 _CROSS_CHECKS = {
@@ -240,12 +249,14 @@ def _run_ising(cfg, rng):
     beta = float(cfg["beta"])
     # The exact enumeration (two 8 MB arrays at 20 sites) is the largest
     # allocation, so it runs first, on a heap that holds neither the chain's
-    # samples and trace nor the trace text. It draws no random numbers, so
+    # record and trace nor the trace text. It draws no random numbers, so
     # the chain's stream is the same either way.
     exact = graph.n_sites <= ising.MAX_EXACT_SITES
     z = ising.partition_exact(graph, beta).z if exact else None
     result = ising.metropolis_chain(graph, beta, cfg["steps"], cfg["burn_in"], rng)
-    obs = ising.estimate_observables(result.samples, graph)
+    # the chain's own running energy and magnetization after each post-burn-in step
+    trace, start = result.trace, cfg["burn_in"]
+    obs = ising._observables(trace.column("energy")[start:], trace.column("magnetization")[start:])
     summary = {
         "n_sites": graph.n_sites,
         "beta": beta,
@@ -410,9 +421,7 @@ def _run_marl(cfg, rng):
     from . import marl
     env = marl.IsingGameEnv(marl.torus_graph(cfg["rows"], cfg["cols"]), float(cfg["coupling"]))
     episodes = cfg["episodes"]
-    t_start, t_end = float(cfg["temp.start"]), float(cfg["temp.end"])
-    ratio = 1.0 if episodes == 1 else (t_end / t_start) ** (1.0 / (episodes - 1))
-    schedule = CoolingSchedule("geometric", t_start, ratio)
+    schedule = CoolingSchedule("geometric", float(cfg["temp.start"]), _cooling_ratio(cfg))
     result = marl.run_ising_game(
         env,
         episodes,
@@ -461,7 +470,7 @@ def run_experiment(
     if fmt not in ("csv", "json"):
         print(f"unknown format: {fmt}", file=sys.stderr)
         return EXIT_USAGE
-    # a U64: RngStream would reduce any other int mod 2^64, so two manifests would share one run
+    # a U64, as RngStream takes, checked before the manifest is written
     seed_problem = _problem(seed, 0, 2**64, "[)", integer=True)
     if seed_problem:
         print(f"usage error: seed {seed_problem}", file=sys.stderr)

@@ -143,9 +143,9 @@ def _bound(low, high, ends: str) -> str:
     return "" if low == -math.inf else f" {'>' if ends[0] == '(' else '>='} {low}"
 
 
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int when it is an integer (not a bool) >= ``least``; otherwise ValidationError."""
-    problem = _problem(value, least, integer=True)
+def _count(name: str, value, least: int, below=math.inf) -> int:
+    """``value`` as an int when it is an integer (not a bool) in [``least``, ``below``); otherwise ValidationError."""
+    problem = _problem(value, least, below, "[)", integer=True)
     if problem:
         raise ValidationError(f"{name} {problem}")
     return int(value)

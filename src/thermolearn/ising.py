@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -27,7 +28,7 @@ from .trace import Trace
 MAX_EXACT_SITES = 20
 # Exact enumeration fills 2^ENUM_BLOCK_BITS states at a time.
 ENUM_BLOCK_BITS = 16
-# Sample rows rebuilt after a chain, or scored for its observables, at a time.
+# Chain steps drawn, and sample rows rebuilt or scored, per block.
 BLOCK_ROWS = 8192
 
 __all__ = [
@@ -295,33 +296,37 @@ def metropolis_step(spins, graph: CouplingGraph, beta: float, rng: RngStream) ->
 
 @dataclass
 class ChainResult:
-    """Post-burn-in samples (one config per row) plus the per-step trace."""
+    """The per-step trace of a chain plus its flip record: the initial state,
+    each step's proposed site and the burn-in. ``samples``, the states after
+    each post-burn-in step (one config per row), is rebuilt from the record
+    and the trace's ``accepted`` column on first read, then kept."""
 
-    samples: np.ndarray
     trace: Trace
+    initial: np.ndarray = field(repr=False)
+    sites: np.ndarray = field(repr=False)
+    burn_in: int
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        sites, accepted, start = self.sites, self.trace.column("accepted"), self.burn_in
+        state = self.initial.copy()
+        flips_before = np.bincount(sites[:start], weights=accepted[:start], minlength=state.size)
+        state[flips_before % 2 == 1] *= -1
+        samples = np.zeros((len(sites) - start, state.size), dtype=np.int8)
+        # an int8 spin s in {-1, +1} has s ^ -2 == -s, so XOR-accumulating the
+        # flip marks down a block and applying the row above it gives each row
+        for a in range(start, len(sites), BLOCK_ROWS):
+            block = samples[a - start : a - start + BLOCK_ROWS]
+            rows = np.flatnonzero(accepted[a : a + len(block)])
+            block[rows, sites[a + rows]] = -2
+            np.bitwise_xor.accumulate(block, axis=0, out=block)
+            block ^= state
+            state = block[-1]
+        return samples
 
     @property
     def acceptance_rate(self) -> float:
         return float(self.trace.column("accepted").mean())
-
-
-def _replay_samples(initial, sites, accepted, start: int, stop: int) -> np.ndarray:
-    """States after each step start..stop-1 of a chain from ``initial`` that
-    proposed site ``sites[t]`` at step ``t`` and flipped it where ``accepted[t]``."""
-    state = initial.copy()
-    flips_before = np.bincount(sites[:start], weights=accepted[:start], minlength=state.size)
-    state[flips_before % 2 == 1] *= -1
-    samples = np.zeros((stop - start, state.size), dtype=np.int8)
-    # an int8 spin s in {-1, +1} has s ^ -2 == -s, so XOR-accumulating the
-    # flip marks down a block and applying the row above it gives each row
-    for a in range(start, stop, BLOCK_ROWS):
-        block = samples[a - start : a - start + BLOCK_ROWS]
-        rows = np.flatnonzero(accepted[a : a + len(block)])
-        block[rows, sites[a + rows]] = -2
-        np.bitwise_xor.accumulate(block, axis=0, out=block)
-        block ^= state
-        state = block[-1]
-    return samples
 
 
 def metropolis_chain(
@@ -336,11 +341,12 @@ def metropolis_chain(
 
     ``burn_in`` defaults to steps // 10; samples are the states after
     every post-burn-in step. For speed the site indices and acceptance
-    uniforms are drawn up front (one of each per step, in that order,
-    after the initial state when it is random); the accept rule per step
-    is identical to :func:`metropolis_step`. The loop records only the
-    accepted flips; the per-step trace and the samples are rebuilt from
-    them afterwards, with the same float additions in the same order.
+    uniforms are drawn in blocks (one of each per step, all sites before
+    any uniform, after the initial state when it is random), the same
+    stream as one call each; the accept rule per step is identical to
+    :func:`metropolis_step`. The trace's running energy and magnetization
+    are sums of the flips' dH and spin changes; the samples are rebuilt
+    from the proposed sites when first read.
     """
     if rng is None:
         raise ValidationError("metropolis_chain: rng is required for reproducibility")
@@ -359,26 +365,23 @@ def metropolis_chain(
     adjacency = graph.adjacency()
     fields = [float(h) for h in graph.fields_h]
     sites_arr = rng.generator.integers(0, n, size=steps)
-    uniforms_arr = rng.generator.random(steps)
 
-    # Every buffer is sized by the step count, not by the number of accepted
-    # flips, so a chain's memory does not depend on its acceptance rate. The
-    # k-th accepted flip's dH goes to energy_path[k + 1], after the initial
-    # energy, and its pre-flip spin to flip_old[k].
-    accepted = np.zeros(steps, dtype=bool)
-    energy_path = np.empty(steps + 1)
+    # Every buffer is sized by the step count, so a chain's memory does not
+    # depend on its acceptance rate. A flip at step t puts its dH in
+    # energy_path[t + 1] and its pre-flip spin in flip_old[t]. A rejected
+    # step leaves dH at -0.0: adding -0.0 changes no float, not even -0.0.
+    energy_path = np.full(steps + 1, -0.0)
     energy_path[0] = ising_energy(spins_arr, graph)
-    flip_old = np.empty(steps, dtype=np.int8)
-    accepted_at, dh_of, old_of = memoryview(accepted), memoryview(energy_path)[1:], memoryview(flip_old)
-    k = 0
+    flip_old = np.zeros(steps, dtype=np.int8)
+    dh_at, old_at = memoryview(energy_path)[1:], memoryview(flip_old)
 
     exp = math.exp
     # The draws become Python lists (about 40 bytes a step) one block at a
     # time, so the loop's speed costs no memory that grows with the steps.
     for a in range(0, steps, BLOCK_ROWS):
         sites = sites_arr[a : a + BLOCK_ROWS].tolist()
-        uniforms = uniforms_arr[a : a + BLOCK_ROWS].tolist()
-        accepted_here = accepted_at[a : a + BLOCK_ROWS]
+        uniforms = rng.generator.random(len(sites)).tolist()
+        dh_here, old_here = dh_at[a : a + BLOCK_ROWS], old_at[a : a + BLOCK_ROWS]
         for t in range(len(sites)):
             site = sites[t]
             s = spins[site]
@@ -388,31 +391,29 @@ def metropolis_chain(
             delta_h = 2.0 * s * local
             if delta_h <= 0.0 or uniforms[t] < exp(-beta * delta_h):
                 spins[site] = -s
-                accepted_here[t] = True
-                dh_of[k] = delta_h
-                old_of[k] = s
-                k += 1
-    del sites, uniforms, uniforms_arr
+                dh_here[t] = delta_h
+                old_here[t] = s
+    del sites, uniforms
 
-    # index of each step's running value: rejected steps repeat the last one
-    # rather than adding 0.0, which would turn an energy of -0.0 into 0.0
-    n_flips = np.cumsum(accepted)
-    np.cumsum(energy_path[: k + 1], out=energy_path[: k + 1])
-    mag_path = np.empty(steps + 1, dtype=np.int64)
+    np.cumsum(energy_path, out=energy_path)
+    # magnetization sums are whole numbers, exact in float64
+    mag_path = np.empty(steps + 1)
     mag_path[0] = spins_arr.sum(dtype=np.int64)
-    np.multiply(flip_old[:k], -2, out=mag_path[1 : k + 1])
-    np.cumsum(mag_path[: k + 1], out=mag_path[: k + 1])
-    samples = _replay_samples(spins_arr, sites_arr, accepted, burn_in, steps)
+    np.multiply(flip_old, -2.0, out=mag_path[1:])
+    np.cumsum(mag_path, out=mag_path)
+    mag_path *= 1.0 / n
+    accepted = np.abs(flip_old, out=flip_old)
 
     trace = Trace(
         {
             "step": np.arange(steps),
-            "energy": energy_path[n_flips],
+            "energy": energy_path[1:],
             "accepted": accepted,
-            "magnetization": mag_path[n_flips] * (1.0 / n),
+            "magnetization": mag_path[1:],
         }
     )
-    return ChainResult(samples, trace)
+    # a copy: the caller may reuse its initial array before samples is read
+    return ChainResult(trace, spins_arr.copy(), sites_arr, burn_in)
 
 
 @dataclass(frozen=True)
@@ -433,15 +434,22 @@ def estimate_observables(samples, graph: CouplingGraph, n_batches: Optional[int]
     """
     arr = _spins("estimate_observables: samples", samples, (None, graph.n_sites))
     m = arr.shape[0]
-    if n_batches is None:
-        n_batches = max(1, min(100, int(math.sqrt(m))))
-    n_batches = _count("estimate_observables: n_batches", n_batches, 1)
     energies = np.zeros(m)
     mags = np.empty(m)
     for start in range(0, m, BLOCK_ROWS):
         s = arr[start : start + BLOCK_ROWS]
         _subtract_energies(energies[start : start + BLOCK_ROWS], s.T, graph)
         mags[start : start + BLOCK_ROWS] = s.mean(axis=1)
+    return _observables(energies, mags, n_batches)
+
+
+def _observables(energies: np.ndarray, mags: np.ndarray, n_batches: Optional[int] = None) -> Observables:
+    """Means of per-sample energies and magnetizations, with standard errors
+    from ``n_batches`` batch means (default: sqrt of the sample count, 1 to 100)."""
+    m = len(energies)
+    if n_batches is None:
+        n_batches = max(1, min(100, int(math.sqrt(m))))
+    n_batches = _count("estimate_observables: n_batches", n_batches, 1)
     per = m // n_batches
 
     def batch_se(series):

@@ -1,6 +1,7 @@
 """Seeded random streams with deterministic substream derivation.
 
-A stream is identified by a ``(seed, stream_id)`` pair. The pair is mixed
+A stream is identified by a ``(seed, stream_id)`` pair of integers in
+[0, 2^64); anything else raises ValidationError. The pair is mixed
 into a single 64-bit value with SplitMix64 and that value seeds a PCG64
 generator, so the mapping from identifiers to sample sequences is fixed
 for all time:
@@ -16,13 +17,12 @@ sharing one.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import _count
 
-_MASK64 = (1 << 64) - 1
+_U64 = 1 << 64
+_MASK64 = _U64 - 1
 _PHI64 = 0x9E3779B97F4A7C15
 
 
@@ -48,8 +48,9 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
+        # each id is a U64; reducing other ints mod 2^64 would let two ids share one stream
+        self.seed = _count("RngStream: seed", seed, 0, _U64)
+        self.stream_id = _count("RngStream: stream_id", stream_id, 0, _U64)
         self.generator = np.random.Generator(np.random.PCG64(mix_seed(self.seed, self.stream_id)))
 
     def substream(self, stream_id: int) -> "RngStream":
@@ -68,7 +69,7 @@ class RngStream:
 
 
 def as_stream(rng) -> RngStream:
-    """Coerce an int seed or RngStream into an RngStream."""
+    """Coerce a seed in [0, 2^64) or an RngStream into an RngStream."""
     if isinstance(rng, RngStream):
         return rng
-    return RngStream(_count("as_stream: rng, if not an RngStream,", rng, -math.inf))
+    return RngStream(_count("as_stream: rng, if not an RngStream,", rng, 0, _U64))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -204,6 +205,10 @@ def test_validate_config_cross_checks():
     # marl: the temperature schedule cools or holds (a rising one ran at a constant temp.start)
     assert cli.validate_config("marl", {"temp.start": 1.0, "temp.end": 2.0}) == ["temp.end: must not exceed temp.start"]
     assert cli.validate_config("marl", {"temp.start": 2.0, "temp.end": 2.0}) == []
+    # ... and its ratio per episode must not underflow to 0
+    assert cli.validate_config("marl", {"temp.start": 1e300, "temp.end": 1e-300, "episodes": 2}) != []
+    assert cli.validate_config("marl", {"temp.start": 1e300, "temp.end": 1e-300, "episodes": 1}) == []
+    assert cli.validate_config("marl", {"temp.start": 1.0, "temp.end": 1e-300, "episodes": 2}) == []
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -380,6 +385,16 @@ def test_marl_rising_temperature_exits_1(tmp_path, capsys):
     assert not (out / "result.json").exists()
 
 
+def test_marl_cooling_ratio_underflow_exits_1(tmp_path, capsys):
+    # 1e-300 / 1e300 underflows to a ratio of 0.0, which CoolingSchedule rejects under its own name
+    cfg = write_cfg(tmp_path, "m.cfg", "temp.start = 1e300\ntemp.end = 1e-300\nepisodes = 2\n")
+    out = tmp_path / "run"
+    assert cli.main(["marl", "--config", cfg, "--out", str(out)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "config error: temp.end: too far below temp.start to cool over the episodes (ratio per episode 0.0)\n"
+    assert not out.exists()
+
+
 def test_python_m_thermolearn_matches_main(tmp_path):
     cfg = write_cfg(tmp_path, "i.cfg", ISING_CFG)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -524,3 +539,78 @@ def test_conv_subcommand_explicit_signals(tmp_path):
     assert result["result"] == [1.0, 3.0, 5.0, 3.0]
     assert result["out_length"] == 4
     assert result["max_abs_route_diff"] <= 1e-9
+
+
+# --- the ising observables and the entry points a traced benchmark wraps --------
+
+
+def _record_calls(monkeypatch, owner, attr, calls):
+    """Wrap ``owner.attr`` as the benchmark's traced run does (bench/worker.py,
+    ``Tracer.install``), appending ``(attr, args, result)`` for each call."""
+    inner = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        calls.append((attr, args, result))
+        return result
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+def _ring_cfg(tmp_path, n_sites, steps=3000, burn_in=300):
+    return write_cfg(tmp_path, f"ring{n_sites}.cfg", f"n_sites = {n_sites}\nperiodic = true\ncoupling = 0.7\n"
+                     f"field = 0.13\nbeta = 0.45\nsteps = {steps}\nburn_in = {burn_in}\n")
+
+
+OBSERVABLES = ("mean_energy", "se_energy", "mean_magnetization", "se_magnetization", "n_samples")
+
+
+@pytest.mark.parametrize("n_sites, seed", [(3, 1), (20, 7), (24, 29), (64, 11)])
+def test_ising_observables_come_from_the_chain_trace(tmp_path, monkeypatch, n_sites, seed):
+    from thermolearn import ising
+
+    calls = []
+    _record_calls(monkeypatch, ising, "metropolis_chain", calls)
+    burn_in = 500
+    out = tmp_path / "run"
+    assert cli.main(["ising", "--config", _ring_cfg(tmp_path, n_sites, 20_000, burn_in), "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    summary = json.loads((out / "result.json").read_text())
+    with open(out / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))[burn_in:]
+    # JSON and the trace text keep every bit of a float
+    from_trace = ising._observables(np.array([float(r["energy"]) for r in rows]),
+                                    np.array([float(r["magnetization"]) for r in rows]))
+    for key in OBSERVABLES:
+        assert summary[key] == getattr(from_trace, key), key
+    # the chain's running sums agree with each sample's energy worked out afresh
+    ((_, (graph, *_), res),) = calls
+    direct = ising.estimate_observables(res.samples, graph)
+    for key in OBSERVABLES:
+        assert summary[key] == pytest.approx(getattr(direct, key), rel=1e-12, abs=0), key
+
+
+def test_traced_entry_points_are_reached(tmp_path, monkeypatch):
+    """Every name the benchmark's traced run wraps and divides by is still reached:
+    the chain, exact enumeration (only up to MAX_EXACT_SITES) and the CSV writer
+    on ``ising`` runs, the annealer and the digest energy on a ``digest`` run."""
+    from thermolearn import digest, ising, trace
+
+    calls = []
+    for owner, attr in ((ising, "metropolis_chain"), (ising, "partition_exact"), (trace.Trace, "csv_text"),
+                        (cli, "run_anneal"), (digest.DigestLandscape, "energy")):
+        _record_calls(monkeypatch, owner, attr, calls)
+    steps, burn_in = 3000, 300
+    for n_sites in (20, 64):
+        calls.clear()
+        out = tmp_path / f"ring{n_sites}"
+        assert cli.main(["ising", "--config", _ring_cfg(tmp_path, n_sites, steps, burn_in), "--out", str(out)]) == 0
+        reached = {name for name, _, _ in calls}
+        exact = {"partition_exact"} if n_sites <= ising.MAX_EXACT_SITES else set()
+        assert reached == {"metropolis_chain", "csv_text"} | exact, n_sites
+        (res,) = [r for name, _, r in calls if name == "metropolis_chain"]
+        assert res.samples.nbytes == (steps - burn_in) * n_sites
+    calls.clear()
+    cfg = write_cfg(tmp_path, "d.cfg", "n_a = 3\nn_b = 3\ntotal_length = 30\nsweeps = 5\nproposals_per_sweep = 10\n")
+    assert cli.main(["digest", "--config", cfg, "--out", str(tmp_path / "digest")]) == 0
+    assert {name for name, _, _ in calls} == {"run_anneal", "energy", "csv_text"}

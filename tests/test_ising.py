@@ -310,6 +310,36 @@ def test_chain_memory_does_not_follow_acceptance_rate():
     assert abs(peak[0.0] - peak[5.0]) < 100_000, peak
 
 
+def test_chain_builds_samples_only_when_read():
+    # the (steps - burn_in) x n sample matrix is rebuilt from the flip record
+    # on first read, so a chain whose samples nobody reads never holds it
+    import tracemalloc
+
+    g = chain_graph(64, coupling=0.8, h=0.1, periodic=True)
+    steps = 40_000
+    metropolis_chain(g, beta=0.5, steps=100, rng=RngStream(6)).samples  # the first call pays one-time costs
+    peak = {}
+    for read in (False, True):
+        tracemalloc.start()
+        res = metropolis_chain(g, beta=0.5, steps=steps, rng=RngStream(6))
+        if read:
+            samples = res.samples
+        peak[read] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak[True] - peak[False] >= (steps - steps // 10) * g.n_sites, peak
+    assert samples.shape == (steps - steps // 10, g.n_sites)
+    assert res.samples is samples  # built once, then kept
+
+
+def test_chain_samples_do_not_follow_the_callers_initial_array():
+    g = chain_graph(5, periodic=True)
+    initial = np.array([1, -1, 1, 1, -1], dtype=np.int8)
+    expected = metropolis_chain(g, 0.7, 400, 40, RngStream(2), initial).samples.copy()
+    res = metropolis_chain(g, 0.7, 400, 40, RngStream(2), initial)
+    initial[:] = 1  # reused before the samples are first read
+    assert np.array_equal(res.samples, expected)
+
+
 def test_chain_requires_rng():
     with pytest.raises(ValidationError):
         metropolis_chain(chain_graph(3), beta=1.0, steps=10, rng=None)

@@ -80,6 +80,22 @@ def test_as_stream_rejects_junk():
             as_stream(junk)
 
 
-def test_as_stream_takes_any_integer_seed():
-    for seed in (-5, np.int64(-5), np.uint8(7), 2**70):
+def test_as_stream_takes_any_u64_seed():
+    for seed in (0, np.uint8(7), np.int64(5), 2**64 - 1, np.uint64(2**64 - 1)):
         np.testing.assert_array_equal(as_stream(seed).random(3), RngStream(int(seed)).random(3))
+
+
+def test_stream_ids_outside_u64_are_rejected():
+    # -1 and 2^64 - 1 were one stream: each id was reduced mod 2^64
+    for bad in (-1, 2**64, np.int64(-1)):
+        with pytest.raises(ValidationError, match=rf"RngStream: seed must be an integer in \[0, {2**64}\), got "):
+            RngStream(bad)
+        with pytest.raises(ValidationError, match=rf"RngStream: stream_id must be an integer in \[0, {2**64}\)"):
+            RngStream(1, bad)
+        with pytest.raises(ValidationError, match="as_stream: rng, if not an RngStream, must be an integer"):
+            as_stream(bad)
+    for good in (0, 2**64 - 1):
+        assert (RngStream(good).seed, RngStream(1, good).stream_id, as_stream(good).seed) == (good, good, good)
+    assert not np.array_equal(as_stream(0).random(3), as_stream(2**64 - 1).random(3))
+    # a substream's seed is a mix of its parent's pair, so always in range
+    assert RngStream(2**64 - 1, 2**64 - 1).substream(2**64 - 1).random(3).shape == (3,)
