@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List
@@ -174,6 +175,10 @@ def _check_marl(cfg) -> List[str]:
         return ["rows: lattice needs at least 2 agents"]
     if cfg["temp.end"] > cfg["temp.start"]:
         return ["temp.end: must not exceed temp.start"]
+    # the coldest temperature the run reaches; past 1/T = inf, q / T in the game's policy is NaN
+    coldest = "temp.end" if cfg["episodes"] > 1 else "temp.start"
+    if not math.isfinite(1.0 / cfg[coldest]):
+        return [f"{coldest}: too small for 1/{coldest} to be finite, got {cfg[coldest]!r}"]
     ratio = _cooling_ratio(cfg)
     if not 0.0 < ratio <= 1.0:  # also NaN
         return [f"temp.end: too far below temp.start to cool over the episodes (ratio per episode {ratio!r})"]

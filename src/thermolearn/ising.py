@@ -30,6 +30,9 @@ MAX_EXACT_SITES = 20
 ENUM_BLOCK_BITS = 16
 # Chain steps drawn, and sample rows rebuilt or scored, per block.
 BLOCK_ROWS = 8192
+# A chain looks its steps up in a table of at most this many entries (and
+# no more than it has steps); on a denser graph it sums each local field.
+TABLE_ENTRIES = 1 << 16
 
 __all__ = [
     "CouplingGraph",
@@ -266,6 +269,66 @@ def _local_field(spins, adjacency, fields, site: int) -> float:
     return local
 
 
+def _flip_table(adjacency, fields, spins, beta: float, width: int):
+    """Site i's flip as a function of its code ``(i << width) | bits``, where
+    bit 0 is set iff the site's spin is +1 and bit k + 1 iff its k-th
+    neighbour's is: each code's dH, acceptance threshold (2.0 where dH <= 0,
+    which every uniform passes, else exp(-beta dH)) and pre-flip spin. Also
+    the current codes and, per site, the (site, bit) pairs its flip toggles.
+    Every field is summed by :func:`_local_field` in the direct loop's order,
+    and ``math.exp`` rounds as that loop does, so no decision moves."""
+    spin_of = state_bits(width).astype(np.int8) * 2 - 1  # row b: bit b's spin in each pattern
+    degrees = [len(neighbours) for neighbours in adjacency]
+    dh = np.empty((len(adjacency), 1 << width))
+    for d in set(degrees):
+        # the sites of degree d at once, one row each: their k-th couplings
+        # as a column times bit k + 1's spins, added in k order
+        rows = [i for i, degree in enumerate(degrees) if degree == d]
+        local = np.repeat(np.array([fields[i] for i in rows])[:, None], 1 << width, axis=1)
+        terms = [(k + 1, np.array([adjacency[i][k][1] for i in rows])[:, None]) for k in range(d)]
+        dh[rows] = 2.0 * spin_of[0] * _local_field(spin_of, [terms], [local], 0)
+    code, toggles = [], [[] for _ in adjacency]
+    for i, neighbours in enumerate(adjacency):
+        c = (i << width) | (spins[i] > 0)
+        for k, (j, _) in enumerate(neighbours):
+            c |= (spins[j] > 0) << (k + 1)
+            toggles[j].append((i, 2 << k))
+        code.append(c)
+    dh = dh.ravel().tolist()
+    accept = [2.0 if d <= 0.0 else math.exp(-beta * d) for d in dh]
+    return dh, accept, spin_of[0].tolist() * len(adjacency), code, toggles
+
+
+def _table_block(sites, uniforms, dh_here, old_here, dh_of, accept, old_of, code, toggles):
+    """Chain steps by :func:`_flip_table` lookup: a flip's dH and old spin
+    go to ``dh_here[t]`` and ``old_here[t]``, and its code bits are toggled."""
+    for t in range(len(sites)):
+        site = sites[t]
+        c = code[site]
+        if uniforms[t] < accept[c]:
+            dh_here[t] = dh_of[c]
+            old_here[t] = old_of[c]
+            code[site] = c ^ 1
+            for j, bit in toggles[site]:
+                code[j] ^= bit
+
+
+def _direct_block(sites, uniforms, dh_here, old_here, adjacency, fields, spins, beta):
+    """The same steps as :func:`_table_block`, each summing the site's local field."""
+    exp = math.exp
+    for t in range(len(sites)):
+        site = sites[t]
+        s = spins[site]
+        local = fields[site]
+        for j, coupling in adjacency[site]:
+            local += coupling * spins[j]
+        delta_h = 2.0 * s * local
+        if delta_h <= 0.0 or uniforms[t] < exp(-beta * delta_h):
+            spins[site] = -s
+            dh_here[t] = delta_h
+            old_here[t] = s
+
+
 class StepResult(NamedTuple):
     spins: np.ndarray
     accepted: bool
@@ -344,9 +407,13 @@ def metropolis_chain(
     uniforms are drawn in blocks (one of each per step, all sites before
     any uniform, after the initial state when it is random), the same
     stream as one call each; the accept rule per step is identical to
-    :func:`metropolis_step`. The trace's running energy and magnetization
-    are sums of the flips' dH and spin changes; the samples are rebuilt
-    from the proposed sites when first read.
+    :func:`metropolis_step`. Each step looks up its dH and acceptance
+    threshold by the site's and its neighbours' spins, in a table worked
+    out once per chain; a graph too dense for one (``n 2^(max degree + 1)``
+    entries above the steps or ``TABLE_ENTRIES``) sums each local field.
+    The trace's running energy and magnetization are sums of the flips' dH
+    and spin changes; the samples are rebuilt from the proposed sites when
+    first read.
     """
     if rng is None:
         raise ValidationError("metropolis_chain: rng is required for reproducibility")
@@ -375,25 +442,20 @@ def metropolis_chain(
     flip_old = np.zeros(steps, dtype=np.int8)
     dh_at, old_at = memoryview(energy_path)[1:], memoryview(flip_old)
 
-    exp = math.exp
+    # A table has no more entries than the chain has steps, so its build
+    # stays in proportion to the loop it replaces, and at most TABLE_ENTRIES.
+    width = 1 + max(map(len, adjacency))
+    if n << width <= min(steps, TABLE_ENTRIES):
+        step_block, state = _table_block, _flip_table(adjacency, fields, spins, beta, width)
+    else:
+        step_block, state = _direct_block, (adjacency, fields, spins, beta)
     # The draws become Python lists (about 40 bytes a step) one block at a
     # time, so the loop's speed costs no memory that grows with the steps.
     for a in range(0, steps, BLOCK_ROWS):
         sites = sites_arr[a : a + BLOCK_ROWS].tolist()
         uniforms = rng.generator.random(len(sites)).tolist()
-        dh_here, old_here = dh_at[a : a + BLOCK_ROWS], old_at[a : a + BLOCK_ROWS]
-        for t in range(len(sites)):
-            site = sites[t]
-            s = spins[site]
-            local = fields[site]
-            for j, coupling in adjacency[site]:
-                local += coupling * spins[j]
-            delta_h = 2.0 * s * local
-            if delta_h <= 0.0 or uniforms[t] < exp(-beta * delta_h):
-                spins[site] = -s
-                dh_here[t] = delta_h
-                old_here[t] = s
-    del sites, uniforms
+        step_block(sites, uniforms, dh_at[a : a + BLOCK_ROWS], old_at[a : a + BLOCK_ROWS], *state)
+    del sites, uniforms, state
 
     np.cumsum(energy_path, out=energy_path)
     # magnetization sums are whole numbers, exact in float64

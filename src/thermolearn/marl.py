@@ -148,10 +148,19 @@ def mf_q_update(
     return q
 
 
+def _temperature(name: str, value) -> float:
+    """``value`` as a temperature: a positive real whose reciprocal is finite
+    (1/T overflows below about 5.6e-309, and q/T would turn into NaN)."""
+    temperature = _real(name, value, 0, ends="(]")
+    if not math.isfinite(1.0 / temperature):
+        raise ValidationError(f"{name} must have a finite reciprocal 1/T, got {temperature!r}")
+    return temperature
+
+
 def boltzmann_policy(q_row, temperature: float) -> DiscreteDistribution:
     """softmax(q / temperature), max-shifted."""
     row = _array("boltzmann_policy: q_row", q_row)
-    temperature = _real("boltzmann_policy: temperature", temperature, 0, ends="(]")
+    temperature = _temperature("boltzmann_policy: temperature", temperature)
     return DiscreteDistribution(log_normalize(row / temperature)[0])
 
 
@@ -267,7 +276,7 @@ def run_ising_game(
     exp, isfinite = math.exp, math.isfinite
     keep = 1.0 - alpha
     for episode in range(episodes):
-        temperature = _real(f"run_ising_game: T at episode {episode}", temp_at(episode), 0, ends="(]")
+        temperature = _temperature(f"run_ising_game: T at episode {episode}", temp_at(episode))
         inv_t = 1.0 / temperature
         for u_row in uniforms[episode].tolist():
             for j, u in enumerate(u_row):

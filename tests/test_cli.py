@@ -209,6 +209,12 @@ def test_validate_config_cross_checks():
     assert cli.validate_config("marl", {"temp.start": 1e300, "temp.end": 1e-300, "episodes": 2}) != []
     assert cli.validate_config("marl", {"temp.start": 1e300, "temp.end": 1e-300, "episodes": 1}) == []
     assert cli.validate_config("marl", {"temp.start": 1.0, "temp.end": 1e-300, "episodes": 2}) == []
+    assert cli.validate_config("marl", {"temp.start": 1e-320, "temp.end": 1e-320}) != []
+    # one episode runs at temp.start only
+    assert cli.validate_config("marl", {"temp.start": 1.0, "temp.end": 1e-320, "episodes": 1}) == []
+    assert cli.validate_config("marl", {"temp.start": 1e-320, "temp.end": 1e-320, "episodes": 1}) == [
+        "temp.start: too small for 1/temp.start to be finite, got 1e-320"
+    ]
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -393,6 +399,20 @@ def test_marl_cooling_ratio_underflow_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "config error: temp.end: too far below temp.start to cool over the episodes (ratio per episode 0.0)\n"
     assert not out.exists()
+
+
+def test_marl_temperature_whose_reciprocal_overflows_exits_1(tmp_path, capsys):
+    # at temp.end = 1e-320, 1/T is inf and the game's Q-values would turn into NaN
+    for end, code in (("1e-320", cli.EXIT_VALIDATION), ("1e-300", 0)):
+        cfg = write_cfg(tmp_path, "m.cfg", f"rows = 2\ncols = 2\nepisodes = 2\ntemp.start = 1.0\ntemp.end = {end}\n")
+        out = tmp_path / f"run{end}"
+        assert cli.main(["marl", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "config error: temp.end: too small for 1/temp.end to be finite, got 1e-320\n"
+            assert not out.exists()
+        else:
+            assert (out / "result.json").exists()
 
 
 def test_python_m_thermolearn_matches_main(tmp_path):

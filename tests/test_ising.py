@@ -331,6 +331,29 @@ def test_chain_builds_samples_only_when_read():
     assert res.samples is samples  # built once, then kept
 
 
+def test_chain_table_memory_is_bounded(monkeypatch):
+    # one site of degree 11 gives 15 * 2^12 = 61440 entries, just under the
+    # cap; over the same chain summing each local field, the table may add
+    # 64 bytes an entry (dH, threshold and old spin) at the cap
+    import tracemalloc
+
+    hub = tuple((0, j, 0.1 * j) for j in range(1, 12))
+    g = CouplingGraph(15, hub + ((12, 13, 0.5), (13, 14, -0.5)), np.full(15, 0.1))
+    steps, entries = 1 << 16, ising.TABLE_ENTRIES
+    assert g.n_sites << 12 <= min(steps, entries) < g.n_sites << 13
+    peak, energies = {}, {}
+    for cap in (entries, 0):
+        monkeypatch.setattr(ising, "TABLE_ENTRIES", cap)
+        metropolis_chain(g, beta=0.5, steps=100, rng=RngStream(6))  # the first call pays one-time costs
+        tracemalloc.start()
+        res = metropolis_chain(g, beta=0.5, steps=steps, rng=RngStream(6))
+        peak[cap] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        energies[cap] = res.trace.column("energy").tobytes()
+    assert energies[0] == energies[entries]
+    assert 0 < peak[entries] - peak[0] <= 64 * entries, peak
+
+
 def test_chain_samples_do_not_follow_the_callers_initial_array():
     g = chain_graph(5, periodic=True)
     initial = np.array([1, -1, 1, 1, -1], dtype=np.int8)
@@ -458,25 +481,47 @@ def reference_chain(graph, beta, steps, burn_in, rng, initial=None):
     return samples, columns
 
 
+def star_graph(leaves):
+    return CouplingGraph(leaves + 1, tuple((0, j, 0.1 * j) for j in range(1, leaves + 1)), np.full(leaves + 1, 0.2))
+
+
 @pytest.mark.parametrize(
-    "graph, beta, steps, burn_in, initial",
+    "graph, beta, steps, burn_in, initial, table",
     [
-        (torus_graph(4, np.random.default_rng(1)), 0.6, 20_000, 0, None),
-        (torus_graph(4, np.random.default_rng(2)), 0.4, 20_000, 3_000, None),
-        (CouplingGraph(3), 1.0, 500, 50, None),  # initial energy -0.0
+        (torus_graph(4, np.random.default_rng(1)), 0.6, 20_000, 0, None, True),
+        (torus_graph(4, np.random.default_rng(2)), 0.4, 20_000, 3_000, None, True),
+        (CouplingGraph(3), 1.0, 500, 50, None, True),  # initial energy -0.0
         # initial energy -(-1.0 + 1.0) = -0.0, kept by the rejected step 0
-        (CouplingGraph(2, (), np.array([1.0, 1.0])), 3.0, 200, 0, [-1, 1]),
+        (CouplingGraph(2, (), np.array([1.0, 1.0])), 3.0, 200, 0, [-1, 1], True),
+        (chain_graph(64, coupling=0.8, h=0.1, periodic=True), 0.5, 40_000, 4_000, None, True),
+        # 8 sites of degree 7: a table of 8 * 2^8 = 2048 entries
+        (complete_graph(8, coupling=0.3, h=-0.2), 0.7, 2_047, 0, None, False),
+        (complete_graph(8, coupling=0.3, h=-0.2), 0.7, 2_048, 0, None, True),
+        (complete_graph(8, coupling=0.3, h=-0.2), 0.7, 9_000, 0, None, True),
+        # 40 * 2^40 entries, far past the cap
+        (star_graph(39), 0.9, 5_000, 500, None, False),
+        (CouplingGraph(1, (), np.array([0.7])), 1.5, 300, 0, None, True),  # width 1
+        (torus_graph(4, np.random.default_rng(3)), 0.0, 5_000, 0, None, True),  # every step accepted
+        (star_graph(39), 0.0, 2_000, 0, None, False),
     ],
-    ids=["torus_no_burn_in", "torus_burn_in", "no_edges_zero_fields", "negative_zero_rejections"],
+    ids=["torus_no_burn_in", "torus_burn_in", "no_edges_zero_fields", "negative_zero_rejections", "ring64",
+         "complete8_below_table", "complete8_at_table", "complete8_above_table", "star40", "one_site",
+         "torus_beta_zero", "star40_beta_zero"],
 )
-def test_chain_matches_per_step_reference(graph, beta, steps, burn_in, initial):
+def test_chain_matches_per_step_reference(graph, beta, steps, burn_in, initial, table, monkeypatch):
+    built, flip_table = [], ising._flip_table
+    monkeypatch.setattr(ising, "_flip_table", lambda *args: built.append(args) or flip_table(*args))
     res = metropolis_chain(graph, beta, steps, burn_in, RngStream(17), initial)
+    assert len(built) == table  # the table is built, once, exactly when it fits the cap and the steps
     samples, columns = reference_chain(graph, beta, steps, burn_in, RngStream(17), initial)
     # the draws do not depend on burn_in, so a chain that samples every step
     # has the same trace and lets every step's energy be checked
     every = res if burn_in == 0 else metropolis_chain(graph, beta, steps, 0, RngStream(17), initial)
     assert every.trace.column("energy").tobytes() == res.trace.column("energy").tobytes()
-    assert_energies_match_table(graph, every)
+    if graph.n_sites <= ising.MAX_EXACT_SITES:
+        assert_energies_match_table(graph, every)
+    if beta == 0.0:
+        assert res.acceptance_rate == 1.0
     assert res.samples.dtype == samples.dtype
     assert np.array_equal(res.samples, samples)
     for name, ref in columns.items():

@@ -183,6 +183,17 @@ def test_boltzmann_temperature_validation():
         boltzmann_policy(np.array([1.0]), temperature=0.0)
 
 
+def test_temperatures_whose_reciprocal_overflows_are_rejected():
+    # 1 / 1e-320 is inf, and q / T would put NaN into the policy and the Q-values
+    with pytest.raises(ValidationError, match=r"boltzmann_policy: temperature must have a finite reciprocal 1/T, got 1e-320"):
+        boltzmann_policy([0.0, 1.0], 1e-320)
+    assert boltzmann_policy([0.0, 1.0], 1e-300).probs.tolist() == [0.0, 1.0]
+    env = IsingGameEnv(graph=torus_graph(3, 3), coupling=1.0)
+    with pytest.raises(ValidationError, match=r"run_ising_game: T at episode 1 must have a finite reciprocal"):
+        run_ising_game(env, 2, 3, 0.1, 0.9, lambda k: 1e-320 if k else 1.0, RngStream(9))
+    run_ising_game(env, 2, 3, 0.1, 0.9, lambda k: 1e-300 if k else 1.0, RngStream(9))
+
+
 def test_mf_value_cases():
     q_row = np.array([1.0, 3.0])
     uniform = DiscreteDistribution([0.5, 0.5])
