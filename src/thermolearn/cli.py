@@ -23,10 +23,10 @@ from typing import Dict, Iterable, Iterator, List
 
 import numpy as np
 
-from .anneal import SCHEDULE_KINDS, CoolingSchedule, EnergyLandscape
+from .anneal import SCHEDULE_KINDS, CoolingSchedule, EnergyLandscape, schedule_temperature
 from .anneal import anneal as run_anneal
 from .config import FieldSpec, _problem, _read_text, _within, parse_config_file, resolved, validate_against
-from .errors import NumericalError, ThermolearnError
+from .errors import NumericalError, ThermolearnError, ValidationError
 from .rng import RngStream
 from .trace import Trace
 
@@ -154,11 +154,32 @@ def _check_ising(cfg) -> List[str]:
 
 
 def _check_digest(cfg) -> List[str]:
-    if "instance" in cfg:
-        return []
-    missing = [key for key in ("n_a", "n_b", "total_length") if key not in cfg]
+    missing = [] if "instance" in cfg else [key for key in ("n_a", "n_b", "total_length") if key not in cfg]
     if missing:
         return [f"{key}: required when no instance file is given" for key in missing]
+    return _check_schedule(cfg)
+
+
+def _check_schedule(cfg) -> List[str]:
+    # anneal and digest: the schedule the run builds, still above T = 0 at the last sweep,
+    # which is the coldest, since every kind is non-increasing
+    try:
+        schedule = _schedule_from(cfg)
+    except ValidationError as exc:  # the schema has checked kind and t0: the ratio, decrement or floor is at fault
+        problem = str(exc).removeprefix("CoolingSchedule: ")
+        return [f"schedule.{'floor' if 'floor' in problem else 'parameter'}: {problem}"]
+    last = cfg["sweeps"] - 1
+    if not schedule_temperature(schedule, last) > 0.0:
+        key = "schedule.parameter" if cfg["schedule.kind"] == "geometric" else "schedule.t0"
+        return [f"{key}: the temperature reaches 0 by the last sweep ({last}); cool more slowly or run fewer sweeps"]
+    return []
+
+
+def _check_entropy(cfg) -> List[str]:
+    try:
+        _distribution_from(cfg)
+    except ValidationError as exc:
+        return [f"probs: {str(exc).removeprefix('DiscreteDistribution: probs ')}"]
     return []
 
 
@@ -192,7 +213,9 @@ def _cooling_ratio(cfg) -> float:
 
 
 _CROSS_CHECKS = {
+    "entropy": _check_entropy,
     "ising": _check_ising,
+    "anneal": _check_schedule,
     "digest": _check_digest,
     "conv": _check_conv,
     "marl": _check_marl,
@@ -232,10 +255,14 @@ def _schedule_from(cfg) -> CoolingSchedule:
 
 # Each runner imports its own subsystem, so a run loads only what its subcommand
 # needs, and calls through module attributes (``ising.metropolis_chain``).
+def _distribution_from(cfg):
+    from .distributions import DiscreteDistribution
+    return DiscreteDistribution(np.asarray(cfg["probs"], dtype=float))
+
+
 def _run_entropy(cfg, rng):
     from . import info
-    from .distributions import DiscreteDistribution
-    dist = DiscreteDistribution(np.asarray(cfg["probs"], dtype=float))
+    dist = _distribution_from(cfg)
     base = float(cfg["log_base"])
     return {
         "entropy": info.entropy_shannon(dist, base),
@@ -518,6 +545,9 @@ def run_experiment(
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:  # e.g. numpy's "Unable to allocate 72.8 TiB for an array ..."
+        print(f"capacity failure: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
 
     manifest["artifacts"] = artifacts

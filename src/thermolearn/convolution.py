@@ -35,10 +35,6 @@ def _bit_reverse_permute(a: np.ndarray, work: np.ndarray) -> None:
         a[:] = work
 
 
-# Passes of length up to _BLOCK stay inside blocks of that many items
-# (64 KiB), so they run block by block while the block is in cache; the
-# longer passes then span the whole array.
-_BLOCK = 1 << 12
 # numpy is slow on many short rows, so a pass whose half-length is below
 # this runs column by column, each column a long strided vector.
 _FEW_COLUMNS = 8
@@ -61,25 +57,14 @@ def _fft_inplace(a: np.ndarray, roots: np.ndarray, work: np.ndarray) -> None:
     # unscaled transform of complex128 a, whose size is a power of two, with
     # roots from _twiddles (conjugated for the inverse) and scratch of a's size
     n = a.size
-    block = min(n, _BLOCK)
     _bit_reverse_permute(a, work)
-    for start in range(0, n, block):
-        _butterflies(a[start : start + block], 2, roots, work)
-    _butterflies(a, 2 * block, roots, work)
-
-
-def _butterflies(a: np.ndarray, length: int, roots: np.ndarray, work: np.ndarray) -> None:
-    # the passes from `length` up to a.size; roots are the last pass's
-    # twiddles for the whole transform, work is scratch of the transform's size
-    n = roots.size * 2
     # work holds the odd products and a contiguous copy of the twiddles
-    odd, twiddle = work[: a.size // 2], work[n // 2 :]
-    while length <= a.size:
+    odd, twiddle = work[: n // 2], work[n // 2 :]
+    length = 2
+    while length <= n:
         half = length // 2
-        rows = a.size // length
         twiddle[:half] = roots[:: n // length]
-        blocks = a.reshape(rows, length)
-        products = odd.reshape(rows, half)
+        blocks, products = a.reshape(-1, length), odd.reshape(-1, half)
         if half < _FEW_COLUMNS:
             for k in range(half):
                 np.multiply(blocks[:, half + k], twiddle[k], out=products[:, k])

@@ -215,6 +215,24 @@ def test_validate_config_cross_checks():
     assert cli.validate_config("marl", {"temp.start": 1e-320, "temp.end": 1e-320, "episodes": 1}) == [
         "temp.start: too small for 1/temp.start to be finite, got 1e-320"
     ]
+    # anneal and digest: the schedule builds and stays above T = 0 to the last sweep (each of
+    # these ran, and exited 1 under a library name, after writing its manifest)
+    for sub, instance in (("anneal", {}), ("digest", {"n_a": 3, "n_b": 3, "total_length": 30})):
+        diags = cli.validate_config(sub, {**instance, "sweeps": 1200, "schedule.parameter": 0.5})
+        assert diags == ["schedule.parameter: the temperature reaches 0 by the last sweep (1199); "
+                         "cool more slowly or run fewer sweeps"], sub
+    assert cli.validate_config("anneal", {"sweeps": 1075, "schedule.parameter": 0.5}) == []
+    assert cli.validate_config("anneal", {"sweeps": 10, "schedule.parameter": 1.5}) == [
+        "schedule.parameter: geometric ratio must be a finite real in (0, 1], got 1.5"
+    ]
+    assert cli.validate_config(
+        "anneal", {"sweeps": 10, "schedule.kind": "linear", "schedule.t0": 5.0, "schedule.floor": 9.0}
+    ) == ["schedule.floor: linear floor must be a finite real in (0, 5.0], got 9.0"]
+    # entropy: probs must be a distribution
+    assert cli.validate_config("entropy", {"probs": [0.5, 0.6]}) == [
+        "probs: must sum to 1 along its last axis within 1e-09, got a sum of 1.1"
+    ]
+    assert cli.validate_config("entropy", {"probs": [0.5, 0.5]}) == []
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -259,7 +277,7 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     empty = write_cfg(tmp_path, "empty.cfg", "# nothing\n")
     assert cli.main(["entropy", "--config", empty, "--out", str(tmp_path / "o1")]) == 1
     assert "probs" in capsys.readouterr().err
-    # runner-level validation (probabilities do not sum to 1) also maps to 1
+    # probabilities that do not sum to 1 also map to 1
     not_dist = write_cfg(tmp_path, "nd.cfg", "probs = [0.5, 0.2]\n")
     assert cli.main(["entropy", "--config", not_dist, "--out", str(tmp_path / "o2")]) == 1
     # list elements must be numbers: strings and bools are config errors
@@ -413,6 +431,34 @@ def test_marl_temperature_whose_reciprocal_overflows_exits_1(tmp_path, capsys):
             assert not out.exists()
         else:
             assert (out / "result.json").exists()
+
+
+def test_schedule_that_reaches_zero_exits_1_without_manifest(tmp_path, capsys):
+    # it ran sweeps 0-1074 and then failed on "anneal: T at sweep 1075 must be a finite real > 0"
+    cfg = write_cfg(tmp_path, "a.cfg", "sweeps = 1200\nschedule.parameter = 0.5\n")
+    out = tmp_path / "run"
+    assert cli.main(["anneal", "--config", cfg, "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "config error: schedule.parameter: the temperature reaches 0 by the last sweep (1199); "
+        "cool more slowly or run fewer sweeps\n"
+    )
+    assert not out.exists()
+    # the last of 1075 sweeps runs at T = 10 * 2^-1074 > 0 (2^-1074 is the least positive float)
+    cfg = write_cfg(tmp_path, "b.cfg", "sweeps = 1075\nproposals_per_sweep = 1\nschedule.parameter = 0.5\n")
+    assert cli.main(["anneal", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError for an array the machine cannot hold (n = 10**13 asked for 72.8 TiB)
+    def refuse(x, y):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
+
+    monkeypatch.setattr(thermolearn.convolution, "conv_fft", refuse)
+    cfg = write_cfg(tmp_path, "c.cfg", "n = 8\n")
+    assert cli.main(["conv", "--config", cfg, "--out", str(tmp_path / "run")]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "capacity failure: Unable to allocate 72.8 TiB for an array with shape (10000000000000,)\n"
+    )
 
 
 def test_python_m_thermolearn_matches_main(tmp_path):
@@ -634,3 +680,45 @@ def test_traced_entry_points_are_reached(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "d.cfg", "n_a = 3\nn_b = 3\ntotal_length = 30\nsweeps = 5\nproposals_per_sweep = 10\n")
     assert cli.main(["digest", "--config", cfg, "--out", str(tmp_path / "digest")]) == 0
     assert {name for name, _, _ in calls} == {"run_anneal", "energy", "csv_text"}
+
+
+def test_learn_entry_points_are_reached(monkeypatch):
+    """Every name the benchmark's traced ``learn`` run wraps, called as its worker calls it
+    (bench/worker.py, ``_library_call``), is reached: the per-layer metrics divide by, or take
+    the median of, each one's spans. ``bm_log_likelihood`` runs inside ``bm_train`` for both
+    methods, which is where ``ebm.bm_log_likelihood.ms`` reads it."""
+    from thermolearn import boost, convolution, ebm, marl
+    from thermolearn.anneal import CoolingSchedule
+    from thermolearn.rng import RngStream
+
+    calls = []
+    for owner, attr in ((convolution, "conv_fft"), (boost, "boost3"), (boost, "boost_recursive"), (ebm, "bm_train"),
+                        (ebm, "bm_log_likelihood"), (ebm, "bm_gibbs_sample"), (marl, "run_ising_game")):
+        _record_calls(monkeypatch, owner, attr, calls)
+
+    def reached(call):
+        calls.clear()
+        result = call()
+        return [name for name, _, _ in calls], result
+
+    gen = np.random.default_rng(3)
+    names, z = reached(lambda: convolution.conv_fft(gen.uniform(-1, 1, 2048), gen.uniform(-1, 1, 2048)))
+    assert names == ["conv_fft"] and 1 << (len(z) - 1).bit_length() == 4096
+    xs = gen.random(200)
+    dataset = boost.WeightedDataset.uniform(xs, (xs >= 0.5).astype(np.int8))
+    learner = boost.NoisyThresholdLearner(0.5, 0.1)
+    assert reached(lambda: boost.boost3(learner, dataset, RngStream(1)))[0] == ["boost3"]
+    names, _ = reached(lambda: boost.boost_recursive(learner, dataset, 0.3, RngStream(2)))
+    assert names[-1] == "boost_recursive" and set(names) <= {"boost3", "boost_recursive"}
+    machine = ebm.BoltzmannMachine(np.zeros(8), np.zeros(6), 0.01 * gen.standard_normal((8, 6)))
+    data = (gen.random((64, 8)) < 0.5).astype(np.uint8)
+    for method in ("exact_gradient", "cd_k"):
+        names, (_, losses) = reached(lambda: ebm.bm_train(machine, data, method=method, learning_rate=0.1, epochs=3,
+                                                          k=1, rng=RngStream(4)))
+        assert names == ["bm_log_likelihood"] * 3 + ["bm_train"] and len(losses) == 3, method
+    names, run = reached(lambda: ebm.bm_gibbs_sample(machine, 50, RngStream(5)))
+    assert names == ["bm_gibbs_sample"] and len(run) == 50
+    env = marl.IsingGameEnv(marl.torus_graph(3, 3), 1.0)
+    schedule = CoolingSchedule("geometric", 10.0, 0.1 ** 0.25)
+    names, _ = reached(lambda: marl.run_ising_game(env, 5, 2, 0.1, 0.9, schedule, RngStream(6)))
+    assert names == ["run_ising_game"] and calls[0][1][0].graph.n_agents == 9
