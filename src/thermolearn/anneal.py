@@ -119,16 +119,17 @@ def anneal(
     """
     sweeps = _count("anneal: sweeps", sweeps, 1)
     proposals_per_sweep = _count("anneal: proposals_per_sweep", proposals_per_sweep, 1)
+    # every sweep's temperature, so a schedule that underflows fails before any draw
+    temps = [_real(f"anneal: T at sweep {k}", schedule_temperature(schedule, k), 0, ends="(]") for k in range(sweeps)]
     state = problem.random_state(rng) if initial is None else initial
     energy = _real("anneal: initial energy", float(problem.energy(state)))
     best_state, best_energy = state, energy
 
-    temps, currents, bests, acc_rates = np.empty((4, sweeps))
+    currents, bests, acc_rates = np.empty((3, sweeps))
     exp = math.exp
     apply, energy_of = problem.apply, problem.energy
 
-    for k in range(sweeps):
-        temperature = _real(f"anneal: T at sweep {k}", schedule_temperature(schedule, k), 0, ends="(]")
+    for k, temperature in enumerate(temps):
         inv_t = 1.0 / temperature
         accepted = 0
         moves = problem.moves(rng, proposals_per_sweep)
@@ -143,7 +144,6 @@ def anneal(
                 accepted += 1
                 if energy < best_energy:
                     best_state, best_energy = state, energy
-        temps[k] = temperature
         currents[k] = energy
         bests[k] = best_energy
         acc_rates[k] = accepted / proposals_per_sweep
@@ -151,7 +151,7 @@ def anneal(
     trace = Trace(
         {
             "sweep": np.arange(sweeps),
-            "temperature": temps,
+            "temperature": np.array(temps),
             "current_energy": currents,
             "best_energy": bests,
             "acceptance_rate": acc_rates,

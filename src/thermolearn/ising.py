@@ -10,6 +10,7 @@ with every undirected pair counted once. Exact enumeration is guarded at
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -26,8 +27,10 @@ from .rng import RngStream
 from .trace import Trace
 
 MAX_EXACT_SITES = 20
-# Exact enumeration fills 2^ENUM_BLOCK_BITS states at a time.
-ENUM_BLOCK_BITS = 16
+# Exact enumeration works out each Hamiltonian term once over the sites
+# below ENUM_BLOCK_BITS, as a row of 2^ENUM_BLOCK_BITS +-w entries, and adds
+# or subtracts that row from every block of as many states.
+ENUM_BLOCK_BITS = 14
 # Chain steps drawn, and sample rows rebuilt or scored, per block.
 BLOCK_ROWS = 8192
 # A chain looks its steps up in a table of at most this many entries (and
@@ -208,26 +211,71 @@ def _subtract_energies(energies: np.ndarray, spin_of: np.ndarray, graph: Couplin
             energies -= hi * spin_of[i]
 
 
+def _repeat_prefix(a: np.ndarray, bits: int, to_bits: int) -> None:
+    """Copy ``a[: 2^bits]`` over ``a[2^bits : 2^to_bits]`` as many times as it fits."""
+    a[1 << bits : 1 << to_bits].reshape(-1, 1 << bits)[...] = a[: 1 << bits]
+
+
+def _bit_parts(a: np.ndarray, bits):
+    """Views of ``a``, one per pattern of the ascending index bits ``bits``
+    of its first axis, each with its pattern's spin product (-1 for each
+    clear bit, +1 for each set one)."""
+    shape, rest = [], a.shape[0]
+    for bit in reversed(bits):
+        shape += [rest >> (bit + 1), 2]
+        rest = 1 << bit
+    parts = a.reshape(*shape, rest, *a.shape[1:])
+    for pattern in itertools.product((0, 1), repeat=len(bits)):
+        yield parts[sum(((slice(None), b) for b in pattern), ())], (-1) ** (len(bits) - sum(pattern))
+
+
 def enumerate_energies(graph: CouplingGraph) -> np.ndarray:
-    """Energies of all 2^N configurations, indexed by ``config_index``."""
+    """Energies of all 2^N configurations, indexed by ``config_index``.
+
+    Each state's energy is 0.0 minus the terms ``J_ij s_i s_j`` in graph
+    order, then minus ``h_i s_i`` for the nonzero fields in site order, so
+    every state gets the bits :func:`_subtract_energies` gives it.
+    Bit i of a state's index is site i, so before the first term that
+    touches site m every energy depends on the sites below m only, and
+    states [2^m, 2^(m+1)) are a copy of [0, 2^m). The table is filled from
+    such a prefix, doubled by copying whenever a term first reaches a higher
+    site, and each term is applied to the filled prefix only.
+    """
     n = graph.n_sites
     if n > MAX_EXACT_SITES:
         raise CapacityError(f"exact enumeration limited to {MAX_EXACT_SITES} sites, got {n}")
-    low = min(n, ENUM_BLOCK_BITS)
-    # spin of site i in each state of a block: the low sites take every
-    # pattern, the high sites are constant within an aligned block
-    spin_of = np.empty((n, 1 << low), dtype=np.int8)
-    spin_of[:low] = state_bits(low)
-    spin_of *= 2
-    spin_of -= 1
+    terms = [((i, j), coupling) for i, j, coupling in graph.edges]
+    terms += [((i,), hi) for i, hi in enumerate(graph.fields_h.tolist()) if hi != 0.0]
     # The table gets its own zero-filled mapping, whose pages leave the
     # process when the table is dropped. From malloc, a freed 2^20-entry table
     # stays in the heap, and what runs next piles onto its pages, so peak
     # memory would depend on the calls that came before.
     energies = np.frombuffer(mmap.mmap(-1, (1 << n) * 8), dtype=float)
-    for start in range(0, 1 << n, 1 << low):
-        spin_of[low:] = ((start >> np.arange(low, n)) & 1)[:, None] * 2 - 1
-        _subtract_energies(energies[start : start + (1 << low)], spin_of, graph)
+    row = np.empty(1 << min(n, ENUM_BLOCK_BITS))
+    filled = 0  # energies[: 2^filled] hold every term so far, each on sites below filled
+    for sites, w in terms:
+        if filled <= sites[-1]:
+            _repeat_prefix(energies, filled, sites[-1] + 1)
+            filled = sites[-1] + 1
+        # The term's sites below the block bits give the same row of +-w in
+        # every block of 2^width states; a site above them is constant within
+        # a block, and since x - (-y) is x + y bit for bit, its spin only
+        # decides whether the block gets the row subtracted or added.
+        width = min(filled, ENUM_BLOCK_BITS)
+        low = [i for i in sites if i < width]
+        if low:
+            term = row[: 1 << width]
+            for part, sign in _bit_parts(term, low):
+                part.fill(w * sign)
+        else:
+            term = w
+        blocks = energies[: 1 << filled].reshape(-1, 1 << width)
+        for part, sign in _bit_parts(blocks, [i - width for i in sites if i >= width]):
+            if sign > 0:
+                part -= term
+            else:
+                part += term
+    _repeat_prefix(energies, filled, n)
     return energies
 
 

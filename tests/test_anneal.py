@@ -180,3 +180,18 @@ def test_anneal_takes_numpy_integer_counts():
     a = anneal(IntLine(), CoolingSchedule("constant", 1.0), np.int64(4), np.int32(3), RngStream(0))
     b = anneal(IntLine(), CoolingSchedule("constant", 1.0), 4, 3, RngStream(0))
     assert len(a.trace) == 4 and a.trace.csv_text() == b.trace.csv_text()
+
+
+def test_schedule_that_reaches_zero_fails_before_any_proposal():
+    class CountingLine(IntLine):
+        calls = 0
+
+        def moves(self, rng, count):
+            CountingLine.calls += 1
+            return super().moves(rng, count)
+
+    # T(1075) = 10 * 0.5^1075 underflows to 0.0; T(1074) = 10 * 2^-1074 > 0
+    with pytest.raises(ValidationError, match=r"^anneal: T at sweep 1075 must be a finite real > 0, got 0\.0$"):
+        anneal(CountingLine(), CoolingSchedule("geometric", 10.0, 0.5), 1200, 5, RngStream(0))
+    assert CountingLine.calls == 0
+

@@ -434,7 +434,8 @@ def test_marl_temperature_whose_reciprocal_overflows_exits_1(tmp_path, capsys):
 
 
 def test_schedule_that_reaches_zero_exits_1_without_manifest(tmp_path, capsys):
-    # it ran sweeps 0-1074 and then failed on "anneal: T at sweep 1075 must be a finite real > 0"
+    # anneal() would reject it too ("anneal: T at sweep 1075 must be a finite real > 0"), but only
+    # after the run had written manifest.json
     cfg = write_cfg(tmp_path, "a.cfg", "sweeps = 1200\nschedule.parameter = 0.5\n")
     out = tmp_path / "run"
     assert cli.main(["anneal", "--config", cfg, "--out", str(out)]) == cli.EXIT_VALIDATION

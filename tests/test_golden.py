@@ -24,7 +24,7 @@ from thermolearn.anneal import CoolingSchedule
 from thermolearn.boost import NoisyThresholdLearner, WeightedDataset, boost3, boost_recursive
 from thermolearn.convolution import conv_fft, fft_radix2, ifft_radix2
 from thermolearn.ebm import BMState, BoltzmannMachine, bm_exact_gradient, bm_gibbs_sample, bm_train
-from thermolearn.ising import CouplingGraph, enumerate_energies, estimate_observables, metropolis_chain, partition_exact
+from thermolearn.ising import CouplingGraph, chain_graph, enumerate_energies, estimate_observables, metropolis_chain, partition_exact
 from thermolearn.marl import IsingGameEnv, NeighborGraph, run_ising_game, torus_graph
 from thermolearn.rng import RngStream
 
@@ -109,8 +109,7 @@ def _ising_graph(n, with_fields, seed):
     return CouplingGraph(n, edges, gen.normal(size=n) if with_fields else None)
 
 
-def _enumerate(n, beta, seed):
-    g = _ising_graph(n, True, seed)
+def _enumerate(g, beta):
     exact = partition_exact(g, beta)
     return _sha(enumerate_energies(g).tobytes(), exact.z, exact.gibbs.probs.tobytes())
 
@@ -148,8 +147,11 @@ CASES = {
     "bm_train cd_k k1": lambda: _train("cd_k", 1, 29),
     "bm_train cd_k k3": lambda: _train("cd_k", 3, 1),
     "bm_exact_gradient 7x5": lambda: _exact_gradient(29),
-    "ising enumerate/partition 12 sites with fields": lambda: _enumerate(12, 0.7, 1),
-    "ising enumerate/partition 17 sites with fields": lambda: _enumerate(17, 0.3, 29),
+    "ising enumerate/partition 12 sites with fields": lambda: _enumerate(_ising_graph(12, True, 1), 0.7),
+    "ising enumerate/partition 17 sites with fields": lambda: _enumerate(_ising_graph(17, True, 29), 0.3),
+    # the largest enumeration, at the size the benchmark's 20-site ring runs
+    "ising enumerate/partition 20 sites with fields": lambda: _enumerate(_ising_graph(20, True, 7), 0.4),
+    "ising enumerate/partition 20-site ring with field": lambda: _enumerate(chain_graph(20, 0.8, -0.15, periodic=True), 0.45),
     # with fields the energy column moves with the initial energy's field sum
     "ising chain 12 sites with fields": lambda: _chain(12, True, ("step", "accepted", "magnetization"), 1),
     "ising chain and observables 16 sites": lambda: _chain(16, False, ("step", "energy", "accepted", "magnetization"), 29),
@@ -167,6 +169,8 @@ GOLDEN = {
     'ising chain and observables 16 sites': '868bfa9e1ad83d7b4b352d0ce1743496c84d48eff102c59e50fd3be92486f375',
     'ising enumerate/partition 12 sites with fields': 'f2b5e508310ee54718187062da1d832a1391870dd15add6f75a8b8cc99dcdb4f',
     'ising enumerate/partition 17 sites with fields': 'ee37a7171ba87434b147432497eac5f439ca78581def1fdd0e5647d67e367da8',
+    'ising enumerate/partition 20 sites with fields': '8b74fce4ca77ea68941d5bf42e241912eb2a24d906e44072d83a1b2aa1933915',
+    'ising enumerate/partition 20-site ring with field': '2320fa401aecdf16cde983937fe9a6a647079143157b2ec8dff3dbbd8c08818a',
     'boost3 seed1': '13f33b17aefa4fd416d18857774d1ae484c94e42e1ea584aa9c03d80d5e5d9fa',
     'boost3 seed29': '475daec0e6c9cf96a3b3ab0763c2efef0a3f61fae575f43f017d47cff8bef9e3',
     'boost_recursive depth2 seed29': 'ebdaf2fcb705a89c2d1a33fb5320c5661e60173a1d9a2424338bf37f439eda19',

@@ -530,19 +530,63 @@ def test_chain_matches_per_step_reference(graph, beta, steps, burn_in, initial, 
         assert col.tobytes() == ref.tobytes(), name  # bit for bit, so -0.0 stays -0.0
 
 
-def test_enumeration_blocks_match_whole_table():
-    gen = np.random.default_rng(5)
-    n = 17  # two blocks of 2^16 states
-    edges = tuple((i, j, float(gen.normal())) for i in range(n) for j in range(i + 1, n) if gen.random() < 0.3)
-    g = CouplingGraph(n, edges, gen.normal(size=n))
-    spin_of = state_bits(n).astype(np.int8) * 2 - 1
-    expected = np.zeros(1 << n)
+def _whole_table_energies(g):
+    """The Hamiltonian over all 2^n states at once: edges in graph order, then nonzero fields in site order."""
+    spin_of = state_bits(g.n_sites).astype(np.int8) * 2 - 1
+    expected = np.zeros(1 << g.n_sites)
     for i, j, coupling in g.edges:
         expected -= coupling * (spin_of[i] * spin_of[j])
-    for i in range(n):
+    for i in range(g.n_sites):
         if g.fields_h[i] != 0.0:
             expected -= g.fields_h[i] * spin_of[i]
-    assert enumerate_energies(g).tobytes() == expected.tobytes()
+    return expected
+
+
+def _random_graph(n, seed, density=0.3):
+    gen = np.random.default_rng(seed)
+    edges = tuple((i, j, float(gen.normal())) for i in range(n) for j in range(i + 1, n) if gen.random() < density)
+    return CouplingGraph(n, edges, gen.normal(size=n))
+
+
+def test_enumeration_blocks_match_whole_table():
+    top = ising.ENUM_BLOCK_BITS  # the lowest site that is constant within a block
+    n = top + 3
+    gen = np.random.default_rng(11)
+    graphs = {f"random {k} sites": _random_graph(k, k) for k in (1, 13, 14, 15, 17, 20)}
+    # the first edge reaches the highest site, so the table doubles all the way at once
+    first_high = [(3, n - 1, 0.7), (0, 1, -1.3), (top, top + 1, 0.4), (2, top + 2, -0.9)]
+    graphs["first edge at the highest site"] = CouplingGraph(n, tuple(first_high), gen.normal(size=n))
+    # both sites at or above the block bits: the term is one scalar per block
+    high_pairs = [(top, top + 2, 1.1), (top + 1, top + 2, -0.6), (0, top, 0.3), (top, top + 1, -2.5)]
+    graphs["edges above the block bits"] = CouplingGraph(n, tuple(high_pairs), np.r_[gen.normal(size=n - 3), 0.0, 0.8, -0.2])
+    # zero couplings of both signs on low, mixed and high pairs reach both the -= and the += branch
+    zeros = [(0, 1, 1.0), (1, 2, 0.0), (0, top + 1, -0.0), (top, top + 2, 0.0), (3, top + 2, -1.0), (2, 5, -0.0)]
+    graphs["zero couplings"] = CouplingGraph(n, tuple(zeros), np.r_[np.zeros(n - 1), -0.0])
+    # site 4 and the top site touch no term: the top half is one last copy
+    isolated = [(0, 1, 0.5), (2, 3, -0.25), (5, top + 1, 1.5)]
+    graphs["isolated sites with zero field"] = CouplingGraph(n, tuple(isolated), np.r_[gen.normal(size=4), 0.0, gen.normal(size=n - 6), 0.0])
+    graphs["fields only"] = CouplingGraph(n, (), gen.normal(size=n))
+    graphs["empty"] = CouplingGraph(n)
+    graphs["empty, one site"] = CouplingGraph(1)
+    for name, g in graphs.items():
+        assert enumerate_energies(g).tobytes() == _whole_table_energies(g).tobytes(), name
+
+
+def test_enumeration_temporaries_do_not_grow_with_the_sites():
+    # the table is its own mapping, out of tracemalloc's sight; what remains
+    # is one row of 2^ENUM_BLOCK_BITS floats and a few views
+    import tracemalloc
+
+    g = _random_graph(ising.MAX_EXACT_SITES, 7)
+    enumerate_energies(g)  # the first call pays one-time costs
+    tracemalloc.start()
+    try:
+        energies = enumerate_energies(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energies.size == 1 << ising.MAX_EXACT_SITES
+    assert peak <= 1_000_000, peak
 
 
 @pytest.mark.parametrize("rows", [1, 8191, 8192, 20_001])
