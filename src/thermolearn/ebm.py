@@ -134,6 +134,8 @@ class BoltzmannMachine:
 
     @classmethod
     def zeros(cls, n_visible: int, n_hidden: int) -> "BoltzmannMachine":
+        n_visible = _count("BoltzmannMachine.zeros: n_visible", n_visible, 0)
+        n_hidden = _count("BoltzmannMachine.zeros: n_hidden", n_hidden, 0)
         return cls(np.zeros(n_visible), np.zeros(n_hidden), np.zeros((n_visible, n_hidden)))
 
     def to_json(self) -> str:

@@ -15,7 +15,7 @@ import math
 import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -89,13 +89,17 @@ class CouplingGraph:
         h = np.zeros(n) if self.fields_h is None else _array("CouplingGraph: fields_h", self.fields_h, (n,))
         object.__setattr__(self, "fields_h", h)
 
-    def adjacency(self) -> List[List[Tuple[int, float]]]:
-        """Neighbor list per site as (site, coupling) pairs."""
+    def adjacency(self) -> Tuple[Tuple[Tuple[int, float], ...], ...]:
+        """Neighbor list per site as (site, coupling) pairs, built once per graph."""
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> Tuple[Tuple[Tuple[int, float], ...], ...]:
         adj = [[] for _ in range(self.n_sites)]
         for i, j, coupling in self.edges:
             adj[i].append((j, coupling))
             adj[j].append((i, coupling))
-        return adj
+        return tuple(map(tuple, adj))
 
 
 def chain_graph(n_sites: int, coupling: float = 1.0, h: float = 0.0, periodic: bool = False) -> CouplingGraph:
@@ -104,13 +108,14 @@ def chain_graph(n_sites: int, coupling: float = 1.0, h: float = 0.0, periodic: b
     edges = [(i, i + 1, coupling) for i in range(n_sites - 1)]
     if periodic and n_sites > 2:
         edges.append((0, n_sites - 1, coupling))
-    return CouplingGraph(n_sites, tuple(edges), np.full(n_sites, float(h)))
+    return CouplingGraph(n_sites, tuple(edges), np.full(n_sites, _real("chain_graph: h", h)))
 
 
 def complete_graph(n_sites: int, coupling: float = 1.0, h: float = 0.0) -> CouplingGraph:
     """All-to-all couplings of equal strength."""
+    n_sites = _count("complete_graph: n_sites", n_sites, 1)
     edges = [(i, j, coupling) for i in range(n_sites) for j in range(i + 1, n_sites)]
-    return CouplingGraph(n_sites, tuple(edges), np.full(n_sites, float(h)))
+    return CouplingGraph(n_sites, tuple(edges), np.full(n_sites, _real("complete_graph: h", h)))
 
 
 def load_coupling_graph(path) -> CouplingGraph:
@@ -133,7 +138,7 @@ def load_coupling_graph(path) -> CouplingGraph:
     if n_sites < 1:
         raise ValidationError(f"{path}:{first_no}: first line must be a positive site count, got {first!r}")
     form = f"'i j J' or 'h i value' with sites in 0..{n_sites - 1} and a finite value"
-    edges = []
+    edges, field_sites = [], set()
     for line_no, ln in lines[1:]:
         parts = ln.split()
         is_field = parts[0] == "h"
@@ -145,6 +150,9 @@ def load_coupling_graph(path) -> CouplingGraph:
         if not (math.isfinite(value) and all(0 <= i < n_sites for i in sites)):
             raise ValidationError(f"{path}:{line_no}: expected {form}, got {ln!r}")
         if is_field:
+            if sites[0] in field_sites:
+                raise ValidationError(f"{path}:{line_no}: a second field line for site {sites[0]}")
+            field_sites.add(sites[0])
             h[sites[0]] = value
         else:
             edges.append((*sites, value))
@@ -176,6 +184,7 @@ def check_spins(spins, n_sites: int) -> np.ndarray:
 
 
 def random_spins(n_sites: int, rng: RngStream) -> np.ndarray:
+    n_sites = _count("random_spins: n_sites", n_sites, 0)
     return (rng.generator.integers(0, 2, n_sites) * 2 - 1).astype(np.int8)
 
 

@@ -27,19 +27,10 @@ def _json_cells(values: list) -> List[str]:
 def _formatted(col: np.ndarray, cells: Callable[[list], List[str]]) -> List[str]:
     """The text of every entry of a non-empty column, each distinct value formatted once.
 
-    Entries are keyed on their bit pattern, so -0.0 and 0.0 stay apart: a
-    stable sort of the bits puts equal entries in runs, and each entry's
-    code is the index of its run.
+    Entries are keyed on their bit pattern, so -0.0 and 0.0 stay apart.
     """
-    bits = col.view(f"u{col.itemsize}")
-    order = np.argsort(bits, kind="stable")
-    sorted_bits = bits[order]
-    starts = np.empty(len(bits), dtype=bool)
-    starts[0] = True
-    np.not_equal(sorted_bits[1:], sorted_bits[:-1], out=starts[1:])
-    codes = np.empty(len(bits), dtype=np.intp)
-    codes[order] = np.cumsum(starts) - 1
-    texts = np.array(cells(col[order[starts]].tolist()), dtype=object)
+    distinct, codes = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    texts = np.array(cells(distinct.view(col.dtype).tolist()), dtype=object)
     return texts[codes].tolist()
 
 

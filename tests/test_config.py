@@ -44,10 +44,12 @@ from thermolearn.ising import (
     boltzmann_entropy,
     chain_graph,
     check_spins,
+    complete_graph,
     config_from_index,
     estimate_observables,
     metropolis_chain,
     partition_exact,
+    random_spins,
 )
 from thermolearn.learning_theory import pac_sample_bound
 from thermolearn.marl import (
@@ -168,6 +170,15 @@ TIGHTENED = [
     ("threshold", lambda: NoisyThresholdLearner(NAN, 0.1)),
     # rejected as "BoltzmannMachine: a must be finite" after the first epoch
     ("learning_rate", lambda: bm_train(BoltzmannMachine.zeros(2, 1), [[1, 0]], learning_rate=NAN, epochs=1)),
+    # raised TypeError
+    ("complete_graph: n_sites", lambda: complete_graph(2.5)),
+    ("complete_graph: n_sites", lambda: complete_graph("3")),
+    ("random_spins: n_sites", lambda: random_spins(2.5, RngStream(0))),
+    ("BoltzmannMachine.zeros: n_visible", lambda: BoltzmannMachine.zeros(2.5, 1)),
+    ("BoltzmannMachine.zeros: n_hidden", lambda: BoltzmannMachine.zeros(2, 1.5)),
+    # raised ValueError
+    ("chain_graph: h", lambda: chain_graph(3, h="x")),
+    ("complete_graph: h", lambda: complete_graph(3, h="x")),
 ]
 
 

@@ -79,6 +79,14 @@ def test_graph_normalizes_edge_orientation():
     assert g.edges == ((0, 2, 1.5),)
 
 
+def test_adjacency_is_built_once_and_read_only():
+    g = CouplingGraph(3, ((0, 1, 1.0), (2, 0, -0.5)))
+    adjacency = g.adjacency()
+    assert g.adjacency() is adjacency
+    # tuples all the way down: a list never compares equal to a tuple
+    assert adjacency == (((1, 1.0), (2, -0.5)), ((0, 1.0),), ((0, -0.5),))
+
+
 def test_graph_file_roundtrip(tmp_path):
     g = CouplingGraph(3, ((0, 1, 1.0), (1, 2, -0.5)), fields_h=np.array([0.1, 0.0, -0.2]))
     path = tmp_path / "g.txt"
@@ -100,9 +108,10 @@ def test_graph_file_roundtrip(tmp_path):
         ("3\n0 1 nan\n", 2),
         ("# comment\n-3\n", 2),
         ("3\n0 1\n", 2),
+        ("3\n0 1 1.0\nh 0 0.5\nh 0 0.7\n", 4),  # the last field line used to win
     ],
     ids=["negative_site", "field_site_range", "coupling_text", "site_text", "edge_site_range",
-         "coupling_nan", "negative_count", "short_line"],
+         "coupling_nan", "negative_count", "short_line", "repeated_field"],
 )
 def test_graph_file_malformed_lines(tmp_path, text, line):
     path = tmp_path / "bad.txt"
