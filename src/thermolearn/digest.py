@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .anneal import EnergyLandscape
-from .config import _array, _content_lines, _count
+from .config import _array, _content_lines, _count, _real
 from .errors import ValidationError
 from .rng import RngStream
 
@@ -69,6 +69,12 @@ class DoubleDigestInstance:
         object.__setattr__(self, "total_length", total)
 
 
+def _checked_instance(name: str, instance) -> DoubleDigestInstance:
+    if not isinstance(instance, DoubleDigestInstance):
+        raise ValidationError(f"{name}: instance must be a DoubleDigestInstance, got {type(instance).__name__}")
+    return instance
+
+
 def _check_permutation(perm, n: int, name: str) -> Tuple[int, ...]:
     p = tuple(_array(name, perm, (n,), 0, n, "[)", dtype=np.intp).tolist())
     if sorted(p) != list(range(n)):
@@ -88,20 +94,28 @@ class DigestOrdering(NamedTuple):
 
 
 def _validated(ordering: DigestOrdering, instance: DoubleDigestInstance):
+    _checked_instance("double digest", instance)
     sigma = _check_permutation(ordering.sigma, len(instance.a), "sigma")
     mu = _check_permutation(ordering.mu, len(instance.b), "mu")
     return sigma, mu
 
 
-def _cut_gaps(a, b, sigma, mu) -> List[int]:
+def _prefix_cuts(fragments, perm, initial) -> List[int]:
+    # ascending, since every fragment is positive; a's list alone starts at 0
+    return list(accumulate([fragments[i] for i in perm], initial=initial))
+
+
+def _gaps(cuts: List[int]) -> List[int]:
     # ascending; the total both orderings end on and each cut they share
     # give a zero gap at the front, so there are len(a) + len(b) gaps
-    cuts = list(accumulate([a[i] for i in sigma], initial=0))
-    cuts += accumulate([b[i] for i in mu])
     cuts.sort()
     gaps = list(map(sub, cuts[1:], cuts))
     gaps.sort()
     return gaps
+
+
+def _cut_gaps(a, b, sigma, mu) -> List[int]:
+    return _gaps(_prefix_cuts(a, sigma, 0) + _prefix_cuts(b, mu, None))
 
 
 def _gap_energy(observed: Tuple[int, ...], gaps: List[int]) -> float:
@@ -142,6 +156,9 @@ def double_digest_energy(ordering: DigestOrdering, instance: DoubleDigestInstanc
     return _gap_energy(tuple(sorted(instance.c)), _cut_gaps(instance.a, instance.b, sigma, mu))
 
 
+CUT_CACHE_SIZE = 256
+
+
 class DigestLandscape(EnergyLandscape):
     """Annealing landscape over ordering pairs.
 
@@ -149,18 +166,40 @@ class DigestLandscape(EnergyLandscape):
     probability 1/2 and swaps positions i = k // (n - 1) and j = k % (n - 1),
     skipping i, for k uniform in [0, n(n - 1)); single-fragment permutations
     are left unchanged. Transpositions reach every permutation pair.
+
+    A move changes one side, so ``energy`` keeps one cache per side that
+    maps ``tuple(perm)`` to that side's ascending prefix cuts, and joins
+    the two cached lists with one sort, which merges two ascending runs.
+    Each cache holds at most ``CUT_CACHE_SIZE`` permutations and is
+    cleared when full. The energy is the same float, bit for bit, as
+    :func:`double_digest_energy` gives. ``EnergyLandscape``'s reentrancy
+    rule still holds: no result depends on what a cache holds, a cached
+    list is never modified, and a dict's get, set and clear are each
+    atomic under the GIL, so walks sharing one landscape stay independent.
+    Threads racing on a full cache may clear it twice or pass the cap by
+    one entry each; neither changes an energy.
     """
 
     def __init__(self, instance: DoubleDigestInstance):
-        self.instance = instance
+        self.instance = _checked_instance("DigestLandscape", instance)
         self._observed = tuple(sorted(instance.c))
         self._sizes = (len(instance.a), len(instance.b))
+        self._sides = ((instance.a, 0, {}), (instance.b, None, {}))
+
+    def _cuts(self, side: int, perm) -> List[int]:
+        fragments, initial, cache = self._sides[side]
+        key = tuple(perm)
+        cuts = cache.get(key)
+        if cuts is None:
+            if len(cache) >= CUT_CACHE_SIZE:
+                cache.clear()
+            cuts = cache[key] = _prefix_cuts(fragments, key, initial)
+        return cuts
 
     def energy(self, state: DigestOrdering) -> float:
         # states come from random_state/apply, so the permutation
         # re-validation in the public entry point is skipped here
-        instance = self.instance
-        return _gap_energy(self._observed, _cut_gaps(instance.a, instance.b, state.sigma, state.mu))
+        return _gap_energy(self._observed, _gaps(self._cuts(0, state.sigma) + self._cuts(1, state.mu)))
 
     def random_state(self, rng: RngStream) -> DigestOrdering:
         gen = rng.generator
@@ -226,6 +265,9 @@ def brute_force_min_energy(
     Duplicate fragment lengths produce equivalent orderings, so the scan
     enumerates distinct value sequences only.
     """
+    _checked_instance("brute_force_min_energy", instance)
+    if stop_at is not None:
+        stop_at = _real("brute_force_min_energy: stop_at", stop_at)
 
     def distinct_perms(values: Tuple[int, ...]):
         seen = set()
@@ -254,7 +296,11 @@ def brute_force_min_energy(
 
 
 def load_instance(path) -> DoubleDigestInstance:
-    """Read the three-line instance format: 'a: ...', 'b: ...', 'c: ...'."""
+    """Read the three-line instance format: 'a: ...', 'b: ...', 'c: ...'.
+
+    A malformed or invalid instance raises ValidationError naming the
+    file, and the line number where one line is at fault.
+    """
     parts = {}
     for line_no, text in _content_lines(path):
         if ":" not in text:
@@ -266,13 +312,18 @@ def load_instance(path) -> DoubleDigestInstance:
         if name in parts:
             raise ValidationError(f"{path}:{line_no}: duplicate line for {name!r}")
         try:
-            parts[name] = tuple(int(tok) for tok in rest.split())
+            parts[name] = _fragment_tuple([int(tok) for tok in rest.split()], name)
+        except ValidationError as err:  # an empty line or a fragment below 1
+            raise ValidationError(f"{path}:{line_no}: {err}") from None
         except ValueError:
             raise ValidationError(f"{path}:{line_no}: fragments must be integers") from None
     missing = {"a", "b", "c"} - set(parts)
     if missing:
         raise ValidationError(f"{path}: missing lines for {sorted(missing)}")
-    return DoubleDigestInstance(parts["a"], parts["b"], parts["c"])
+    try:
+        return DoubleDigestInstance(parts["a"], parts["b"], parts["c"])
+    except ValidationError as err:  # sums that disagree
+        raise ValidationError(f"{path}: {err}") from None
 
 
 def dump_instance(instance: DoubleDigestInstance, path) -> None:

@@ -138,7 +138,7 @@ def load_coupling_graph(path) -> CouplingGraph:
     if n_sites < 1:
         raise ValidationError(f"{path}:{first_no}: first line must be a positive site count, got {first!r}")
     form = f"'i j J' or 'h i value' with sites in 0..{n_sites - 1} and a finite value"
-    edges, field_sites = [], set()
+    edges, field_sites, edge_lines = [], set(), {}
     for line_no, ln in lines[1:]:
         parts = ln.split()
         is_field = parts[0] == "h"
@@ -155,6 +155,12 @@ def load_coupling_graph(path) -> CouplingGraph:
             field_sites.add(sites[0])
             h[sites[0]] = value
         else:
+            pair = (min(sites), max(sites))
+            if pair[0] == pair[1]:
+                raise ValidationError(f"{path}:{line_no}: self-loop at site {pair[0]}")
+            if pair in edge_lines:
+                raise ValidationError(f"{path}:{line_no}: duplicate edge {pair}, first on line {edge_lines[pair]}")
+            edge_lines[pair] = line_no
             edges.append((*sites, value))
     return CouplingGraph(n_sites, tuple(edges), h)
 

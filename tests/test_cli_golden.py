@@ -60,6 +60,19 @@ CASES = {
     "anneal": ("anneal", {"span": 20, "sweeps": 80, "proposals_per_sweep": 10}),
     "digest-generated": ("digest", {"n_a": 3, "n_b": 3, "total_length": 30, "sweeps": 60, "proposals_per_sweep": 20}),
     "digest-file": ("digest", {"instance": "digest.inst", "sweeps": 60, "proposals_per_sweep": 20}),
+    # the benchmark's size and schedule: 15 fragments, 250 x 100, so the energy's cut caches evict
+    "digest-bench": (
+        "digest",
+        {
+            "n_a": 7,
+            "n_b": 8,
+            "total_length": 90,
+            "sweeps": 250,
+            "proposals_per_sweep": 100,
+            "schedule.t0": 5.0,
+            "schedule.parameter": 0.98,
+        },
+    ),
     "ebm-exact": ("ebm", {"data": "visible.txt", "n_hidden": 3, "epochs": 20}),
     "ebm-cd": ("ebm", {"data": "visible.txt", "n_hidden": 3, "method": "cd_k", "k": 2, "epochs": 20, "init_scale": 0.1}),
     "ebm-untrained": ("ebm", {"data": "visible.txt", "n_hidden": 2, "epochs": 0}),

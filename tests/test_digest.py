@@ -1,9 +1,12 @@
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from thermolearn import digest
 from thermolearn.anneal import CoolingSchedule, anneal
 from thermolearn.digest import (
     DigestLandscape,
@@ -105,28 +108,41 @@ def _random_split(gen, total, k):
     return tuple(y - x for x, y in zip(pos, pos[1:]))
 
 
-def test_energy_kernel_matches_reference():
-    gen = random.Random(20240)
-    seen = dict.fromkeys(("single", "duplicate", "coincident", "c_longer", "c_shorter", "beyond_int64"), 0)
-    for trial in range(3000):
-        scale = 10**20 if trial % 5 == 0 else 1  # lengths beyond int64
+def _instance_cases(gen, count):
+    # every fifth instance has lengths beyond int64
+    for trial in range(count):
+        scale = 10**20 if trial % 5 == 0 else 1
         total = gen.randint(4, 24)
         n_a, n_b = gen.randint(1, min(6, total)), gen.randint(1, min(6, total))
         n_c = gen.randint(1, min(total, 13))
-        a, b, c = (tuple(scale * x for x in _random_split(gen, total, n)) for n in (n_a, n_b, n_c))
-        inst = DoubleDigestInstance(a, b, c)
+        yield DoubleDigestInstance(*(tuple(scale * x for x in _random_split(gen, total, n)) for n in (n_a, n_b, n_c)))
+
+
+SHAPES = ("single", "duplicate", "coincident", "c_longer", "c_shorter", "beyond_int64")
+
+
+def _count_shapes(seen, inst, implied):
+    n_a, n_b = len(inst.a), len(inst.b)
+    seen["single"] += min(n_a, n_b) == 1
+    seen["duplicate"] += len(set(inst.a + inst.b)) < n_a + n_b
+    seen["coincident"] += len(implied) < n_a + n_b - 1
+    seen["c_longer"] += len(inst.c) > len(implied)
+    seen["c_shorter"] += len(inst.c) < len(implied)
+    seen["beyond_int64"] += inst.total_length > 2**63
+
+
+def test_energy_kernel_matches_reference():
+    gen = random.Random(20240)
+    seen = dict.fromkeys(SHAPES, 0)
+    for inst in _instance_cases(gen, 3000):
+        n_a, n_b = len(inst.a), len(inst.b)
         ordering = DigestOrdering(tuple(gen.sample(range(n_a), n_a)), tuple(gen.sample(range(n_b), n_b)))
         implied = _reference_implied(ordering.sigma, ordering.mu, inst)
-        expected = _reference_energy(tuple(sorted(c)), implied)
+        expected = _reference_energy(tuple(sorted(inst.c)), implied)
         assert double_digest_implied_fragments(ordering, inst) == implied
         assert double_digest_energy(ordering, inst) == expected
         assert DigestLandscape(inst).energy(ordering) == expected
-        seen["single"] += min(n_a, n_b) == 1
-        seen["duplicate"] += len(set(a + b)) < n_a + n_b
-        seen["coincident"] += len(implied) < n_a + n_b - 1
-        seen["c_longer"] += n_c > len(implied)
-        seen["c_shorter"] += n_c < len(implied)
-        seen["beyond_int64"] += scale > 1
+        _count_shapes(seen, inst, implied)
     assert min(seen.values()) >= 100, seen
 
 
@@ -222,6 +238,80 @@ def test_singleton_side_proposal_is_fixed_point():
         state = nxt
 
 
+# --- cut caches ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cache_size", [digest.CUT_CACHE_SIZE, 3])
+def test_cached_energy_matches_free_function_along_walks(monkeypatch, cache_size):
+    # at 3 entries the caches clear every few moves, so evicted and refilled entries are read too
+    monkeypatch.setattr(digest, "CUT_CACHE_SIZE", cache_size)
+    gen = random.Random(31)
+    seen = dict.fromkeys(SHAPES, 0)
+    for k, inst in enumerate(_instance_cases(gen, 400)):
+        land = DigestLandscape(inst)
+        rng = RngStream(k)
+        state = land.random_state(rng)
+        for move in land.moves(rng, 40):
+            state = land.apply(state, move)
+            expected = double_digest_energy(state, inst).hex()
+            as_lists = DigestOrdering(list(state.sigma), list(state.mu))
+            as_numpy = DigestOrdering(*(tuple(np.array(p, dtype=np.int64)) for p in state))
+            assert [land.energy(s).hex() for s in (state, as_lists, as_numpy)] == [expected] * 3, (inst, state)
+        _count_shapes(seen, inst, double_digest_implied_fragments(state, inst))
+    assert min(seen.values()) >= 50, seen
+
+
+class _Uncached(DigestLandscape):
+    # the energy as the free function computes it, prefix cuts rebuilt on every call
+    def energy(self, state):
+        inst = self.instance
+        return digest._gap_energy(self._observed, digest._cut_gaps(inst.a, inst.b, state.sigma, state.mu))
+
+
+class _CacheWatch(DigestLandscape):
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.largest = [0, 0]
+
+    def energy(self, state):
+        energy = super().energy(state)
+        for side, (_, _, cache) in enumerate(self._sides):
+            self.largest[side] = max(self.largest[side], len(cache))
+        return energy
+
+
+@pytest.mark.parametrize("n_a, n_b, seed", [(7, 8, 1), (9, 6, 2)])
+def test_anneal_at_benchmark_size_matches_uncached_energy(n_a, n_b, seed):
+    # the benchmark's size and schedule: 15 fragments, 250 sweeps x 100 proposals
+    inst = generate_instance(n_a, n_b, 90, RngStream(seed))
+    schedule = CoolingSchedule("geometric", 5.0, 0.98)
+    cached = _CacheWatch(inst)
+    runs = [anneal(land, schedule, 250, 100, RngStream(100 + seed)) for land in (cached, _Uncached(inst))]
+    assert runs[0].trace.csv_text() == runs[1].trace.csv_text()
+    assert runs[0].best_state == runs[1].best_state
+    assert runs[0].best_energy.hex() == runs[1].best_energy.hex()
+    # both caches reached their cap, and neither grew past it
+    assert cached.largest == [digest.CUT_CACHE_SIZE] * 2
+
+
+def test_longer_anneal_grows_memory_only_by_its_trace_rows():
+    # 15 fragments: both caches fill and clear within the short run already, so the
+    # 300 extra sweeps may add only their trace rows, about 80 bytes each (four float
+    # columns, an int column and a temperature list); an uncapped cache adds megabytes
+    inst = generate_instance(7, 8, 90, RngStream(3))
+    schedule = CoolingSchedule("geometric", 5.0, 0.995)
+    peaks = []
+    for sweeps in (100, 400):
+        land = DigestLandscape(inst)
+        tracemalloc.start()
+        try:
+            anneal(land, schedule, sweeps, 50, RngStream(4))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 300 * 256, peaks
+
+
 # --- forward generation ------------------------------------------------------------
 
 
@@ -256,6 +346,23 @@ def test_brute_force_early_stop():
     assert result.best_energy == 0.0
     full = brute_force_min_energy(inst)
     assert result.evaluated <= full.evaluated
+
+
+def test_instance_and_stop_at_are_checked():
+    # each escaped as AttributeError or TypeError before
+    ordering = DigestOrdering.identity(INST)
+    for call in (
+        lambda: DigestLandscape(None),
+        lambda: brute_force_min_energy(None),
+        lambda: double_digest_energy(ordering, None),
+        lambda: double_digest_implied_fragments(ordering, (3, 5)),
+    ):
+        with pytest.raises(ValidationError, match="must be a DoubleDigestInstance"):
+            call()
+    for stop_at in ("x", True, math.nan, math.inf, [0.0]):
+        with pytest.raises(ValidationError, match="stop_at"):
+            brute_force_min_energy(INST, stop_at=stop_at)
+    assert brute_force_min_energy(INST, stop_at=np.float64(0.0)).best_energy == 0.0
 
 
 def _reference_brute_force(inst, stop_at=None):
@@ -410,3 +517,21 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("a: 3 5\nb: 2 6\n")
     with pytest.raises(ValidationError):
         load_instance(path)
+
+
+@pytest.mark.parametrize(
+    "text, where, why",
+    [
+        ("a: 8\nb: 8\n# none\nc:\n", "bad.txt:4: ", "c must contain at least one fragment"),
+        ("a: 8\nb: 8 0\nc: 8\n", "bad.txt:2: ", "b fragments must be"),
+        ("a: 3 5\nb: 2 6\nc: 1 2 6\n", "bad.txt: ", "fragment sums disagree"),
+    ],
+    ids=["empty_line", "zero_fragment", "sums_disagree"],
+)
+def test_load_names_file_of_invalid_instance(tmp_path, text, where, why):
+    # each raised the instance's own message, without the path, before
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        load_instance(path)
+    assert str(err.value).startswith(str(tmp_path / where)) and why in str(err.value)

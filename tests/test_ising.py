@@ -109,9 +109,13 @@ def test_graph_file_roundtrip(tmp_path):
         ("# comment\n-3\n", 2),
         ("3\n0 1\n", 2),
         ("3\n0 1 1.0\nh 0 0.5\nh 0 0.7\n", 4),  # the last field line used to win
+        ("3\n0 1 1.0\n1 2 0.5\n0 1 0.5\n", 4),  # these three used to name neither file nor line
+        ("3\n0 1 1.0\n\n1 0 0.5\n", 4),
+        ("3\n0 0 1.0\n", 2),
     ],
     ids=["negative_site", "field_site_range", "coupling_text", "site_text", "edge_site_range",
-         "coupling_nan", "negative_count", "short_line", "repeated_field"],
+         "coupling_nan", "negative_count", "short_line", "repeated_field", "repeated_edge",
+         "reversed_edge", "self_loop"],
 )
 def test_graph_file_malformed_lines(tmp_path, text, line):
     path = tmp_path / "bad.txt"
