@@ -23,7 +23,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .config import _array, _count, _index, _real, _stochastic
+from .config import _array, _count, _index, _items, _real, _stochastic
 from .distributions import DiscreteDistribution, as_distribution, log_normalize
 from .errors import CapacityError, ConvergenceError, DomainError, ValidationError
 from .info import kl_divergence
@@ -285,7 +285,7 @@ class FactorizedPosterior:
     factors: Tuple[DiscreteDistribution, ...]
 
     def __post_init__(self):
-        factors = tuple(as_distribution(f) for f in self.factors)
+        factors = tuple(as_distribution(f) for f in _items("FactorizedPosterior: factors", self.factors))
         if not factors:
             raise ValidationError("FactorizedPosterior: need at least one factor")
         object.__setattr__(self, "factors", factors)

@@ -139,7 +139,7 @@ def validate_config(subcommand: str, config: Dict[str, object]) -> List[str]:
     if subcommand not in SCHEMAS:
         return [f"subcommand: unknown subcommand {subcommand!r}"]
     diagnostics = validate_against(SCHEMAS[subcommand], config)
-    extra = _CROSS_CHECKS.get(subcommand)
+    extra = _SUBCOMMANDS[subcommand][1]
     if extra and not diagnostics:
         diagnostics.extend(extra(resolved(SCHEMAS[subcommand], config)))
     return diagnostics
@@ -210,16 +210,6 @@ def _cooling_ratio(cfg) -> float:
     """The geometric ratio per episode that takes marl's temperature from temp.start to temp.end."""
     episodes = cfg["episodes"]
     return 1.0 if episodes == 1 else (float(cfg["temp.end"]) / float(cfg["temp.start"])) ** (1.0 / (episodes - 1))
-
-
-_CROSS_CHECKS = {
-    "entropy": _check_entropy,
-    "ising": _check_ising,
-    "anneal": _check_schedule,
-    "digest": _check_digest,
-    "conv": _check_conv,
-    "marl": _check_marl,
-}
 
 
 def _json_bytes(payload) -> bytes:
@@ -474,18 +464,19 @@ def _run_marl(cfg, rng):
     }, {"trace": result.trace}
 
 
-_RUNNERS = {
-    "entropy": _run_entropy,
-    "ising": _run_ising,
-    "anneal": _run_anneal,
-    "digest": _run_digest,
-    "ebm": _run_ebm,
-    "conv": _run_conv,
-    "boost": _run_boost,
-    "activeinf": _run_activeinf,
-    "marl": _run_marl,
+# each subcommand: its runner, and the check of its resolved config beyond the schema (or None)
+_SUBCOMMANDS = {
+    "entropy": (_run_entropy, _check_entropy),
+    "ising": (_run_ising, _check_ising),
+    "anneal": (_run_anneal, _check_schedule),
+    "digest": (_run_digest, _check_digest),
+    "ebm": (_run_ebm, None),
+    "conv": (_run_conv, _check_conv),
+    "boost": (_run_boost, None),
+    "activeinf": (_run_activeinf, None),
+    "marl": (_run_marl, _check_marl),
 }
-SUBCOMMANDS = tuple(_RUNNERS)
+SUBCOMMANDS = tuple(_SUBCOMMANDS)
 
 
 def run_experiment(
@@ -514,7 +505,6 @@ def run_experiment(
         return EXIT_VALIDATION
 
     out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": subcommand,
@@ -524,19 +514,18 @@ def run_experiment(
         "config": config,
         "artifacts": {},
     }
-    (out_path / "manifest.json").write_bytes(_json_bytes(manifest))
-
-    cfg = resolved(SCHEMAS[subcommand], config)
-    rng = RngStream(int(seed))
-    artifacts: Dict[str, str] = {}
     try:
-        summary, outputs = _RUNNERS[subcommand](cfg, rng)
+        out_path.mkdir(parents=True, exist_ok=True)
+        (out_path / "manifest.json").write_bytes(_json_bytes(manifest))
+        run, _ = _SUBCOMMANDS[subcommand]
+        summary, outputs = run(resolved(SCHEMAS[subcommand], config), RngStream(int(seed)))
         outputs["result.json"] = _json_bytes({"schema_version": SCHEMA_VERSION, "subcommand": subcommand, **summary})
         for name, data in outputs.items():
             pieces = [data]
             if isinstance(data, Trace):
                 name, pieces = f"{name}.{fmt}", _trace_bytes(data, fmt)
-            artifacts[name] = _write_artifact(out_path / name, pieces)
+            manifest["artifacts"][name] = _write_artifact(out_path / name, pieces)
+        (out_path / "manifest.json").write_bytes(_json_bytes(manifest))
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -549,9 +538,6 @@ def run_experiment(
     except MemoryError as exc:  # e.g. numpy's "Unable to allocate 72.8 TiB for an array ..."
         print(f"capacity failure: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    manifest["artifacts"] = artifacts
-    (out_path / "manifest.json").write_bytes(_json_bytes(manifest))
     return EXIT_OK
 
 

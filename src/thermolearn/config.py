@@ -167,14 +167,16 @@ def _index(name: str, value, size: int) -> int:
     return int(value)
 
 
-def _items(name: str, value, size: int) -> tuple:
-    """``value`` as a tuple when it is a sequence of ``size`` items; otherwise ValidationError."""
+def _items(name: str, value, size: Optional[int] = None, into=tuple):
+    """``value`` as a tuple when it is a sequence (of ``size`` items, if given), or as a dict
+    (``into=dict``) when it is a mapping or a sequence of pairs; otherwise ValidationError."""
     try:
-        items = tuple(value)
-    except TypeError:  # not iterable
+        items = into(value)
+    except (TypeError, ValueError):  # not iterable, or (for a dict) entries that are not pairs
         items = None
-    if items is None or len(items) != size:
-        raise ValidationError(f"{name} must be a sequence of {size} items, got {value!r}")
+    if items is None or size is not None and len(items) != size:
+        form = "a mapping" if into is dict else "a sequence" + ("" if size is None else f" of {size} items")
+        raise ValidationError(f"{name} must be {form}, got {value!r}")
     return items
 
 

@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .anneal import EnergyLandscape
-from .config import _array, _content_lines, _count, _real
+from .config import _array, _content_lines, _count, _items, _real
 from .errors import ValidationError
 from .rng import RngStream
 
@@ -37,7 +37,7 @@ __all__ = [
 
 
 def _fragment_tuple(values, name: str) -> Tuple[int, ...]:
-    out = tuple(_count(f"{name} fragments", x, 1) for x in values)
+    out = tuple(_count(f"{name} fragments", x, 1) for x in _items(f"DoubleDigestInstance: {name}", values))
     if not out:
         raise ValidationError(f"{name} must contain at least one fragment")
     return out
@@ -282,10 +282,12 @@ def brute_force_min_energy(
     best_energy = float("inf")
     best_ordering = None
     evaluated = 0
-    mu_options = list(distinct_perms(b))
+    # each ordering's prefix cuts, worked out once; the joined list is new, so _gaps may sort it
+    mu_options = [(mu, _prefix_cuts(b, mu, None)) for mu in distinct_perms(b)]
     for sigma in distinct_perms(a):
-        for mu in mu_options:
-            energy = _gap_energy(observed, _cut_gaps(a, b, sigma, mu))
+        sigma_cuts = _prefix_cuts(a, sigma, 0)
+        for mu, mu_cuts in mu_options:
+            energy = _gap_energy(observed, _gaps(sigma_cuts + mu_cuts))
             evaluated += 1
             if energy < best_energy:
                 best_energy = energy

@@ -74,7 +74,7 @@ class CouplingGraph:
         n = _count("CouplingGraph: n_sites", self.n_sites, 1)
         seen = set()
         normalized = []
-        for edge in self.edges:
+        for edge in _items("CouplingGraph: edges", self.edges):
             i, j, coupling = _items("CouplingGraph: edge (i, j, coupling)", edge, 3)
             i, j = (_index(f"CouplingGraph: a site of edge ({i}, {j})", k, n) for k in (i, j))
             if i == j:

@@ -47,11 +47,14 @@ class NeighborGraph:
     neighbors: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(self.neighbors)
+        rows = _items("NeighborGraph: neighbors", self.neighbors)
         n = len(rows)
         if n == 0:
             raise ValidationError("NeighborGraph: need at least one agent")
-        lists = tuple(tuple(_index(f"NeighborGraph: a neighbor of agent {j}", k, n) for k in row) for j, row in enumerate(rows))
+        lists = tuple(
+            tuple(_index(f"NeighborGraph: a neighbor of agent {j}", k, n) for k in _items(f"NeighborGraph: neighbors of agent {j}", row))
+            for j, row in enumerate(rows)
+        )
         for j, row in enumerate(lists):
             if len(set(row)) != len(row):
                 raise ValidationError(f"NeighborGraph: repeated neighbor in list of agent {j}")
@@ -69,7 +72,7 @@ class NeighborGraph:
     @classmethod
     def from_edges(cls, n_agents: int, edges: Sequence[Tuple[int, int]]) -> "NeighborGraph":
         lists = [[] for _ in range(_count("NeighborGraph.from_edges: n_agents", n_agents, 0))]
-        for edge in edges:
+        for edge in _items("NeighborGraph.from_edges: edges", edges):
             pair = _items("NeighborGraph.from_edges: edge (i, j)", edge, 2)
             i, j = (_index(f"NeighborGraph.from_edges: a site of edge {edge}", k, n_agents) for k in pair)
             lists[i].append(j)

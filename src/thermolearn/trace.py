@@ -9,6 +9,7 @@ from typing import Callable, Dict, Iterator, List, Sequence
 
 import numpy as np
 
+from .config import _items
 from .errors import ValidationError
 
 # Rows formatted per pass: bounds the Python strings alive at once.
@@ -43,6 +44,7 @@ class Trace:
     """
 
     def __init__(self, columns: Dict[str, Sequence]):
+        columns = _items("Trace: columns", columns, into=dict)
         if not columns:
             raise ValidationError("Trace: need at least one column")
         arrays = {}

@@ -58,6 +58,16 @@ def test_vfe_zero_at_exact_posterior():
     assert variational_free_energy(posterior, prior, lik) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_vfe_needs_q_and_prior_on_one_state_space():
+    with pytest.raises(DomainError, match="^variational_free_energy: q and prior must share the hidden state space"):
+        variational_free_energy([1.0], [0.5, 0.5], [0.9, 0.3])
+
+
+def test_factorized_posterior_needs_a_factor():
+    with pytest.raises(ValidationError, match="^FactorizedPosterior: need at least one factor"):
+        FactorizedPosterior(())
+
+
 def test_vfe_uniform_q_hand_value():
     prior = DiscreteDistribution([0.5, 0.5])
     lik = np.array([0.9, 0.3])

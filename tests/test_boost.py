@@ -52,6 +52,8 @@ def test_dataset_validation():
         WeightedDataset.uniform([0.1, 0.2], [0, 2])
     with pytest.raises(ValidationError):
         WeightedDataset.uniform([0.1], [0, 1])
+    with pytest.raises(ValidationError, match="^WeightedDataset: one weight per item required"):
+        WeightedDataset([0.1, 0.2], [0, 1], [1.0])
 
 
 def test_dataset_rejects_non_finite_xs():
@@ -289,6 +291,22 @@ def test_boost3_perfect_learner_stays_perfect():
 
     result = boost3(PerfectLearner(), ds, RngStream(0))
     assert result.diagnostics.final_err == 0.0
+
+
+def test_boost3_returns_h1_when_h2_agrees_on_every_item():
+    ds = threshold_data(500, 0.5, seed=4)
+    h = ThresholdHypothesis(0.3)
+
+    class SameLearner:
+        gamma = 0.1
+
+        def train(self, dataset, rng):
+            return h
+
+    hypothesis, diag = boost3(SameLearner(), ds, RngStream(0))
+    assert hypothesis is h
+    assert diag.h1_err > 0.0 and diag.h2_err == pytest.approx(0.5)
+    assert (diag.h3_err, diag.final_err, diag.bound) == (0.0, diag.h1_err, boost_error_bound(0.1))
 
 
 def test_boost3_to_dict_round_trips_floats():

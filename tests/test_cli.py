@@ -251,6 +251,9 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     assert cli.main(["entropy", "--config", cfg, "--format", "xml"]) == 64
     assert cli.run_experiment("frobnicate", {}, out_dir=str(tmp_path / "o")) == 64
     capsys.readouterr()
+    assert cli.run_experiment("entropy", {"probs": [0.5, 0.5]}, out_dir=str(tmp_path / "o"), fmt="tsv") == 64
+    assert capsys.readouterr().err == "unknown format: tsv\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_outside_u64_exits_64(tmp_path, capsys):
@@ -460,6 +463,29 @@ def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "capacity failure: Unable to allocate 72.8 TiB for an array with shape (10000000000000,)\n"
     )
+
+
+@pytest.mark.parametrize("case", ["out is a file", "out under a file", "manifest is a directory"])
+def test_unusable_out_is_an_io_failure(tmp_path, capsys, case):
+    cfg = write_cfg(tmp_path, "e.cfg", "probs = [0.5, 0.5]\n")
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = {"out is a file": afile, "out under a file": afile / "sub", "manifest is a directory": tmp_path / "run"}[case]
+    if case == "manifest is a directory":
+        (out / "manifest.json").mkdir(parents=True)
+    assert cli.main(["entropy", "--config", cfg, "--out", str(out)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure:") and err.count("\n") == 1 and "Traceback" not in err
+    assert afile.read_text() == "kept\n"
+
+
+def test_artifact_write_failure_keeps_the_first_manifest(tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "result.json").mkdir(parents=True)
+    assert cli.run_experiment("entropy", {"probs": [0.5, 0.5]}, out_dir=str(out)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("i/o failure:")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["subcommand"] == "entropy" and manifest["artifacts"] == {}
 
 
 def test_python_m_thermolearn_matches_main(tmp_path):

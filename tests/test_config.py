@@ -25,7 +25,7 @@ from thermolearn.anneal import CoolingSchedule, schedule_temperature
 from thermolearn.boost import NoisyThresholdLearner, WeightedDataset
 from thermolearn.config import _array, _count, _index, _problem, _real, _stochastic, parse_config
 from thermolearn.convolution import conv_naive, fft_radix2
-from thermolearn.digest import generate_instance
+from thermolearn.digest import DoubleDigestInstance, generate_instance
 from thermolearn.distributions import DiscreteDistribution, JointDistribution
 from thermolearn.ebm import (
     BoltzmannMachine,
@@ -66,6 +66,7 @@ from thermolearn.marl import (
 )
 from thermolearn.rng import RngStream, as_stream
 from thermolearn.sampling import Bernoulli, Exponential, clt_standardized_sums, importance_estimate
+from thermolearn.trace import Trace
 
 INF, NAN = math.inf, math.nan
 
@@ -277,6 +278,15 @@ TIGHTENED_ARRAYS = [
     ("NeighborGraph: a neighbor of agent", lambda: NeighborGraph(((1.5,), (0,)))),
     ("CouplingGraph: a site of edge", lambda: CouplingGraph(2, ((0.5, 1, 1.0),))),
     ("as_stream: rng", lambda: as_stream(True)),  # returned RngStream(seed=1)
+    # a non-sequence where a constructor iterates the argument: raised TypeError or AttributeError
+    ("CouplingGraph: edges must be a sequence, got None", lambda: CouplingGraph(3, None)),
+    ("CouplingGraph: edges must be a sequence, got 5", lambda: CouplingGraph(3, 5)),
+    ("NeighborGraph: neighbors must be a sequence, got 5", lambda: NeighborGraph(5)),
+    ("NeighborGraph: neighbors of agent 1 must be a sequence", lambda: NeighborGraph(((1,), 0))),
+    ("NeighborGraph.from_edges: edges must be a sequence, got None", lambda: NeighborGraph.from_edges(3, None)),
+    ("DoubleDigestInstance: a must be a sequence, got 5", lambda: DoubleDigestInstance(5, (1,), (1,))),
+    ("Trace: columns must be a mapping, got [1, 2]", lambda: Trace([1, 2])),
+    ("FactorizedPosterior: factors must be a sequence, got None", lambda: FactorizedPosterior(None)),
 ]
 
 

@@ -33,6 +33,9 @@ def test_instance_totals_must_agree():
         DoubleDigestInstance((3, 5), (2, 6), (1, 2, 6))
     with pytest.raises(ValidationError):
         DoubleDigestInstance((3, 5), (2, 7), (1, 2, 5))
+    with pytest.raises(ValidationError, match=r"^total_length 9 != sum\(a\) = 8"):
+        DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5), total_length=9)
+    assert DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5), total_length=8).total_length == 8
 
 
 def test_instance_fragments_must_be_positive_integers():
@@ -403,6 +406,50 @@ def test_brute_force_matches_reference_scan():
             assert tuple(got) == _reference_brute_force(inst, stop_at)
 
 
+def _distinct_perms(values):
+    # the first permutation of each distinct value sequence, in itertools order
+    first = {}
+    for perm in itertools.permutations(range(len(values))):
+        first.setdefault(tuple(values[i] for i in perm), perm)
+    return list(first.values())
+
+
+def _cut_gap_scan(inst, stop_at):
+    # the scan with every pair scored through _cut_gaps, which builds both prefix-cut lists anew
+    observed = tuple(sorted(inst.c))
+    best, best_ordering, evaluated = math.inf, None, 0
+    for sigma, mu in itertools.product(_distinct_perms(inst.a), _distinct_perms(inst.b)):
+        energy = digest._gap_energy(observed, digest._cut_gaps(inst.a, inst.b, sigma, mu))
+        evaluated += 1
+        if energy < best:
+            best, best_ordering = energy, DigestOrdering(sigma, mu)
+            if stop_at is not None and best <= stop_at:
+                break
+    return best.hex(), best_ordering, evaluated
+
+
+def test_brute_force_with_cached_cuts_matches_the_cut_gap_scan():
+    gen = random.Random(2303)
+    seen = {"single": 0, "duplicate": 0, "solvable": 0}
+    for k in range(60):
+        scale = 10**20 if k % 5 == 0 else 1
+        total = gen.randint(5, 24)
+        n_a, n_b = gen.randint(1, 5), gen.randint(1, 5)
+        if k % 2:
+            inst = generate_instance(n_a, n_b, total, RngStream(k))
+            inst = DoubleDigestInstance(*(tuple(scale * x for x in side) for side in (inst.a, inst.b, inst.c)))
+        else:  # c unrelated to a and b
+            sizes = (n_a, n_b, gen.randint(1, min(total, 10)))
+            inst = DoubleDigestInstance(*(tuple(scale * x for x in _random_split(gen, total, n)) for n in sizes))
+        seen["single"] += min(len(inst.a), len(inst.b)) == 1
+        seen["duplicate"] += len(set(inst.a)) < len(inst.a) or len(set(inst.b)) < len(inst.b)
+        for stop_at in (None, 0.0):
+            got = brute_force_min_energy(inst, stop_at=stop_at)
+            assert (got.best_energy.hex(), got.best_ordering, got.evaluated) == _cut_gap_scan(inst, stop_at)
+        seen["solvable"] += got.best_energy == 0.0
+    assert min(seen.values()) >= 5, seen
+
+
 def test_brute_force_on_wrong_only_instance():
     # observed c deliberately inconsistent with any ordering: min energy > 0
     inst = DoubleDigestInstance((3, 5), (2, 6), (4, 4))
@@ -525,8 +572,9 @@ def test_load_rejects_malformed(tmp_path):
         ("a: 8\nb: 8\n# none\nc:\n", "bad.txt:4: ", "c must contain at least one fragment"),
         ("a: 8\nb: 8 0\nc: 8\n", "bad.txt:2: ", "b fragments must be"),
         ("a: 3 5\nb: 2 6\nc: 1 2 6\n", "bad.txt: ", "fragment sums disagree"),
+        ("a: 8\nb: 8\na: 8\nc: 8\n", "bad.txt:3: ", "duplicate line for 'a'"),
     ],
-    ids=["empty_line", "zero_fragment", "sums_disagree"],
+    ids=["empty_line", "zero_fragment", "sums_disagree", "duplicate_line"],
 )
 def test_load_names_file_of_invalid_instance(tmp_path, text, where, why):
     # each raised the instance's own message, without the path, before

@@ -491,6 +491,11 @@ def test_train_rejects_counts_that_are_not_integers(epochs, k, name):
         bm_train(SMALL, [np.array([1])], method="cd_k", epochs=epochs, k=k, rng=RngStream(0))
 
 
+def test_train_rejects_an_unknown_method():
+    with pytest.raises(ValidationError, match="^bm_train: unknown method 'pcd'"):
+        bm_train(SMALL, [np.array([1])], method="pcd", epochs=1, rng=RngStream(0))
+
+
 def test_cd_k_requires_rng():
     with pytest.raises(ValidationError):
         bm_train(BoltzmannMachine.zeros(1, 1), [np.array([1])], method="cd_k", rng=None)

@@ -130,6 +130,11 @@ def test_kl_absolute_continuity_violation():
         kl_divergence(DiscreteDistribution([0.5, 0.5]), DiscreteDistribution([1.0, 0.0]))
 
 
+def test_kl_needs_one_support_size():
+    with pytest.raises(ValidationError, match="^kl_divergence: distributions must share a support size"):
+        kl_divergence([0.5, 0.5], [0.25, 0.25, 0.5])
+
+
 def test_kl_non_negative_random_pairs():
     rng = np.random.default_rng(3)
     for _ in range(200):

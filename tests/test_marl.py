@@ -183,6 +183,26 @@ def test_boltzmann_temperature_validation():
         boltzmann_policy(np.array([1.0]), temperature=0.0)
 
 
+@pytest.mark.parametrize(
+    "neighbors, message",
+    [
+        ((), "NeighborGraph: need at least one agent"),
+        (((0,),), "NeighborGraph: self-loop at agent 0"),
+        (((1,), ()), "NeighborGraph: edge 0-1 not symmetric"),
+    ],
+    ids=["empty", "self_loop", "asymmetric"],
+)
+def test_neighbor_graph_rejects_malformed_lists(neighbors, message):
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        NeighborGraph(neighbors)
+
+
+def test_run_ising_game_rejects_a_schedule_that_is_neither_a_schedule_nor_callable():
+    env = IsingGameEnv(graph=torus_graph(2, 2), coupling=1.0)
+    with pytest.raises(ValidationError, match="^run_ising_game: temperature_schedule must be a schedule or callable"):
+        run_ising_game(env, 2, 3, 0.1, 0.9, 1.0, RngStream(9))
+
+
 def test_temperatures_whose_reciprocal_overflows_are_rejected():
     # 1 / 1e-320 is inf, and q / T would put NaN into the policy and the Q-values
     with pytest.raises(ValidationError, match=r"boltzmann_policy: temperature must have a finite reciprocal 1/T, got 1e-320"):

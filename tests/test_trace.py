@@ -38,6 +38,11 @@ def test_length_and_names():
     assert t.column_names == ["x", "y"]
 
 
+def test_empty_trace_rejected():
+    with pytest.raises(ValidationError, match="^Trace: need at least one column"):
+        Trace({})
+
+
 def test_unequal_lengths_rejected():
     with pytest.raises(ValidationError):
         Trace({"x": [1, 2], "y": [1]})
