@@ -37,9 +37,10 @@ __all__ = [
 
 
 def _fragment_tuple(values, name: str) -> Tuple[int, ...]:
-    out = tuple(_count(f"{name} fragments", x, 1) for x in _items(f"DoubleDigestInstance: {name}", values))
+    label = f"DoubleDigestInstance: {name}"
+    out = tuple(_count(f"{label} fragments", x, 1) for x in _items(label, values))
     if not out:
-        raise ValidationError(f"{name} must contain at least one fragment")
+        raise ValidationError(f"{label} must contain at least one fragment")
     return out
 
 
@@ -57,11 +58,13 @@ class DoubleDigestInstance:
         b = _fragment_tuple(self.b, "b")
         c = _fragment_tuple(self.c, "c")
         total = sum(a)
-        if self.total_length is not None and self.total_length != total:
-            raise ValidationError(f"total_length {self.total_length} != sum(a) = {total}")
+        if self.total_length is not None:
+            given = _count("DoubleDigestInstance: total_length", self.total_length, 1)
+            if given != total:
+                raise ValidationError(f"DoubleDigestInstance: total_length {given} != sum(a) = {total}")
         if sum(b) != total or sum(c) != total:
             raise ValidationError(
-                f"fragment sums disagree: sum(a)={total}, sum(b)={sum(b)}, sum(c)={sum(c)}"
+                f"DoubleDigestInstance: fragment sums disagree: sum(a)={total}, sum(b)={sum(b)}, sum(c)={sum(c)}"
             )
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

@@ -219,7 +219,7 @@ def bm_hidden_activation(machine: BoltzmannMachine, v) -> np.ndarray:
     try:
         pre = machine.b + np.asarray(v, dtype=float) @ machine.W
     except (TypeError, ValueError):
-        raise ValidationError(f"v must be numeric rows of {machine.n_visible} visible units") from None
+        raise ValidationError(f"bm_hidden_activation: v must be numeric rows of {machine.n_visible} visible units") from None
     return _logistic(pre)
 
 
@@ -228,7 +228,7 @@ def bm_visible_activation(machine: BoltzmannMachine, h) -> np.ndarray:
     try:
         pre = machine.a + np.asarray(h, dtype=float) @ machine.W.T
     except (TypeError, ValueError):
-        raise ValidationError(f"h must be numeric rows of {machine.n_hidden} hidden units") from None
+        raise ValidationError(f"bm_visible_activation: h must be numeric rows of {machine.n_hidden} hidden units") from None
     return _logistic(pre)
 
 
@@ -248,7 +248,7 @@ class GibbsSampleRun(Sequence):
 
     def __init__(self, visible: np.ndarray, hidden: np.ndarray):
         if visible.shape[0] != hidden.shape[0]:
-            raise ValidationError("visible and hidden trajectories must have equal length")
+            raise ValidationError("GibbsSampleRun: visible and hidden trajectories must have equal length")
         self.visible = visible
         self.hidden = hidden
 

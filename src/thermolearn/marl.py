@@ -81,22 +81,15 @@ class NeighborGraph:
 
 
 def torus_graph(rows: int, cols: int) -> NeighborGraph:
-    """Periodic 2-D lattice with 4-neighbor connectivity."""
+    """Periodic 2-D lattice with 4-neighbor connectivity, from its edge set: each list is ascending."""
     rows, cols = _count("torus_graph: rows", rows, 1), _count("torus_graph: cols", cols, 1)
-
-    def idx(r, c):
-        return (r % rows) * cols + (c % cols)
-
-    lists = []
-    for r in range(rows):
-        for c in range(cols):
-            seen = []
-            for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                k = idx(nr, nc)
-                if k != idx(r, c) and k not in seen:
-                    seen.append(k)
-            lists.append(tuple(seen))
-    return NeighborGraph(tuple(lists))
+    edges = set()
+    for i in range(rows * cols):
+        r, c = divmod(i, cols)
+        for j in ((r + 1) % rows * cols + c, r * cols + (c + 1) % cols):
+            if j != i:
+                edges.add((min(i, j), max(i, j)))
+    return NeighborGraph.from_edges(rows * cols, sorted(edges))
 
 
 def mean_action(neighbor_actions: Sequence[int], n_actions: int) -> np.ndarray:
@@ -242,17 +235,13 @@ def run_ising_game(
     n_bins = _count("run_ising_game: n_bins", n_bins, 1)
     alpha = _real("run_ising_game: alpha", alpha, 0, 1)
     gamma = _real("run_ising_game: gamma", gamma, 0, 1, "[)")
-    if hasattr(temperature_schedule, "temperature"):
-        temp_at = temperature_schedule.temperature
-    elif callable(temperature_schedule):
-        temp_at = temperature_schedule
-    else:
+    temp_at = getattr(temperature_schedule, "temperature", temperature_schedule)
+    if not callable(temp_at):
         raise ValidationError("run_ising_game: temperature_schedule must be a schedule or callable")
 
-    graph = env.graph
-    n = graph.n_agents
+    neighbor_lists = env.graph.neighbors
+    n = len(neighbor_lists)
     coupling = env.coupling
-    neighbor_lists = [list(row) for row in graph.neighbors]
     state = 0
 
     # With two actions the mean-action bin depends only on the number of up

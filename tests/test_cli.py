@@ -26,6 +26,7 @@ from thermolearn.digest import DoubleDigestInstance, dump_instance, load_instanc
 from thermolearn.ebm import load_visible_data
 from thermolearn.errors import ValidationError
 from thermolearn.ising import CouplingGraph, dump_coupling_graph, load_coupling_graph
+from thermolearn.marl import torus_graph
 
 
 # --- config grammar ---------------------------------------------------------
@@ -565,15 +566,24 @@ def test_different_seed_changes_samples(tmp_path):
     assert outs[0] != outs[1]
 
 
-def test_ising_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+def _blas_kernel_config(tmp_path, subcommand):
+    if subcommand == "marl":
+        return "rows = 4\ncols = 4\nepisodes = 60\n"
+    if subcommand == "digest":
+        return "n_a = 5\nn_b = 4\ntotal_length = 40\nsweeps = 80\nproposals_per_sweep = 40\n"
     # a 4x4 torus with random couplings and fields; at seed 4 the old BLAS
     # field sum gave another result.json under OpenBLAS's Prescott kernel
     gen = np.random.default_rng(4)
-    pairs = sorted({tuple(sorted((r * 4 + c, r * 4 + (c + 1) % 4))) for r in range(4) for c in range(4)}
-                   | {tuple(sorted((r * 4 + c, (r + 1) % 4 * 4 + c))) for r in range(4) for c in range(4)})
+    pairs = [(i, j) for i, row in enumerate(torus_graph(4, 4).neighbors) for j in row if i < j]
     graph = CouplingGraph(16, tuple((i, j, float(gen.uniform(-1, 1))) for i, j in pairs), gen.uniform(-0.3, 0.3, 16))
     dump_coupling_graph(graph, tmp_path / "torus.txt")
-    cfg = write_cfg(tmp_path, "t.cfg", f'graph = "{tmp_path / "torus.txt"}"\nbeta = 0.6\nsteps = 20000\nburn_in = 2000\n')
+    return f'graph = "{tmp_path / "torus.txt"}"\nbeta = 0.6\nsteps = 20000\nburn_in = 2000\n'
+
+
+# ebm and conv are left out: their BLAS products still depend on the kernel
+@pytest.mark.parametrize("subcommand, seed", [("ising", 4), ("marl", 3), ("digest", 3)], ids=["ising", "marl", "digest"])
+def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path, subcommand, seed):
+    cfg = write_cfg(tmp_path, "t.cfg", _blas_kernel_config(tmp_path, subcommand))
     src = str(Path(__file__).resolve().parents[1] / "src")
     base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
     base["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [base.get("PYTHONPATH")])])
@@ -583,7 +593,7 @@ def test_ising_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
     artifacts = {}
     for name, extra in variants.items():
         out = tmp_path / name.replace(" ", "_")
-        argv = [sys.executable, "-m", "thermolearn.cli", "ising", "--config", cfg, "--seed", "4", "--out", str(out)]
+        argv = [sys.executable, "-m", "thermolearn.cli", subcommand, "--config", cfg, "--seed", str(seed), "--out", str(out)]
         subprocess.run(argv, env={**base, **extra}, check=True, capture_output=True, timeout=120)
         manifest = json.loads((out / "manifest.json").read_text())
         del manifest["out_dir"]

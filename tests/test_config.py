@@ -180,6 +180,11 @@ TIGHTENED = [
     # raised ValueError
     ("chain_graph: h", lambda: chain_graph(3, h="x")),
     ("complete_graph: h", lambda: complete_graph(3, h="x")),
+    # raised "total_length 3 != sum(a) = 3"
+    ("DoubleDigestInstance: total_length", lambda: DoubleDigestInstance((1, 2), (3,), (3,), total_length="3")),
+    # accepted without complaint
+    ("DoubleDigestInstance: total_length", lambda: DoubleDigestInstance((1, 2), (3,), (3,), total_length=3.0)),
+    ("DoubleDigestInstance: total_length", lambda: DoubleDigestInstance((1,), (1,), (1,), total_length=True)),
 ]
 
 

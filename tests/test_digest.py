@@ -29,20 +29,22 @@ INST = DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5))
 
 
 def test_instance_totals_must_agree():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^DoubleDigestInstance: fragment sums disagree: sum\(a\)=8, sum\(b\)=8, sum\(c\)=9$"):
         DoubleDigestInstance((3, 5), (2, 6), (1, 2, 6))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^DoubleDigestInstance: fragment sums disagree"):
         DoubleDigestInstance((3, 5), (2, 7), (1, 2, 5))
-    with pytest.raises(ValidationError, match=r"^total_length 9 != sum\(a\) = 8"):
+    with pytest.raises(ValidationError, match=r"^DoubleDigestInstance: total_length 9 != sum\(a\) = 8$"):
         DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5), total_length=9)
     assert DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5), total_length=8).total_length == 8
 
 
 def test_instance_fragments_must_be_positive_integers():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^DoubleDigestInstance: a fragments must be an integer >= 1, got 0$"):
         DoubleDigestInstance((3, 0), (2, 1), (3,))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^DoubleDigestInstance: a fragments must be an integer"):
         DoubleDigestInstance((3.5,), (3.5,), (3.5,))
+    with pytest.raises(ValidationError, match=r"^DoubleDigestInstance: b must contain at least one fragment$"):
+        DoubleDigestInstance((3,), (), (3,))
 
 
 def test_ordering_must_be_permutation():

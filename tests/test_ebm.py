@@ -23,6 +23,7 @@ from thermolearn.ebm import (
     dump_visible_data,
     ebl_infer,
     gibbs_posterior,
+    GibbsSampleRun,
     load_visible_data,
     loss_hinge,
     loss_nll,
@@ -280,6 +281,15 @@ def test_activations_reject_rows_of_the_wrong_width():
     for h in ([1, 0, 1], np.zeros((4, 3)), 0.0):
         with pytest.raises(ValidationError, match="2 hidden units"):
             bm_visible_activation(m, h)
+    with pytest.raises(ValidationError, match=r"^bm_hidden_activation: v must be numeric rows of 3 visible units$"):
+        bm_hidden_activation(m, [1, 0])
+    with pytest.raises(ValidationError, match=r"^bm_visible_activation: h must be numeric rows of 2 hidden units$"):
+        bm_visible_activation(m, [1, 0, 1])
+
+
+def test_gibbs_sample_run_rejects_trajectories_of_unequal_length():
+    with pytest.raises(ValidationError, match=r"^GibbsSampleRun: visible and hidden trajectories must have equal length$"):
+        GibbsSampleRun(np.zeros((3, 2), dtype=np.uint8), np.zeros((2, 1), dtype=np.uint8))
 
 
 def test_free_energy_consistent_with_enumeration():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from thermolearn.anneal import CoolingSchedule
 from thermolearn.distributions import DiscreteDistribution
 from thermolearn.errors import DomainError, ValidationError
+from thermolearn.ising import CouplingGraph
 from thermolearn.marl import (
     IsingGameEnv,
     NeighborGraph,
@@ -51,6 +53,47 @@ def test_small_torus_degrees_deduplicate():
     g = torus_graph(2, 2)
     # wrap-around neighbors coincide on a 2x2 lattice
     assert all(len(row) == 2 for row in g.neighbors)
+
+
+def _per_agent_torus(rows, cols):
+    """The up/down/left/right builder that torus_graph replaced, kept as the reference."""
+    def idx(r, c):
+        return (r % rows) * cols + (c % cols)
+
+    lists = []
+    for r in range(rows):
+        for c in range(cols):
+            seen = []
+            for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                k = idx(nr, nc)
+                if k != idx(r, c) and k not in seen:
+                    seen.append(k)
+            lists.append(seen)
+    return lists
+
+
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_torus_has_the_per_agent_builders_neighbour_sets_in_ascending_lists(rows):
+    for cols in range(1, 8):
+        got = torus_graph(rows, cols).neighbors
+        assert [set(row) for row in got] == [set(row) for row in _per_agent_torus(rows, cols)], (rows, cols)
+        assert all(list(row) == sorted(row) for row in got), (rows, cols)
+
+
+@pytest.mark.parametrize("side", range(2, 6))
+def test_torus_pairs_read_off_the_lists_give_its_ising_twin(side):
+    # the pair list that the Ising tests build by hand for a side x side torus
+    edges = set()
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c
+            for j in (r * side + (c + 1) % side, ((r + 1) % side) * side + c):
+                edges.add((min(i, j), max(i, j)))
+    g = torus_graph(side, side)
+    pairs = [(i, j) for i, row in enumerate(g.neighbors) for j in row if i < j]
+    assert pairs == sorted(edges)
+    twin = CouplingGraph(side * side, [(i, j, 1.0) for i, j in pairs])
+    assert tuple(tuple(k for k, _ in row) for row in twin.adjacency()) == g.neighbors
 
 
 # --- mean action --------------------------------------------------------------
@@ -199,8 +242,10 @@ def test_neighbor_graph_rejects_malformed_lists(neighbors, message):
 
 def test_run_ising_game_rejects_a_schedule_that_is_neither_a_schedule_nor_callable():
     env = IsingGameEnv(graph=torus_graph(2, 2), coupling=1.0)
-    with pytest.raises(ValidationError, match="^run_ising_game: temperature_schedule must be a schedule or callable"):
-        run_ising_game(env, 2, 3, 0.1, 0.9, 1.0, RngStream(9))
+    # a temperature attribute that is not callable raised TypeError at episode 0
+    for schedule in (1.0, SimpleNamespace(temperature=1.0)):
+        with pytest.raises(ValidationError, match="^run_ising_game: temperature_schedule must be a schedule or callable"):
+            run_ising_game(env, 2, 3, 0.1, 0.9, schedule, RngStream(9))
 
 
 def test_temperatures_whose_reciprocal_overflows_are_rejected():

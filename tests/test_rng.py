@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,45 @@ def test_stream_ids_outside_u64_are_rejected():
     assert not np.array_equal(as_stream(0).random(3), as_stream(2**64 - 1).random(3))
     # a substream's seed is a mix of its parent's pair, so always in range
     assert RngStream(2**64 - 1, 2**64 - 1).substream(2**64 - 1).random(3).shape == (3,)
+
+
+# Each Generator method that src/ calls, in the argument forms that src/ uses. NEP 19 keeps only
+# the bit generators' raw output stable across numpy versions, so these pin the methods' streams.
+STREAM_DRAWS = {
+    "integers": lambda g: [
+        *(g.integers(0, n, size=500) for n in (7, 16, 20, 30, 64)),
+        *(g.integers(n) for n in (16, 20) for _ in range(50)),
+        g.integers(0, 2, 64),
+        g.integers(2, size=500),
+        *(g.integers(-s, s + 1) for s in (1, 5) for _ in range(50)),
+    ],
+    "random": lambda g: [*(g.random() for _ in range(50)), g.random(500), g.random((3, 4, 5))],
+    "uniform": lambda g: [g.uniform(-1.0, 1.0, 500)],
+    "permutation": lambda g: [g.permutation(n) for n in (1, 2, 5, 15)],
+    "choice": lambda g: [g.choice(np.arange(1, L), size=k, replace=False) for L, k in ((10, 0), (30, 4), (90, 9), (1000, 14))],
+    "standard_normal": lambda g: [g.standard_normal((7, 5))],
+    "exponential": lambda g: [g.exponential(scale, k) for scale, k in ((0.5, 500), (2.0, 10))],
+    # an odd count of bounded draws leaves half a 64-bit word buffered (has_uint32); the last call uses it
+    "integers, random, integers": lambda g: [g.integers(0, 7, 3), g.random(5), g.integers(0, 7, 3)],
+}
+
+STREAM_SHA256 = {
+    "integers": "191838a56b401b7c44b1d35c1579981715a71bce828cc7b1a12e2ffc57f7c266",
+    "random": "d8b02457e8f9e8e138c107029ba0dfe76e5b9e748dcd5c00e5bd75893212ad59",
+    "uniform": "18cef9608d62dbc0d3e0e22d63338d8e42b772ab1fb0b22f505b107cee2b91d8",
+    "permutation": "ed04b947da6679dac99a1501ab20173a300c1650255c1580da01c71326b3d59a",
+    "choice": "2ab9aa8774f93e460bd33a52fc4446c14303da9f54588af86254ff3c01aee0c0",
+    "standard_normal": "5b2fc90058d4cbda457cbabd8cc198d4821a4c598d5158caf86f5fa2a6b27da3",
+    "exponential": "c097a90d551fb46f258792dc7cf67ab6411684a825284d5ffebf2d826e04b046",
+    "integers, random, integers": "876f4b8a0e501dce54de917903684bcfef1c14b4ca4f2a34e101eb7b2071ca46",
+}
+
+
+def test_numpy_draw_streams_match_their_pinned_digests():
+    changed = []
+    for method, draws in STREAM_DRAWS.items():
+        parts = [np.asarray(x) for x in draws(np.random.Generator(np.random.PCG64(20240601)))]
+        data = b"".join(a.astype("<i8" if a.dtype.kind in "iu" else "<f8").tobytes() for a in parts)
+        if hashlib.sha256(data).hexdigest() != STREAM_SHA256[method]:
+            changed.append(method)
+    assert not changed, f"numpy {np.__version__} draws other streams from Generator methods: {', '.join(changed)}"
