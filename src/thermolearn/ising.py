@@ -22,7 +22,7 @@ import numpy as np
 from .config import _array, _content_lines, _count, _index, _items, _real
 from .distributions import DiscreteDistribution, _log_normalize_inplace, _pack_bits, _unpack_bits
 from .distributions import partition_value, state_bits
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, NumericalError, ValidationError
 from .rng import RngStream
 from .trace import Trace
 
@@ -303,12 +303,19 @@ def partition_exact(graph: CouplingGraph, beta: float) -> PartitionResult:
     """Exact partition function and Gibbs distribution over all 2^N configs.
 
     Z = sum_s exp(-beta E(s)); probabilities stay finite at low
-    temperature, and a Z beyond the float range raises NumericalError.
+    temperature, and a Z or a beta * E beyond the float range raises NumericalError.
     """
     beta = _real("partition_exact: beta", beta, 0)
     log_w = enumerate_energies(graph)
-    log_w *= -beta
-    probs, log_z = _log_normalize_inplace(log_w)
+    # a log-weight past the float range would make the max shift inf - inf; a
+    # shift past it (log-weights further apart than the range) leaves a weight of 0
+    with np.errstate(over="raise"):
+        try:
+            log_w *= -beta
+        except FloatingPointError:
+            raise NumericalError(f"partition_exact: beta * energy overflows a float at beta = {beta!r}") from None
+    with np.errstate(over="ignore"):
+        probs, log_z = _log_normalize_inplace(log_w)
     return PartitionResult(partition_value(log_z), DiscreteDistribution(probs))
 
 

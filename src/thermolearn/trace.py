@@ -28,8 +28,11 @@ def _json_cells(values: list) -> List[str]:
 def _formatted(col: np.ndarray, cells: Callable[[list], List[str]]) -> List[str]:
     """The text of every entry of a non-empty column, each distinct value formatted once.
 
-    Entries are keyed on their bit pattern, so -0.0 and 0.0 stay apart.
+    Entries are keyed on their bit pattern, so -0.0 and 0.0 stay apart. A strictly
+    increasing column (such as a step count) has no repeat and no NaN, so it skips the sort.
     """
+    if len(col) > 1 and (col[1:] > col[:-1]).all():
+        return cells(col.tolist())
     distinct, codes = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
     texts = np.array(cells(distinct.view(col.dtype).tolist()), dtype=object)
     return texts[codes].tolist()
@@ -50,6 +53,8 @@ class Trace:
         arrays = {}
         length = None
         for name, values in columns.items():
+            if not isinstance(name, str):
+                raise ValidationError(f"Trace: column names must be strings, got {name!r}")
             arr = np.asarray(values)
             if arr.dtype == bool:
                 arr = arr.astype(np.int8)
@@ -101,9 +106,13 @@ class Trace:
     def csv_text(self) -> str:
         pieces = [self._csv_header()]
         cols = list(self._columns.values())
+        # per chunk one flat list, this row template once per row; each column fills its slots
+        row = [None, ","] * (len(cols) - 1) + [None, "\n"]
         for start in range(0, self._length, CHUNK_ROWS):
-            cells = [_formatted(col[start : start + CHUNK_ROWS], _csv_cells) for col in cols]
-            pieces.append("\n".join(map(",".join, zip(*cells))) + "\n")
+            flat = row * min(CHUNK_ROWS, self._length - start)
+            for k, col in enumerate(cols):
+                flat[2 * k :: len(row)] = _formatted(col[start : start + CHUNK_ROWS], _csv_cells)
+            pieces.append("".join(flat))
         return "".join(pieces)
 
     def _json_pieces(self) -> Iterator[str]:

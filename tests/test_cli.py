@@ -405,6 +405,20 @@ def test_conv_overflow_prints_only_the_failure_line(tmp_path):
     assert proc.stderr.startswith("numerical failure: conv_fft")
 
 
+@pytest.mark.parametrize("beta, message", [
+    ("1e308", "numerical failure: partition_exact: beta * energy overflows a float at beta = 1e+308"),
+    ("4e307", "numerical failure: partition function exp(1.6e+308) overflows a float"),
+])
+def test_ising_beta_energy_overflow_prints_only_the_failure_line(tmp_path, beta, message):
+    # numpy's overflow and invalid-value warnings came first, then a validation failure (exit 1) on NaN probabilities
+    cfg = write_cfg(tmp_path, "hot.cfg", f"n_sites = 5\nbeta = {beta}\nsteps = 100\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "thermolearn.cli", "ising", "--config", cfg, "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == message + "\n"
+
+
 def test_marl_rising_temperature_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "m.cfg", "rows = 2\ncols = 2\nepisodes = 3\ntemp.start = 0.5\ntemp.end = 5.0\n")
     out = tmp_path / "run"

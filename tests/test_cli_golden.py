@@ -57,6 +57,12 @@ CASES = {
     "ising-file": ("ising", {"graph": "graph.txt", "beta": 0.5, "steps": 2000, "burn_in": 100}),
     # 20000 trace rows: three CHUNK_ROWS chunks, where the cases above write one
     "ising-chunked": ("ising", {"n_sites": 20, "field": -0.1, "periodic": True, "beta": 0.4, "steps": 20000, "burn_in": 2000}),
+    # the chain benchmark's median-job size: 40000 rows, five CHUNK_ROWS chunks, and the
+    # strictly increasing step column runs across every chunk edge
+    "ising-bench": (
+        "ising",
+        {"n_sites": 64, "coupling": 0.8, "field": 0.12, "periodic": True, "beta": 0.41, "steps": 40000, "burn_in": 4000},
+    ),
     "anneal": ("anneal", {"span": 20, "sweeps": 80, "proposals_per_sweep": 10}),
     "digest-generated": ("digest", {"n_a": 3, "n_b": 3, "total_length": 30, "sweeps": 60, "proposals_per_sweep": 20}),
     "digest-file": ("digest", {"instance": "digest.inst", "sweeps": 60, "proposals_per_sweep": 20}),

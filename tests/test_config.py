@@ -185,6 +185,10 @@ TIGHTENED = [
     # accepted without complaint
     ("DoubleDigestInstance: total_length", lambda: DoubleDigestInstance((1, 2), (3,), (3,), total_length=3.0)),
     ("DoubleDigestInstance: total_length", lambda: DoubleDigestInstance((1,), (1,), (1,), total_length=True)),
+    # wrote a JSON key that json.loads rejects
+    ("Trace: column names", lambda: Trace({0: [1, 2]}).json_text()),
+    # raised TypeError from sorted
+    ("Trace: column names", lambda: Trace({0: [1], "a": [2]}).json_text()),
 ]
 
 

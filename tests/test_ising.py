@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,17 @@ def test_partition_overflow_is_numerical_error():
     with pytest.raises(NumericalError):
         partition_exact(chain_graph(10), beta=1000.0)
     assert partition_exact(chain_graph(10), beta=70.0).z == pytest.approx(2 * math.exp(630.0), rel=1e-12)
+
+
+def test_partition_beta_energy_overflow_is_numerical_error():
+    # beta * E = -4e308 leaves the float range; it used to give NaN probabilities and warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^partition_exact: beta \\* energy overflows a float at beta = 1e\\+308$"):
+            partition_exact(chain_graph(5), beta=1e308)
+        # log-weights +-1.6e308: finite, but their max shift leaves the range; ln Z does not fit in Z
+        with pytest.raises(NumericalError, match="^partition function exp\\(1.6e\\+308\\) overflows a float$"):
+            partition_exact(chain_graph(5), beta=4e307)
 
 
 def test_partition_capacity_guard():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,3 +208,78 @@ def test_cli_writes_a_trace_in_memory_that_does_not_grow_with_its_length(tmp_pat
         assert digest == hashlib.sha256(data).hexdigest()
     # eight times the rows, about the same peak: one chunk's text at a time
     assert peaks[1] < 1.5 * peaks[0]
+
+
+# --- strictly increasing columns skip the sort ------------------------------------
+
+
+def assert_writers_match_reference(trace):
+    csv_ref, json_ref = reference_csv(trace), reference_json(trace)
+    assert trace.csv_text() == csv_ref
+    assert trace.json_text() == json_ref
+    assert "".join(trace._text_pieces("csv")) == csv_ref
+    assert "".join(trace._text_pieces("json")) == json_ref
+
+
+INCREASING_CASES = {
+    "int": np.arange(-5, 300, 3),
+    "float": np.cumsum(np.random.default_rng(0).random(300)) - 40.0,
+    "tie": np.array([0.5, 1.0, 1.5, 1.5, 2.0, 7.25]),
+    "signed zero": np.array([-2.0, -0.0, 0.0, 1.0]),
+    "nan": np.array([0.0, 1.0, math.nan, 2.0, 3.0]),
+    "one row": np.array([4.5]),
+}
+
+
+@pytest.mark.parametrize("name", list(INCREASING_CASES))
+def test_increasing_columns_match_per_cell_reference(name):
+    col = INCREASING_CASES[name]
+    assert_writers_match_reference(Trace({"x": col, "y": col[::-1].copy(), "n": np.arange(len(col)) % 3}))
+
+
+@pytest.mark.parametrize("length", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 5])
+def test_increasing_columns_across_chunk_edges(length):
+    gen = np.random.default_rng(length)
+    trace = Trace(
+        {
+            "step": np.arange(length),
+            "time": np.cumsum(gen.random(length)),
+            "value": gen.choice([-0.0, 0.0, 0.5, math.nan], size=length),
+        }
+    )
+    assert_writers_match_reference(trace)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_step_column_of_a_chain_never_reaches_unique(monkeypatch, fmt):
+    from thermolearn import trace as trace_module
+    from thermolearn.ising import chain_graph, metropolis_chain
+    from thermolearn.rng import RngStream
+
+    steps = 2 * CHUNK_ROWS + 5
+    trace = metropolis_chain(chain_graph(8, h=0.1, periodic=True), 0.4, steps, rng=RngStream(3)).trace
+    seen = []
+    unique = trace_module.np.unique
+
+    def counting_unique(bits, **kwargs):
+        seen.append(bits.copy())
+        return unique(bits, **kwargs)
+
+    monkeypatch.setattr(trace_module.np, "unique", counting_unique)
+    text = "".join(trace._text_pieces(fmt))
+    monkeypatch.undo()
+    assert text == (reference_csv(trace) if fmt == "csv" else reference_json(trace))
+    names = ["energy", "accepted", "magnetization"]
+    chunks = [trace.column(name)[start : start + CHUNK_ROWS] for start in range(0, steps, CHUNK_ROWS) for name in names]
+    if fmt == "json":  # column by column, in key order
+        chunks = [trace.column(name)[start : start + CHUNK_ROWS] for name in sorted(names) for start in range(0, steps, CHUNK_ROWS)]
+    assert len(seen) == len(chunks) == 3 * 3
+    for bits, chunk in zip(seen, chunks):
+        assert np.array_equal(bits, chunk.view(f"u{chunk.itemsize}"))
+
+
+@pytest.mark.parametrize("columns", [{0: [1, 2]}, {0: [1], "a": [2]}, {("a",): [1.0]}, {b"a": [1]}])
+def test_column_names_must_be_strings(columns):
+    name = repr(next(iter(columns)))
+    with pytest.raises(ValidationError, match=f"^Trace: column names must be strings, got {re.escape(name)}$"):
+        Trace(columns)
