@@ -307,14 +307,12 @@ def partition_exact(graph: CouplingGraph, beta: float) -> PartitionResult:
     """
     beta = _real("partition_exact: beta", beta, 0)
     log_w = enumerate_energies(graph)
-    # a log-weight past the float range would make the max shift inf - inf; a
-    # shift past it (log-weights further apart than the range) leaves a weight of 0
-    with np.errstate(over="raise"):
-        try:
+    try:
+        with np.errstate(over="raise"):
             log_w *= -beta
-        except FloatingPointError:
-            raise NumericalError(f"partition_exact: beta * energy overflows a float at beta = {beta!r}") from None
-    with np.errstate(over="ignore"):
+    except FloatingPointError:  # an infinite log-weight would make the max shift inf - inf
+        raise NumericalError(f"partition_exact: beta * energy overflows a float at beta = {beta!r}") from None
+    with np.errstate(over="ignore"):  # log-weights further apart than the float range: a weight of 0
         probs, log_z = _log_normalize_inplace(log_w)
     return PartitionResult(partition_value(log_z), DiscreteDistribution(probs))
 
