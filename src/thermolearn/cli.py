@@ -401,7 +401,7 @@ def _run_conv(cfg, rng):
     fast = convolution.conv_fft(x, y)
     direct = convolution.conv_naive(x, y)
     max_diff = float(np.max(np.abs(fast - direct)))
-    if not max_diff <= 1e-9:  # also NaN
+    if not max_diff <= 1e-9 * max(1.0, float(np.max(np.abs(direct)))):  # relative; NaN fails
         raise NumericalError(f"conv: fast and direct routes disagree by {max_diff:g}")
     return {
         "n_x": int(x.size),

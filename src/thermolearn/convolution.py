@@ -1,9 +1,9 @@
 """Linear convolution two ways: direct O(n^2) and via a radix-2 FFT.
 
-The FFT here is written from scratch (iterative, in-place, bit-reversal
-permutation followed by butterfly passes) so the fast route is fully
-independent of the quadratic reference route. ``conv_naive`` delegates to
-the library's direct implementation and serves as the oracle.
+The FFT here is written from scratch (iterative: Stockham autosort passes,
+one transposing copy, then in-place butterfly passes) so the fast route is
+fully independent of the quadratic reference route. ``conv_naive`` delegates
+to the library's direct implementation and serves as the oracle.
 """
 
 from __future__ import annotations
@@ -25,21 +25,6 @@ def next_pow2(n: int) -> int:
     return 1 << (_count("next_pow2: n", n, 1) - 1).bit_length()
 
 
-def _bit_reverse_permute(a: np.ndarray, work: np.ndarray) -> None:
-    # moving a[i] to the index with i's log2(n) bits reversed is reversing
-    # the axes of a seen as a 2 x 2 x ... x 2 array; work is scratch of a's size
-    bits = a.size.bit_length() - 1
-    if bits:
-        cube = (2,) * bits
-        np.copyto(work.reshape(cube), a.reshape(cube).transpose(range(bits - 1, -1, -1)))
-        a[:] = work
-
-
-# numpy is slow on many short rows, so a pass whose half-length is below
-# this runs column by column, each column a long strided vector.
-_FEW_COLUMNS = 8
-
-
 def _twiddles(n: int, work: np.ndarray) -> np.ndarray:
     # the forward transform's last-pass twiddles exp(-2 pi i k / n), k < n/2;
     # work is scratch of size n. Each pass's twiddles are a strided slice of
@@ -55,26 +40,38 @@ def _twiddles(n: int, work: np.ndarray) -> np.ndarray:
 
 def _fft_inplace(a: np.ndarray, roots: np.ndarray, work: np.ndarray) -> None:
     # unscaled transform of complex128 a, whose size is a power of two, with
-    # roots from _twiddles (conjugated for the inverse) and scratch of a's size
+    # roots from _twiddles (conjugated for the inverse) and scratch of a's size:
+    # the textbook butterflies E + O w, E - O w, on rows >= ~sqrt(n) / 2 points
     n = a.size
-    _bit_reverse_permute(a, work)
+    bits = n.bit_length() - 1
+    if not bits:
+        return
+    # first bits // 2 | 1 Stockham passes between a and work, an odd count that
+    # ends in work: before the pass that builds length-2L transforms, src seen
+    # as L x n/L holds in row k the frequency k of the length-L transform of
+    # x[r], x[r + n/L], ... for r < n/L
+    src, dst, length = a, work, 1
+    for _ in range(bits // 2 | 1):
+        m = n // (2 * length)
+        evens, odds = src.reshape(length, 2, m).transpose(1, 0, 2)
+        low, high = dst.reshape(2, length, m)
+        np.multiply(odds, roots[::m, None], out=low)
+        np.subtract(evens, low, out=high)
+        np.add(evens, low, out=low)
+        src, dst, length = dst, src, 2 * length
+    # the in-place passes want residue r in block rev(r), r's bits reversed:
+    # a copy into a seen as a 2 x ... x 2 x length cube with its axes reversed
+    rest = bits - length.bit_length() + 1
+    np.copyto(a.reshape((2,) * rest + (length,)).T, work.reshape((length,) + (2,) * rest))
     # work holds the odd products and a contiguous copy of the twiddles
     odd, twiddle = work[: n // 2], work[n // 2 :]
-    length = 2
-    while length <= n:
-        half = length // 2
+    while length < n:
+        half, length = length, 2 * length
         twiddle[:half] = roots[:: n // length]
         blocks, products = a.reshape(-1, length), odd.reshape(-1, half)
-        if half < _FEW_COLUMNS:
-            for k in range(half):
-                np.multiply(blocks[:, half + k], twiddle[k], out=products[:, k])
-                np.subtract(blocks[:, k], products[:, k], out=blocks[:, half + k])
-                blocks[:, k] += products[:, k]
-        else:
-            np.multiply(blocks[:, half:], twiddle[:half], out=products)
-            np.subtract(blocks[:, :half], products, out=blocks[:, half:])
-            blocks[:, :half] += products
-        length *= 2
+        np.multiply(blocks[:, half:], twiddle[:half], out=products)
+        np.subtract(blocks[:, :half], products, out=blocks[:, half:])
+        blocks[:, :half] += products
 
 
 def _transform(x, name: str, inverse: bool) -> np.ndarray:

@@ -658,6 +658,27 @@ def test_conv_subcommand_explicit_signals(tmp_path):
     assert result["max_abs_route_diff"] <= 1e-9
 
 
+
+def _large_conv_cfg(tmp_path):
+    # 300 x 200 entries up to 1e6: the result reaches about 1e13, where the
+    # two routes' rounding alone differs by about 1e-2
+    gen = np.random.default_rng(31)
+    x, y = gen.uniform(0.0, 1e6, 300).tolist(), gen.uniform(0.0, 1e6, 200).tolist()
+    return write_cfg(tmp_path, "large.cfg", f"x = {x}\ny = {y}\n")
+
+
+def test_conv_route_gate_scales_with_the_result(tmp_path):
+    # the gate was an absolute 1e-9, so this correct run exited 2
+    out = tmp_path / "run"
+    assert cli.main(["conv", "--config", _large_conv_cfg(tmp_path), "--out", str(out)]) == 0
+    assert json.loads((out / "result.json").read_text())["max_abs_route_diff"] > 1e-9
+
+
+def test_conv_route_gate_rejects_a_relative_error_of_1e_6(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(thermolearn.convolution, "conv_naive", lambda x, y: np.convolve(x, y) * (1 + 1e-6))
+    assert cli.main(["conv", "--config", _large_conv_cfg(tmp_path), "--out", str(tmp_path / "run")]) == 2
+    assert "fast and direct routes disagree by" in capsys.readouterr().err
+
 # --- the ising observables and the entry points a traced benchmark wraps --------
 
 

@@ -5,14 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thermolearn.convolution import (
-    _bit_reverse_permute,
-    conv_fft,
-    conv_naive,
-    fft_radix2,
-    ifft_radix2,
-    next_pow2,
-)
+from thermolearn.convolution import conv_fft, conv_naive, fft_radix2, ifft_radix2, next_pow2
 from thermolearn.errors import NumericalError, ValidationError
 from thermolearn.rng import RngStream
 
@@ -108,26 +101,30 @@ def _reference_transform(x, inverse):
     return a
 
 
-@pytest.mark.parametrize("k", range(17))
-def test_bit_reversal_matches_swap_loop(k):
-    n = 1 << k
-    a = np.arange(n) + 0.5j * np.arange(n)
-    want = a.copy()
-    _swap_loop_bit_reverse(want)
-    got, work = a.copy(), np.empty(n, dtype=complex)
-    _bit_reverse_permute(got, work)
-    assert np.array_equal(got, want)
-    _bit_reverse_permute(got, work)  # reversing the bits twice is the identity
-    assert np.array_equal(got, a)
-
-
-@pytest.mark.parametrize("k", range(17))
+@pytest.mark.parametrize("k", range(19))
 def test_transforms_replay_reference_bit_for_bit(k):
     n = 1 << k
     gen = np.random.default_rng(k)
     x = gen.normal(size=n) + 1j * gen.normal(size=n)
     assert fft_radix2(x).tobytes() == _reference_transform(x, inverse=False).tobytes()
     assert ifft_radix2(x).tobytes() == _reference_transform(x, inverse=True).tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 6, 10, 14])
+def test_transforms_replay_reference_where_passes_overflow(k):
+    # six entries near the top of the float range among signed zeros and
+    # ones: the sums overflow to inf, and inf - inf or inf times a twiddle
+    # gives NaN, whose bytes depend on the operand order of O w
+    n = 1 << k
+    gen = np.random.default_rng(100 + k)
+    parts = gen.choice([0.0, -0.0, 1.0, -1.0], size=2 * n)
+    parts[gen.choice(2 * n, size=6, replace=False)] = gen.choice([1.7e308, -1.7e308], size=6)
+    x = parts.view(np.complex128)
+    with np.errstate(all="ignore"):
+        want = _reference_transform(x, inverse=False)
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert fft_radix2(x).tobytes() == want.tobytes()
+        assert ifft_radix2(x).tobytes() == _reference_transform(x, inverse=True).tobytes()
 
 
 # --- convolution -------------------------------------------------------------
@@ -192,6 +189,20 @@ def test_conv_keeps_signals_of_very_different_scale(scale_x, scale_y):
     x, y = scale_x * gen.normal(size=300), scale_y * gen.normal(size=200)
     slow = conv_naive(x, y)
     assert np.max(np.abs(conv_fft(x, y) - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+def test_fft_traced_peak_is_under_three_spectra():
+    # the result, the scratch array and the half-size twiddle table are 2.5
+    # spectra; a further full-size buffer would pass 3
+    size = 1 << 16
+    x = np.random.default_rng(13).normal(size=size)
+    tracemalloc.start()
+    try:
+        fft_radix2(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * size * 16
 
 
 def test_conv_traced_peak_is_under_three_spectra():
