@@ -17,6 +17,7 @@ import csv
 import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -125,11 +126,10 @@ class TableHypothesis(Hypothesis):
     """
 
     def __init__(self, table: dict, fallback: Hypothesis):
-        table = dict(table)
-        keys = np.array(list(table), dtype=float)
+        self.table = dict(table)
+        keys = np.array(list(self.table), dtype=float)
         order = np.argsort(keys, kind="stable")
-        self._set_lookup(keys[order], np.array(list(table.values()), dtype=np.int8)[order], fallback)
-        self._table = table
+        self._set_lookup(keys[order], np.array(list(self.table.values()), dtype=np.int8)[order], fallback)
 
     @classmethod
     def _from_sorted(cls, keys: np.ndarray, labels: np.ndarray, fallback: Hypothesis) -> "TableHypothesis":
@@ -143,13 +143,10 @@ class TableHypothesis(Hypothesis):
         self._keys = np.append(keys, np.nan)
         self._labels = np.append(labels, 0).astype(np.int8)
         self.fallback = fallback
-        self._table = None
 
-    @property
+    @cached_property
     def table(self) -> dict:
-        if self._table is None:
-            self._table = dict(zip(self._keys[:-1].tolist(), self._labels[:-1].tolist()))
-        return self._table
+        return dict(zip(self._keys[:-1].tolist(), self._labels[:-1].tolist()))
 
     def predict_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -166,8 +163,7 @@ class MajorityVoteHypothesis(Hypothesis):
         self.voters = (h1, h2, h3)
 
     def predict_many(self, xs) -> np.ndarray:
-        votes = sum(h.predict_many(xs).astype(int) for h in self.voters)
-        return (votes >= 2).astype(np.int8)
+        return _vote(*(h.predict_many(xs) for h in self.voters))
 
 
 class NoisyThresholdLearner(WeakLearner):
@@ -193,11 +189,35 @@ class NoisyThresholdLearner(WeakLearner):
         return TableHypothesis._from_sorted(xs, concept.predict_many(xs) ^ flips, concept)
 
 
+def _weight(weights: np.ndarray, mask: np.ndarray) -> float:
+    return float(weights[mask].sum())
+
+
+def _rebalanced(dataset: WeightedDataset, wrong: np.ndarray) -> WeightedDataset:
+    # reweight_d2 given h1's mistakes on dataset.xs
+    w = dataset.weights.probs
+    risk = _weight(w, wrong)
+    if risk <= 0.0 or risk >= 1.0:
+        raise DegenerateSplitError(f"reweight_d2: h1 risk {risk} leaves an empty side; need risk in (0, 1)")
+    return dataset.reweighted(w * np.where(wrong, 0.5 / risk, 0.5 / (1.0 - risk)))
+
+
+def _restricted(dataset: WeightedDataset, disagree: np.ndarray) -> WeightedDataset:
+    # reweight_d3 given where h1 and h2 disagree on dataset.xs
+    w = dataset.weights.probs
+    total = _weight(w, disagree)
+    if total <= 0.0:
+        raise DegenerateSplitError("reweight_d3: h1 and h2 agree on all weighted items")
+    return dataset.reweighted(np.where(disagree, w / total, 0.0))
+
+
+def _vote(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray) -> np.ndarray:
+    return (sum(p.astype(int) for p in (p1, p2, p3)) >= 2).astype(np.int8)
+
+
 def empirical_risk(hypothesis: Hypothesis, dataset: WeightedDataset) -> float:
     """Weight of the items the hypothesis misclassifies."""
-    preds = hypothesis.predict_many(dataset.xs)
-    wrong = preds != dataset.ys
-    return float(dataset.weights.probs[wrong].sum())
+    return _weight(dataset.weights.probs, hypothesis.predict_many(dataset.xs) != dataset.ys)
 
 
 def reweight_d2(dataset: WeightedDataset, h1: Hypothesis) -> WeightedDataset:
@@ -207,43 +227,16 @@ def reweight_d2(dataset: WeightedDataset, h1: Hypothesis) -> WeightedDataset:
     error is exactly 1/2. A perfect or totally wrong h1 leaves one side
     empty and is rejected.
     """
-    preds = h1.predict_many(dataset.xs)
-    wrong = preds != dataset.ys
-    w = dataset.weights.probs
-    risk = float(w[wrong].sum())
-    if risk <= 0.0 or risk >= 1.0:
-        raise DegenerateSplitError(
-            f"reweight_d2: h1 risk {risk} leaves an empty side; need risk in (0, 1)"
-        )
-    scale = np.where(wrong, 0.5 / risk, 0.5 / (1.0 - risk))
-    return dataset.reweighted(w * scale)
+    return _rebalanced(dataset, h1.predict_many(dataset.xs) != dataset.ys)
 
 
 def reweight_d3(dataset: WeightedDataset, h1: Hypothesis, h2: Hypothesis) -> WeightedDataset:
     """Restrict the distribution to items where h1 and h2 disagree."""
-    p1 = h1.predict_many(dataset.xs)
-    p2 = h2.predict_many(dataset.xs)
-    disagree = p1 != p2
-    w = dataset.weights.probs
-    total = float(w[disagree].sum())
-    if total <= 0.0:
-        raise DegenerateSplitError("reweight_d3: h1 and h2 agree on all weighted items")
-    return dataset.reweighted(np.where(disagree, w / total, 0.0))
+    return _restricted(dataset, h1.predict_many(dataset.xs) != h2.predict_many(dataset.xs))
 
 
 def majority_vote(h1: Hypothesis, h2: Hypothesis, h3: Hypothesis) -> MajorityVoteHypothesis:
     return MajorityVoteHypothesis(h1, h2, h3)
-
-
-class _OnItems(Hypothesis):
-    """A hypothesis with its predictions on one array of items computed once."""
-
-    def __init__(self, hypothesis: Hypothesis, xs: np.ndarray):
-        self.hypothesis, self.xs = hypothesis, xs
-        self.preds = hypothesis.predict_many(xs)
-
-    def predict_many(self, xs) -> np.ndarray:
-        return self.preds if xs is self.xs else self.hypothesis.predict_many(xs)
 
 
 class Boost3Diagnostics(NamedTuple):
@@ -272,32 +265,31 @@ def boost3(weak: WeakLearner, dataset: WeightedDataset, rng: RngStream) -> Boost
     the closed-form bound at the learner's advantage.
     """
     bound = boost_error_bound(weak.gamma)
-    # every distribution below shares dataset.xs, so each hypothesis is
-    # evaluated on it once (m1, m2, m3) and the vote returned is of h1, h2, h3
+    # every distribution below shares dataset.xs, so each hypothesis predicts
+    # on it once (p1, p2, p3) and the rules work on those arrays
+    xs, ys, w = dataset.xs, dataset.ys, dataset.weights.probs
     h1 = weak.train(dataset, rng)
-    m1 = _OnItems(h1, dataset.xs)
-    h1_err = empirical_risk(m1, dataset)
+    p1 = h1.predict_many(xs)
+    h1_err = _weight(w, p1 != ys)
     if h1_err == 0.0:
         # already perfect: the rebalanced distribution does not exist, and
         # no vote can improve on h1
-        diagnostics = Boost3Diagnostics(0.0, 0.0, 0.0, 0.0, bound)
-        return Boost3Result(h1, diagnostics)
-    d2 = reweight_d2(dataset, m1)
+        return Boost3Result(h1, Boost3Diagnostics(0.0, 0.0, 0.0, 0.0, bound))
+    d2 = _rebalanced(dataset, p1 != ys)
     h2 = weak.train(d2, rng)
-    m2 = _OnItems(h2, dataset.xs)
-    h2_err = empirical_risk(m2, d2)
-    if np.array_equal(m1.preds, m2.preds):
+    p2 = h2.predict_many(xs)
+    h2_err = _weight(d2.weights.probs, p2 != ys)
+    if np.array_equal(p1, p2):
         # no disagreement region: the majority vote equals h1 regardless of h3
-        diagnostics = Boost3Diagnostics(h1_err, h2_err, 0.0, h1_err, bound)
-        return Boost3Result(h1, diagnostics)
-    d3 = reweight_d3(dataset, m1, m2)
+        return Boost3Result(h1, Boost3Diagnostics(h1_err, h2_err, 0.0, h1_err, bound))
+    d3 = _restricted(dataset, p1 != p2)
     h3 = weak.train(d3, rng)
-    m3 = _OnItems(h3, dataset.xs)
+    p3 = h3.predict_many(xs)
     diagnostics = Boost3Diagnostics(
         h1_err=h1_err,
         h2_err=h2_err,
-        h3_err=empirical_risk(m3, d3),
-        final_err=empirical_risk(majority_vote(m1, m2, m3), dataset),
+        h3_err=_weight(d3.weights.probs, p3 != ys),
+        final_err=_weight(w, _vote(p1, p2, p3) != ys),
         bound=bound,
     )
     return Boost3Result(majority_vote(h1, h2, h3), diagnostics)

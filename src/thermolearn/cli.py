@@ -86,7 +86,7 @@ SCHEMAS: Dict[str, Dict[str, FieldSpec]] = {
         "instance": FieldSpec("string"),
         "n_a": FieldSpec("int", check=_INT_GE_1),
         "n_b": FieldSpec("int", check=_INT_GE_1),
-        "total_length": FieldSpec("int", check=_INT_GE_1),
+        "total_length": FieldSpec("int", check=_within(1, 2**63, "[)", integer=True)),
         "sweeps": FieldSpec("int", default=1000, check=_INT_GE_1),
         "proposals_per_sweep": FieldSpec("int", default=100, check=_INT_GE_1),
         **_schedule_fields(5.0, 0.995),

@@ -5,6 +5,10 @@ Grammar, one entry per line:
     # comment
     key.dotted.path = value
 
+A line is a comment only when its first non-blank character is ``#``; a
+``#`` after a value is part of the value (``beta = 1.0 # note`` gives a
+string, which a real-valued key rejects).
+
 Keys are lowercase dotted identifiers. Values are typed by shape:
 ``true``/``false`` -> bool, integer literals -> int, float literals ->
 real, ``[v1, v2, ...]`` -> list of scalars, double-quoted text -> string,

@@ -75,8 +75,11 @@ def _fft_inplace(a: np.ndarray, roots: np.ndarray, work: np.ndarray) -> None:
 
 
 def _transform(x, name: str, inverse: bool) -> np.ndarray:
-    # validated copy of x as complex128, transformed in place (unscaled)
-    out = np.array(_array(f"{name}: x", x, dtype=np.complex128))
+    # validated x as complex128, transformed in place (unscaled); _array returns x's own memory
+    # only as x itself or as a view, and only that is copied
+    out = _array(f"{name}: x", x, dtype=np.complex128)
+    if out is x or out.base is not None:
+        out = out.copy()
     if out.size & (out.size - 1):
         raise ValidationError(f"{name}: length must be a power of two, got {out.size}")
     work = np.empty_like(out)

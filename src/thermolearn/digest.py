@@ -238,11 +238,12 @@ def generate_instance(
     so the identity ordering has energy exactly 0.
     """
     n_a, n_b = _count("generate_instance: n_a", n_a, 1), _count("generate_instance: n_b", n_b, 1)
-    total_length = _count("generate_instance: total_length", total_length, max(n_a, n_b))
+    # numpy draws from a population of at most 2^63 - 1 positions
+    total_length = _count("generate_instance: total_length", total_length, max(n_a, n_b), 2**63)
     gen = rng.generator
 
     def draw_cuts(n_frags: int) -> set:
-        interior = gen.choice(np.arange(1, total_length), size=n_frags - 1, replace=False)
+        interior = gen.choice(total_length - 1, size=n_frags - 1, replace=False) + 1
         return {int(c) for c in interior}
 
     def gaps(cuts: set) -> Tuple[int, ...]:

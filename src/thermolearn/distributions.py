@@ -21,14 +21,20 @@ from .errors import NumericalError, ValidationError
 
 def log_normalize(log_weights) -> Tuple[np.ndarray, float]:
     """Probabilities exp(w - ln Z) and ln Z over all entries of log-weights w
-    of any shape, with one max shift so both stay finite for finite w."""
-    return _log_normalize_inplace(np.array(log_weights, dtype=float))
+    of any shape, with one max shift so both stay finite for finite w. An
+    entry of -inf is a weight of 0; a largest entry that is not finite
+    raises NumericalError."""
+    return _log_normalize_inplace("log_normalize", np.array(log_weights, dtype=float))
 
 
-def _log_normalize_inplace(log_w: np.ndarray) -> Tuple[np.ndarray, float]:
-    # log_normalize on a float array the caller owns, overwritten with the probabilities
+def _log_normalize_inplace(name: str, log_w: np.ndarray) -> Tuple[np.ndarray, float]:
+    # log_normalize on a float array the caller owns, overwritten with the probabilities;
+    # a NumericalError names the caller
     m = log_w.max()
-    log_w -= m
+    if not math.isfinite(m):  # +inf would make the max shift inf - inf, and all -inf leaves no weight
+        raise NumericalError(f"{name}: log-weights overflow a float (largest {float(m)!r})")
+    with np.errstate(over="ignore"):  # log-weights further apart than the float range: a weight of 0
+        log_w -= m
     np.exp(log_w, out=log_w)
     total = log_w.sum()
     log_w /= total

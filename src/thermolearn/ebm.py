@@ -20,7 +20,8 @@ from typing import List, NamedTuple, Sequence
 import numpy as np
 
 from .config import _array, _content_lines, _count, _index, _real
-from .distributions import DiscreteDistribution, _pack_bits, _unpack_bits, log_normalize, partition_value, state_bits
+from .distributions import DiscreteDistribution, _log_normalize_inplace, _pack_bits, _unpack_bits, log_normalize
+from .distributions import partition_value, state_bits
 from .errors import CapacityError, ValidationError
 from .rng import RngStream
 
@@ -73,12 +74,14 @@ def gibbs_posterior(energies, beta: float) -> GibbsPosterior:
     """Exponentiate-and-normalize over labels, with the partition value.
 
     P(y) = exp(-beta E_y) / Z, computed with a max shift. beta = 0 gives
-    the uniform distribution; a Z beyond the float range raises
-    NumericalError.
+    the uniform distribution; a Z or a -beta E_y above the float range
+    raises NumericalError.
     """
     table = _array("gibbs_posterior: energies", energies)
     beta = _real("gibbs_posterior: beta", beta, 0)
-    probs, log_z = log_normalize(-beta * table)
+    with np.errstate(over="ignore"):  # an overflow to -inf is a weight of 0; to +inf, NumericalError
+        log_w = -beta * table
+    probs, log_z = _log_normalize_inplace("gibbs_posterior", log_w)
     return GibbsPosterior(DiscreteDistribution(probs), partition_value(log_z))
 
 
@@ -105,7 +108,9 @@ def loss_nll(energies, correct: int, beta: float) -> float:
     table = _array("loss_nll: energies", energies)
     correct = _index("loss_nll: correct", correct, table.size)
     beta = _real("loss_nll: beta", beta, 0, ends="(]")
-    return float(table[correct] + log_normalize(-beta * table)[1] / beta)
+    with np.errstate(over="ignore"):  # as in gibbs_posterior
+        log_w = -beta * table
+    return float(table[correct] + _log_normalize_inplace("loss_nll", log_w)[1] / beta)
 
 
 @dataclass(frozen=True)

@@ -312,8 +312,7 @@ def partition_exact(graph: CouplingGraph, beta: float) -> PartitionResult:
             log_w *= -beta
     except FloatingPointError:  # an infinite log-weight would make the max shift inf - inf
         raise NumericalError(f"partition_exact: beta * energy overflows a float at beta = {beta!r}") from None
-    with np.errstate(over="ignore"):  # log-weights further apart than the float range: a weight of 0
-        probs, log_z = _log_normalize_inplace(log_w)
+    probs, log_z = _log_normalize_inplace("partition_exact", log_w)
     return PartitionResult(partition_value(log_z), DiscreteDistribution(probs))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 from .config import _count, _real
+from .errors import NumericalError
 
 __all__ = ["pac_sample_bound", "approximation_ratio"]
 
@@ -14,13 +15,21 @@ def pac_sample_bound(epsilon: float, delta: float, hypothesis_count: int, k: flo
 
     Returns ceil((1/epsilon) * (ln(|H| / delta) + k)), clamped at zero.
     Natural log is used; accuracy epsilon and confidence delta must lie
-    in (0, 1].
+    in (0, 1]. A bound beyond the float range raises NumericalError.
     """
     epsilon = _real("pac_sample_bound: epsilon", epsilon, 0, 1, "(]")
     delta = _real("pac_sample_bound: delta", delta, 0, 1, "(]")
     hypothesis_count = _count("pac_sample_bound: hypothesis_count", hypothesis_count, 1)
     k = _real("pac_sample_bound: k", k)
-    bound = (math.log(hypothesis_count / delta) + k) / epsilon
+    try:
+        log_ratio = math.log(hypothesis_count / delta)
+    except OverflowError:  # |H| itself beyond the float range
+        log_ratio = math.inf
+    if log_ratio == math.inf:  # the quotient overflows, its log need not
+        log_ratio = math.log(hypothesis_count) - math.log(delta)
+    bound = (log_ratio + k) / epsilon
+    if not math.isfinite(bound):
+        raise NumericalError(f"pac_sample_bound: bound {bound!r} is beyond the float range")
     return max(0, math.ceil(bound))
 
 

@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .config import _array, _count, _index, _items, _real
-from .distributions import DiscreteDistribution, log_normalize
+from .distributions import DiscreteDistribution, _log_normalize_inplace, log_normalize
 from .errors import DomainError, ValidationError
 from .rng import RngStream
 from .trace import Trace
@@ -157,7 +157,9 @@ def boltzmann_policy(q_row, temperature: float) -> DiscreteDistribution:
     """softmax(q / temperature), max-shifted."""
     row = _array("boltzmann_policy: q_row", q_row)
     temperature = _temperature("boltzmann_policy: temperature", temperature)
-    return DiscreteDistribution(log_normalize(row / temperature)[0])
+    with np.errstate(over="ignore"):  # an overflow to -inf is a weight of 0; to +inf, NumericalError
+        log_w = row / temperature
+    return DiscreteDistribution(_log_normalize_inplace("boltzmann_policy", log_w)[0])
 
 
 def mf_value(q_row, policy: DiscreteDistribution) -> float:

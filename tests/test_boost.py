@@ -309,6 +309,48 @@ def test_boost3_returns_h1_when_h2_agrees_on_every_item():
     assert (diag.h3_err, diag.final_err, diag.bound) == (0.0, diag.h1_err, boost_error_bound(0.1))
 
 
+class CountingLearner:
+    """Wraps a learner; every hypothesis it trains logs the items each predict_many call gets."""
+
+    def __init__(self, base):
+        self.base, self.gamma, self.calls = base, base.gamma, []
+
+    def train(self, dataset, rng):
+        hypothesis, calls = self.base.train(dataset, rng), self.calls
+
+        class Counted:
+            def predict_many(self, xs):
+                calls.append(xs)
+                return hypothesis.predict_many(xs)
+
+        return Counted()
+
+
+class FixedLearner:
+    def __init__(self, hypothesis, gamma=0.1):
+        self.hypothesis, self.gamma = hypothesis, gamma
+
+    def train(self, dataset, rng):
+        return self.hypothesis
+
+
+@pytest.mark.parametrize(
+    "base, calls",
+    [
+        (FixedLearner(ThresholdHypothesis(0.5), gamma=0.5), 1),  # h1 is perfect
+        (FixedLearner(ThresholdHypothesis(0.3)), 2),  # h2 agrees with h1 on every item
+        (NoisyThresholdLearner(0.5, gamma=0.1), 3),
+    ],
+    ids=["h1_perfect", "h2_agrees", "three_voters"],
+)
+def test_boost3_predicts_once_per_trained_hypothesis_on_the_dataset_items(base, calls):
+    ds = threshold_data(500, 0.5, seed=4)
+    learner = CountingLearner(base)
+    boost3(learner, ds, RngStream(0))
+    assert len(learner.calls) == calls
+    assert all(xs is ds.xs for xs in learner.calls)
+
+
 def test_boost3_to_dict_round_trips_floats():
     ds = threshold_data(2000, 0.5, seed=5)
     result = boost3(NoisyThresholdLearner(0.5, 0.15), ds, RngStream(1))

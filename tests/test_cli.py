@@ -309,6 +309,12 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "span.cfg", "span = 100000000000000000000\nsweeps = 5\n")
     assert cli.main(["anneal", "--config", cfg, "--out", str(tmp_path / "o5")]) == 1
     assert "span" in capsys.readouterr().err
+    # a total_length beyond numpy's population of 2^63 - 1 cut positions ended in a traceback
+    cfg = write_cfg(tmp_path, "long.cfg", f"n_a = 3\nn_b = 3\ntotal_length = {10**19}\n")
+    assert cli.main(["digest", "--config", cfg, "--out", str(tmp_path / "o5")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: total_length: must be an integer in [1, {2**63}), got {10**19}\n"
+    )
     # a dataset row whose x is not finite: the message names the file and line
     for x in ("nan", "inf", "-inf"):
         data = tmp_path / "d.csv"

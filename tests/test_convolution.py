@@ -35,6 +35,22 @@ def test_fft_complex_input():
     assert np.allclose(fft_radix2(x), np.fft.fft(x), atol=1e-10)
 
 
+def test_transforms_leave_their_input_unchanged():
+    # a complex128 input, or a view of one, is the caller's own memory, so the transform
+    # works on a copy; a read-only input must not need to be writable
+    gen = np.random.default_rng(5)
+    whole = gen.normal(size=64) + 1j * gen.normal(size=64)
+    read_only = whole.copy()
+    read_only.flags.writeable = False
+    for x in (whole, whole[::2], read_only):
+        for transform, reference in ((fft_radix2, np.fft.fft), (ifft_radix2, np.fft.ifft)):
+            before = x.tobytes()
+            out = transform(x)
+            assert x.tobytes() == before
+            assert not np.shares_memory(out, x)
+            assert np.allclose(out, reference(x), atol=1e-12)
+
+
 def test_ifft_inverts_fft():
     rng = RngStream(2)
     x = rng.random(size=512)

@@ -332,6 +332,49 @@ def test_generate_validation():
         generate_instance(0, 3, 30, RngStream(0))
     with pytest.raises(ValidationError):
         generate_instance(4, 4, 3, RngStream(0))
+    # numpy's choice takes a population of at most 2^63 - 1 interior positions
+    with pytest.raises(ValidationError, match=r"^generate_instance: total_length must be an integer in \[3, "):
+        generate_instance(3, 3, 2**63, RngStream(0))
+    inst = generate_instance(3, 3, 2**63 - 1, RngStream(0))
+    assert sum(inst.a) == sum(inst.b) == sum(inst.c) == 2**63 - 1
+
+
+def _reference_instance(n_a, n_b, total_length, rng):
+    # generate_instance drawing its cuts from an explicit array of the interior positions
+    gen = rng.generator
+    cuts_a, cuts_b = ({int(c) for c in gen.choice(np.arange(1, total_length), size=n - 1, replace=False)}
+                      for n in (n_a, n_b))
+
+    def gaps(cuts):
+        positions = sorted(cuts | {0, total_length})
+        return tuple(int(d) for d in np.diff(positions))
+
+    return DoubleDigestInstance(gaps(cuts_a), gaps(cuts_b), gaps(cuts_a | cuts_b))
+
+
+def test_generated_cuts_match_drawing_from_the_position_array():
+    for seed in range(40):
+        for total_length in (1, 2, 3, 8, 9, 50, 1000, 10**6):
+            for n_a, n_b in ((1, 1), (1, 2), (2, 2), (3, 1), (5, 9)):
+                if max(n_a, n_b) > total_length:
+                    continue
+                ours, theirs = RngStream(seed), RngStream(seed)
+                assert generate_instance(n_a, n_b, total_length, ours) == _reference_instance(
+                    n_a, n_b, total_length, theirs
+                )
+                # the bit generator is left where the array form leaves it
+                assert ours.generator.bit_generator.state == theirs.generator.bit_generator.state
+
+
+def test_generated_instance_memory_does_not_grow_with_total_length():
+    tracemalloc.start()
+    try:
+        inst = generate_instance(3, 3, 10**12, RngStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(inst.a) == sum(inst.b) == sum(inst.c) == 10**12
+    assert peak < 2**20, peak
 
 
 # --- brute force ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,18 @@ def test_log_normalize_extreme_weights_stay_finite():
     with pytest.raises(NumericalError):
         partition_value(log_z)
     assert partition_value(math.log(2.0)) == pytest.approx(2.0, abs=1e-15)
+
+
+def test_log_normalize_weights_beyond_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # entries further apart than the float range: the lower is a weight of 0, with no
+        # overflow warning from the max shift
+        probs, log_z = log_normalize([1.7e308, -1.7e308, -np.inf])
+        assert probs.tolist() == [1.0, 0.0, 0.0] and log_z == 1.7e308
+        for largest in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NumericalError, match=rf"^log_normalize: log-weights overflow a float \(largest {largest}\)$"):
+                log_normalize([largest, -np.inf])
 
 
 def test_state_bits_match_index_conventions():

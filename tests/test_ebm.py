@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,21 @@ def test_posterior_partition_overflow_is_numerical_error():
         bm_partition_exact(BoltzmannMachine(a=np.array([800.0]), b=np.zeros(1), W=np.zeros((1, 1))))
     # the log-domain quantities stay finite at the same scale
     assert loss_nll([-1000.0, 0.0], 0, beta=1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_log_weight_overflow_is_numerical_error_without_warnings():
+    # -beta * E = 1e309 overflows: loss_nll returned nan, and gibbs_posterior raised
+    # ValidationError over NaN probabilities, both after numpy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^loss_nll: log-weights overflow a float \(largest inf\)$"):
+            loss_nll([0.0, -1e308], 0, 10.0)
+        with pytest.raises(NumericalError, match=r"^gibbs_posterior: log-weights overflow a float \(largest inf\)$"):
+            gibbs_posterior([0.0, -1e308], 10.0)
+        # an overflow to -inf is a weight of 0
+        post, z = gibbs_posterior([0.0, 1e308], 10.0)
+        assert post.probs.tolist() == [1.0, 0.0] and z == 1.0
+        assert (loss_nll([0.0, 1e308], 0, 10.0), loss_nll([0.0, 1e308], 1, 10.0)) == (0.0, 1e308)
 
 
 def test_perceptron_loss_values():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from thermolearn.errors import ValidationError
+from thermolearn.errors import NumericalError, ValidationError
 from thermolearn.learning_theory import approximation_ratio, pac_sample_bound
 
 
@@ -29,6 +29,21 @@ def test_sample_bound_slack_term():
     slacked = pac_sample_bound(0.1, 0.1, 100, k=3.0)
     assert slacked == math.ceil(10.0 * (math.log(1000.0) + 3.0))
     assert slacked > base
+
+
+def test_sample_bound_for_a_class_beyond_the_float_range():
+    # |H| / delta does not fit a float (there are 2^2048 Boolean functions of 11
+    # inputs); ln|H| - ln delta does: ceil(2 * (400 ln 10 + ln 2))
+    assert pac_sample_bound(0.5, 0.5, 10**400) == 1844
+    assert pac_sample_bound(0.5, 0.5, 10**400) == math.ceil(2.0 * (400 * math.log(10.0) + math.log(2.0)))
+    # a quotient that overflows only after the division takes the same route
+    assert pac_sample_bound(0.5, 1e-300, 10**300) == math.ceil(2.0 * (300 + 300) * math.log(10.0))
+    assert pac_sample_bound(1.0, 1.0, 2**2048) == math.ceil(2048 * math.log(2.0))
+
+
+def test_sample_bound_beyond_the_float_range_is_numerical_error():
+    with pytest.raises(NumericalError, match="^pac_sample_bound: bound inf is beyond the float range$"):
+        pac_sample_bound(1e-320, 0.5, 10)
 
 
 def test_sample_bound_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from thermolearn.anneal import CoolingSchedule
 from thermolearn.distributions import DiscreteDistribution
-from thermolearn.errors import DomainError, ValidationError
+from thermolearn.errors import DomainError, NumericalError, ValidationError
 from thermolearn.ising import CouplingGraph
 from thermolearn.marl import (
     IsingGameEnv,
@@ -253,6 +254,13 @@ def test_temperatures_whose_reciprocal_overflows_are_rejected():
     with pytest.raises(ValidationError, match=r"boltzmann_policy: temperature must have a finite reciprocal 1/T, got 1e-320"):
         boltzmann_policy([0.0, 1.0], 1e-320)
     assert boltzmann_policy([0.0, 1.0], 1e-300).probs.tolist() == [0.0, 1.0]
+    # q / T = 1e608 overflows; it printed RuntimeWarnings and raised ValidationError over NaN
+    # probabilities, while an overflow to -inf is a weight of 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^boltzmann_policy: log-weights overflow a float \(largest inf\)$"):
+            boltzmann_policy([1e308, -1e308], 1e-300)
+        assert boltzmann_policy([-1e308, 0.0], 1e-300).probs.tolist() == [0.0, 1.0]
     env = IsingGameEnv(graph=torus_graph(3, 3), coupling=1.0)
     with pytest.raises(ValidationError, match=r"run_ising_game: T at episode 1 must have a finite reciprocal"):
         run_ising_game(env, 2, 3, 0.1, 0.9, lambda k: 1e-320 if k else 1.0, RngStream(9))
