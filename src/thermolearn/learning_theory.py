@@ -15,7 +15,7 @@ def pac_sample_bound(epsilon: float, delta: float, hypothesis_count: int, k: flo
 
     Returns ceil((1/epsilon) * (ln(|H| / delta) + k)), clamped at zero.
     Natural log is used; accuracy epsilon and confidence delta must lie
-    in (0, 1]. A bound beyond the float range raises NumericalError.
+    in (0, 1]. A bound above the float range raises NumericalError.
     """
     epsilon = _real("pac_sample_bound: epsilon", epsilon, 0, 1, "(]")
     delta = _real("pac_sample_bound: delta", delta, 0, 1, "(]")
@@ -28,9 +28,9 @@ def pac_sample_bound(epsilon: float, delta: float, hypothesis_count: int, k: flo
     if log_ratio == math.inf:  # the quotient overflows, its log need not
         log_ratio = math.log(hypothesis_count) - math.log(delta)
     bound = (log_ratio + k) / epsilon
-    if not math.isfinite(bound):
+    if bound == math.inf:  # -inf is below the clamp at zero
         raise NumericalError(f"pac_sample_bound: bound {bound!r} is beyond the float range")
-    return max(0, math.ceil(bound))
+    return math.ceil(max(0.0, bound))
 
 
 def approximation_ratio(cost: float, optimal_cost: float) -> float:

@@ -44,6 +44,8 @@ def test_sample_bound_for_a_class_beyond_the_float_range():
 def test_sample_bound_beyond_the_float_range_is_numerical_error():
     with pytest.raises(NumericalError, match="^pac_sample_bound: bound inf is beyond the float range$"):
         pac_sample_bound(1e-320, 0.5, 10)
+    # a bound below the float range is clamped at zero
+    assert pac_sample_bound(1e-300, 0.5, 10, k=-1e300) == 0
 
 
 def test_sample_bound_validation():
