@@ -285,11 +285,7 @@ def _run_ising(cfg, rng):
         "steps": cfg["steps"],
         "burn_in": cfg["burn_in"],
         "acceptance_rate": result.acceptance_rate,
-        "mean_energy": obs.mean_energy,
-        "mean_magnetization": obs.mean_magnetization,
-        "se_energy": obs.se_energy,
-        "se_magnetization": obs.se_magnetization,
-        "n_samples": obs.n_samples,
+        **vars(obs),
     }
     if exact:
         summary["partition_z"] = z

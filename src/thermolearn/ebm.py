@@ -14,6 +14,7 @@ convention maps onto this one by v = (s+1)/2 with rescaled parameters.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 from .config import _array, _content_lines, _count, _index, _real
 from .distributions import DiscreteDistribution, _log_normalize_inplace, _pack_bits, _unpack_bits, log_normalize
 from .distributions import partition_value, state_bits
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, NumericalError, ValidationError
 from .rng import RngStream
 
 MAX_EXACT_UNITS = 20
@@ -85,18 +86,27 @@ def gibbs_posterior(energies, beta: float) -> GibbsPosterior:
     return GibbsPosterior(DiscreteDistribution(probs), partition_value(log_z))
 
 
+def _finite_loss(name: str, loss: float) -> float:
+    """A loss taken in Python floats, or NumericalError when it passes the float range."""
+    if not math.isfinite(loss):
+        raise NumericalError(f"{name}: loss overflows a float")
+    return loss
+
+
 def loss_perceptron(energies, correct: int) -> float:
     """Energy gap between the correct label and the best label; zero iff
     the correct label attains the minimum."""
     table = _array("loss_perceptron: energies", energies)
-    return float(table[_index("loss_perceptron: correct", correct, table.size)] - table.min())
+    e_correct = float(table[_index("loss_perceptron: correct", correct, table.size)])
+    return _finite_loss("loss_perceptron", e_correct - float(table.min()))
 
 
 def loss_hinge(e_correct: float, e_incorrect: float, margin: float) -> float:
     """max(0, margin + E_correct - E_incorrect)."""
     margin = _real("loss_hinge: margin", margin, 0)
     e_correct = _real("loss_hinge: e_correct", e_correct)
-    return max(0.0, margin + e_correct - _real("loss_hinge: e_incorrect", e_incorrect))
+    e_incorrect = _real("loss_hinge: e_incorrect", e_incorrect)
+    return _finite_loss("loss_hinge", max(0.0, margin + e_correct - e_incorrect))
 
 
 def loss_nll(energies, correct: int, beta: float) -> float:
@@ -110,7 +120,7 @@ def loss_nll(energies, correct: int, beta: float) -> float:
     beta = _real("loss_nll: beta", beta, 0, ends="(]")
     with np.errstate(over="ignore"):  # as in gibbs_posterior
         log_w = -beta * table
-    return float(table[correct] + _log_normalize_inplace("loss_nll", log_w)[1] / beta)
+    return _finite_loss("loss_nll", float(table[correct]) + _log_normalize_inplace("loss_nll", log_w)[1] / beta)
 
 
 @dataclass(frozen=True)

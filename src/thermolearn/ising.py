@@ -24,15 +24,13 @@ from .distributions import DiscreteDistribution, _log_normalize_inplace, _pack_b
 from .distributions import partition_value, state_bits
 from .errors import CapacityError, NumericalError, ValidationError
 from .rng import RngStream
-from .trace import Trace
+from .trace import CHUNK_ROWS, Trace
 
 MAX_EXACT_SITES = 20
 # Exact enumeration works out each Hamiltonian term once over the sites
 # below ENUM_BLOCK_BITS, as a row of 2^ENUM_BLOCK_BITS +-w entries, and adds
 # or subtracts that row from every block of as many states.
 ENUM_BLOCK_BITS = 14
-# Chain steps drawn, and sample rows rebuilt or scored, per block.
-BLOCK_ROWS = 8192
 # A chain looks its steps up in a table of at most this many entries (and
 # no more than it has steps); on a denser graph it sums each local field.
 TABLE_ENTRIES = 1 << 16
@@ -339,11 +337,10 @@ def _local_field(spins, adjacency, fields, site: int) -> float:
 def _flip_table(adjacency, fields, spins, beta: float, width: int):
     """Site i's flip as a function of its code ``(i << width) | bits``, where
     bit 0 is set iff the site's spin is +1 and bit k + 1 iff its k-th
-    neighbour's is: each code's dH, acceptance threshold (2.0 where dH <= 0,
-    which every uniform passes, else exp(-beta dH)) and pre-flip spin. Also
-    the current codes and, per site, the (site, bit) pairs its flip toggles.
-    Every field is summed by :func:`_local_field` in the direct loop's order,
-    and ``math.exp`` rounds as that loop does, so no decision moves."""
+    neighbour's is: each code's dH, acceptance probability and pre-flip spin.
+    Also the current codes and, per site, the (site, bit) pairs its flip
+    toggles. Every field is summed by :func:`_local_field` in the direct
+    loop's order, and ``math.exp`` rounds as that loop does, so no decision moves."""
     spin_of = state_bits(width).astype(np.int8) * 2 - 1  # row b: bit b's spin in each pattern
     degrees = [len(neighbours) for neighbours in adjacency]
     dh = np.empty((len(adjacency), 1 << width))
@@ -362,7 +359,7 @@ def _flip_table(adjacency, fields, spins, beta: float, width: int):
             toggles[j].append((i, 2 << k))
         code.append(c)
     dh = dh.ravel().tolist()
-    accept = [2.0 if d <= 0.0 else math.exp(-beta * d) for d in dh]
+    accept = [acceptance_probability(d, beta) for d in dh]
     return dh, accept, spin_of[0].tolist() * len(adjacency), code, toggles
 
 
@@ -445,8 +442,8 @@ class ChainResult:
         samples = np.zeros((len(sites) - start, state.size), dtype=np.int8)
         # an int8 spin s in {-1, +1} has s ^ -2 == -s, so XOR-accumulating the
         # flip marks down a block and applying the row above it gives each row
-        for a in range(start, len(sites), BLOCK_ROWS):
-            block = samples[a - start : a - start + BLOCK_ROWS]
+        for a in range(start, len(sites), CHUNK_ROWS):
+            block = samples[a - start : a - start + CHUNK_ROWS]
             rows = np.flatnonzero(accepted[a : a + len(block)])
             block[rows, sites[a + rows]] = -2
             np.bitwise_xor.accumulate(block, axis=0, out=block)
@@ -518,10 +515,10 @@ def metropolis_chain(
         step_block, state = _direct_block, (adjacency, fields, spins, beta)
     # The draws become Python lists (about 40 bytes a step) one block at a
     # time, so the loop's speed costs no memory that grows with the steps.
-    for a in range(0, steps, BLOCK_ROWS):
-        sites = sites_arr[a : a + BLOCK_ROWS].tolist()
+    for a in range(0, steps, CHUNK_ROWS):
+        sites = sites_arr[a : a + CHUNK_ROWS].tolist()
         uniforms = rng.generator.random(len(sites)).tolist()
-        step_block(sites, uniforms, dh_at[a : a + BLOCK_ROWS], old_at[a : a + BLOCK_ROWS], *state)
+        step_block(sites, uniforms, dh_at[a : a + CHUNK_ROWS], old_at[a : a + CHUNK_ROWS], *state)
     del sites, uniforms, state
 
     np.cumsum(energy_path, out=energy_path)
@@ -565,10 +562,10 @@ def estimate_observables(samples, graph: CouplingGraph, n_batches: Optional[int]
     m = arr.shape[0]
     energies = np.zeros(m)
     mags = np.empty(m)
-    for start in range(0, m, BLOCK_ROWS):
-        s = arr[start : start + BLOCK_ROWS]
-        _subtract_energies(energies[start : start + BLOCK_ROWS], s.T, graph)
-        mags[start : start + BLOCK_ROWS] = s.mean(axis=1)
+    for start in range(0, m, CHUNK_ROWS):
+        s = arr[start : start + CHUNK_ROWS]
+        _subtract_energies(energies[start : start + CHUNK_ROWS], s.T, graph)
+        mags[start : start + CHUNK_ROWS] = s.mean(axis=1)
     return _observables(energies, mags, n_batches)
 
 

@@ -265,14 +265,13 @@ def run_ising_game(
     up_counts = [sum(spins[k] > 0 for k in row) for row in neighbor_lists]
     degrees = [len(row) for row in neighbor_lists]
     mags = np.empty(episodes)
-    uniforms = rng.generator.random((episodes, steps_per_episode, n))
 
     exp, isfinite = math.exp, math.isfinite
     keep = 1.0 - alpha
     for episode in range(episodes):
         temperature = _temperature(f"run_ising_game: T at episode {episode}", temp_at(episode))
         inv_t = 1.0 / temperature
-        for u_row in uniforms[episode].tolist():
+        for u_row in rng.generator.random((steps_per_episode, n)).tolist():
             for j, u in enumerate(u_row):
                 up = up_counts[j]
                 cell = cells[j][up]

@@ -12,7 +12,7 @@ import numpy as np
 from .config import _items
 from .errors import ValidationError
 
-# Rows formatted per pass: bounds the Python strings alive at once.
+# Rows per text pass, and steps per ising chain block: bounds the Python objects alive at once.
 CHUNK_ROWS = 8192
 
 

@@ -265,6 +265,12 @@ def test_depth_stall_detection():
         boost_recursion_depth(1e-9, 0.01, max_depth=50)
 
 
+def test_depth_at_gamma_zero_stalls_at_the_fixed_point_one_half():
+    # the bound map p -> 3p^2 - 2p^3 fixes 1/2, where a gamma of 0 starts it
+    with pytest.raises(ConvergenceError, match=r"^boost_recursion_depth: bound stalls at 0\.5 \(gamma too small\)$"):
+        boost_recursion_depth(0.0, 0.3)
+
+
 # --- boosting end to end -----------------------------------------------------------------
 
 

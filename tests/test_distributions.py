@@ -36,6 +36,11 @@ def test_bad_sum_rejected():
         DiscreteDistribution([0.5, 0.4])
 
 
+def test_labels_must_match_probs_in_length():
+    with pytest.raises(ValidationError, match=r"^DiscreteDistribution: labels length must match probs$"):
+        DiscreteDistribution([0.5, 0.5], labels=["a"])
+
+
 def test_sum_tolerance_accepts_tiny_drift():
     probs = np.array([0.25, 0.25, 0.25, 0.25 + 5e-10])
     DiscreteDistribution(probs)

@@ -103,6 +103,31 @@ def test_log_weight_overflow_is_numerical_error_without_warnings():
         assert (loss_nll([0.0, 1e308], 0, 10.0), loss_nll([0.0, 1e308], 1, 10.0)) == (0.0, 1e308)
 
 
+@pytest.mark.parametrize(
+    "name, loss",
+    [
+        ("loss_nll", lambda: loss_nll([1.7e308, -1.7e308], 0, 1.0)),
+        ("loss_perceptron", lambda: loss_perceptron([1.7e308, -1.7e308], 0)),
+        ("loss_hinge", lambda: loss_hinge(1.7e308, -1.7e308, 1.0)),
+    ],
+)
+def test_energy_gap_loss_beyond_the_float_range_is_numerical_error(name, loss):
+    # valid inputs whose loss, about 3.4e308, passes the float range: the final
+    # sum printed a numpy overflow warning or none, and returned inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=rf"^{name}: loss overflows a float$"):
+            loss()
+
+
+def test_energy_gap_losses_near_the_float_range_keep_their_bits():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert loss_nll([8e307, -9e307], 0, 1.0) == 8e307 + 9e307
+        assert loss_perceptron([8e307, -9e307], 0) == 8e307 + 9e307
+        assert loss_hinge(8e307, -9e307, 0.0) == 8e307 + 9e307
+
+
 def test_perceptron_loss_values():
     assert loss_perceptron([2.0, 1.0, 3.0], 1) == 0.0
     assert loss_perceptron([0.8, 0.3], 0) == pytest.approx(0.5)

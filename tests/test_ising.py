@@ -649,5 +649,5 @@ def test_observables_do_not_depend_on_the_block_size(monkeypatch):
     samples = (gen.integers(0, 2, (20_001, g.n_sites)) * 2 - 1).astype(np.int8)
     expected = estimate_observables(samples, g)
     for rows in (1, 7, 4099):
-        monkeypatch.setattr(ising, "BLOCK_ROWS", rows)
+        monkeypatch.setattr(ising, "CHUNK_ROWS", rows)
         assert estimate_observables(samples, g) == expected, rows

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -418,6 +419,24 @@ def test_game_parameter_validation():
         run_ising_game(env, 5, 5, 1.5, 0.9, lambda k: 1.0, RngStream(9))
     with pytest.raises(ValidationError):
         run_ising_game(env, 5, 5, 0.1, 1.0, lambda k: 1.0, RngStream(9))
+
+def _game_peak_bytes(episodes):
+    env = IsingGameEnv(graph=torus_graph(4, 4), coupling=1.0)
+    tracemalloc.start()
+    try:
+        run_ising_game(env, episodes, 10, 0.1, 0.9, lambda k: 1.0, RngStream(4))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_game_draws_its_uniforms_an_episode_at_a_time():
+    # one float64 uniform per agent-step of the whole run would add 1280 bytes
+    # an episode here (16 agents x 10 steps), 2.3 MB over the extra 1800 episodes;
+    # the first run also allocates what stays cached for later runs
+    _game_peak_bytes(200)
+    assert _game_peak_bytes(2000) - _game_peak_bytes(200) <= 200_000
+
 
 def test_game_rejects_empty_bin_range():
     env = IsingGameEnv(graph=torus_graph(3, 3), coupling=1.0)
