@@ -86,11 +86,15 @@ def gibbs_posterior(energies, beta: float) -> GibbsPosterior:
     return GibbsPosterior(DiscreteDistribution(probs), partition_value(log_z))
 
 
-def _finite_loss(name: str, loss: float) -> float:
-    """A loss taken in Python floats, or NumericalError when it passes the float range."""
-    if not math.isfinite(loss):
-        raise NumericalError(f"{name}: loss overflows a float")
-    return loss
+def _finite_loss(name: str, *orders) -> float:
+    """A loss from the first of its summation orders (callables, in Python floats) that is
+    finite, so a loss the first order reaches keeps its bits; NumericalError when every
+    order passes the float range."""
+    for order in orders:
+        loss = order()
+        if math.isfinite(loss):
+            return loss
+    raise NumericalError(f"{name}: loss overflows a float")
 
 
 def loss_perceptron(energies, correct: int) -> float:
@@ -98,7 +102,7 @@ def loss_perceptron(energies, correct: int) -> float:
     the correct label attains the minimum."""
     table = _array("loss_perceptron: energies", energies)
     e_correct = float(table[_index("loss_perceptron: correct", correct, table.size)])
-    return _finite_loss("loss_perceptron", e_correct - float(table.min()))
+    return _finite_loss("loss_perceptron", lambda: e_correct - float(table.min()))
 
 
 def loss_hinge(e_correct: float, e_incorrect: float, margin: float) -> float:
@@ -106,7 +110,9 @@ def loss_hinge(e_correct: float, e_incorrect: float, margin: float) -> float:
     margin = _real("loss_hinge: margin", margin, 0)
     e_correct = _real("loss_hinge: e_correct", e_correct)
     e_incorrect = _real("loss_hinge: e_incorrect", e_incorrect)
-    return _finite_loss("loss_hinge", max(0.0, margin + e_correct - e_incorrect))
+    # margin + E_correct alone may pass the float range while the loss fits
+    return _finite_loss("loss_hinge", lambda: max(0.0, margin + e_correct - e_incorrect),
+                        lambda: max(0.0, margin + (e_correct - e_incorrect)))
 
 
 def loss_nll(energies, correct: int, beta: float) -> float:
@@ -118,9 +124,15 @@ def loss_nll(energies, correct: int, beta: float) -> float:
     table = _array("loss_nll: energies", energies)
     correct = _index("loss_nll: correct", correct, table.size)
     beta = _real("loss_nll: beta", beta, 0, ends="(]")
-    with np.errstate(over="ignore"):  # as in gibbs_posterior
-        log_w = -beta * table
-    return _finite_loss("loss_nll", float(table[correct]) + _log_normalize_inplace("loss_nll", log_w)[1] / beta)
+
+    def shifted(shift: float) -> float:
+        # the loss over the energies less shift; ln Z / beta alone may pass the
+        # float range while the loss fits, and a shift by E_min keeps it in range
+        with np.errstate(over="ignore"):  # as in gibbs_posterior
+            log_w = -beta * (table - shift)
+        return float(table[correct]) - shift + _log_normalize_inplace("loss_nll", log_w)[1] / beta
+
+    return _finite_loss("loss_nll", lambda: shifted(0.0), lambda: shifted(float(table.min())))
 
 
 @dataclass(frozen=True)
@@ -247,12 +259,6 @@ def bm_visible_activation(machine: BoltzmannMachine, h) -> np.ndarray:
     return _logistic(pre)
 
 
-def _gibbs_step(machine: BoltzmannMachine, v, u_h: np.ndarray, u_v: np.ndarray):
-    # h ~ p(h|v), then v ~ p(v|h), for one row v or one row per chain; returns 0/1 floats
-    h = (u_h < bm_hidden_activation(machine, v)).astype(float)
-    return h, (u_v < bm_visible_activation(machine, h)).astype(float)
-
-
 class GibbsSampleRun(Sequence):
     """Recorded block-Gibbs trajectory.
 
@@ -335,16 +341,21 @@ def _enumerate_visible(machine: BoltzmannMachine):
     return (bits, pre, free) + log_normalize(-free)
 
 
+def _mean_log_likelihood(enumeration, index: np.ndarray) -> float:
+    # mean log p(v) over the visible states numbered index, from _enumerate_visible
+    _, _, free, _, log_z = enumeration
+    return float((-free[index] - log_z).mean())
+
+
 def bm_log_likelihood(machine: BoltzmannMachine, data) -> float:
     """Mean log p(v) over the data rows, by exact enumeration."""
     X = _units("bm_log_likelihood: data", data, (None, machine.n_visible))
-    _, _, free, _, log_z = _enumerate_visible(machine)
-    return float((-free[_pack_bits(X)] - log_z).mean())
+    return _mean_log_likelihood(_enumerate_visible(machine), _pack_bits(X))
 
 
-def _exact_model_stats(machine: BoltzmannMachine):
-    # E[v], E[h] = sum_v p(v) p(h=1|v) and E[v h^T] under the model
-    bits, pre, _, p, _ = _enumerate_visible(machine)
+def _exact_model_stats(enumeration):
+    # E[v], E[h] = sum_v p(v) p(h=1|v) and E[v h^T] under the model, from _enumerate_visible
+    bits, pre, _, p, _ = enumeration
     act = _logistic(pre)
     return bits @ p, act @ p, (bits * p) @ act.T
 
@@ -355,14 +366,13 @@ class BMGradient(NamedTuple):
     W: np.ndarray
 
 
-def _row_stats(machine: BoltzmannMachine, V: np.ndarray):
-    # mean v, mean p(h|v) and V^T p(h|V) / m over the m float rows of V
-    P_h = bm_hidden_activation(machine, V)
+def _row_stats(V: np.ndarray, P_h: np.ndarray):
+    # mean v, mean p(h|v) and V^T p(h|V) / m over the m float rows of V, given P_h = p(h|V)
     return V.mean(axis=0), P_h.mean(axis=0), V.T @ P_h / V.shape[0]
 
 
-def _gradient(machine: BoltzmannMachine, X: np.ndarray, model_stats) -> BMGradient:
-    return BMGradient(*(data - model for data, model in zip(_row_stats(machine, X), model_stats)))
+def _gradient(data_stats, model_stats) -> BMGradient:
+    return BMGradient(*(data - model for data, model in zip(data_stats, model_stats)))
 
 
 def bm_exact_gradient(machine: BoltzmannMachine, data) -> BMGradient:
@@ -373,7 +383,7 @@ def bm_exact_gradient(machine: BoltzmannMachine, data) -> BMGradient:
     Capacity-guarded like every other enumeration routine here.
     """
     X = _units("bm_exact_gradient: data", data, (None, machine.n_visible)).astype(float)
-    return _gradient(machine, X, _exact_model_stats(machine))
+    return _gradient(_row_stats(X, bm_hidden_activation(machine, X)), _exact_model_stats(_enumerate_visible(machine)))
 
 
 class TrainResult(NamedTuple):
@@ -398,7 +408,9 @@ def bm_train(
     analytic activations p(h|v) in both modes. The loss curve holds the
     mean negative log-likelihood after each epoch (computed exactly;
     requires enumeration capacity, so cd_k on large machines reports an
-    empty curve).
+    empty curve). ``exact_gradient`` enumerates each machine once: the
+    enumeration that scores an epoch gives the next epoch's model
+    expectations.
     """
     if method not in ("exact_gradient", "cd_k"):
         raise ValidationError(f"bm_train: unknown method {method!r}")
@@ -410,24 +422,33 @@ def bm_train(
             raise ValidationError("bm_train: cd_k requires an rng")
     bits = _units("bm_train: data", data, (None, machine.n_visible))
     X = bits.astype(float)
-    if method == "exact_gradient":
+    exact = method == "exact_gradient"
+    if exact:
         _check_capacity(machine)
+        index = _pack_bits(bits)
+        enumeration = _enumerate_visible(machine) if epochs else None
     can_score = machine.n_visible + machine.n_hidden <= MAX_EXACT_UNITS
 
     losses: List[float] = []
     for _ in range(epochs):
-        if method == "exact_gradient":
-            model_stats = _exact_model_stats(machine)
+        p_data = bm_hidden_activation(machine, X)
+        if exact:
+            model_stats = _exact_model_stats(enumeration)
         else:
-            v_neg = X
+            # k block-Gibbs steps from the data rows, whose p(h|v) is p_data
+            v_neg, p_neg = X, p_data
             for _ in range(k):
-                u_h = rng.generator.random((X.shape[0], machine.n_hidden))
-                _, v_neg = _gibbs_step(machine, v_neg, u_h, rng.generator.random(X.shape))
-            model_stats = _row_stats(machine, v_neg)
+                h = (rng.generator.random(p_neg.shape) < p_neg).astype(float)
+                v_neg = (rng.generator.random(X.shape) < bm_visible_activation(machine, h)).astype(float)
+                p_neg = bm_hidden_activation(machine, v_neg)
+            model_stats = _row_stats(v_neg, p_neg)
         params = (machine.a, machine.b, machine.W)
-        grad = _gradient(machine, X, model_stats)
+        grad = _gradient(_row_stats(X, p_data), model_stats)
         machine = BoltzmannMachine(*(p + learning_rate * g for p, g in zip(params, grad)))
-        if can_score:
+        if exact:
+            enumeration = _enumerate_visible(machine)
+            losses.append(-_mean_log_likelihood(enumeration, index))
+        elif can_score:
             losses.append(-bm_log_likelihood(machine, bits))
     return TrainResult(machine, losses)
 

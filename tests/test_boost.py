@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,82 @@ def test_noisy_learner_table_replays_scalar_labels():
         want[float(x)] = 1 - label if flip else label
     assert list(h.table.items()) == list(want.items())
     assert all(type(k) is float and type(v) is int for k, v in h.table.items())
+
+
+# Table lookups once searched the queries in their given order; that lookup
+# is the oracle for the ascending one.
+
+
+def _unsorted_lookup(h, xs):
+    xs = np.asarray(xs, dtype=float)
+    at = np.searchsorted(h._keys, xs)
+    out = h._labels[at]
+    miss = h._keys[at] != xs
+    if miss.any():
+        out[miss] = h.fallback.predict_many(xs[miss])
+    return out
+
+
+def _lookup_cases():
+    gen = np.random.default_rng(11)
+    keys = np.round(gen.uniform(-2, 2, 300), 2)  # drawn with repeats
+    seen = gen.choice(keys, 2000)
+    yield "repeated keys", seen
+    yield "unseen x", np.concatenate([seen, gen.uniform(-3, 3, 500)])
+    yield "NaN", np.concatenate([seen[:50], [np.nan] * 7, seen[50:100], [np.nan]])
+    yield "signed zeros", np.array([0.0, -0.0, 0.0, 1.0, -0.0, -1.0, 0.0])
+    yield "empty", np.empty(0)
+    yield "one item", seen[:1]
+    yield "2-D", np.concatenate([seen[:300], [np.nan, -0.0, 0.0]]).reshape(3, 101)
+
+
+def _tables():
+    gen = np.random.default_rng(12)
+    xs = np.concatenate([np.round(gen.uniform(-2, 2, 600), 2), [0.0, -0.0, -0.0, 0.0]])
+    ds = WeightedDataset.uniform(xs, (xs >= 0.0).astype(int))
+    learner = NoisyThresholdLearner(0.0, gamma=0.1)
+    return [learner.train(ds, RngStream(seed)) for seed in range(3)] + [
+        TableHypothesis({-0.0: 1, 0.5: 0, 1.25: 1}, ThresholdHypothesis(0.5))]
+
+
+@pytest.mark.parametrize("name, queries", list(_lookup_cases()), ids=[name for name, _ in _lookup_cases()])
+def test_ascending_lookup_replays_the_unsorted_lookup(name, queries):
+    for h in _tables():
+        got = h.predict_many(queries)
+        want = _unsorted_lookup(h, queries)
+        assert got.dtype == want.dtype == np.int8 and got.shape == want.shape == queries.shape
+        assert got.tobytes() == want.tobytes()
+    h1, h2, h3, _ = _tables()
+    votes = sum(_unsorted_lookup(h, queries).astype(int) for h in (h1, h2, h3)) >= 2
+    assert majority_vote(h1, h2, h3).predict_many(queries).tobytes() == votes.astype(np.int8).tobytes()
+
+
+def test_noisy_learner_keys_are_np_unique():
+    gen = np.random.default_rng(13)
+    xs = np.concatenate([np.round(gen.uniform(-1, 1, 3000), 1), [-0.0, 0.0, -0.0], gen.uniform(-1, 1, 1000)])
+    for seed in range(4):
+        gen.shuffle(xs)
+        ds = WeightedDataset.uniform(xs, (xs >= 0.0).astype(int))
+        h = NoisyThresholdLearner(0.0, gamma=0.2).train(ds, RngStream(seed))
+        assert h._keys[:-1].tobytes() == np.unique(xs).tobytes()
+
+
+def test_boost3_does_not_import_numpy_ma():
+    # numpy 2's np.unique imports numpy.ma on its first call; numpy 1 loads it with numpy
+    code = (
+        "import sys, numpy as np\n"
+        "from thermolearn.boost import NoisyThresholdLearner, WeightedDataset, boost3\n"
+        "from thermolearn.rng import RngStream\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "xs = np.random.default_rng(0).random(500)\n"
+        "boost3(NoisyThresholdLearner(0.5, 0.1), WeightedDataset.uniform(xs, (xs >= 0.5).astype(int)), RngStream(1))\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 def test_risk_perfect_and_constant():

@@ -763,8 +763,9 @@ def test_traced_entry_points_are_reached(tmp_path, monkeypatch):
 def test_learn_entry_points_are_reached(monkeypatch):
     """Every name the benchmark's traced ``learn`` run wraps, called as its worker calls it
     (bench/worker.py, ``_library_call``), is reached: the per-layer metrics divide by, or take
-    the median of, each one's spans. ``bm_log_likelihood`` runs inside ``bm_train`` for both
-    methods, which is where ``ebm.bm_log_likelihood.ms`` reads it."""
+    the median of, each one's spans. ``bm_log_likelihood`` runs once per epoch inside
+    ``bm_train`` with ``cd_k``, which is where ``ebm.bm_log_likelihood.ms`` reads it;
+    ``exact_gradient`` scores each epoch from the enumeration that serves its gradient."""
     from thermolearn import boost, convolution, ebm, marl
     from thermolearn.anneal import CoolingSchedule
     from thermolearn.rng import RngStream
@@ -790,10 +791,10 @@ def test_learn_entry_points_are_reached(monkeypatch):
     assert names[-1] == "boost_recursive" and set(names) <= {"boost3", "boost_recursive"}
     machine = ebm.BoltzmannMachine(np.zeros(8), np.zeros(6), 0.01 * gen.standard_normal((8, 6)))
     data = (gen.random((64, 8)) < 0.5).astype(np.uint8)
-    for method in ("exact_gradient", "cd_k"):
+    for method, scored in (("exact_gradient", []), ("cd_k", ["bm_log_likelihood"] * 3)):
         names, (_, losses) = reached(lambda: ebm.bm_train(machine, data, method=method, learning_rate=0.1, epochs=3,
                                                           k=1, rng=RngStream(4)))
-        assert names == ["bm_log_likelihood"] * 3 + ["bm_train"] and len(losses) == 3, method
+        assert names == scored + ["bm_train"] and len(losses) == 3, method
     names, run = reached(lambda: ebm.bm_gibbs_sample(machine, 50, RngStream(5)))
     assert names == ["bm_gibbs_sample"] and len(run) == 50
     env = marl.IsingGameEnv(marl.torus_graph(3, 3), 1.0)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from thermolearn.distributions import DiscreteDistribution
+from thermolearn import ebm
 from thermolearn.ebm import (
-    _gibbs_step,
     BMState,
     BoltzmannMachine,
     bm_energy,
@@ -118,6 +118,15 @@ def test_energy_gap_loss_beyond_the_float_range_is_numerical_error(name, loss):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=rf"^{name}: loss overflows a float$"):
             loss()
+
+
+def test_energy_gap_losses_whose_first_sum_overflows_take_a_second_order():
+    # margin + E_correct and ln Z / beta pass the float range, and the losses do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert loss_hinge(1e308, 1e308, 1e308) == 1e308
+        assert loss_nll([-1e308, -1e308], 0, 5e-309) == math.log(2.0) / 5e-309
+        assert loss_hinge(-1.7e308, 1.7e308, 1.0) == 0.0
 
 
 def test_energy_gap_losses_near_the_float_range_keep_their_bits():
@@ -438,7 +447,8 @@ def _replay_gibbs(machine, steps, rng, start=None):
     u_h = rng.generator.random((steps, machine.n_hidden))
     u_v = rng.generator.random((steps, machine.n_visible))
     for t in range(steps):
-        hidden[t], visible[t] = _gibbs_step(machine, v, u_h[t], u_v[t])
+        hidden[t] = u_h[t] < bm_hidden_activation(machine, v)
+        visible[t] = u_v[t] < bm_visible_activation(machine, hidden[t])
         v = visible[t]
     return visible, hidden
 
@@ -550,6 +560,61 @@ def test_train_rejects_an_unknown_method():
 def test_cd_k_requires_rng():
     with pytest.raises(ValidationError):
         bm_train(BoltzmannMachine.zeros(1, 1), [np.array([1])], method="cd_k", rng=None)
+
+
+def _train_reference(machine, data, method, learning_rate, epochs, k, rng):
+    # bm_train's loop as it was, enumerating each exact epoch's machine twice and
+    # taking p(h|data) twice per CD-k epoch: the reference for its bits
+    bits = np.asarray(data, dtype=bool)
+    X = bits.astype(float)
+
+    def row_stats(machine, V):
+        P_h = bm_hidden_activation(machine, V)
+        return V.mean(axis=0), P_h.mean(axis=0), V.T @ P_h / V.shape[0]
+
+    losses = []
+    for _ in range(epochs):
+        if method == "exact_gradient":
+            states, pre, _, p, _ = ebm._enumerate_visible(machine)
+            act = ebm._logistic(pre)
+            model_stats = states @ p, act @ p, (states * p) @ act.T
+        else:
+            v_neg = X
+            for _ in range(k):
+                u_h = rng.generator.random((X.shape[0], machine.n_hidden))
+                u_v = rng.generator.random(X.shape)
+                h = (u_h < bm_hidden_activation(machine, v_neg)).astype(float)
+                v_neg = (u_v < bm_visible_activation(machine, h)).astype(float)
+            model_stats = row_stats(machine, v_neg)
+        grad = [d - m for d, m in zip(row_stats(machine, X), model_stats)]
+        machine = BoltzmannMachine(*(p + learning_rate * g for p, g in zip((machine.a, machine.b, machine.W), grad)))
+        losses.append(-bm_log_likelihood(machine, bits))
+    return machine, losses
+
+
+@pytest.mark.parametrize("n_v", [1, 5, 8])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("method", ["exact_gradient", "cd_k"])
+def test_train_replays_the_two_enumeration_loop_bit_for_bit(method, k, n_v):
+    seed = 10 * n_v + k
+    machine = _random_machine(seed, n_v, 4, 0.5)
+    data = np.random.default_rng(seed).random((24, n_v)) < 0.4
+    trained, losses = bm_train(machine, data, method, 0.3, 25, k, RngStream(seed))
+    want, want_losses = _train_reference(machine, data, method, 0.3, 25, k, RngStream(seed))
+    for got, ref in zip((trained.a, trained.b, trained.W), (want.a, want.b, want.W)):
+        assert got.tobytes() == ref.tobytes()
+    assert [x.hex() for x in losses] == [x.hex() for x in want_losses]
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 4])
+def test_exact_training_enumerates_each_machine_once(monkeypatch, epochs):
+    calls = []
+    enumerate_visible = ebm._enumerate_visible
+    monkeypatch.setattr(ebm, "_enumerate_visible", lambda machine: calls.append(machine) or enumerate_visible(machine))
+    data = np.random.default_rng(1).random((10, 5)) < 0.5
+    result = bm_train(_random_machine(1, 5, 3), data, "exact_gradient", 0.1, epochs)
+    assert len(calls) == (epochs + 1 if epochs else 0)
+    assert len(result.loss_curve) == epochs
 
 
 def test_exact_gradient_capacity_guard():
