@@ -74,9 +74,6 @@ SCHEMAS: Dict[str, Dict[str, FieldSpec]] = {
         "burn_in": FieldSpec("int", default=0, check=_INT_GE_0),
     },
     "anneal": {
-        "landscape": FieldSpec(
-            "string", default="quadratic", check=lambda v: None if v == "quadratic" else "must be 'quadratic'"
-        ),
         "span": FieldSpec("int", default=50, check=_within(1, 2**63 - 1, integer=True)),
         "sweeps": FieldSpec("int", required=True, check=_INT_GE_1),
         "proposals_per_sweep": FieldSpec("int", default=10, check=_INT_GE_1),

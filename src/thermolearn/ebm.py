@@ -86,15 +86,11 @@ def gibbs_posterior(energies, beta: float) -> GibbsPosterior:
     return GibbsPosterior(DiscreteDistribution(probs), partition_value(log_z))
 
 
-def _finite_loss(name: str, *orders) -> float:
-    """A loss from the first of its summation orders (callables, in Python floats) that is
-    finite, so a loss the first order reaches keeps its bits; NumericalError when every
-    order passes the float range."""
-    for order in orders:
-        loss = order()
-        if math.isfinite(loss):
-            return loss
-    raise NumericalError(f"{name}: loss overflows a float")
+def _finite_loss(name: str, loss: float) -> float:
+    """The loss, or NumericalError when it passes the float range."""
+    if not math.isfinite(loss):
+        raise NumericalError(f"{name}: loss overflows a float")
+    return loss
 
 
 def loss_perceptron(energies, correct: int) -> float:
@@ -102,37 +98,32 @@ def loss_perceptron(energies, correct: int) -> float:
     the correct label attains the minimum."""
     table = _array("loss_perceptron: energies", energies)
     e_correct = float(table[_index("loss_perceptron: correct", correct, table.size)])
-    return _finite_loss("loss_perceptron", lambda: e_correct - float(table.min()))
+    return _finite_loss("loss_perceptron", e_correct - float(table.min()))
 
 
 def loss_hinge(e_correct: float, e_incorrect: float, margin: float) -> float:
-    """max(0, margin + E_correct - E_incorrect)."""
+    """max(0, margin + (E_correct - E_incorrect))."""
     margin = _real("loss_hinge: margin", margin, 0)
     e_correct = _real("loss_hinge: e_correct", e_correct)
     e_incorrect = _real("loss_hinge: e_incorrect", e_incorrect)
-    # margin + E_correct alone may pass the float range while the loss fits
-    return _finite_loss("loss_hinge", lambda: max(0.0, margin + e_correct - e_incorrect),
-                        lambda: max(0.0, margin + (e_correct - e_incorrect)))
+    return _finite_loss("loss_hinge", max(0.0, margin + (e_correct - e_incorrect)))
 
 
 def loss_nll(energies, correct: int, beta: float) -> float:
     """E_correct + (1/beta) log sum_y exp(-beta E_y).
 
     Equals -(1/beta) log of the Gibbs posterior at the correct label;
-    the log-sum-exp is max-shifted.
+    computed as E_correct - E_min + (1/beta) log sum_y exp(-beta (E_y - E_min)),
+    so every log-weight is at most 0.
     """
     table = _array("loss_nll: energies", energies)
     correct = _index("loss_nll: correct", correct, table.size)
     beta = _real("loss_nll: beta", beta, 0, ends="(]")
-
-    def shifted(shift: float) -> float:
-        # the loss over the energies less shift; ln Z / beta alone may pass the
-        # float range while the loss fits, and a shift by E_min keeps it in range
-        with np.errstate(over="ignore"):  # as in gibbs_posterior
-            log_w = -beta * (table - shift)
-        return float(table[correct]) - shift + _log_normalize_inplace("loss_nll", log_w)[1] / beta
-
-    return _finite_loss("loss_nll", lambda: shifted(0.0), lambda: shifted(float(table.min())))
+    e_min = float(table.min())
+    with np.errstate(over="ignore"):  # an overflow to -inf is a weight of 0
+        log_w = -beta * (table - e_min)
+    log_z = _log_normalize_inplace("loss_nll", log_w)[1]
+    return _finite_loss("loss_nll", float(table[correct]) - e_min + log_z / beta)
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ def kl_divergence(q, p) -> float:
     if np.any(bad):
         raise DomainError(f"kl_divergence: q has mass on outcomes {np.flatnonzero(bad).tolist()} where p is zero")
     mask = q > 0
-    return float((q[mask] * np.log(q[mask] / p[mask])).sum())
+    return float((q[mask] * (np.log(q[mask]) - np.log(p[mask]))).sum())
 
 
 def mutual_information(joint) -> float:
@@ -86,9 +86,9 @@ def mutual_information(joint) -> float:
     table = joint.table
     px = joint.marginal_rows().probs
     pt = joint.marginal_cols().probs
-    outer = np.outer(px, pt)
-    mask = table > 0
-    return float((table[mask] * np.log(table[mask] / outer[mask])).sum())
+    rows, cols = np.nonzero(table)
+    t = table[rows, cols]
+    return float((t * (np.log(t) - np.log(px[rows]) - np.log(pt[cols]))).sum())
 
 
 def ib_objective(joint_xt, joint_ty, beta: float) -> float:

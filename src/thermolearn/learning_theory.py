@@ -13,7 +13,7 @@ __all__ = ["pac_sample_bound", "approximation_ratio"]
 def pac_sample_bound(epsilon: float, delta: float, hypothesis_count: int, k: float = 0.0) -> int:
     """Samples sufficient to PAC-learn a finite hypothesis class.
 
-    Returns ceil((1/epsilon) * (ln(|H| / delta) + k)), clamped at zero.
+    Returns ceil((1/epsilon) * (ln|H| - ln delta + k)), clamped at zero.
     Natural log is used; accuracy epsilon and confidence delta must lie
     in (0, 1]. A bound above the float range raises NumericalError.
     """
@@ -21,13 +21,7 @@ def pac_sample_bound(epsilon: float, delta: float, hypothesis_count: int, k: flo
     delta = _real("pac_sample_bound: delta", delta, 0, 1, "(]")
     hypothesis_count = _count("pac_sample_bound: hypothesis_count", hypothesis_count, 1)
     k = _real("pac_sample_bound: k", k)
-    try:
-        log_ratio = math.log(hypothesis_count / delta)
-    except OverflowError:  # |H| itself beyond the float range
-        log_ratio = math.inf
-    if log_ratio == math.inf:  # the quotient overflows, its log need not
-        log_ratio = math.log(hypothesis_count) - math.log(delta)
-    bound = (log_ratio + k) / epsilon
+    bound = (math.log(hypothesis_count) - math.log(delta) + k) / epsilon
     if bound == math.inf:  # -inf is below the clamp at zero
         raise NumericalError(f"pac_sample_bound: bound {bound!r} is beyond the float range")
     return math.ceil(max(0.0, bound))

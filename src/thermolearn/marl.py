@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import _array, _count, _index, _items, _real
 from .distributions import DiscreteDistribution, _log_normalize_inplace, log_normalize
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 from .rng import RngStream
 from .trace import Trace
 
@@ -230,7 +230,8 @@ def run_ising_game(
     logs |mean spin| at the end of each episode.
 
     ``temperature_schedule`` is a CoolingSchedule or any callable mapping
-    the episode index to a positive temperature.
+    the episode index to a positive temperature. A Q value that overflows
+    a float raises NumericalError.
     """
     episodes = _count("run_ising_game: episodes", episodes, 1)
     steps_per_episode = _count("run_ising_game: steps_per_episode", steps_per_episode, 1)
@@ -294,7 +295,9 @@ def run_ising_game(
                 # mf_q_update with a same-key bootstrap value
                 value = keep * cell[action] + alpha * (reward + gamma * next_value)
                 if not isfinite(value):
-                    tables[j].set((state, action, cell[2]), value)  # raises QTable's ValidationError
+                    raise NumericalError(
+                        f"run_ising_game: Q value of agent {j} overflows a float at episode {episode} ({value!r})"
+                    )
                 cell[action] = value
                 if cell[3 + action]:
                     # the first update places the key in the QTable's order

@@ -179,6 +179,12 @@ def test_validate_config_per_subcommand():
     assert cli.validate_config("nope", {}) == ["subcommand: unknown subcommand 'nope'"]
 
 
+def test_anneal_landscape_is_an_unknown_key():
+    # the key took one value, "quadratic"; result.json still names that landscape
+    assert cli.validate_config("anneal", {"sweeps": 3}) == []
+    assert cli.validate_config("anneal", {"sweeps": 3, "landscape": "quadratic"}) == ["landscape: unknown key"]
+
+
 def test_validate_config_cross_checks():
     # ising needs a graph source and steps > burn_in
     assert any(
@@ -423,6 +429,14 @@ def test_ising_beta_energy_overflow_prints_only_the_failure_line(tmp_path, beta,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == message + "\n"
+
+
+def test_marl_q_value_overflow_exits_2(tmp_path, capsys):
+    # it was a validation failure (exit 1) under QTable's name
+    cfg = write_cfg(tmp_path, "m.cfg", "rows = 3\ncols = 3\ncoupling = 1e308\nepisodes = 5\n")
+    assert cli.main(["marl", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: run_ising_game: Q value of agent 2 overflows a float at episode 0 (inf)\n"
 
 
 def test_marl_rising_temperature_exits_1(tmp_path, capsys):

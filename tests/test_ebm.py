@@ -1,9 +1,13 @@
+import decimal
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermolearn.distributions import DiscreteDistribution
 from thermolearn import ebm
@@ -90,11 +94,13 @@ def test_posterior_partition_overflow_is_numerical_error():
 
 def test_log_weight_overflow_is_numerical_error_without_warnings():
     # -beta * E = 1e309 overflows: loss_nll returned nan, and gibbs_posterior raised
-    # ValidationError over NaN probabilities, both after numpy RuntimeWarnings
+    # ValidationError over NaN probabilities, both after numpy RuntimeWarnings.
+    # loss_nll shifts the energies by E_min, so its log-weights stay at most 0
+    # and a loss that fits a float is returned.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match=r"^loss_nll: log-weights overflow a float \(largest inf\)$"):
-            loss_nll([0.0, -1e308], 0, 10.0)
+        assert loss_nll([0.0, -1e308], 0, 10.0) == 1e308
+        assert loss_nll([0.0, -1e308], 1, 10.0) == 0.0
         with pytest.raises(NumericalError, match=r"^gibbs_posterior: log-weights overflow a float \(largest inf\)$"):
             gibbs_posterior([0.0, -1e308], 10.0)
         # an overflow to -inf is a weight of 0
@@ -127,6 +133,46 @@ def test_energy_gap_losses_whose_first_sum_overflows_take_a_second_order():
         assert loss_hinge(1e308, 1e308, 1e308) == 1e308
         assert loss_nll([-1e308, -1e308], 0, 5e-309) == math.log(2.0) / 5e-309
         assert loss_hinge(-1.7e308, 1.7e308, 1.0) == 0.0
+
+
+def test_energy_gap_losses_keep_gaps_that_a_large_energy_would_absorb():
+    # margin + E_correct and E_correct + ln Z / beta round the gap away; the
+    # true losses are 0.5 and log1p(e^-16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert loss_hinge(1e17, 1e17, 0.5) == 0.5
+        assert loss_nll([1e17, 1e17 + 16], 0, 1.0) == pytest.approx(math.log1p(math.exp(-16.0)), rel=1e-9)
+
+
+def _nll_reference(energies, correct, beta):
+    # E_correct - E_min + (1/beta) ln sum exp(-beta (E - E_min)) in 60-digit decimals
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        e = [Decimal(x) for x in energies]
+        b = Decimal(beta)
+        e_min = min(e)
+        z = sum((-b * (x - e_min)).exp() for x in e)
+        return e[correct] - e_min + z.ln() / b
+
+
+_ENERGY = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENERGY, min_size=1, max_size=6), st.integers(0, 5), st.floats(1e-6, 1e6), _ENERGY, _ENERGY,
+       st.floats(0.0, 1e300))
+def test_energy_gap_losses_are_non_negative_and_nll_matches_a_decimal_reference(
+    energies, correct, beta, e_correct, e_incorrect, margin
+):
+    correct %= len(energies)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nll = loss_nll(energies, correct, beta)
+        assert nll >= 0.0
+        assert loss_hinge(e_correct, e_incorrect, margin) >= 0.0
+    # ln Z is in [0, ln n]; its last bits are an error of about 1e-16 / beta
+    ref = _nll_reference(energies, correct, beta)
+    assert abs(Decimal(nll) - ref) <= Decimal(1e-12) * max(ref, 1 / Decimal(beta))
 
 
 def test_energy_gap_losses_near_the_float_range_keep_their_bits():

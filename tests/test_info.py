@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,13 @@ def test_kl_needs_one_support_size():
         kl_divergence([0.5, 0.5], [0.25, 0.25, 0.5])
 
 
+def test_kl_against_the_smallest_float_is_finite():
+    # q / p overflowed to inf after a numpy RuntimeWarning; ln q - ln p does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kl_divergence([1.0, 0.0], [5e-324, 1.0]) == pytest.approx(-math.log(5e-324), rel=1e-15)
+
+
 def test_kl_non_negative_random_pairs():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -200,6 +208,15 @@ def test_mi_cross_formula_agreement():
         h_t = entropy_nats(j.marginal_cols())
         h_xt = entropy_nats(DiscreteDistribution(table.ravel()))
         assert mutual_information(j) == pytest.approx(h_x + h_t - h_xt, abs=1e-10)
+
+
+def test_mi_of_a_cell_at_the_smallest_float_is_finite():
+    # p(x) p(t) underflowed to 0, so the cell's ratio was inf; the true value
+    # is 5e-324 * (-ln 5e-324), a subnormal float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mi = mutual_information([[5e-324, 0.0], [0.0, 1.0]])
+    assert mi == pytest.approx(5e-324 * -math.log(5e-324), abs=5e-323) and mi > 0.0
 
 
 # --- information bottleneck ----------------------------------------------

@@ -76,3 +76,26 @@ def test_ratio_validation():
         approximation_ratio(-1.0, 10.0)
     with pytest.raises(ValidationError):
         approximation_ratio(10.0, 0.0)
+
+
+def _two_route_bound(epsilon, delta, hypothesis_count, k):
+    # the bound as once computed: ln(|H| / delta), and ln|H| - ln delta only
+    # when the quotient overflows
+    try:
+        log_ratio = math.log(hypothesis_count / delta)
+    except OverflowError:
+        log_ratio = math.inf
+    if log_ratio == math.inf:
+        log_ratio = math.log(hypothesis_count) - math.log(delta)
+    return math.ceil(max(0.0, (log_ratio + k) / epsilon))
+
+
+def test_sample_bound_matches_the_two_route_formula_on_a_grid():
+    counts = sorted({*range(1, 101), *(10**j for j in range(40)), *(2**j for j in range(130))})
+    deltas = [1e-6 * 10 ** (j / 4) for j in range(25)] + [0.05, 0.5]
+    epsilons = [j / 10 for j in range(1, 11)] + [0.01, 0.05, 1.0 / 3.0]
+    for h in counts:
+        for delta in deltas:
+            for eps in epsilons:
+                for k in (0.0, 1.0):
+                    assert pac_sample_bound(eps, delta, h, k) == _two_route_bound(eps, delta, h, k), (eps, delta, h, k)

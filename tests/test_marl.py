@@ -446,8 +446,11 @@ def test_game_rejects_empty_bin_range():
 
 
 def test_game_non_finite_q_raises():
+    # valid inputs whose Q values overflow: a numerical failure, as for every
+    # other overflow of valid input (it was QTable's ValidationError)
     env = IsingGameEnv(graph=torus_graph(3, 3), coupling=1e308)
-    with pytest.raises(ValidationError):
+    message = r"^run_ising_game: Q value of agent 0 overflows a float at episode 0 \(inf\)$"
+    with pytest.raises(NumericalError, match=message):
         run_ising_game(env, 5, 5, 1.0, 0.9, lambda k: 1.0, RngStream(9))
 
 
