@@ -18,6 +18,7 @@ The default (False) keeps the literal additive form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .config import _array, _count, _index, _items, _real, _stochastic
 from .distributions import DiscreteDistribution, as_distribution, log_normalize
-from .errors import CapacityError, ConvergenceError, DomainError, ValidationError
+from .errors import CapacityError, ConvergenceError, DomainError, NumericalError, ValidationError
 from .info import kl_divergence
 
 MAX_MF_VARIABLES = 3
@@ -50,10 +51,13 @@ __all__ = [
 
 
 def helmholtz_free_energy(internal_energy: float, temperature: float, entropy: float) -> float:
-    """A = U - T S."""
+    """A = U - T S; an A or a T S beyond the float range raises NumericalError."""
     internal_energy = _real("helmholtz_free_energy: U", internal_energy)
     temperature = _real("helmholtz_free_energy: T", temperature, 0)
-    return internal_energy - temperature * _real("helmholtz_free_energy: S", entropy)
+    free_energy = internal_energy - temperature * _real("helmholtz_free_energy: S", entropy)
+    if not math.isfinite(free_energy):
+        raise NumericalError(f"helmholtz_free_energy: T S or A = U - T S is beyond the float range ({free_energy!r})")
+    return free_energy
 
 
 def variational_free_energy(q, prior, likelihood, evidence_index=None) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .rng import RngStream
 
 MAX_EXACT_UNITS = 20
 _MEMO_ROWS = 4096  # conditional rows a Gibbs chain keeps, so its memory is bounded by the trajectory
+_GIBBS_BLOCK = 256  # Gibbs steps whose uniforms become lanes, and whose rows are written, at a time
 
 __all__ = [
     "ebl_infer",
@@ -281,39 +283,73 @@ def bm_gibbs_sample(
 
     The stationary distribution is the machine's exact joint. ``start``
     defaults to all zeros. Draws, all up front: ``rng.random((steps, n_h))``,
-    then ``rng.random((steps, n_v))``; step t uses row t of each.
+    then ``rng.random((steps, n_v))``; step t uses row t of each, and unit
+    i turns on when its uniform is below its conditional probability.
     """
     steps = _count("bm_gibbs_sample: steps", steps, 1)
     if rng is None:
         raise ValidationError("bm_gibbs_sample: requires an rng")
     n_v, n_h = machine.n_visible, machine.n_hidden
     if start is None:
-        v = np.zeros(n_v, dtype=np.uint8)
+        v = 0
     else:
-        v = _units("bm_gibbs_sample: start.v", start.v, (n_v,))
+        v = _lanes(_units("bm_gibbs_sample: start.v", start.v, (n_v,)).astype(np.uint64) << 63)
         _units("bm_gibbs_sample: start.h", start.h, (n_h,))
-    visible = np.empty((steps, n_v), dtype=np.uint8)
-    hidden = np.empty((steps, n_h), dtype=np.uint8)
     u_h = rng.generator.random((steps, n_h))
     u_v = rng.generator.random((steps, n_v))
-    p_h, p_v = {}, {}
-    for t in range(steps):
-        hidden[t] = u_h[t] < _memo_row(p_h, bm_hidden_activation, machine, v)
-        visible[t] = u_v[t] < _memo_row(p_v, bm_visible_activation, machine, hidden[t])
-        v = visible[t]
-    return GibbsSampleRun(visible, hidden)
+    # A layer's state is one int of 64-bit lanes, bit 63 of lane i set when
+    # unit i is on. A uniform is k 2^-53 for an integer k, so u < p exactly
+    # when k < T = ceil(p 2^53); a memo maps a state to the other layer's
+    # lanes 2^63 - 1 + T, whose difference with the lanes k has bit 63 set
+    # exactly where k < T, and cannot borrow from the next lane.
+    h_flags, v_flags = _lanes(np.full(n_h, 2**63, np.uint64)), _lanes(np.full(n_v, 2**63, np.uint64))
+    h_memo, v_memo = {}, {}
+    hidden = np.empty((steps, n_h), dtype=np.uint8)
+    # row t + 1 holds v_t: a step looks up the bytes of the v it starts from
+    visible = np.empty((steps + 1, n_v), dtype=np.uint8)
+    for first in range(0, steps, _GIBBS_BLOCK):
+        last = min(first + _GIBBS_BLOCK, steps)
+        h_rows, v_rows = [], []
+        for k_h, k_v in zip(_uniform_lanes(u_h[first:last]), _uniform_lanes(u_v[first:last])):
+            thresholds, v_row = h_memo.get(v) or _conditional(h_memo, v, bm_hidden_activation, machine, n_v)
+            h = (thresholds - k_h) & h_flags
+            thresholds, h_row = v_memo.get(h) or _conditional(v_memo, h, bm_visible_activation, machine, n_h)
+            v = (thresholds - k_v) & v_flags
+            h_rows.append(h_row)
+            v_rows.append(v_row)
+        hidden[first:last] = np.frombuffer(b"".join(h_rows), np.uint8).reshape(last - first, n_h)
+        visible[first:last] = np.frombuffer(b"".join(v_rows), np.uint8).reshape(last - first, n_v)
+    visible[steps] = _row(v, n_v)
+    return GibbsSampleRun(visible[1:], hidden)
 
 
-def _memo_row(memo: dict, activation, machine: BoltzmannMachine, row: np.ndarray) -> np.ndarray:
-    # activation(machine, row), looked up by the uint8 row's bytes: a chain
-    # revisits few states, and a state stored is the array a fresh call returns
-    key = row.tobytes()
-    act = memo.get(key)
-    if act is None:
-        act = activation(machine, row)
-        if len(memo) < _MEMO_ROWS:
-            memo[key] = act
-    return act
+def _lanes(values: np.ndarray) -> int:
+    # unsigned 64-bit values as one int, value i in lane i (bits 64i to 64i + 63)
+    return int.from_bytes(values.astype("<u8").tobytes(), "little")
+
+
+def _row(lanes: int, n: int) -> np.ndarray:
+    # the uint8 row of a state held as lanes
+    return (np.frombuffer(lanes.to_bytes(8 * n, "little"), "<u8") >> 63).astype(np.uint8)
+
+
+def _uniform_lanes(u: np.ndarray):
+    # row t of the uniforms u = k 2^-53 as one int of lanes k
+    k = (u * 2.0**53).astype("<u8")
+    return map(int.from_bytes, np.ndarray(len(k), (np.void, 8 * k.shape[1]), k).tolist(), repeat("little"))
+
+
+def _conditional(memo: dict, lanes: int, activation, machine: BoltzmannMachine, n: int):
+    # (the other layer's threshold lanes 2^63 - 1 + T, the state's uint8 row
+    # bytes), kept while the memo holds fewer than _MEMO_ROWS states; a NaN
+    # probability has T = 0, as u < nan is false
+    row = _row(lanes, n)
+    p = activation(machine, row)
+    t = np.ceil(np.where(np.isnan(p), 0.0, p) * 2.0**53).astype(np.uint64)
+    entry = _lanes(t + np.uint64(2**63 - 1)), row.tobytes()
+    if len(memo) < _MEMO_ROWS:
+        memo[lanes] = entry
+    return entry
 
 
 def bm_free_energy(machine: BoltzmannMachine, v) -> float:

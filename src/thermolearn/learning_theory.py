@@ -31,8 +31,11 @@ def approximation_ratio(cost: float, optimal_cost: float) -> float:
     """Performance ratio max(C/C*, C*/C) of a solution against the optimum.
 
     Symmetric in its arguments and always >= 1; both costs must be
-    strictly positive.
+    strictly positive. A ratio above the float range raises NumericalError.
     """
     cost = _real("approximation_ratio: cost", cost, 0, ends="(]")
     optimal_cost = _real("approximation_ratio: optimal_cost", optimal_cost, 0, ends="(]")
-    return max(cost / optimal_cost, optimal_cost / cost)
+    ratio = max(cost / optimal_cost, optimal_cost / cost)
+    if ratio == math.inf:
+        raise NumericalError(f"approximation_ratio: ratio {ratio!r} is beyond the float range")
+    return ratio

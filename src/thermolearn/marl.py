@@ -248,9 +248,11 @@ def run_ising_game(
     state = 0
 
     # With two actions the mean-action bin depends only on the number of up
-    # neighbours, so cells[j][up] is agent j's Q row at that bin: [Q(action
+    # neighbours, so cells[j][up] pairs agent j's Q row at that bin, [Q(action
     # 0), Q(action 1), bin, action 0 not yet updated, action 1 not yet
-    # updated]. Counts in the same bin share one row, as they share QTable keys.
+    # updated], with the reward of spin +1 at that count, coupling times the
+    # neighbours' spin sum (up of them +1, the rest -1). Counts in the same
+    # bin share one row, as they share QTable keys.
     tables = [QTable() for _ in range(n)]
     cells = []
     for row in neighbor_lists:
@@ -259,12 +261,12 @@ def run_ising_game(
         cell_row = []
         for up in range(len(row) + 1):
             mean_bin = discretize_mean([1.0 - up * inv_deg, up * inv_deg], n_bins)
-            cell_row.append(rows_by_bin.setdefault(mean_bin, [0.0, 0.0, mean_bin, True, True]))
+            cell = rows_by_bin.setdefault(mean_bin, [0.0, 0.0, mean_bin, True, True])
+            cell_row.append((cell, coupling * (2 * up - len(row))))
         cells.append(cell_row)
 
     spins = [int(s) for s in (rng.generator.integers(0, 2, n) * 2 - 1)]
     up_counts = [sum(spins[k] > 0 for k in row) for row in neighbor_lists]
-    degrees = [len(row) for row in neighbor_lists]
     mags = np.empty(episodes)
 
     exp, isfinite = math.exp, math.isfinite
@@ -274,23 +276,23 @@ def run_ising_game(
         inv_t = 1.0 / temperature
         for u_row in rng.generator.random((steps_per_episode, n)).tolist():
             for j, u in enumerate(u_row):
-                up = up_counts[j]
-                cell = cells[j][up]
+                cell, up_reward = cells[j][up_counts[j]]
                 q0, q1 = cell[0], cell[1]
-                # softmax over the two actions at the current temperature
+                # softmax over the two actions at the current temperature; the
+                # larger weight is exp(0) = 1
                 z0, z1 = q0 * inv_t, q1 * inv_t
-                m = z0 if z0 > z1 else z1
-                w0 = exp(z0 - m)
-                w1 = exp(z1 - m)
-                p0 = w0 / (w0 + w1)
+                if z0 > z1:
+                    p0 = 1.0 / (1.0 + exp(z1 - z0))
+                else:
+                    w0 = exp(z0 - z1)
+                    p0 = w0 / (w0 + 1.0)
                 action = 0 if u < p0 else 1
                 spin = 2 * action - 1
                 if spin != spins[j]:
                     spins[j] = spin
                     for k in neighbor_lists[j]:
                         up_counts[k] += spin
-                # the neighbours' spin sum: up of them +1, the rest -1
-                reward = spin * coupling * (2 * up - degrees[j])
+                reward = up_reward if action else -up_reward
                 next_value = p0 * q0 + (1.0 - p0) * q1
                 # mf_q_update with a same-key bootstrap value
                 value = keep * cell[action] + alpha * (reward + gamma * next_value)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import _array, _count, _problem, _real
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .rng import RngStream
 
 __all__ = [
@@ -37,7 +37,8 @@ def importance_estimate(h_values, p_densities, q_densities) -> float:
 
     Returns (1/N) sum h(x_i) p(x_i)/q(x_i). All q densities must be
     strictly positive; when p and q coincide this reduces bit-exactly to
-    the plain Monte Carlo mean of h.
+    the plain Monte Carlo mean of h. A ratio p/q, a term or the sum beyond
+    the float range raises NumericalError.
     """
     h = _array("importance_estimate: h_values", h_values)
     p = _array("importance_estimate: p_densities", p_densities, h.shape)
@@ -46,7 +47,11 @@ def importance_estimate(h_values, p_densities, q_densities) -> float:
         raise DomainError("importance_estimate: proposal density must be strictly positive at every sample")
     if np.any(p < 0):
         raise DomainError("importance_estimate: target density must be non-negative")
-    return float(np.mean(h * (p / q)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or a nan (0 * inf, inf - inf) is checked below
+        estimate = float(np.mean(h * (p / q)))
+    if not math.isfinite(estimate):
+        raise NumericalError(f"importance_estimate: a ratio p/q, a term or their sum is beyond the float range ({estimate!r})")
+    return estimate
 
 
 @dataclass(frozen=True)

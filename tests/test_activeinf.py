@@ -19,7 +19,7 @@ from thermolearn.activeinf import (
     variational_free_energy,
 )
 from thermolearn.distributions import DiscreteDistribution
-from thermolearn.errors import CapacityError, DomainError, ValidationError
+from thermolearn.errors import CapacityError, DomainError, NumericalError, ValidationError
 
 
 def two_state_model(transition, reward_per_state, prior=(0.5, 0.5)):
@@ -39,6 +39,15 @@ def test_helmholtz_values():
     assert helmholtz_free_energy(10.0, 2.0, 3.0) == pytest.approx(4.0)
     assert helmholtz_free_energy(7.5, 0.0, 100.0) == pytest.approx(7.5)
     assert helmholtz_free_energy(7.5, 3.0, 0.0) == pytest.approx(7.5)
+
+
+def test_helmholtz_beyond_the_float_range_is_numerical_error():
+    message = r"^helmholtz_free_energy: T S or A = U - T S is beyond the float range \(-inf\)$"
+    for args in ((-1e308, 1e308, 1e308), (-1e308, 1.0, 1e308)):
+        with pytest.raises(NumericalError, match=message):
+            helmholtz_free_energy(*args)
+    assert helmholtz_free_energy(-1e308, 0.5, 1e308) == -1e308 - 5e307
+    assert helmholtz_free_energy(1e308, 1e308, 1.0) == 0.0
 
 
 def test_helmholtz_validation():

@@ -1,8 +1,10 @@
 import decimal
 import math
+import sys
 import tracemalloc
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -513,6 +515,45 @@ def test_gibbs_matches_the_per_step_reference_bit_for_bit(n_v, n_h, steps, scale
     assert run.visible.dtype == visible.dtype and run.hidden.dtype == hidden.dtype
     assert np.array_equal(run.visible, visible)
     assert np.array_equal(run.hidden, hidden)
+
+
+@pytest.mark.parametrize("p", [0.0, 5e-324, 2.0**-53, 0.5, 1 - 2.0**-53, 1.0, math.nan])
+def test_threshold_lanes_decide_u_below_p(p):
+    # the lane rule against u < p at k = 0, 1, T - 1, T and 2^53 - 1, where
+    # u = k 2^-53; the other two lanes hold the opposite decision at their
+    # extremes, so a borrow between lanes would show
+    t = 0 if math.isnan(p) else math.ceil(Fraction(p) * 2**53)
+    for k in sorted({k for k in (0, 1, t - 1, t, 2**53 - 1) if 0 <= k < 2**53}):
+        probs = np.array([1.0, p, 0.0])
+        ks = np.array([2**53 - 1, k, 0], dtype=np.uint64)
+        thresholds, _ = ebm._conditional({}, 0, lambda machine, row: probs, None, 0)
+        decided = (thresholds - next(ebm._uniform_lanes(ks[None, :] * 2.0**-53))) & ebm._lanes(np.full(3, 2**63, np.uint64))
+        assert ebm._row(decided, 3).tolist() == [1, int(k * 2.0**-53 < p), 0]
+
+
+@pytest.mark.parametrize("n_v, n_h", [(0, 3), (3, 0), (5, 4)])
+def test_gibbs_keeps_units_with_a_nan_or_saturated_conditional_as_u_below_p_does(monkeypatch, n_v, n_h):
+    # units 0, 1 and 2 of each layer get p = nan, 0 and 1 (off, off, on);
+    # the rest keep the machine's own conditionals
+    def patched(activation):
+        def conditional(machine, row):
+            p = activation(machine, row).copy()
+            p[:3] = [math.nan, 0.0, 1.0][: p.size]
+            return p
+        return conditional
+
+    test_module = sys.modules[__name__]
+    for name in ("bm_hidden_activation", "bm_visible_activation"):
+        monkeypatch.setattr(ebm, name, patched(getattr(ebm, name)))
+        monkeypatch.setattr(test_module, name, getattr(ebm, name))
+    machine = _random_machine(11, n_v, n_h, 0.5)
+    rng, reference_rng = RngStream(4), RngStream(4)
+    run = bm_gibbs_sample(machine, 2000, rng)
+    visible, hidden = _replay_gibbs(machine, 2000, reference_rng)
+    assert np.array_equal(run.visible, visible) and np.array_equal(run.hidden, hidden)
+    assert rng.generator.bit_generator.state == reference_rng.generator.bit_generator.state
+    for layer in (run.visible, run.hidden):
+        assert layer[:, :3].tolist() == [[0, 0, 1][: layer.shape[1]]] * 2000
 
 
 def _gibbs_peak_bytes(machine, steps):

@@ -71,6 +71,14 @@ def test_ratio_never_below_one_for_valid_costs():
     assert approximation_ratio(10.0, 10.000001) >= 0.999999
 
 
+def test_ratio_beyond_the_float_range_is_numerical_error():
+    for costs in ((1e308, 1e-10), (1e-10, 1e308), (5e-324, 1.0)):
+        with pytest.raises(NumericalError, match="^approximation_ratio: ratio inf is beyond the float range$"):
+            approximation_ratio(*costs)
+    assert approximation_ratio(1e308, 1.0) == 1e308
+    assert approximation_ratio(1.0, 2.0**-1023) == 2.0**1023
+
+
 def test_ratio_validation():
     with pytest.raises(ValidationError):
         approximation_ratio(-1.0, 10.0)

@@ -454,6 +454,29 @@ def test_game_non_finite_q_raises():
         run_ising_game(env, 5, 5, 1.0, 0.9, lambda k: 1.0, RngStream(9))
 
 
+
+def test_game_at_a_tiny_temperature_plays_the_greedy_limit():
+    # at T = 1e-308 a Q value above 1.8 makes z = Q / T infinite; the larger
+    # softmax weight is exp(0) = 1, so one infinite z gives the greedy choice
+    # (a max shift made it inf - inf = nan and raised), as at T = 1e-300,
+    # where every z is finite and every untied choice is as greedy
+    env = IsingGameEnv(graph=torus_graph(3, 3), coupling=1.0)
+    tiny = run_ising_game(env, 5, 5, 0.5, 0.9, lambda k: 1e-308, RngStream(0))
+    small = run_ising_game(env, 5, 5, 0.5, 0.9, lambda k: 1e-300, RngStream(0))
+    assert [t.values for t in tiny.q_tables] == [t.values for t in small.q_tables]
+    assert max(abs(q) for t in tiny.q_tables for q in t.values.values()) * 1e308 == math.inf
+    assert np.array_equal(tiny.final_spins, small.final_spins)
+    assert np.array_equal(tiny.trace.column("magnetization"), small.trace.column("magnetization"))
+
+
+def test_game_whose_two_z_overflow_with_one_sign_raises():
+    # 50 episodes at T = 5 leave both Q values of some cell above 1.8, so at
+    # T = 1e-308 both z are +inf and the policy is undefined
+    env = IsingGameEnv(graph=torus_graph(3, 3), coupling=1.0)
+    message = r"^run_ising_game: Q value of agent 3 overflows a float at episode 50 \(nan\)$"
+    with pytest.raises(NumericalError, match=message):
+        run_ising_game(env, 60, 5, 0.5, 0.9, lambda k: 5.0 if k < 50 else 1e-308, RngStream(0))
+
 # --- replay of the dict-keyed game loop ----------------------------------------
 # The game once kept every Q value in QTable dicts keyed by
 # (state, action, mean bin) and called mf_q_update on each agent-step. That

@@ -143,3 +143,10 @@ def test_numpy_draw_streams_match_their_pinned_digests():
         if hashlib.sha256(data).hexdigest() != STREAM_SHA256[method]:
             changed.append(method)
     assert not changed, f"numpy {np.__version__} draws other streams from Generator methods: {', '.join(changed)}"
+
+
+def test_random_uniforms_are_whole_multiples_of_two_to_the_minus_53():
+    # ebm.bm_gibbs_sample reads each uniform u as the integer u 2^53
+    u = RngStream(33).generator.random((1000, 1000))
+    k = u * 2.0**53
+    assert np.all(k == np.floor(k)) and 0.0 <= u.min() and u.max() < 1.0

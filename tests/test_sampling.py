@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from thermolearn.errors import DomainError, ValidationError
+from thermolearn.errors import DomainError, NumericalError, ValidationError
 from thermolearn.rng import RngStream
 from thermolearn.sampling import (
     Bernoulli,
@@ -23,6 +25,22 @@ def test_same_proposal_reduces_to_plain_mean():
     p = np.full(500, 0.3)
     h = x * x
     assert importance_estimate(h, p, p) == pytest.approx(float(np.mean(h)), abs=0.0)
+
+
+@pytest.mark.parametrize("h, p, q, estimate", [
+    ([1.0], [1e300], [1e-300], "inf"),  # p/q overflows: it warned "overflow encountered in divide"
+    ([1e308, 1e308], [1.0, 1.0], [1.0, 1.0], "inf"),  # the sum overflows: it warned "... in reduce"
+    ([1e300], [1e10], [1.0], "inf"),  # a term overflows
+    ([0.0], [1e300], [1e-300], "nan"),  # 0 * inf
+])
+def test_estimate_beyond_the_float_range_is_numerical_error_without_warnings(h, p, q, estimate):
+    message = rf"^importance_estimate: a ratio p/q, a term or their sum is beyond the float range \({estimate}\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            importance_estimate(h, p, q)
+        assert importance_estimate([1e308, 1e308], [0.5, 0.5], [1.0, 1.0]) == 5e307
+        assert importance_estimate([1e308, -1e308], [1.0, 1.0], [1.0, 1.0]) == 0.0
 
 
 def test_discrete_reweighting_hand_value():
