@@ -51,10 +51,20 @@ __all__ = [
 
 
 def helmholtz_free_energy(internal_energy: float, temperature: float, entropy: float) -> float:
-    """A = U - T S; an A or a T S beyond the float range raises NumericalError."""
+    """A = U - T S; an A beyond the float range raises NumericalError.
+
+    When T S alone overflows, A is 2 (U/2 - T (S/2)): halving is exact at
+    such magnitudes, so A is rounded as U - T S would be with a wider
+    exponent range.
+    """
     internal_energy = _real("helmholtz_free_energy: U", internal_energy)
     temperature = _real("helmholtz_free_energy: T", temperature, 0)
-    free_energy = internal_energy - temperature * _real("helmholtz_free_energy: S", entropy)
+    entropy = _real("helmholtz_free_energy: S", entropy)
+    heat = temperature * entropy
+    if math.isfinite(heat):
+        free_energy = internal_energy - heat
+    else:
+        free_energy = 2.0 * (internal_energy / 2.0 - temperature * (entropy / 2.0))
     if not math.isfinite(free_energy):
         raise NumericalError(f"helmholtz_free_energy: T S or A = U - T S is beyond the float range ({free_energy!r})")
     return free_energy

@@ -224,11 +224,6 @@ def _subtract_energies(energies: np.ndarray, spin_of: np.ndarray, graph: Couplin
             energies -= hi * spin_of[i]
 
 
-def _repeat_prefix(a: np.ndarray, bits: int, to_bits: int) -> None:
-    """Copy ``a[: 2^bits]`` over ``a[2^bits : 2^to_bits]`` as many times as it fits."""
-    a[1 << bits : 1 << to_bits].reshape(-1, 1 << bits)[...] = a[: 1 << bits]
-
-
 def _bit_parts(a: np.ndarray, bits):
     """Views of ``a``, one per pattern of the ascending index bits ``bits``
     of its first axis, each with its pattern's spin product (-1 for each
@@ -242,76 +237,145 @@ def _bit_parts(a: np.ndarray, bits):
         yield parts[sum(((slice(None), b) for b in pattern), ())], (-1) ** (len(bits) - sum(pattern))
 
 
-def enumerate_energies(graph: CouplingGraph) -> np.ndarray:
-    """Energies of all 2^N configurations, indexed by ``config_index``.
+def _term_plan(terms, block: np.ndarray, width: int):
+    """Each term as (row, parts, high) for :func:`_subtract_terms` on ``block``,
+    a block of 2^width states. A term's sites below r give its row of 2^r
+    +-w entries, which is broadcast along the block's rows of 2^r states; its
+    sites from r up to width pick ``parts``, views of those rows with their
+    spin product; ``high`` has bit k set for its site width + k. r is the
+    widest at which the rows of all the terms take at most two blocks."""
+    r = width
+    while r and sum(sites[0] < r for sites, _ in terms) << r > 2 << width:
+        r -= 1
+    rows = block.reshape(-1, 1 << r)
+    plan = []
+    for sites, w in terms:
+        row = w
+        if sites[0] < r:
+            row = np.empty(1 << r)
+            for part, sign in _bit_parts(row, [i for i in sites if i < r]):
+                part.fill(w * sign)
+        parts = list(_bit_parts(rows, [i - r for i in sites if r <= i < width]))
+        plan.append((row, parts, sum(1 << (i - width) for i in sites if i >= width)))
+    return plan
+
+
+def _subtract_terms(plan, block_index: int) -> None:
+    """Subtract each planned term from the block whose sites above it are
+    the bits of ``block_index``. Since x - (-y) is x + y bit for bit, the
+    spins of a term's parts and high sites only decide whether a part has
+    the term's row subtracted or added."""
+    for row, parts, high in plan:
+        flip = (high & ~block_index).bit_count() & 1  # an odd number of the high sites are at -1
+        for part, sign in parts:
+            if (sign < 0) != flip:
+                part += row
+            else:
+                part -= row
+
+
+def _energy_blocks(graph: CouplingGraph):
+    """Energies of states [k 2^b, (k + 1) 2^b) for k = 0, 1, ... in turn,
+    with b = min(N, ENUM_BLOCK_BITS), each in the same buffer.
 
     Each state's energy is 0.0 minus the terms ``J_ij s_i s_j`` in graph
     order, then minus ``h_i s_i`` for the nonzero fields in site order, so
-    every state gets the bits :func:`_subtract_energies` gives it.
-    Bit i of a state's index is site i, so before the first term that
-    touches site m every energy depends on the sites below m only, and
-    states [2^m, 2^(m+1)) are a copy of [0, 2^m). The table is filled from
-    such a prefix, doubled by copying whenever a term first reaches a higher
-    site, and each term is applied to the filled prefix only.
+    every state gets the bits :func:`_subtract_energies` gives it. The terms
+    before the first one that reaches site b depend on the sites within a
+    block only, so they make one base that every block starts from. The
+    capacity check and the plans are done at the call, before any block.
     """
     n = graph.n_sites
     if n > MAX_EXACT_SITES:
         raise CapacityError(f"exact enumeration limited to {MAX_EXACT_SITES} sites, got {n}")
+    width = min(n, ENUM_BLOCK_BITS)
     terms = [((i, j), coupling) for i, j, coupling in graph.edges]
     terms += [((i,), hi) for i, hi in enumerate(graph.fields_h.tolist()) if hi != 0.0]
+    lead = next((t for t, (sites, _) in enumerate(terms) if sites[-1] >= width), len(terms))
+    block = np.zeros(1 << width)
+    _subtract_terms(_term_plan(terms[:lead], block, width), 0)
+    base, plan = block.copy(), _term_plan(terms[lead:], block, width)
+
+    def blocks():
+        for k in range(1 << (n - width)):
+            if k:
+                block[...] = base
+            _subtract_terms(plan, k)
+            yield block
+
+    return blocks()
+
+
+def enumerate_energies(graph: CouplingGraph) -> np.ndarray:
+    """Energies of all 2^N configurations, indexed by ``config_index``:
+    the blocks of :func:`_energy_blocks` one after another."""
+    blocks = _energy_blocks(graph)
     # The table gets its own zero-filled mapping, whose pages leave the
     # process when the table is dropped. From malloc, a freed 2^20-entry table
     # stays in the heap, and what runs next piles onto its pages, so peak
     # memory would depend on the calls that came before.
-    energies = np.frombuffer(mmap.mmap(-1, (1 << n) * 8), dtype=float)
-    row = np.empty(1 << min(n, ENUM_BLOCK_BITS))
-    filled = 0  # energies[: 2^filled] hold every term so far, each on sites below filled
-    for sites, w in terms:
-        if filled <= sites[-1]:
-            _repeat_prefix(energies, filled, sites[-1] + 1)
-            filled = sites[-1] + 1
-        # The term's sites below the block bits give the same row of +-w in
-        # every block of 2^width states; a site above them is constant within
-        # a block, and since x - (-y) is x + y bit for bit, its spin only
-        # decides whether the block gets the row subtracted or added.
-        width = min(filled, ENUM_BLOCK_BITS)
-        low = [i for i in sites if i < width]
-        if low:
-            term = row[: 1 << width]
-            for part, sign in _bit_parts(term, low):
-                part.fill(w * sign)
-        else:
-            term = w
-        blocks = energies[: 1 << filled].reshape(-1, 1 << width)
-        for part, sign in _bit_parts(blocks, [i - width for i in sites if i >= width]):
-            if sign > 0:
-                part -= term
-            else:
-                part += term
-    _repeat_prefix(energies, filled, n)
+    energies = np.frombuffer(mmap.mmap(-1, (1 << graph.n_sites) * 8), dtype=float)
+    for table_block, block in zip(energies.reshape(-1, 1 << min(graph.n_sites, ENUM_BLOCK_BITS)), blocks):
+        table_block[...] = block
     return energies
 
 
-class PartitionResult(NamedTuple):
+@dataclass
+class PartitionResult:
+    """Z, and the Gibbs distribution over all 2^N configurations, which is
+    built from :func:`enumerate_energies` on first read, then kept. Unpacks
+    as ``z, gibbs``."""
+
     z: float
-    gibbs: DiscreteDistribution
+    graph: CouplingGraph = field(repr=False)
+    beta: float = field(repr=False)
+
+    @cached_property
+    def gibbs(self) -> DiscreteDistribution:
+        log_w = enumerate_energies(self.graph)
+        log_w *= -self.beta  # partition_exact found no product beyond the float range
+        return DiscreteDistribution(_log_normalize_inplace("partition_exact", log_w)[0])
+
+    def __iter__(self):
+        return iter((self.z, self.gibbs))
 
 
 def partition_exact(graph: CouplingGraph, beta: float) -> PartitionResult:
-    """Exact partition function and Gibbs distribution over all 2^N configs.
+    """Exact partition function over all 2^N configs, and their Gibbs distribution.
 
     Z = sum_s exp(-beta E(s)); probabilities stay finite at low
-    temperature, and a Z or a beta * E beyond the float range raises NumericalError.
+    temperature, and a Z or a beta * E beyond the float range raises
+    NumericalError. Z takes O(2^ENUM_BLOCK_BITS) memory; the Gibbs
+    distribution, read or unpacked, takes the whole table.
     """
     beta = _real("partition_exact: beta", beta, 0)
-    log_w = enumerate_energies(graph)
-    try:
-        with np.errstate(over="raise"):
-            log_w *= -beta
-    except FloatingPointError:  # an infinite log-weight would make the max shift inf - inf
-        raise NumericalError(f"partition_exact: beta * energy overflows a float at beta = {beta!r}") from None
-    probs, log_z = _log_normalize_inplace("partition_exact", log_w)
-    return PartitionResult(partition_value(log_z), DiscreteDistribution(probs))
+    return PartitionResult(partition_value(_log_partition(graph, beta)), graph, beta)
+
+
+def _log_partition(graph: CouplingGraph, beta: float) -> float:
+    """ln Z reduced one block of :func:`_energy_blocks` at a time. Each
+    block's log-weights are shifted by their max m and their exps summed to
+    s, as :func:`log_normalize` does over all of them; the blocks' (m, s)
+    pairs are then combined in block order as one exactly rounded sum of
+    s exp(m - max m). With one block this is the arithmetic of
+    :func:`log_normalize`, bit for bit; with more, the last bits can differ."""
+    maxes, sums = [], []
+    for log_w in _energy_blocks(graph):
+        try:
+            with np.errstate(over="raise"):
+                log_w *= -beta
+        except FloatingPointError:  # an infinite log-weight would make the max shift inf - inf
+            raise NumericalError(f"partition_exact: beta * energy overflows a float at beta = {beta!r}") from None
+        m = float(log_w.max())
+        if not math.isfinite(m):
+            raise NumericalError(f"partition_exact: log-weights overflow a float (largest {m!r})")
+        with np.errstate(over="ignore"):  # log-weights further apart than the float range: a weight of 0
+            log_w -= m
+        np.exp(log_w, out=log_w)
+        maxes.append(m)
+        sums.append(float(log_w.sum()))
+    top = max(maxes)
+    return top + math.log(math.fsum(s * math.exp(m - top) for m, s in zip(maxes, sums)))
 
 
 def boltzmann_entropy(multiplicity: int, k_B: float = 1.0) -> float:
@@ -495,7 +559,13 @@ def metropolis_chain(
 
     adjacency = graph.adjacency()
     fields = [float(h) for h in graph.fields_h]
-    sites_arr = rng.generator.integers(0, n, size=steps)
+    # The sites are drawn CHUNK_ROWS at a time, all before any uniform, into
+    # the smallest unsigned dtype that holds n - 1. A bounded int64 draw keeps
+    # no state outside the bit generator (its spare 32-bit half included),
+    # so the chunks give the values and the stream of one call.
+    sites_arr = np.empty(steps, dtype=np.min_scalar_type(n - 1))
+    for a in range(0, steps, CHUNK_ROWS):
+        sites_arr[a : a + CHUNK_ROWS] = rng.generator.integers(0, n, size=min(CHUNK_ROWS, steps - a))
 
     # Every buffer is sized by the step count, so a chain's memory does not
     # depend on its acceptance rate. A flip at step t puts its dH in

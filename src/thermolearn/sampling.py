@@ -37,8 +37,9 @@ def importance_estimate(h_values, p_densities, q_densities) -> float:
 
     Returns (1/N) sum h(x_i) p(x_i)/q(x_i). All q densities must be
     strictly positive; when p and q coincide this reduces bit-exactly to
-    the plain Monte Carlo mean of h. A ratio p/q, a term or the sum beyond
-    the float range raises NumericalError.
+    the plain Monte Carlo mean of h. A ratio p/q, a term or the mean beyond
+    the float range raises NumericalError; when only the sum of the terms
+    overflows, the mean is taken over the terms scaled by 2^-k, 2^k >= N.
     """
     h = _array("importance_estimate: h_values", h_values)
     p = _array("importance_estimate: p_densities", p_densities, h.shape)
@@ -48,7 +49,11 @@ def importance_estimate(h_values, p_densities, q_densities) -> float:
     if np.any(p < 0):
         raise DomainError("importance_estimate: target density must be non-negative")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or a nan (0 * inf, inf - inf) is checked below
-        estimate = float(np.mean(h * (p / q)))
+        terms = h * (p / q)
+        estimate = float(np.mean(terms))
+        if not math.isfinite(estimate) and np.isfinite(terms).all():  # only the sum overflowed
+            scale = (terms.size - 1).bit_length()
+            estimate = float(np.ldexp(np.mean(np.ldexp(terms, -scale)), scale))
     if not math.isfinite(estimate):
         raise NumericalError(f"importance_estimate: a ratio p/q, a term or their sum is beyond the float range ({estimate!r})")
     return estimate

@@ -50,6 +50,23 @@ def test_helmholtz_beyond_the_float_range_is_numerical_error():
     assert helmholtz_free_energy(1e308, 1e308, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("u, t, s", [(1.7e308, 2.0, 9e307), (-1e307, 3.0, -6e307), (1.7e308, 1.5, 1.7e308)])
+def test_helmholtz_fits_when_only_t_s_overflows(u, t, s):
+    # T S is beyond the float range but A is not; it raised NumericalError. A rounds
+    # T S and then U - T S, as it would with a wider exponent range.
+    from fractions import Fraction
+
+    assert not math.isfinite(t * s)
+    assert helmholtz_free_energy(u, t, s) == float(Fraction(u) - 2 * Fraction(t * (s / 2)))
+    assert helmholtz_free_energy(1.7e308, 2.0, 9e307) == pytest.approx(-1e307, rel=1e-14)
+
+
+@pytest.mark.parametrize("u, t, s, a", [(1e308, 1e300, 1e10, "-inf"), (1.0, 1e308, 1e308, "-inf"), (1.0, 2.0, -1e308, "inf")])
+def test_helmholtz_that_overflows_after_t_s_overflows_still_raises(u, t, s, a):
+    with pytest.raises(NumericalError, match=rf"^helmholtz_free_energy: T S or A = U - T S is beyond the float range \({a}\)$"):
+        helmholtz_free_energy(u, t, s)
+
+
 def test_helmholtz_validation():
     with pytest.raises(ValidationError):
         helmholtz_free_energy(1.0, -0.5, 1.0)

@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -24,8 +25,9 @@ from thermolearn.ising import (
     random_spins,
 )
 from thermolearn import ising
-from thermolearn.distributions import state_bits
+from thermolearn.distributions import _log_normalize_inplace, partition_value, state_bits
 from thermolearn.rng import RngStream
+from thermolearn.trace import CHUNK_ROWS
 
 # frozen by independent enumeration: Z = 2 e^2 + 4 + 2 e^{-2}
 Z_CHAIN3_BETA1 = 19.048782764334526
@@ -599,7 +601,8 @@ def test_enumeration_blocks_match_whole_table():
 
 def test_enumeration_temporaries_do_not_grow_with_the_sites():
     # the table is its own mapping, out of tracemalloc's sight; what remains
-    # is one row of 2^ENUM_BLOCK_BITS floats and a few views
+    # is a block and a base of 2^ENUM_BLOCK_BITS floats, the terms' rows (at
+    # most two blocks together) and a few views
     import tracemalloc
 
     g = _random_graph(ising.MAX_EXACT_SITES, 7)
@@ -612,6 +615,160 @@ def test_enumeration_temporaries_do_not_grow_with_the_sites():
         tracemalloc.stop()
     assert energies.size == 1 << ising.MAX_EXACT_SITES
     assert peak <= 1_000_000, peak
+
+
+def _table_partition(energies, beta):
+    """partition_exact over a whole table of energies at once: the Gibbs
+    probabilities and ln Z from log_normalize, and the same errors."""
+    try:
+        with np.errstate(over="raise"):
+            log_w = energies * -beta
+    except FloatingPointError:
+        raise NumericalError(f"partition_exact: beta * energy overflows a float at beta = {beta!r}") from None
+    return _log_normalize_inplace("partition_exact", log_w)
+
+
+def _rect_torus(rows, cols, gen):
+    edges = {tuple(sorted((r * cols + c, r2 * cols + c2)))
+             for r in range(rows) for c in range(cols) for r2, c2 in ((r, (c + 1) % cols), ((r + 1) % rows, c))}
+    return CouplingGraph(rows * cols, tuple((i, j, float(gen.uniform(-1.0, 1.0))) for i, j in sorted(edges)),
+                         gen.uniform(-0.3, 0.3, rows * cols))
+
+
+def _partition_graphs():
+    """104 graphs of 1 to 20 sites: rings, 4x4 and 4x5 tori, and random graphs
+    with couplings of both signs, each kind with and without fields."""
+    graphs = []
+    gen = np.random.default_rng(5)
+    for n in range(1, 21):
+        graphs.append(chain_graph(n, 0.8, -0.15 if n % 2 else 0.0, periodic=True))
+        for density in (0.15, 0.3):
+            g = _random_graph(n, 100 * n + int(100 * density), density)
+            graphs += [g, CouplingGraph(n, g.edges)]
+    for rows, cols in ((4, 4), (4, 5)):
+        g = _rect_torus(rows, cols, gen)
+        graphs += [g, CouplingGraph(g.n_sites, g.edges)]
+    return graphs
+
+
+# the last two are the beta values whose messages tests/test_cli.py pins
+PARTITION_BETAS = (0.0, 0.1, 0.45, 3.0, 1e308, 4e307)
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except NumericalError as err:
+        return None, str(err)
+
+
+def test_block_log_z_matches_the_whole_table():
+    # one block (up to ENUM_BLOCK_BITS sites) repeats log_normalize's arithmetic;
+    # past it, the blocks' exactly rounded combine may move the last bits
+    differ, worst, past, runs = 0, 0.0, 0, 0
+    for g in _partition_graphs():
+        energies = enumerate_energies(g)
+        for beta in PARTITION_BETAS:
+            ref, ref_err = _outcome(lambda: _table_partition(energies, beta)[1])
+            got, err = _outcome(lambda: ising._log_partition(g, beta))
+            assert err == ref_err, (g.n_sites, beta)
+            if ref is None:
+                continue
+            runs += 1
+            # Z, or the message that it is beyond the float range
+            assert _outcome(lambda: partition_value(got))[1] == _outcome(lambda: partition_value(ref))[1]
+            if g.n_sites <= ising.ENUM_BLOCK_BITS:
+                assert math.copysign(1.0, got) == math.copysign(1.0, ref) and got == ref, (g.n_sites, beta)
+            else:
+                past += 1
+                if got != ref:
+                    differ += 1
+                    worst = max(worst, abs(got - ref) / math.ulp(ref))
+    assert runs > 400
+    # on x86-64 with numpy 2.4, 1 of the 136 runs past one block differs, by 1 ulp
+    assert worst <= 2 and differ <= past // 10, (differ, past, worst)
+
+
+def test_block_log_z_keeps_the_overflow_messages():
+    ring = chain_graph(20, 0.1, 0.0, periodic=True)  # 64 blocks, energies within +-2
+    with pytest.raises(NumericalError, match=r"^partition_exact: beta \* energy overflows a float at beta = 1e\+308$"):
+        partition_exact(ring, 1e308)
+    with pytest.raises(NumericalError, match=r"^partition function exp\(8(\.0+2)?e\+307\) overflows a float$"):
+        partition_exact(ring, 4e307)
+
+
+@pytest.mark.parametrize("n, beta", [(3, 1.0), (14, 0.45), (15, 3.0), (20, 0.1)])
+def test_gibbs_is_built_from_the_table_on_first_read(n, beta):
+    g = _random_graph(n, n)
+    result = partition_exact(g, beta)
+    assert "gibbs" not in vars(result)  # z alone holds no 2^n table
+    probs, _ = _table_partition(enumerate_energies(g), beta)
+    assert result.gibbs.probs.tobytes() == probs.tobytes()
+    assert result.gibbs is result.gibbs  # built once, then kept
+    z, gibbs = result
+    assert z == result.z and gibbs is result.gibbs
+
+
+_RSS_SCRIPT = r"""
+import os, sys, tempfile
+from thermolearn import cli
+
+def peak_kb():
+    # this process's own peak RSS; ru_maxrss would start from the forking test process's
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+def ising(root, n_sites, steps):
+    cfg = os.path.join(root, f"ring{n_sites}.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(f"n_sites = {n_sites}\nperiodic = true\ncoupling = 0.7\nfield = 0.13\nbeta = 0.45\n"
+                 f"steps = {steps}\nburn_in = {steps // 10}\n")
+    assert cli.main(["ising", "--config", cfg, "--out", os.path.join(root, f"out{n_sites}")]) == 0
+
+with tempfile.TemporaryDirectory() as root:
+    ising(root, 3, 2000)  # the warm-up pays the imports and first-call costs
+    before = peak_kb()
+    ising(root, int(sys.argv[1]), 20_000)
+    print(peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak RSS from /proc")
+def test_exact_ising_run_holds_no_table_of_all_states():
+    # the peak-RSS growth of a 20-site run over a 12-site one; a 2^20 table of
+    # energies is 8 MB, and the Gibbs distribution the run never reads would be another
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    growth = {}
+    for n_sites in (12, 20):
+        proc = subprocess.run([sys.executable, "-c", _RSS_SCRIPT, str(n_sites)], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        growth[n_sites] = int(proc.stdout)
+    assert growth[20] - growth[12] < 4096, growth
+
+
+@pytest.mark.parametrize("n, dtype", [(1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_chain_sites_take_the_smallest_unsigned_dtype(n, dtype):
+    res = metropolis_chain(chain_graph(n, h=0.1), 0.5, 300, rng=RngStream(3))
+    assert res.sites.dtype == dtype
+    assert res.sites.min() >= 0 and res.sites.max() == n - 1
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, "3 chunks + 5"])
+@pytest.mark.parametrize("n", [2, 3, 257, 1000])
+def test_chain_sites_in_chunks_are_one_draw(n, extra):
+    steps = 3 * CHUNK_ROWS + 5 if extra == "3 chunks + 5" else CHUNK_ROWS + extra
+    res_rng, ref_rng = RngStream(n), RngStream(n)
+    res = metropolis_chain(chain_graph(n, 0.6, h=0.1), 0.4, steps, rng=res_rng)
+    # the draws in the order of one call each: initial spins, all sites, all uniforms
+    random_spins(n, ref_rng)
+    sites = ref_rng.generator.integers(0, n, size=steps)
+    ref_rng.generator.random(steps)
+    assert np.array_equal(res.sites, sites)
+    assert res_rng.generator.bit_generator.state == ref_rng.generator.bit_generator.state
 
 
 @pytest.mark.parametrize("rows", [1, 8191, 8192, 20_001])

@@ -29,9 +29,9 @@ def test_same_proposal_reduces_to_plain_mean():
 
 @pytest.mark.parametrize("h, p, q, estimate", [
     ([1.0], [1e300], [1e-300], "inf"),  # p/q overflows: it warned "overflow encountered in divide"
-    ([1e308, 1e308], [1.0, 1.0], [1.0, 1.0], "inf"),  # the sum overflows: it warned "... in reduce"
     ([1e300], [1e10], [1.0], "inf"),  # a term overflows
     ([0.0], [1e300], [1e-300], "nan"),  # 0 * inf
+    ([-1e300, 1.0], [1e10, 1.0], [1.0, 1.0], "-inf"),  # a term overflows below the range; the other terms are finite
 ])
 def test_estimate_beyond_the_float_range_is_numerical_error_without_warnings(h, p, q, estimate):
     message = rf"^importance_estimate: a ratio p/q, a term or their sum is beyond the float range \({estimate}\)$"
@@ -41,6 +41,18 @@ def test_estimate_beyond_the_float_range_is_numerical_error_without_warnings(h, 
             importance_estimate(h, p, q)
         assert importance_estimate([1e308, 1e308], [0.5, 0.5], [1.0, 1.0]) == 5e307
         assert importance_estimate([1e308, -1e308], [1.0, 1.0], [1.0, 1.0]) == 0.0
+
+
+@pytest.mark.parametrize("h, p, q, expected", [
+    ([1e308, 1e308], [1.0, 1.0], [1.0, 1.0], 1e308),  # the sum overflows; it raised NumericalError
+    ([1e308] * 5, [1.0] * 5, [1.0] * 5, 1e308),  # scaled by 2^-3 for five terms
+    ([1.5e308, 1.5e308, -1e308], [1.0] * 3, [2.0, 2.0, 1.0], 5e307 / 3),
+])
+def test_estimate_whose_sum_overflows_is_the_mean_of_its_terms(h, p, q, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert importance_estimate(h, p, q) == pytest.approx(expected, rel=1e-15)
+    assert importance_estimate([1e308, 1e308], [1, 1], [1, 1]) == 1e308
 
 
 def test_discrete_reweighting_hand_value():
