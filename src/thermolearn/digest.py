@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from operator import sub
 from typing import List, NamedTuple, Optional, Tuple
@@ -133,6 +134,31 @@ def _gap_energy(observed: Tuple[int, ...], gaps: List[int]) -> float:
     return energy
 
 
+# a table kernel holds at most this many terms; a larger instance is scored by _gap_energy
+_TABLE_CAP = 1 << 14
+
+
+def _table_energy(rows, cuts: List[int]) -> float:
+    # _gap_energy with each term read from its fragment's row: the same operands in the same order
+    gaps = _gaps(cuts)
+    energy = 0.0
+    for row, v in zip(rows, gaps[len(gaps) - len(rows):]):
+        energy += row[v]
+    return energy
+
+
+def _scorer(observed: Tuple[int, ...], a, b):
+    # cuts -> energy against the ascending observed multiset; row j holds (c_j - v)^2 / c_j
+    # for every gap v, and each gap lies inside one fragment of each enzyme, so v <= min(max a, max b)
+    top = min(max(a), max(b))
+    values = set(observed)
+    # more observed fragments than the len(a) + len(b) gaps (no ordering has energy 0) or past the cap
+    if len(observed) > len(a) + len(b) or len(values) * (top + 1) > _TABLE_CAP:
+        return lambda cuts: _gap_energy(observed, _gaps(cuts))
+    table = {c: [(c - v) * (c - v) / c for v in range(top + 1)] for c in values}
+    return partial(_table_energy, [table[c] for c in observed])
+
+
 def double_digest_implied_fragments(
     ordering: DigestOrdering, instance: DoubleDigestInstance
 ) -> Tuple[int, ...]:
@@ -174,13 +200,21 @@ class DigestLandscape(EnergyLandscape):
     maps ``tuple(perm)`` to that side's ascending prefix cuts, and joins
     the two cached lists with one sort, which merges two ascending runs.
     Each cache holds at most ``CUT_CACHE_SIZE`` permutations and is
-    cleared when full. The energy is the same float, bit for bit, as
-    :func:`double_digest_energy` gives. ``EnergyLandscape``'s reentrancy
-    rule still holds: no result depends on what a cache holds, a cached
-    list is never modified, and a dict's get, set and clear are each
-    atomic under the GIL, so walks sharing one landscape stay independent.
-    Threads racing on a full cache may clear it twice or pass the cap by
-    one entry each; neither changes an energy.
+    cleared when full. Each term (c_j - v)^2 / c_j is read from a table
+    built once per landscape: one row per observed fragment length, one
+    entry per gap v from 0 to min(max a, max b), the widest gap two orderings
+    can leave, since each gap lies inside one fragment of each enzyme.
+    An instance whose table would pass ``_TABLE_CAP`` terms (lengths
+    beyond int64 among them), or with more observed fragments than
+    len(a) + len(b), is scored term by term as
+    :func:`double_digest_energy` scores it. Either way the energy is the
+    same float, bit for bit, as :func:`double_digest_energy` gives.
+    ``EnergyLandscape``'s reentrancy rule still holds: the tables are
+    never written after ``__init__``, no result depends on what a cache
+    holds, a cached list is never modified, and a dict's get, set and
+    clear are each atomic under the GIL, so walks sharing one landscape
+    stay independent. Threads racing on a full cache may clear it twice
+    or pass the cap by one entry each; neither changes an energy.
     """
 
     def __init__(self, instance: DoubleDigestInstance):
@@ -188,6 +222,8 @@ class DigestLandscape(EnergyLandscape):
         self._observed = tuple(sorted(instance.c))
         self._sizes = (len(instance.a), len(instance.b))
         self._sides = ((instance.a, 0, {}), (instance.b, None, {}))
+        self._caches = tuple(cache for _, _, cache in self._sides)
+        self._score = _scorer(self._observed, instance.a, instance.b)
 
     def _cuts(self, side: int, perm) -> List[int]:
         fragments, initial, cache = self._sides[side]
@@ -202,7 +238,14 @@ class DigestLandscape(EnergyLandscape):
     def energy(self, state: DigestOrdering) -> float:
         # states come from random_state/apply, so the permutation
         # re-validation in the public entry point is skipped here
-        return _gap_energy(self._observed, _gaps(self._cuts(0, state.sigma) + self._cuts(1, state.mu)))
+        sigma, mu = state
+        cache_a, cache_b = self._caches
+        try:
+            left, right = cache_a.get(sigma), cache_b.get(mu)
+        except TypeError:  # a permutation given as a list
+            left = right = None
+        # a cut list is never empty, so only a miss goes to _cuts
+        return self._score((left or self._cuts(0, sigma)) + (right or self._cuts(1, mu)))
 
     def random_state(self, rng: RngStream) -> DigestOrdering:
         gen = rng.generator
@@ -220,12 +263,15 @@ class DigestLandscape(EnergyLandscape):
 
     def apply(self, state: DigestOrdering, move: Tuple[int, int]) -> DigestOrdering:
         side, k = move
-        perm = list(state[side])
-        if len(perm) > 1:
-            i, j = divmod(k, len(perm) - 1)
+        perm = state[side]
+        n = len(perm)
+        if n > 1:
+            perm = list(perm)
+            i, j = divmod(k, n - 1)
             j += j >= i
             perm[i], perm[j] = perm[j], perm[i]
-        return DigestOrdering(state.sigma, tuple(perm)) if side else DigestOrdering(tuple(perm), state.mu)
+            perm = tuple(perm)
+        return tuple.__new__(DigestOrdering, (state[0], perm) if side else (perm, state[1]))
 
 
 def generate_instance(
@@ -286,12 +332,13 @@ def brute_force_min_energy(
     best_energy = float("inf")
     best_ordering = None
     evaluated = 0
-    # each ordering's prefix cuts, worked out once; the joined list is new, so _gaps may sort it
+    score = _scorer(observed, a, b)
+    # each ordering's prefix cuts, worked out once; the joined list is new, so the scorer may sort it
     mu_options = [(mu, _prefix_cuts(b, mu, None)) for mu in distinct_perms(b)]
     for sigma in distinct_perms(a):
         sigma_cuts = _prefix_cuts(a, sigma, 0)
         for mu, mu_cuts in mu_options:
-            energy = _gap_energy(observed, _gaps(sigma_cuts + mu_cuts))
+            energy = score(sigma_cuts + mu_cuts)
             evaluated += 1
             if energy < best_energy:
                 best_energy = energy

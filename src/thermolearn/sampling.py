@@ -55,7 +55,7 @@ def importance_estimate(h_values, p_densities, q_densities) -> float:
             scale = (terms.size - 1).bit_length()
             estimate = float(np.ldexp(np.mean(np.ldexp(terms, -scale)), scale))
     if not math.isfinite(estimate):
-        raise NumericalError(f"importance_estimate: a ratio p/q, a term or their sum is beyond the float range ({estimate!r})")
+        raise NumericalError(f"importance_estimate: a ratio p/q, a term or the mean is beyond the float range ({estimate!r})")
     return estimate
 
 

@@ -197,6 +197,9 @@ def test_proposal_swaps_exactly_one_permutation():
     state = land.random_state(rng)
     for move in land.moves(rng, 100):
         nxt = land.apply(state, move)
+        # built by tuple.__new__, so check the type and that the other side is passed through
+        assert type(nxt) is DigestOrdering
+        assert nxt[1 - move[0]] is state[1 - move[0]]
         changed_sigma = nxt.sigma != state.sigma
         changed_mu = nxt.mu != state.mu
         assert changed_sigma != changed_mu
@@ -246,12 +249,23 @@ def test_singleton_side_proposal_is_fixed_point():
 # --- cut caches ------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("cache_size", [digest.CUT_CACHE_SIZE, 3])
-def test_cached_energy_matches_free_function_along_walks(monkeypatch, cache_size):
-    # at 3 entries the caches clear every few moves, so evicted and refilled entries are read too
+def _on_tables(land):
+    return getattr(land._score, "func", None) is digest._table_energy
+
+
+@pytest.mark.parametrize(
+    "cache_size, table_cap",
+    [(digest.CUT_CACHE_SIZE, digest._TABLE_CAP), (3, digest._TABLE_CAP), (digest.CUT_CACHE_SIZE, 0)],
+    ids=[str(digest.CUT_CACHE_SIZE), "3", f"{digest.CUT_CACHE_SIZE}-no-tables"],
+)
+def test_cached_energy_matches_free_function_along_walks(monkeypatch, cache_size, table_cap):
+    # at 3 entries the caches clear every few moves, so evicted and refilled entries are read too;
+    # at a table cap of 0 every instance is scored by the reference route
     monkeypatch.setattr(digest, "CUT_CACHE_SIZE", cache_size)
+    monkeypatch.setattr(digest, "_TABLE_CAP", table_cap)
     gen = random.Random(31)
     seen = dict.fromkeys(SHAPES, 0)
+    on_tables = dict.fromkeys(SHAPES, 0)
     for k, inst in enumerate(_instance_cases(gen, 400)):
         land = DigestLandscape(inst)
         rng = RngStream(k)
@@ -262,8 +276,31 @@ def test_cached_energy_matches_free_function_along_walks(monkeypatch, cache_size
             as_lists = DigestOrdering(list(state.sigma), list(state.mu))
             as_numpy = DigestOrdering(*(tuple(np.array(p, dtype=np.int64)) for p in state))
             assert [land.energy(s).hex() for s in (state, as_lists, as_numpy)] == [expected] * 3, (inst, state)
-        _count_shapes(seen, inst, double_digest_implied_fragments(state, inst))
+        implied = double_digest_implied_fragments(state, inst)
+        _count_shapes(seen, inst, implied)
+        if _on_tables(land):
+            _count_shapes(on_tables, inst, implied)
     assert min(seen.values()) >= 50, seen
+    if table_cap:
+        assert on_tables.pop("beyond_int64") == 0 and min(on_tables.values()) >= 1, on_tables
+    else:
+        assert not any(on_tables.values()), on_tables
+
+
+def test_term_tables_are_built_only_below_the_cap():
+    # lengths beyond int64 would need about 10^20 entries per row: no table at all;
+    # the benchmark's size (15 fragments, length 120) holds at most 14 x 121 terms
+    beyond = DoubleDigestInstance((10**20, 3 * 10**20), (2 * 10**20, 2 * 10**20), (10**20, 10**20, 2 * 10**20))
+    peaks = {}
+    for name, inst in (("beyond_int64", beyond), ("benchmark", generate_instance(7, 8, 120, RngStream(5)))):
+        tracemalloc.start()
+        try:
+            land = DigestLandscape(inst)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _on_tables(land) == (name == "benchmark")
+    assert peaks["beyond_int64"] < 8 * 2**10 and peaks["benchmark"] <= 100_000, peaks
 
 
 class _Uncached(DigestLandscape):

@@ -34,7 +34,7 @@ def test_same_proposal_reduces_to_plain_mean():
     ([-1e300, 1.0], [1e10, 1.0], [1.0, 1.0], "-inf"),  # a term overflows below the range; the other terms are finite
 ])
 def test_estimate_beyond_the_float_range_is_numerical_error_without_warnings(h, p, q, estimate):
-    message = rf"^importance_estimate: a ratio p/q, a term or their sum is beyond the float range \({estimate}\)$"
+    message = rf"^importance_estimate: a ratio p/q, a term or the mean is beyond the float range \({estimate}\)$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=message):
