@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 # Every other exported name, by the submodule that defines it.
 _LAZY = {
     "activeinf": (
-        "DiscreteMDP", "FactorizedPosterior", "GenerativeModel", "expected_free_energy", "fe_value_iteration",
-        "helmholtz_free_energy", "mean_field_kl", "mean_field_update", "value_iteration", "variational_free_energy",
+        "DiscreteMDP", "FactorizedPosterior", "GenerativeModel", "fe_value_iteration", "helmholtz_free_energy",
+        "mean_field_kl", "mean_field_update", "value_iteration", "variational_free_energy",
     ),
     "boost": (
         "NoisyThresholdLearner", "WeightedDataset", "boost3", "boost_error_bound", "boost_recursion_depth",
@@ -51,22 +51,21 @@ _LAZY = {
     "distributions": ("DiscreteDistribution", "JointDistribution"),
     "ebm": (
         "BMState", "BoltzmannMachine", "bm_energy", "bm_exact_gradient", "bm_gibbs_sample", "bm_log_likelihood",
-        "bm_partition_exact", "bm_train", "ebl_infer", "gibbs_posterior", "loss_hinge", "loss_nll", "loss_perceptron",
+        "bm_partition_exact", "bm_train", "gibbs_posterior", "loss_nll",
     ),
     "info": (
-        "entropy_gibbs", "entropy_nats", "entropy_shannon", "ib_objective", "info_gain", "kl_divergence",
-        "mutual_information",
+        "entropy_gibbs", "entropy_nats", "entropy_shannon", "ib_objective", "kl_divergence", "mutual_information",
     ),
     "ising": (
         "CouplingGraph", "boltzmann_entropy", "chain_graph", "complete_graph", "estimate_observables", "ising_energy",
-        "metropolis_chain", "metropolis_step", "partition_exact",
+        "metropolis_chain", "partition_exact",
     ),
     "learning_theory": ("approximation_ratio", "pac_sample_bound"),
     "marl": (
-        "IsingGameEnv", "NeighborGraph", "QTable", "boltzmann_policy", "mean_action", "mf_actor_critic_grad",
-        "mf_q_update", "mf_value", "run_ising_game", "torus_graph",
+        "IsingGameEnv", "NeighborGraph", "QTable", "boltzmann_policy", "mf_actor_critic_grad", "mf_q_update", "mf_value",
+        "run_ising_game", "torus_graph",
     ),
-    "sampling": ("Bernoulli", "Exponential", "UniformReal", "clt_standardized_sums", "importance_estimate"),
+    "sampling": ("importance_estimate",),
 }
 # name -> submodule that binds it; a lazy submodule's own name maps to itself
 _SOURCE = {name: module for module, names in _LAZY.items() for name in (module, *names)}

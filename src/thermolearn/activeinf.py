@@ -2,17 +2,17 @@
 
 Covers the thermodynamic free energy A = U - TS, the variational free
 energy of an approximate posterior (a KL divergence to the exact
-posterior), expected free energy of an action sequence under a
-generative model, standard max-form value iteration, a min-form variant
-whose per-step cost is the one-step expected free energy, and mean-field
-coordinate-ascent variational inference over small factorized posteriors.
+posterior), standard max-form value iteration, a min-form variant over a
+generative model whose per-step cost is the one-step expected free
+energy, and mean-field coordinate-ascent variational inference over
+small factorized posteriors.
 
-Sign convention: the expected-free-energy expressions below ADD the
-expected reward to the transition-entropy term and are minimized as
-written, so by default the reward table effectively acts as a cost.
-Every such function takes ``negate_reward``; pass True to flip the
-reward's sign so that larger rewards are preferred under minimization.
-The default (False) keeps the literal additive form.
+Sign convention: the one-step expected free energy ADDS the expected
+reward to the transition-entropy term and is minimized as written, so by
+default the reward table effectively acts as a cost. ``fe_value_iteration``
+takes ``negate_reward``; pass True to flip the reward's sign so that
+larger rewards are preferred under minimization. The default (False)
+keeps the literal additive form.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "helmholtz_free_energy",
     "variational_free_energy",
     "GenerativeModel",
-    "expected_free_energy",
     "DiscreteMDP",
     "mdp_from_json",
     "mdp_to_json",
@@ -50,6 +49,7 @@ __all__ = [
 ]
 
 
+# kept for ROADMAP item 13: F = U - TS from exact counts
 def helmholtz_free_energy(internal_energy: float, temperature: float, entropy: float) -> float:
     """A = U - T S; an A beyond the float range raises NumericalError.
 
@@ -70,6 +70,7 @@ def helmholtz_free_energy(internal_energy: float, temperature: float, entropy: f
     return free_energy
 
 
+# kept for ROADMAP item 7: the mean-field gap F_q - F = KL(q || p)
 def variational_free_energy(q, prior, likelihood, evidence_index=None) -> float:
     """KL from the approximate posterior q(Z) to the exact posterior P(Z|X).
 
@@ -96,7 +97,7 @@ def variational_free_energy(q, prior, likelihood, evidence_index=None) -> float:
 
 @dataclass(frozen=True)
 class GenerativeModel:
-    """Discrete generative model for roll-outs.
+    """Discrete generative model for free-energy value iteration.
 
     prior: P(s) over n_states. likelihood[s, o] = P(o | s), rows
     stochastic. transition[a, s, s'] = Q(s' | s, a), rows stochastic in
@@ -141,33 +142,6 @@ class GenerativeModel:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(t > 0, t * np.log(t), 0.0)
         return -terms.sum(axis=2)
-
-
-def expected_free_energy(
-    policy: Sequence[int],
-    model: GenerativeModel,
-    start: DiscreteDistribution = None,
-    negate_reward: bool = False,
-) -> float:
-    """Roll out an action sequence and accumulate E[r(o,s) - ln Q(s'|s,a)].
-
-    The expectation at step t is under the propagated state distribution;
-    the -ln term contributes the expected transition entropy. An empty
-    policy scores 0. See the module docstring for ``negate_reward``.
-    """
-    start = model.prior if start is None else as_distribution(start)
-    if len(start) != model.n_states:
-        raise ValidationError("expected_free_energy: start distribution has wrong support size")
-    reward_sign = -1.0 if negate_reward else 1.0
-    r_per_state = model.expected_reward_per_state()
-    entropies = model.transition_entropy()
-    p = start.probs.copy()
-    total = 0.0
-    for action in policy:
-        a = _index("expected_free_energy: action", action, model.n_actions)
-        total += reward_sign * float(p @ r_per_state) + float(p @ entropies[a])
-        p = p @ model.transition[a]
-    return total
 
 
 @dataclass(frozen=True)
@@ -232,23 +206,26 @@ class ValueIterationResult(NamedTuple):
     sup_diffs: Tuple[float, ...]
 
 
-def _iterate_values(q_of_v, n_states: int, tolerance: float, pick) -> ValueIterationResult:
+def _iterate_values(name: str, q_of_v, n_states: int, tolerance: float, pick) -> ValueIterationResult:
     # q_of_v(V) -> (n_states, n_actions) table; pick = max / min reducer
     values = np.zeros(n_states)
     diffs: List[float] = []
-    for iteration in range(1, MAX_SWEEPS + 1):
-        q = q_of_v(values)
-        new_values = pick(q, axis=1)
-        diff = float(np.max(np.abs(new_values - values)))
-        diffs.append(diff)
-        values = new_values
-        if diff < tolerance:
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond the float range raises below
+        for iteration in range(1, MAX_SWEEPS + 1):
             q = q_of_v(values)
-            backed_up = pick(q, axis=1)
-            residual = float(np.max(np.abs(backed_up - values)))
-            argpick = np.argmax if pick is np.max else np.argmin
-            policy = argpick(q, axis=1).astype(int)
-            return ValueIterationResult(values, policy, iteration, residual, tuple(diffs))
+            new_values = pick(q, axis=1)
+            if not np.isfinite(new_values).all():
+                raise NumericalError(f"{name}: values overflow a float at sweep {iteration}")
+            diff = float(np.max(np.abs(new_values - values)))
+            diffs.append(diff)
+            values = new_values
+            if diff < tolerance:
+                q = q_of_v(values)
+                backed_up = pick(q, axis=1)
+                residual = float(np.max(np.abs(backed_up - values)))
+                argpick = np.argmax if pick is np.max else np.argmin
+                policy = argpick(q, axis=1).astype(int)
+                return ValueIterationResult(values, policy, iteration, residual, tuple(diffs))
     raise ConvergenceError(f"value iteration did not reach tolerance {tolerance} in {MAX_SWEEPS} sweeps")
 
 
@@ -265,7 +242,7 @@ def value_iteration(mdp: DiscreteMDP, tolerance: float = 1e-10) -> ValueIteratio
     def q_of_v(values):
         return mdp.reward + mdp.gamma * np.einsum("san,n->sa", mdp.transition, values)
 
-    return _iterate_values(q_of_v, mdp.n_states, tolerance, np.max)
+    return _iterate_values("value_iteration", q_of_v, mdp.n_states, tolerance, np.max)
 
 
 def fe_value_iteration(
@@ -289,7 +266,7 @@ def fe_value_iteration(
     def q_of_v(values):
         return cost + discount * np.einsum("asn,n->sa", model.transition, values)
 
-    return _iterate_values(q_of_v, model.n_states, tolerance, np.min)
+    return _iterate_values("fe_value_iteration", q_of_v, model.n_states, tolerance, np.min)
 
 
 @dataclass(frozen=True)

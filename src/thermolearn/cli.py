@@ -266,10 +266,9 @@ def _run_ising(cfg, rng):
     else:
         graph = ising.chain_graph(cfg["n_sites"], float(cfg["coupling"]), float(cfg["field"]), cfg["periodic"])
     beta = float(cfg["beta"])
-    # The exact enumeration (two 8 MB arrays at 20 sites) is the largest
-    # allocation, so it runs first, on a heap that holds neither the chain's
-    # record and trace nor the trace text. It draws no random numbers, so
-    # the chain's stream is the same either way.
+    # The exact z holds one block of 2^ENUM_BLOCK_BITS energies at a time
+    # (about 0.6 MB traced), never the 2^n table. It draws no random numbers,
+    # so running it before the chain leaves the chain's stream as it is.
     exact = graph.n_sites <= ising.MAX_EXACT_SITES
     z = ising.partition_exact(graph, beta).z if exact else None
     result = ising.metropolis_chain(graph, beta, cfg["steps"], cfg["burn_in"], rng)

@@ -140,14 +140,6 @@ class JointDistribution:
         """Marginal over the column variable (sum over rows)."""
         return DiscreteDistribution(self.table.sum(axis=0))
 
-    @classmethod
-    def from_independent(cls, row: DiscreteDistribution, col: DiscreteDistribution) -> "JointDistribution":
-        return cls(np.outer(row.probs, col.probs))
-
-    @classmethod
-    def diagonal(cls, dist: DiscreteDistribution) -> "JointDistribution":
-        return cls(np.diag(dist.probs))
-
 
 def as_joint(joint) -> JointDistribution:
     if isinstance(joint, JointDistribution):

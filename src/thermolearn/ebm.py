@@ -1,9 +1,8 @@
-"""Energy-based losses over finite label spaces and a bipartite Boltzmann machine.
+"""A Gibbs posterior and loss over finite label spaces, and a bipartite Boltzmann machine.
 
 Label-space side: an energy table assigns one real energy per candidate
-label; inference is the argmin, the Gibbs posterior exponentiates and
-normalizes, and three training losses (perceptron, hinge, negative log
-likelihood) compare the correct label's energy against the competition.
+label; the Gibbs posterior exponentiates and normalizes, and the negative
+log likelihood compares the correct label's energy against the competition.
 
 Machine side: binary {0,1} visible and hidden units with biases a, b and
 cross weights W, energy E(v,h) = -a.v - b.h - v W h, inverse temperature
@@ -32,11 +31,8 @@ _MEMO_ROWS = 4096  # conditional rows a Gibbs chain keeps, so its memory is boun
 _GIBBS_BLOCK = 256  # Gibbs steps whose uniforms become lanes, and whose rows are written, at a time
 
 __all__ = [
-    "ebl_infer",
     "gibbs_posterior",
     "GibbsPosterior",
-    "loss_perceptron",
-    "loss_hinge",
     "loss_nll",
     "BoltzmannMachine",
     "BMState",
@@ -63,16 +59,12 @@ def _logistic(z):
     return np.exp(-np.logaddexp(0.0, -np.asarray(z, dtype=float)))
 
 
-def ebl_infer(energies) -> int:
-    """Index of the minimum-energy label; ties go to the lowest index."""
-    return int(np.argmin(_array("ebl_infer: energies", energies)))
-
-
 class GibbsPosterior(NamedTuple):
     posterior: DiscreteDistribution
     z: float
 
 
+# kept for ROADMAP item 20: Gibbs learning over an enumerated perceptron class
 def gibbs_posterior(energies, beta: float) -> GibbsPosterior:
     """Exponentiate-and-normalize over labels, with the partition value.
 
@@ -88,29 +80,7 @@ def gibbs_posterior(energies, beta: float) -> GibbsPosterior:
     return GibbsPosterior(DiscreteDistribution(probs), partition_value(log_z))
 
 
-def _finite_loss(name: str, loss: float) -> float:
-    """The loss, or NumericalError when it passes the float range."""
-    if not math.isfinite(loss):
-        raise NumericalError(f"{name}: loss overflows a float")
-    return loss
-
-
-def loss_perceptron(energies, correct: int) -> float:
-    """Energy gap between the correct label and the best label; zero iff
-    the correct label attains the minimum."""
-    table = _array("loss_perceptron: energies", energies)
-    e_correct = float(table[_index("loss_perceptron: correct", correct, table.size)])
-    return _finite_loss("loss_perceptron", e_correct - float(table.min()))
-
-
-def loss_hinge(e_correct: float, e_incorrect: float, margin: float) -> float:
-    """max(0, margin + (E_correct - E_incorrect))."""
-    margin = _real("loss_hinge: margin", margin, 0)
-    e_correct = _real("loss_hinge: e_correct", e_correct)
-    e_incorrect = _real("loss_hinge: e_incorrect", e_incorrect)
-    return _finite_loss("loss_hinge", max(0.0, margin + (e_correct - e_incorrect)))
-
-
+# kept for ROADMAP item 19: exact likelihood curves of trained machines
 def loss_nll(energies, correct: int, beta: float) -> float:
     """E_correct + (1/beta) log sum_y exp(-beta E_y).
 
@@ -125,7 +95,10 @@ def loss_nll(energies, correct: int, beta: float) -> float:
     with np.errstate(over="ignore"):  # an overflow to -inf is a weight of 0
         log_w = -beta * (table - e_min)
     log_z = _log_normalize_inplace("loss_nll", log_w)[1]
-    return _finite_loss("loss_nll", float(table[correct]) - e_min + log_z / beta)
+    loss = float(table[correct]) - e_min + log_z / beta
+    if not math.isfinite(loss):
+        raise NumericalError("loss_nll: loss overflows a float")
+    return loss
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Entropy, divergence, and mutual-information measures on finite distributions.
+"""Entropy, divergence, mutual information and the information-bottleneck
+objective on finite distributions.
 
 Everything internal is computed in natural log (nats); base conversion
 happens only at the Shannon-entropy API. The convention 0*log(0) = 0 by
@@ -8,19 +9,17 @@ continuity applies throughout.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Tuple
 
 import numpy as np
 
-from .distributions import DiscreteDistribution, JointDistribution, as_distribution, as_joint
-from .config import _real, _stochastic
+from .distributions import as_distribution, as_joint
+from .config import _real
 from .errors import DomainError, ValidationError
 
 __all__ = [
     "entropy_nats",
     "entropy_shannon",
     "entropy_gibbs",
-    "info_gain",
     "kl_divergence",
     "mutual_information",
     "ib_objective",
@@ -42,24 +41,13 @@ def entropy_shannon(dist, log_base: float = 2.0) -> float:
     return entropy_nats(dist) / math.log(_real("entropy_shannon: log_base", log_base, 1, ends="(]"))
 
 
+# kept for ROADMAP item 13: F = U - TS from exact counts
 def entropy_gibbs(dist, k_B: float = 1.0) -> float:
     """Thermodynamic entropy -k_B sum p_i ln p_i.
 
     For the uniform distribution over Omega states this equals k_B ln Omega.
     """
     return _real("entropy_gibbs: k_B", k_B, 0, ends="(]") * entropy_nats(dist)
-
-
-def info_gain(parent, children: Iterable[Tuple[float, "DiscreteDistribution"]], log_base: float = 2.0) -> float:
-    """Entropy reduction from splitting ``parent`` into weighted children.
-
-    H(parent) - sum_c w_c H(child_c), in bits by default. Child weights
-    must sum to 1.
-    """
-    children = [(w, as_distribution(d)) for w, d in children]
-    weights = _stochastic("info_gain: child weights", [w for w, _ in children]).tolist()
-    split_entropy = sum(w * entropy_shannon(d, log_base) for w, (_, d) in zip(weights, children))
-    return entropy_shannon(parent, log_base) - split_entropy
 
 
 def kl_divergence(q, p) -> float:

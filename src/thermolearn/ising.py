@@ -15,7 +15,7 @@ import math
 import mmap
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -51,8 +51,6 @@ __all__ = [
     "PartitionResult",
     "boltzmann_entropy",
     "acceptance_probability",
-    "metropolis_step",
-    "StepResult",
     "metropolis_chain",
     "ChainResult",
     "estimate_observables",
@@ -204,11 +202,17 @@ def config_from_index(index: int, n_sites: int) -> np.ndarray:
 
 
 def ising_energy(spins, graph: CouplingGraph) -> float:
-    """Total energy of a configuration under the graph's Hamiltonian."""
+    """Total energy of a configuration under the graph's Hamiltonian; an
+    energy beyond the float range raises NumericalError."""
     s = check_spins(spins, graph.n_sites)
-    energy = -math.fsum(graph.fields_h * s)
+    try:
+        energy = -math.fsum(graph.fields_h * s)
+    except OverflowError:  # a partial sum of the field terms passed the float range
+        energy = math.nan
     for i, j, coupling in graph.edges:
         energy -= coupling * float(s[i] * s[j])
+    if not math.isfinite(energy):
+        raise NumericalError("ising_energy: the energy or a partial sum of it is beyond the float range")
     return energy
 
 
@@ -378,6 +382,7 @@ def _log_partition(graph: CouplingGraph, beta: float) -> float:
     return top + math.log(math.fsum(s * math.exp(m - top) for m, s in zip(maxes, sums)))
 
 
+# kept for ROADMAP item 13: F = U - TS from exact counts
 def boltzmann_entropy(multiplicity: int, k_B: float = 1.0) -> float:
     """S = k_B ln(Omega) for a macro-state with the given multiplicity."""
     multiplicity = _count("boltzmann_entropy: multiplicity", multiplicity, 1)
@@ -457,34 +462,6 @@ def _direct_block(sites, uniforms, dh_here, old_here, adjacency, fields, spins, 
             old_here[t] = s
 
 
-class StepResult(NamedTuple):
-    spins: np.ndarray
-    accepted: bool
-    delta_h: float
-
-
-def metropolis_step(spins, graph: CouplingGraph, beta: float, rng: RngStream) -> StepResult:
-    """One Metropolis update with a uniform single-spin-flip proposal.
-
-    Flipping site i costs dH = 2 s_i (sum_j J_ij s_j + h_i). Downhill or
-    flat moves are always taken; uphill moves are taken iff a uniform
-    r in [0, 1) satisfies r < exp(-beta dH). At beta = 0 that check
-    accepts with probability exactly 1. On rejection the input array is
-    returned unchanged; on acceptance a flipped copy is returned.
-    """
-    beta = _real("metropolis_step: beta", beta, 0)
-    s = check_spins(spins, graph.n_sites)
-    site = int(rng.generator.integers(graph.n_sites))
-    adjacency = graph.adjacency()
-    delta_h = 2.0 * float(s[site]) * _local_field(s, adjacency, graph.fields_h, site)
-    # a uniform is drawn for uphill moves only
-    if delta_h <= 0 or rng.generator.random() < acceptance_probability(delta_h, beta):
-        out = s.copy()
-        out[site] = -out[site]
-        return StepResult(out, True, delta_h)
-    return StepResult(s, False, delta_h)
-
-
 @dataclass
 class ChainResult:
     """The per-step trace of a chain plus its flip record: the initial state,
@@ -534,14 +511,15 @@ def metropolis_chain(
     every post-burn-in step. For speed the site indices and acceptance
     uniforms are drawn in blocks (one of each per step, all sites before
     any uniform, after the initial state when it is random), the same
-    stream as one call each; the accept rule per step is identical to
-    :func:`metropolis_step`. Each step looks up its dH and acceptance
-    threshold by the site's and its neighbours' spins, in a table worked
-    out once per chain; a graph too dense for one (``n 2^(max degree + 1)``
-    entries above the steps or ``TABLE_ENTRIES``) sums each local field.
-    The trace's running energy and magnetization are sums of the flips' dH
-    and spin changes; the samples are rebuilt from the proposed sites when
-    first read.
+    stream as one call each; a step is accepted when its uniform is below
+    :func:`acceptance_probability` of its dH. Each step looks up its dH and
+    acceptance threshold by the site's and its neighbours' spins, in a table
+    worked out once per chain; a graph too dense for one (``n 2^(max degree
+    + 1)`` entries above the steps or ``TABLE_ENTRIES``) sums each local
+    field. The trace's running energy and magnetization are sums of the
+    flips' dH and spin changes, and a running energy beyond the float range
+    raises NumericalError; the samples are rebuilt from the proposed sites
+    when first read.
     """
     if rng is None:
         raise ValidationError("metropolis_chain: rng is required for reproducibility")
@@ -591,7 +569,11 @@ def metropolis_chain(
         step_block(sites, uniforms, dh_at[a : a + CHUNK_ROWS], old_at[a : a + CHUNK_ROWS], *state)
     del sites, uniforms, state
 
-    np.cumsum(energy_path, out=energy_path)
+    with np.errstate(over="ignore", invalid="ignore"):  # a running energy beyond the float range raises below
+        np.cumsum(energy_path, out=energy_path)
+        low, high = float(energy_path.min()), float(energy_path.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise NumericalError(f"metropolis_chain: a running energy passes the float range (min {low!r}, max {high!r})")
     # magnetization sums are whole numbers, exact in float64
     mag_path = np.empty(steps + 1)
     mag_path[0] = spins_arr.sum(dtype=np.int64)
@@ -632,21 +614,35 @@ def estimate_observables(samples, graph: CouplingGraph, n_batches: Optional[int]
     m = arr.shape[0]
     energies = np.zeros(m)
     mags = np.empty(m)
-    for start in range(0, m, CHUNK_ROWS):
-        s = arr[start : start + CHUNK_ROWS]
-        _subtract_energies(energies[start : start + CHUNK_ROWS], s.T, graph)
-        mags[start : start + CHUNK_ROWS] = s.mean(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an energy beyond the float range raises below
+        for start in range(0, m, CHUNK_ROWS):
+            s = arr[start : start + CHUNK_ROWS]
+            _subtract_energies(energies[start : start + CHUNK_ROWS], s.T, graph)
+            mags[start : start + CHUNK_ROWS] = s.mean(axis=1)
     return _observables(energies, mags, n_batches)
 
 
 def _observables(energies: np.ndarray, mags: np.ndarray, n_batches: Optional[int] = None) -> Observables:
     """Means of per-sample energies and magnetizations, with standard errors
-    from ``n_batches`` batch means (default: sqrt of the sample count, 1 to 100)."""
+    from ``n_batches`` batch means (default: sqrt of the sample count, 1 to 100).
+
+    The energies' statistics are taken over the energies scaled by 2^-k, then
+    scaled back. k is 0 unless a sum of m energies or a sum of squared
+    deviations of the batch means could pass the float range; a power of two
+    scales a float exactly, so every statistic that fits a float is returned.
+    """
     m = len(energies)
     if n_batches is None:
         n_batches = max(1, min(100, int(math.sqrt(m))))
     n_batches = _count("estimate_observables: n_batches", n_batches, 1)
     per = m // n_batches
+    peak = max(-float(energies.min()), float(energies.max()))
+    if not math.isfinite(peak):
+        raise NumericalError("estimate_observables: an energy is beyond the float range")
+    # |sum| < 2^(e + bits of m); a squared deviation's sum < 2^(2 e + 2 + bits of n_batches)
+    e = math.frexp(peak)[1]
+    k = max(0, e + m.bit_length() - 1023, e - (1021 - n_batches.bit_length()) // 2)
+    scaled = np.ldexp(energies, -k) if k else energies
 
     def batch_se(series):
         if n_batches < 2 or per == 0:
@@ -655,9 +651,9 @@ def _observables(energies: np.ndarray, mags: np.ndarray, n_batches: Optional[int
         return float(means.std(ddof=1) / math.sqrt(n_batches))
 
     return Observables(
-        mean_energy=float(energies.mean()),
+        mean_energy=math.ldexp(float(scaled.mean()), k),
         mean_magnetization=float(mags.mean()),
-        se_energy=batch_se(energies),
+        se_energy=math.ldexp(batch_se(scaled), k),
         se_magnetization=batch_se(mags),
         n_samples=m,
     )

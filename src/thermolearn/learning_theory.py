@@ -10,6 +10,7 @@ from .errors import NumericalError
 __all__ = ["pac_sample_bound", "approximation_ratio"]
 
 
+# kept for ROADMAP item 20: the Occam bound beside PAC-Bayes over an enumerated class
 def pac_sample_bound(epsilon: float, delta: float, hypothesis_count: int, k: float = 0.0) -> int:
     """Samples sufficient to PAC-learn a finite hypothesis class.
 
@@ -27,6 +28,7 @@ def pac_sample_bound(epsilon: float, delta: float, hypothesis_count: int, k: flo
     return math.ceil(max(0.0, bound))
 
 
+# kept for ROADMAP item 24: Lloyd's cost against the enumerated k-means optimum
 def approximation_ratio(cost: float, optimal_cost: float) -> float:
     """Performance ratio max(C/C*, C*/C) of a solution against the optimum.
 

@@ -27,7 +27,6 @@ DEFAULT_MEAN_BINS = 11
 __all__ = [
     "NeighborGraph",
     "torus_graph",
-    "mean_action",
     "discretize_mean",
     "QTable",
     "mf_q_update",
@@ -90,16 +89,6 @@ def torus_graph(rows: int, cols: int) -> NeighborGraph:
             if j != i:
                 edges.add((min(i, j), max(i, j)))
     return NeighborGraph.from_edges(rows * cols, sorted(edges))
-
-
-def mean_action(neighbor_actions: Sequence[int], n_actions: int) -> np.ndarray:
-    """Average of one-hot encodings; a point in the action simplex."""
-    n_actions = _count("mean_action: n_actions", n_actions, 1)
-    actions = list(neighbor_actions)
-    if not actions:
-        raise DomainError("mean_action: empty neighborhood (the average divides by its size)")
-    actions = _array("mean_action: neighbor_actions", actions, (None,), 0, n_actions, "[)", dtype=np.intp)
-    return np.bincount(actions, minlength=n_actions) / actions.size
 
 
 def discretize_mean(mean: np.ndarray, n_bins: int = DEFAULT_MEAN_BINS) -> Tuple[int, ...]:

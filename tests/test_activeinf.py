@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from thermolearn.activeinf import (
     DiscreteMDP,
     FactorizedPosterior,
     GenerativeModel,
-    expected_free_energy,
     fe_value_iteration,
     helmholtz_free_energy,
     mdp_from_json,
@@ -143,44 +143,6 @@ def test_vfe_zero_evidence_rejected():
         variational_free_energy(DiscreteDistribution([0.5, 0.5]), prior, lik)
 
 
-# --- expected free energy ------------------------------------------------------------
-
-
-def test_efe_deterministic_transitions_sum_rewards():
-    # two states, action 0 swaps them deterministically; r(s) = (1, 3)
-    transition = [[[0, 1], [1, 0]]]
-    model = two_state_model(transition, [1.0, 3.0], prior=(1.0, 0.0))
-    # state dist: t0 at s0 (r=1), t1 at s1 (r=3), t2 at s0 (r=1)
-    assert expected_free_energy([0, 0, 0], model) == pytest.approx(1.0 + 3.0 + 1.0)
-
-
-def test_efe_uniform_transition_entropy_term():
-    k = 2
-    transition = [np.full((k, k), 1.0 / k)]
-    model = two_state_model(transition, [0.0, 0.0])
-    assert expected_free_energy([0], model) == pytest.approx(math.log(k))
-
-
-def test_efe_empty_policy_is_zero():
-    model = two_state_model([[[0, 1], [1, 0]]], [1.0, 2.0])
-    assert expected_free_energy([], model) == 0.0
-
-
-def test_efe_negate_reward_flips_reward_term():
-    model = two_state_model([[[0, 1], [1, 0]]], [1.0, 3.0], prior=(1.0, 0.0))
-    plain = expected_free_energy([0, 0], model)
-    flipped = expected_free_energy([0, 0], model, negate_reward=True)
-    assert flipped == pytest.approx(-plain)  # entropy term is 0 here
-
-
-def test_efe_validates_actions_and_start():
-    model = two_state_model([[[0, 1], [1, 0]]], [1.0, 3.0])
-    with pytest.raises(ValidationError):
-        expected_free_energy([1], model)
-    with pytest.raises(ValidationError):
-        expected_free_energy([0], model, start=DiscreteDistribution([1.0, 0.0, 0.0]))
-
-
 # --- value iteration -------------------------------------------------------------------
 
 
@@ -189,6 +151,19 @@ def test_vi_single_state_geometric_series():
     result = value_iteration(mdp, tolerance=1e-12)
     assert result.values[0] == pytest.approx(2.0, abs=1e-9)
     assert result.residual < 1e-12
+
+
+def test_values_beyond_the_float_range_are_numerical_errors():
+    # V_k = 1e308 (2 - 2^(1 - k)) passes the float range at sweep 4: value
+    # iteration ran all its sweeps after numpy warnings, then blamed the tolerance
+    mdp = DiscreteMDP(np.ones((1, 1, 1)), np.array([[1e308]]), gamma=0.5)
+    model = two_state_model([[[1, 0], [0, 1]]], [1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^value_iteration: values overflow a float at sweep 4$"):
+            value_iteration(mdp)
+        with pytest.raises(NumericalError, match=r"^fe_value_iteration: values overflow a float at sweep 4$"):
+            fe_value_iteration(model, discount=0.5)
 
 
 def test_vi_myopic_at_gamma_zero():

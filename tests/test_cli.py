@@ -1,10 +1,12 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +376,9 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         assert f"g.txt:{line}:" in capsys.readouterr().err
 
 
+RING_30 = "n_sites = 30\nperiodic = true\nbeta = 0.5\nsteps = 200\n"
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
     # discount so close to 1 that value iteration stalls out its sweep budget
     mdp = DiscreteMDP(
@@ -399,11 +404,42 @@ def test_numerical_failure_exits_2(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, "big.cfg", "x = [1e308]\ny = [1e308]\n")
     assert cli.main(["conv", "--config", cfg, "--out", str(tmp_path / "big")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    # values that pass the float range, V = 2e308: it ran all 100 000 sweeps
+    # after two numpy warnings, then blamed the tolerance
+    (tmp_path / "big.json").write_text(mdp_to_json(DiscreteMDP(np.ones((1, 1, 1)), np.array([[1e308]]), 0.5)))
+    cfg = write_cfg(tmp_path, "big_v.cfg", f'mdp = "{tmp_path / "big.json"}"\n')
+    assert cli.main(["activeinf", "--config", cfg, "--out", str(tmp_path / "big_v")]) == 2
+    assert capsys.readouterr().err == "numerical failure: value_iteration: values overflow a float at sweep 4\n"
+    # a start state's energy beyond the float range: it exited 0 with a NaN mean
+    # energy after a numpy warning, and the field's sum raised OverflowError
+    for name, key in (("j", "coupling"), ("h", "field")):
+        cfg = write_cfg(tmp_path, f"{name}.cfg", RING_30 + f"{key} = 1e308\n")
+        assert cli.main(["ising", "--config", cfg, "--out", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: ising_energy: the energy or a partial sum of it is beyond the float range\n"
+        )
     # the route gate catches a NaN difference, which compares false with any bound
     cfg = write_cfg(tmp_path, "c.cfg", "x = [1.0, 2.0]\ny = [1.0]\n")
     monkeypatch.setattr(thermolearn.convolution, "conv_naive", lambda x, y: np.full(2, np.nan))
     assert cli.main(["conv", "--config", cfg, "--out", str(tmp_path / "nan")]) == 2
     assert "disagree by nan" in capsys.readouterr().err
+
+
+def test_ising_energy_statistics_near_the_float_range_are_finite(tmp_path):
+    # the batch means' squared deviations overflowed: se_energy was Infinity after a numpy warning
+    cfg = write_cfg(tmp_path, "j.cfg", RING_30 + "coupling = 1e300\n")
+    out = tmp_path / "run"
+    assert cli.main(["ising", "--config", cfg, "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    with open(out / "trace.csv", newline="") as fh:
+        energies = [Fraction(float(row["energy"])) for row in csv.DictReader(fh)]
+    per = 200 // 14  # the default 14 batches of int(sqrt(200))
+    means = [sum(energies[b * per : (b + 1) * per]) / per for b in range(14)]
+    variance = sum((x - sum(means) / 14) ** 2 for x in means) / 13 / 14
+    assert result["mean_energy"] == pytest.approx(float(sum(energies) / 200), rel=1e-15)
+    # scaled by 2^-1996 so that the square root's argument fits a float
+    assert result["se_energy"] == pytest.approx(math.sqrt(variance / 2**1996) * 2**998, rel=1e-12)
+    assert result["se_energy"] > 1e299
 
 
 def test_conv_overflow_prints_only_the_failure_line(tmp_path):

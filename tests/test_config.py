@@ -15,7 +15,6 @@ from thermolearn.activeinf import (
     DiscreteMDP,
     FactorizedPosterior,
     GenerativeModel,
-    expected_free_energy,
     mean_field_kl,
     mean_field_update,
     value_iteration,
@@ -32,13 +31,11 @@ from thermolearn.ebm import (
     bm_free_energy,
     bm_state_from_index,
     bm_train,
-    ebl_infer,
     gibbs_posterior,
-    loss_hinge,
-    loss_perceptron,
+    loss_nll,
 )
 from thermolearn.errors import ThermolearnError, ValidationError
-from thermolearn.info import entropy_shannon, ib_objective, info_gain
+from thermolearn.info import entropy_gibbs, entropy_shannon, ib_objective
 from thermolearn.ising import (
     CouplingGraph,
     boltzmann_entropy,
@@ -58,14 +55,14 @@ from thermolearn.marl import (
     QTable,
     boltzmann_policy,
     discretize_mean,
-    mean_action,
     mf_actor_critic_grad,
     mf_q_update,
+    mf_value,
     run_ising_game,
     torus_graph,
 )
 from thermolearn.rng import RngStream, as_stream
-from thermolearn.sampling import Bernoulli, Exponential, clt_standardized_sums, importance_estimate
+from thermolearn.sampling import importance_estimate
 from thermolearn.trace import Trace
 
 INF, NAN = math.inf, math.nan
@@ -124,7 +121,9 @@ def test_count_rule_keeps_integers_exact():
 
 # --- every input the rule tightened ------------------------------------------------
 # Each raised TypeError, was accepted or was rejected under another name
-# before the library's scalar checks went through config's rule.
+# before the library's scalar checks went through config's rule. A row marked
+# "kept" checks a kept function in the slot of a row whose function was
+# deleted, so that every other row keeps its id.
 
 RING = chain_graph(3)
 GAME = IsingGameEnv(torus_graph(2, 2))
@@ -146,13 +145,13 @@ TIGHTENED = [
     ("steps_per_episode", lambda: _game(steps_per_episode=3.0)),
     ("alpha", lambda: _game(alpha="x")),
     ("sweeps", lambda: mean_field_update(FactorizedPosterior.uniform((2,)), np.zeros(2), sweeps=2.5)),
-    ("n", lambda: clt_standardized_sums(Bernoulli(0.5), 2.5, 10, RngStream(0))),
-    ("n_actions", lambda: mean_action([0, 1], 2.0)),
+    ("n", lambda: DiscreteDistribution.uniform(2.5)),  # kept
+    ("n_agents", lambda: NeighborGraph.from_edges(2.5, [])),  # kept
     ("n_a", lambda: generate_instance(2.5, 2, 10, RngStream(0))),
     ("beta", lambda: metropolis_chain(RING, "0.5", 10, 0, RngStream(0))),
     ("beta", lambda: partition_exact(RING, None)),
     ("beta", lambda: gibbs_posterior([0.0, 1.0], "1")),
-    ("margin", lambda: loss_hinge(0.0, 1.0, "1")),
+    ("beta", lambda: loss_nll([0.0, 1.0], 0, "1")),  # kept
     # accepted without complaint
     ("n_bins", lambda: discretize_mean([0.5, 0.5], 2.5)),
     ("n_bins", lambda: _game(n_bins=2.5)),
@@ -166,7 +165,7 @@ TIGHTENED = [
     ("log_base", lambda: entropy_shannon([0.5, 0.5], log_base=INF)),
     ("beta", lambda: ib_objective(JOINT, JOINT, NAN)),
     ("tolerance", lambda: value_iteration(MDP, tolerance=INF)),
-    ("rate", lambda: Exponential(INF)),
+    ("k_B", lambda: entropy_gibbs([0.5, 0.5], k_B=INF)),  # kept
     ("learning_rate", lambda: bm_train(BoltzmannMachine.zeros(2, 1), [[1, 0]], learning_rate=-1.0, epochs=1)),
     ("threshold", lambda: NoisyThresholdLearner(NAN, 0.1)),
     # rejected as "BoltzmannMachine: a must be finite" after the first epoch
@@ -235,14 +234,13 @@ def test_stochastic_and_index_rules():
 
 
 # Each raised ValueError, TypeError or IndexError, or was accepted, before the
-# library's array and index checks went through config's rules.
+# library's array and index checks went through config's rules ("kept" rows as above).
 M21 = BoltzmannMachine.zeros(2, 1)
-MODEL = GenerativeModel(DiscreteDistribution([1.0]), [[1.0]], [[[1.0]]], [[0.0]])
 TIGHTENED_ARRAYS = [
     # raised ValueError, TypeError or IndexError
     ("DiscreteDistribution: probs", lambda: DiscreteDistribution(["a"])),
     ("JointDistribution: table", lambda: JointDistribution([["a"]])),
-    ("ebl_infer: energies", lambda: ebl_infer(["a"])),
+    ("loss_nll: energies", lambda: loss_nll(["a"], 0, 1.0)),  # kept
     ("boltzmann_policy: q_row", lambda: boltzmann_policy(["a"], 1.0)),
     ("mf_actor_critic_grad: policy_params", lambda: mf_actor_critic_grad(["a"], 0, 1.0)),
     ("check_spins: spins", lambda: check_spins(["a", "b"], 2)),
@@ -254,10 +252,10 @@ TIGHTENED_ARRAYS = [
     ("GenerativeModel: likelihood", lambda: GenerativeModel(DiscreteDistribution([1.0]), [["a"]], [[[1.0]]], [[0.0]])),
     ("DiscreteMDP: transition", lambda: DiscreteMDP([[["a"]]], [[0.0]], 0.5)),
     ("variational_free_energy: likelihood", lambda: variational_free_energy([1.0], [1.0], ["a"])),
-    ("info_gain: child weights", lambda: info_gain([0.5, 0.5], [("a", [0.5, 0.5])])),
+    ("gibbs_posterior: energies", lambda: gibbs_posterior(["a"], 1.0)),  # kept
     ("mean_field_kl: joint_log_table", lambda: mean_field_kl(FactorizedPosterior.uniform((1,)), ["a"])),
     ("CouplingGraph: fields_h", lambda: CouplingGraph(1, (), ["a"])),
-    ("mean_action: neighbor_actions", lambda: mean_action(["a"], 2)),
+    ("mf_value: q_row", lambda: mf_value(["a"], DiscreteDistribution([1.0]))),  # kept
     ("discretize_mean: mean", lambda: discretize_mean(["a"])),
     ("discretize_mean: mean", lambda: discretize_mean([NAN])),
     ("DiscreteDistribution.point_mass: index", lambda: DiscreteDistribution.point_mass(5, 2)),
@@ -267,7 +265,7 @@ TIGHTENED_ARRAYS = [
     # accepted without complaint
     ("DiscreteDistribution: probs", lambda: DiscreteDistribution([[0.5, 0.5]])),
     ("DiscreteDistribution: probs", lambda: DiscreteDistribution([True])),
-    ("ebl_infer: energies", lambda: ebl_infer([True, False])),
+    ("loss_nll: energies", lambda: loss_nll([True, False], 0, 1.0)),  # kept
     ("conv_naive: x", lambda: conv_naive([True], [1.0])),
     ("fft_radix2: x", lambda: fft_radix2([True, False])),
     ("importance_estimate: h_values", lambda: importance_estimate([NAN], [1.0], [1.0])),  # returned nan
@@ -277,11 +275,11 @@ TIGHTENED_ARRAYS = [
     ("GenerativeModel: likelihood", lambda: GenerativeModel(DiscreteDistribution([1.0]), [[NAN]], [[[1.0]]], [[0.0]])),
     ("GenerativeModel: transition", lambda: GenerativeModel(DiscreteDistribution([1.0]), [[1.0]], [[[NAN]]], [[0.0]])),
     ("DiscreteMDP: transition", lambda: DiscreteMDP([[[NAN]]], [[0.0]], 0.5)),
-    ("info_gain: child weights", lambda: info_gain([0.5, 0.5], [(NAN, [0.5, 0.5])])),  # returned nan
-    ("mean_action: neighbor_actions", lambda: mean_action([0.5], 2)),
+    ("gibbs_posterior: energies", lambda: gibbs_posterior([NAN], 1.0)),  # kept
+    ("mf_value: q_row", lambda: mf_value([NAN], DiscreteDistribution([1.0]))),  # kept
     ("DiscreteDistribution.point_mass: index", lambda: DiscreteDistribution.point_mass(-1, 2)),  # mass on index 1
-    ("expected_free_energy: action", lambda: expected_free_energy([0.5], MODEL)),
-    ("loss_perceptron: correct", lambda: loss_perceptron([0.0, 1.0], 0.5)),
+    ("DiscreteDistribution.point_mass: index", lambda: DiscreteDistribution.point_mass(0.5, 2)),  # kept
+    ("loss_nll: correct", lambda: loss_nll([0.0, 1.0], 0.5, 1.0)),  # kept
     ("variational_free_energy: evidence_index", lambda: variational_free_energy([1.0], [1.0], [[1.0, 0.5]], evidence_index=0.5)),
     ("mf_actor_critic_grad: own_action", lambda: mf_actor_critic_grad([1.0, 2.0], 0.5, 1.0)),
     ("NeighborGraph: a neighbor of agent", lambda: NeighborGraph(((1.5,), (0,)))),

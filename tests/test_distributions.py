@@ -68,6 +68,7 @@ def test_joint_marginals():
     j = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
     np.testing.assert_allclose(j.marginal_rows().probs, [0.5, 0.5])
     np.testing.assert_allclose(j.marginal_cols().probs, [0.5, 0.5])
+    assert as_joint(j) is j and as_joint(j.table).shape == (2, 2)
 
 
 def test_joint_validation():
@@ -75,16 +76,6 @@ def test_joint_validation():
         JointDistribution([[0.5, 0.4]])
     with pytest.raises(ValidationError):
         JointDistribution([[1.2, -0.2]])
-
-
-def test_joint_from_independent_and_diagonal():
-    row = DiscreteDistribution([0.3, 0.7])
-    col = DiscreteDistribution([0.5, 0.5])
-    j = JointDistribution.from_independent(row, col)
-    np.testing.assert_allclose(j.table, [[0.15, 0.15], [0.35, 0.35]])
-    d = JointDistribution.diagonal(row)
-    np.testing.assert_allclose(d.table, [[0.3, 0.0], [0.0, 0.7]])
-    assert as_joint(d.table).shape == (2, 2)
 
 
 # --- normaliser and state enumeration -----------------------------------------

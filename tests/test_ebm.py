@@ -28,13 +28,10 @@ from thermolearn.ebm import (
     bm_train,
     bm_visible_activation,
     dump_visible_data,
-    ebl_infer,
     gibbs_posterior,
     GibbsSampleRun,
     load_visible_data,
-    loss_hinge,
     loss_nll,
-    loss_perceptron,
 )
 from thermolearn.errors import CapacityError, NumericalError, ValidationError
 from thermolearn.rng import RngStream
@@ -43,14 +40,6 @@ SMALL = BoltzmannMachine(a=np.array([0.5]), b=np.array([-0.25]), W=np.array([[1.
 
 
 # --- inference and losses ----------------------------------------------------
-
-
-def test_infer_argmin_with_low_index_ties():
-    assert ebl_infer([0.5]) == 0
-    assert ebl_infer([3.0, 1.0, 2.0]) == 1
-    assert ebl_infer([1.0, 1.0]) == 0
-    with pytest.raises(ValidationError):
-        ebl_infer([])
 
 
 def test_posterior_equal_energies():
@@ -77,7 +66,7 @@ def test_posterior_normalized_and_dual_to_infer():
         energies = rng.normal(size=int(rng.integers(1, 9)))
         post, _ = gibbs_posterior(energies, beta=2.5)
         assert post.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert int(np.argmax(post.probs)) == ebl_infer(energies)
+        assert int(np.argmax(post.probs)) == int(np.argmin(energies))
 
 
 def test_posterior_survives_extreme_energies():
@@ -115,8 +104,6 @@ def test_log_weight_overflow_is_numerical_error_without_warnings():
     "name, loss",
     [
         ("loss_nll", lambda: loss_nll([1.7e308, -1.7e308], 0, 1.0)),
-        ("loss_perceptron", lambda: loss_perceptron([1.7e308, -1.7e308], 0)),
-        ("loss_hinge", lambda: loss_hinge(1.7e308, -1.7e308, 1.0)),
     ],
 )
 def test_energy_gap_loss_beyond_the_float_range_is_numerical_error(name, loss):
@@ -129,20 +116,16 @@ def test_energy_gap_loss_beyond_the_float_range_is_numerical_error(name, loss):
 
 
 def test_energy_gap_losses_whose_first_sum_overflows_take_a_second_order():
-    # margin + E_correct and ln Z / beta pass the float range, and the losses do not
+    # ln Z / beta passes the float range, and the loss does not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert loss_hinge(1e308, 1e308, 1e308) == 1e308
         assert loss_nll([-1e308, -1e308], 0, 5e-309) == math.log(2.0) / 5e-309
-        assert loss_hinge(-1.7e308, 1.7e308, 1.0) == 0.0
 
 
 def test_energy_gap_losses_keep_gaps_that_a_large_energy_would_absorb():
-    # margin + E_correct and E_correct + ln Z / beta round the gap away; the
-    # true losses are 0.5 and log1p(e^-16)
+    # E_correct + ln Z / beta rounds the gap away; the true loss is log1p(e^-16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert loss_hinge(1e17, 1e17, 0.5) == 0.5
         assert loss_nll([1e17, 1e17 + 16], 0, 1.0) == pytest.approx(math.log1p(math.exp(-16.0)), rel=1e-9)
 
 
@@ -161,17 +144,13 @@ _ENERGY = st.floats(-1e300, 1e300)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_ENERGY, min_size=1, max_size=6), st.integers(0, 5), st.floats(1e-6, 1e6), _ENERGY, _ENERGY,
-       st.floats(0.0, 1e300))
-def test_energy_gap_losses_are_non_negative_and_nll_matches_a_decimal_reference(
-    energies, correct, beta, e_correct, e_incorrect, margin
-):
+@given(st.lists(_ENERGY, min_size=1, max_size=6), st.integers(0, 5), st.floats(1e-6, 1e6))
+def test_energy_gap_losses_are_non_negative_and_nll_matches_a_decimal_reference(energies, correct, beta):
     correct %= len(energies)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         nll = loss_nll(energies, correct, beta)
         assert nll >= 0.0
-        assert loss_hinge(e_correct, e_incorrect, margin) >= 0.0
     # ln Z is in [0, ln n]; its last bits are an error of about 1e-16 / beta
     ref = _nll_reference(energies, correct, beta)
     assert abs(Decimal(nll) - ref) <= Decimal(1e-12) * max(ref, 1 / Decimal(beta))
@@ -181,24 +160,6 @@ def test_energy_gap_losses_near_the_float_range_keep_their_bits():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert loss_nll([8e307, -9e307], 0, 1.0) == 8e307 + 9e307
-        assert loss_perceptron([8e307, -9e307], 0) == 8e307 + 9e307
-        assert loss_hinge(8e307, -9e307, 0.0) == 8e307 + 9e307
-
-
-def test_perceptron_loss_values():
-    assert loss_perceptron([2.0, 1.0, 3.0], 1) == 0.0
-    assert loss_perceptron([0.8, 0.3], 0) == pytest.approx(0.5)
-    assert loss_perceptron([0.7], 0) == 0.0
-    with pytest.raises(ValidationError):
-        loss_perceptron([1.0], 2)
-
-
-def test_hinge_loss_values():
-    assert loss_hinge(0.2, 0.5, 1.0) == pytest.approx(0.7)
-    assert loss_hinge(0.2, 2.0, 1.0) == 0.0
-    assert loss_hinge(1.0, 1.0, 0.0) == 0.0
-    with pytest.raises(ValidationError):
-        loss_hinge(0.0, 0.0, -0.5)
 
 
 def test_nll_loss_values():
@@ -220,27 +181,21 @@ def test_nll_posterior_identity():
 
 
 def test_nll_approaches_perceptron_at_low_temperature():
+    # the perceptron loss is the gap E_correct - min E
     energies = [0.0, 1.0]
-    assert loss_nll(energies, 0, beta=50.0) == pytest.approx(
-        loss_perceptron(energies, 0), abs=1e-3
-    )
+    for c in range(2):
+        assert loss_nll(energies, c, beta=50.0) == pytest.approx(energies[c] - min(energies), abs=1e-3)
 
 
 def test_shift_invariance():
     rng = np.random.default_rng(2)
     energies = rng.normal(size=6)
     shifted = energies + 37.5
-    assert ebl_infer(shifted) == ebl_infer(energies)
     p0, _ = gibbs_posterior(energies, 1.3)
     p1, _ = gibbs_posterior(shifted, 1.3)
     assert np.allclose(p0.probs, p1.probs, atol=1e-10)
     for c in range(6):
-        assert loss_perceptron(shifted, c) == pytest.approx(
-            loss_perceptron(energies, c), abs=1e-10
-        )
-    assert loss_hinge(energies[0] + 5, energies[1] + 5, 1.0) == pytest.approx(
-        loss_hinge(energies[0], energies[1], 1.0), abs=1e-10
-    )
+        assert loss_nll(shifted, c, 1.3) == pytest.approx(loss_nll(energies, c, 1.3), abs=1e-10)
 
 
 def test_losses_non_negative():
@@ -248,9 +203,7 @@ def test_losses_non_negative():
     for _ in range(50):
         energies = rng.normal(size=4)
         c = int(rng.integers(0, 4))
-        assert loss_perceptron(energies, c) >= 0.0
         assert loss_nll(energies, c, beta=1.0) >= 0.0
-        assert loss_hinge(energies[0], energies[1], 0.5) >= 0.0
 
 
 # --- Boltzmann machine: structure and energy -----------------------------------

@@ -1,6 +1,8 @@
 import math
 import os
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from thermolearn.ising import (
     ising_energy,
     load_coupling_graph,
     metropolis_chain,
-    metropolis_step,
     partition_exact,
     random_spins,
 )
@@ -166,6 +167,18 @@ def test_field_term_is_exactly_rounded():
     assert math.copysign(1.0, ising_energy(np.array([1, -1]), CouplingGraph(2))) == -1.0
 
 
+def test_energy_beyond_the_float_range_is_numerical_error():
+    # -3e308 on the all-up triangle: it returned -inf, and the field sum raised OverflowError
+    message = r"^ising_energy: the energy or a partial sum of it is beyond the float range$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=message):
+            ising_energy(np.ones(3), complete_graph(3, coupling=1e308))
+        with pytest.raises(NumericalError, match=message):
+            ising_energy(np.ones(2), chain_graph(2, coupling=0.0, h=1e308))
+        assert ising_energy(np.ones(3), complete_graph(3, coupling=5e307)) == -1.5e308
+
+
 def test_enumerate_matches_pointwise_energy():
     g = complete_graph(4, coupling=0.7)
     energies = enumerate_energies(g)
@@ -244,32 +257,6 @@ def test_acceptance_rule():
     assert acceptance_probability(0.0, 2.0) == 1.0
     assert acceptance_probability(4.0, 0.5) == pytest.approx(math.exp(-2.0))
     assert acceptance_probability(4.0, 0.0) == 1.0
-
-
-def test_step_at_beta_zero_always_accepts():
-    g = chain_graph(5)
-    rng = RngStream(0)
-    spins = random_spins(5, rng)
-    for _ in range(50):
-        out = metropolis_step(spins, g, 0.0, rng)
-        assert out.accepted
-        spins = out.spins
-
-
-@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
-def test_step_rejects_bad_beta(beta):
-    with pytest.raises(ValidationError, match="beta"):
-        metropolis_step(np.ones(3, dtype=np.int8), chain_graph(3), beta, RngStream(0))
-
-
-def test_step_preserves_spin_alphabet():
-    g = complete_graph(4)
-    rng = RngStream(1)
-    spins = random_spins(4, rng)
-    for _ in range(200):
-        out = metropolis_step(spins, g, 1.0, rng)
-        spins = out.spins
-        assert set(np.unique(spins)) <= {-1, 1}
 
 
 def test_chain_shapes_and_trace():
@@ -412,6 +399,16 @@ def test_chain_rejects_a_burn_in_that_is_not_a_non_negative_integer(burn_in):
         metropolis_chain(chain_graph(3), 0.4, 100, burn_in, rng=RngStream(0))
 
 
+def test_chain_whose_running_energy_passes_the_float_range_is_numerical_error():
+    # the start state's energy fits a float, and an ordered ring's -3e308 does not;
+    # the running energies reached -inf without a word
+    g = chain_graph(30, coupling=1e307, periodic=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^metropolis_chain: a running energy passes the float range \(min -inf, max "):
+            metropolis_chain(g, 1.0, 5000, 0, rng=RngStream(0))
+
+
 # --- observable estimation ----------------------------------------------------
 
 
@@ -454,6 +451,41 @@ def test_observables_reject_values_other_than_spins(bad):
     samples[9_000, 1] = bad
     with pytest.raises(ValidationError, match=r"samples must be (-1 or \+1|a 2-D sequence of shape \(n, 3\) of integers in \[-1, 1\])"):
         estimate_observables(samples, chain_graph(3))
+
+
+def _batch_means_reference(series, n_batches):
+    # the mean and the batch-means standard error in exact rational arithmetic
+    values = [Fraction(float(x)) for x in series]
+    per = len(values) // n_batches
+    means = [sum(values[b * per : (b + 1) * per]) / per for b in range(n_batches)]
+    centre = sum(means) / n_batches
+    variance = sum((x - centre) ** 2 for x in means) / (n_batches - 1) / n_batches
+    return sum(values) / len(values), Decimal(variance.numerator).sqrt() / Decimal(variance.denominator).sqrt()
+
+
+def test_energy_statistics_near_the_float_range_are_finite():
+    # energies of about 1e300: the squared deviations of the batch means
+    # overflowed, so se_energy was inf after a numpy warning
+    g = complete_graph(3, coupling=1e300)
+    samples = np.ones((64, 3), dtype=np.int8)
+    samples[::3, 1] = -1
+    samples[::5, 0] = -1
+    energies = [ising_energy(row, g) for row in samples]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        obs = estimate_observables(samples, g, n_batches=8)
+    mean, se = _batch_means_reference(energies, 8)
+    assert obs.mean_energy == pytest.approx(float(mean), rel=1e-15)
+    assert obs.se_energy == pytest.approx(float(se), rel=1e-12) and obs.se_energy > 1e299
+
+
+def test_energies_beyond_the_float_range_are_numerical_errors():
+    # every energy of this triangle but the all-up one fits a float; it warned and returned -inf and nan
+    samples = np.array([[1, -1, 1], [1, 1, 1]], dtype=np.int8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^estimate_observables: an energy is beyond the float range$"):
+            estimate_observables(samples, complete_graph(3, coupling=1e308))
 
 
 # --- vectorised paths against per-step / whole-array references ---------------

@@ -16,7 +16,6 @@ from thermolearn.marl import (
     QTable,
     boltzmann_policy,
     discretize_mean,
-    mean_action,
     mf_actor_critic_grad,
     mf_q_update,
     mf_value,
@@ -98,32 +97,7 @@ def test_torus_pairs_read_off_the_lists_give_its_ising_twin(side):
     assert tuple(tuple(k for k, _ in row) for row in twin.adjacency()) == g.neighbors
 
 
-# --- mean action --------------------------------------------------------------
-
-
-def test_mean_action_hand_value():
-    m = mean_action([1, 0, 1], 2)
-    assert np.allclose(m, [1.0 / 3.0, 2.0 / 3.0])
-
-
-def test_mean_action_unanimous_is_one_hot():
-    m = mean_action([2, 2, 2, 2], 3)
-    assert np.allclose(m, [0.0, 0.0, 1.0])
-
-
-def test_mean_action_empty_neighborhood():
-    with pytest.raises(DomainError):
-        mean_action([], 2)
-
-
-def test_mean_action_simplex_invariant():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        n_actions = int(rng.integers(2, 5))
-        acts = rng.integers(0, n_actions, size=int(rng.integers(1, 9)))
-        m = mean_action(list(acts), n_actions)
-        assert np.all(m >= 0)
-        assert m.sum() == pytest.approx(1.0, abs=1e-12)
+# --- mean-action bins -----------------------------------------------------------
 
 
 def test_discretize_bins():

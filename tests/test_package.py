@@ -1,7 +1,9 @@
 """The package namespace: the names it exports, and the submodules a run loads."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +15,11 @@ import thermolearn
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Every name the package bound when it imported all its subsystems eagerly,
-# by the submodule that defines it.
+# by the submodule that defines it, less the names deleted since.
 EXPORTS = {
     "activeinf": (
-        "DiscreteMDP", "FactorizedPosterior", "GenerativeModel", "expected_free_energy", "fe_value_iteration",
-        "helmholtz_free_energy", "mean_field_kl", "mean_field_update", "value_iteration", "variational_free_energy",
+        "DiscreteMDP", "FactorizedPosterior", "GenerativeModel", "fe_value_iteration", "helmholtz_free_energy",
+        "mean_field_kl", "mean_field_update", "value_iteration", "variational_free_energy",
     ),
     "anneal": ("AnnealResult", "CoolingSchedule", "EnergyLandscape", "anneal", "schedule_temperature"),
     "boost": (
@@ -32,27 +34,26 @@ EXPORTS = {
     "distributions": ("DiscreteDistribution", "JointDistribution"),
     "ebm": (
         "BMState", "BoltzmannMachine", "bm_energy", "bm_exact_gradient", "bm_gibbs_sample", "bm_log_likelihood",
-        "bm_partition_exact", "bm_train", "ebl_infer", "gibbs_posterior", "loss_hinge", "loss_nll", "loss_perceptron",
+        "bm_partition_exact", "bm_train", "gibbs_posterior", "loss_nll",
     ),
     "errors": (
         "CapacityError", "ConvergenceError", "DegenerateSplitError", "DomainError", "NumericalError",
         "ThermolearnError", "ValidationError",
     ),
     "info": (
-        "entropy_gibbs", "entropy_nats", "entropy_shannon", "ib_objective", "info_gain", "kl_divergence",
-        "mutual_information",
+        "entropy_gibbs", "entropy_nats", "entropy_shannon", "ib_objective", "kl_divergence", "mutual_information",
     ),
     "ising": (
         "CouplingGraph", "boltzmann_entropy", "chain_graph", "complete_graph", "estimate_observables", "ising_energy",
-        "metropolis_chain", "metropolis_step", "partition_exact",
+        "metropolis_chain", "partition_exact",
     ),
     "learning_theory": ("approximation_ratio", "pac_sample_bound"),
     "marl": (
-        "IsingGameEnv", "NeighborGraph", "QTable", "boltzmann_policy", "mean_action", "mf_actor_critic_grad",
-        "mf_q_update", "mf_value", "run_ising_game", "torus_graph",
+        "IsingGameEnv", "NeighborGraph", "QTable", "boltzmann_policy", "mf_actor_critic_grad", "mf_q_update", "mf_value",
+        "run_ising_game", "torus_graph",
     ),
     "rng": ("RngStream",),
-    "sampling": ("Bernoulli", "Exponential", "UniformReal", "clt_standardized_sums", "importance_estimate"),
+    "sampling": ("importance_estimate",),
     "trace": ("Trace",),
 }
 # the submodules were bound too, except anneal, whose name is the function
@@ -118,6 +119,26 @@ def test_namespace_keeps_every_name():
     assert not hasattr(thermolearn, "no_such_name")
     with pytest.raises(ImportError):
         exec("from thermolearn import no_such_name", {})
+
+
+def test_every_submodule_exports_the_names_its_all_lists():
+    # a stale __all__ entry breaks the submodule's star import, and a _LAZY
+    # entry that is a string, not a tuple, lists its letters as names
+    modules = [info.name for info in pkgutil.iter_modules(thermolearn.__path__) if info.name != "__main__"]
+    assert set(SUBMODULES) | {"anneal"} <= set(modules)
+    for module in modules:
+        namespace = importlib.import_module(f"thermolearn.{module}")
+        exported = getattr(namespace, "__all__", None)
+        if exported is None:
+            continue
+        assert isinstance(exported, list) and len(set(exported)) == len(exported), module
+        assert [name for name in exported if not hasattr(namespace, name)] == [], module
+        star = {}
+        exec(f"from thermolearn.{module} import *", star)
+        assert set(exported) <= set(star), module
+    for module, names in thermolearn._LAZY.items():
+        namespace = importlib.import_module(f"thermolearn.{module}")
+        assert type(names) is tuple and all(hasattr(namespace, name) for name in names), module
 
 
 def test_lazy_names_load_on_first_use():

@@ -2,18 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from thermolearn.errors import DomainError, NumericalError, ValidationError
 from thermolearn.rng import RngStream
-from thermolearn.sampling import (
-    Bernoulli,
-    Exponential,
-    UniformReal,
-    WeightedSample,
-    clt_standardized_sums,
-    importance_estimate,
-)
+from thermolearn.sampling import importance_estimate
 
 
 # --- importance sampling -------------------------------------------------
@@ -87,84 +79,3 @@ def test_negative_target_rejected():
 def test_length_mismatch_rejected():
     with pytest.raises(ValidationError):
         importance_estimate(np.array([1.0, 2.0]), np.array([0.5]), np.array([0.5]))
-
-
-def test_weighted_sample_validation():
-    ws = WeightedSample(1.5, 2.0)
-    assert ws.weight == 2.0
-    with pytest.raises(ValidationError):
-        WeightedSample(1.5, -0.1)
-
-
-# --- samplers ------------------------------------------------------------
-
-
-def test_bernoulli_moments_and_support():
-    b = Bernoulli(0.3)
-    assert b.mean == pytest.approx(0.3)
-    assert b.variance == pytest.approx(0.21)
-    draws = b.sample(RngStream(1), size=2000)
-    assert set(np.unique(draws)) <= {0.0, 1.0}
-    assert float(np.mean(draws)) == pytest.approx(0.3, abs=0.05)
-
-
-def test_uniform_real_moments():
-    u = UniformReal(2.0, 6.0)
-    assert u.mean == pytest.approx(4.0)
-    assert u.variance == pytest.approx(16.0 / 12.0)
-    draws = u.sample(RngStream(2), size=5000)
-    assert float(np.min(draws)) >= 2.0
-    assert float(np.max(draws)) <= 6.0
-
-
-def test_exponential_moments():
-    e = Exponential(2.0)
-    assert e.mean == pytest.approx(0.5)
-    assert e.variance == pytest.approx(0.25)
-    draws = e.sample(RngStream(3), size=20000)
-    assert float(np.mean(draws)) == pytest.approx(0.5, abs=0.02)
-
-
-def test_sampler_parameter_validation():
-    with pytest.raises(ValidationError):
-        Bernoulli(1.5)
-    with pytest.raises(ValidationError):
-        UniformReal(3.0, 3.0)
-    with pytest.raises(ValidationError):
-        Exponential(0.0)
-
-
-# --- CLT check -----------------------------------------------------------
-
-
-def test_single_summand_bernoulli_is_two_point():
-    vals = clt_standardized_sums(Bernoulli(0.5), n=1, reps=400, rng=RngStream(5))
-    uniq = np.unique(np.round(vals, 12))
-    assert len(uniq) == 2
-    assert np.allclose(sorted(uniq), [-1.0, 1.0])
-
-
-def test_standardized_sums_approach_standard_normal():
-    vals = clt_standardized_sums(Bernoulli(0.5), n=1000, reps=10000, rng=RngStream(6))
-    assert float(np.mean(vals)) == pytest.approx(0.0, abs=0.05)
-    assert float(np.var(vals)) == pytest.approx(1.0, rel=0.05)
-    ks = stats.kstest(vals, "norm")
-    assert ks.statistic < 0.02
-
-
-def test_clt_holds_for_skewed_summands():
-    vals = clt_standardized_sums(Exponential(1.0), n=2000, reps=4000, rng=RngStream(7))
-    ks = stats.kstest(vals, "norm")
-    assert ks.statistic < 0.03
-
-
-def test_degenerate_sampler_rejected():
-    with pytest.raises(DomainError):
-        clt_standardized_sums(Bernoulli(1.0), n=10, reps=10, rng=RngStream(8))
-
-
-def test_clt_rep_and_n_validation():
-    with pytest.raises(ValidationError):
-        clt_standardized_sums(Bernoulli(0.5), n=0, reps=10, rng=RngStream(9))
-    with pytest.raises(ValidationError):
-        clt_standardized_sums(Bernoulli(0.5), n=10, reps=0, rng=RngStream(9))
