@@ -78,6 +78,19 @@ def test_joint_validation():
         JointDistribution([[1.2, -0.2]])
 
 
+def test_joint_from_independent_and_diagonal():
+    row = DiscreteDistribution([0.3, 0.7])
+    col = DiscreteDistribution([0.5, 0.5])
+    j = JointDistribution(np.outer(row.probs, col.probs))
+    np.testing.assert_allclose(j.table, [[0.15, 0.15], [0.35, 0.35]])
+    np.testing.assert_allclose(j.marginal_rows().probs, row.probs)
+    np.testing.assert_allclose(j.marginal_cols().probs, col.probs)
+    d = JointDistribution(np.diag(row.probs))
+    np.testing.assert_allclose(d.marginal_rows().probs, row.probs)
+    np.testing.assert_allclose(d.marginal_cols().probs, row.probs)
+    assert as_joint(d.table).shape == (2, 2)
+
+
 # --- normaliser and state enumeration -----------------------------------------
 
 
