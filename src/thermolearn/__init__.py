@@ -29,7 +29,7 @@ from .trace import Trace
 # submodule's first import, so the import system binds the module here and
 # the function then replaces it; later imports of ``thermolearn.anneal`` find
 # the module loaded and leave the name alone.
-from .anneal import AnnealResult, CoolingSchedule, EnergyLandscape, anneal, schedule_temperature
+from .anneal import AnnealResult, CoolingSchedule, EnergyLandscape, anneal
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ _LAZY = {
     ),
     "boost": (
         "NoisyThresholdLearner", "WeightedDataset", "boost3", "boost_error_bound", "boost_recursion_depth",
-        "boost_recursive", "empirical_risk", "majority_vote", "reweight_d2", "reweight_d3",
+        "boost_recursive", "empirical_risk", "reweight_d2", "reweight_d3",
     ),
     "convolution": ("conv_fft", "conv_naive", "fft_radix2", "ifft_radix2"),
     "digest": (

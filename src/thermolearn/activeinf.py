@@ -8,11 +8,8 @@ energy, and mean-field coordinate-ascent variational inference over
 small factorized posteriors.
 
 Sign convention: the one-step expected free energy ADDS the expected
-reward to the transition-entropy term and is minimized as written, so by
-default the reward table effectively acts as a cost. ``fe_value_iteration``
-takes ``negate_reward``; pass True to flip the reward's sign so that
-larger rewards are preferred under minimization. The default (False)
-keeps the literal additive form.
+reward to the transition-entropy term and is minimized as written, so the
+reward table acts as a cost.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ def variational_free_energy(q, prior, likelihood, evidence_index=None) -> float:
     """KL from the approximate posterior q(Z) to the exact posterior P(Z|X).
 
     ``likelihood`` is either the vector P(x_obs | Z) over hidden states,
-    or, given ``evidence_index``, a (n_states, n_obs) matrix whose column
+    or, given ``evidence_index``, a matrix with one row per state whose column
     at that index is the observed one. The exact posterior is prior * likelihood,
     normalized. Zero iff q equals the exact posterior.
     """
@@ -127,10 +124,6 @@ class GenerativeModel:
     @property
     def n_actions(self) -> int:
         return self.transition.shape[0]
-
-    @property
-    def n_obs(self) -> int:
-        return self.likelihood.shape[1]
 
     def expected_reward_per_state(self) -> np.ndarray:
         """E[r(o, s) | s] = sum_o P(o|s) r(o, s), one value per state."""
@@ -249,19 +242,16 @@ def fe_value_iteration(
     model: GenerativeModel,
     tolerance: float = 1e-10,
     discount: float = 0.9,
-    negate_reward: bool = False,
 ) -> ValueIterationResult:
     """Min-form dynamic programming on one-step expected free energy.
 
     The per-step cost is c(s,a) = E[r(o,s)] + H(Q(.|s,a)) (the -ln term
     in expectation), and V(s) <- min_a [c(s,a) + discount * E V(s')].
     The model carries no discount of its own, so it is a parameter here.
-    See the module docstring for ``negate_reward``.
     """
     tolerance = _real("fe_value_iteration: tolerance", tolerance, 0, ends="(]")
     discount = _real("fe_value_iteration: discount", discount, 0, 1, "[)")
-    reward_sign = -1.0 if negate_reward else 1.0
-    cost = reward_sign * model.expected_reward_per_state()[:, None] + model.transition_entropy().T
+    cost = model.expected_reward_per_state()[:, None] + model.transition_entropy().T
 
     def q_of_v(values):
         return cost + discount * np.einsum("asn,n->sa", model.transition, values)

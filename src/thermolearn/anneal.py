@@ -26,7 +26,6 @@ SCHEDULE_KINDS = ("geometric", "linear", "logarithmic", "constant")
 __all__ = [
     "EnergyLandscape",
     "CoolingSchedule",
-    "schedule_temperature",
     "anneal",
     "AnnealResult",
 ]
@@ -77,19 +76,15 @@ class CoolingSchedule:
             _real("CoolingSchedule: linear floor", self.floor, 0, self.t0, "(]")
 
     def temperature(self, k: int) -> float:
-        return schedule_temperature(self, k)
-
-
-def schedule_temperature(schedule: CoolingSchedule, k: int) -> float:
-    """Temperature at sweep k under the schedule; always > 0."""
-    k = _count("schedule_temperature: k", k, 0)
-    if schedule.kind == "geometric":
-        return schedule.t0 * schedule.parameter**k
-    if schedule.kind == "linear":
-        return max(schedule.t0 - schedule.parameter * k, schedule.floor)
-    if schedule.kind == "logarithmic":
-        return schedule.t0 / math.log(k + 2)
-    return schedule.t0
+        """Temperature at sweep k under the schedule; always > 0."""
+        k = _count("CoolingSchedule.temperature: k", k, 0)
+        if self.kind == "geometric":
+            return self.t0 * self.parameter**k
+        if self.kind == "linear":
+            return max(self.t0 - self.parameter * k, self.floor)
+        if self.kind == "logarithmic":
+            return self.t0 / math.log(k + 2)
+        return self.t0
 
 
 class AnnealResult(NamedTuple):
@@ -120,7 +115,7 @@ def anneal(
     sweeps = _count("anneal: sweeps", sweeps, 1)
     proposals_per_sweep = _count("anneal: proposals_per_sweep", proposals_per_sweep, 1)
     # every sweep's temperature, so a schedule that underflows fails before any draw
-    temps = [_real(f"anneal: T at sweep {k}", schedule_temperature(schedule, k), 0, ends="(]") for k in range(sweeps)]
+    temps = [_real(f"anneal: T at sweep {k}", schedule.temperature(k), 0, ends="(]") for k in range(sweeps)]
     state = problem.random_state(rng) if initial is None else initial
     energy = _real("anneal: initial energy", float(problem.energy(state)))
     best_state, best_energy = state, energy

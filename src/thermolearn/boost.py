@@ -38,7 +38,6 @@ __all__ = [
     "empirical_risk",
     "reweight_d2",
     "reweight_d3",
-    "majority_vote",
     "boost3",
     "Boost3Diagnostics",
     "boost_error_bound",
@@ -241,19 +240,12 @@ def reweight_d3(dataset: WeightedDataset, h1: Hypothesis, h2: Hypothesis) -> Wei
     return _restricted(dataset, h1.predict_many(dataset.xs) != h2.predict_many(dataset.xs))
 
 
-def majority_vote(h1: Hypothesis, h2: Hypothesis, h3: Hypothesis) -> MajorityVoteHypothesis:
-    return MajorityVoteHypothesis(h1, h2, h3)
-
-
 class Boost3Diagnostics(NamedTuple):
     h1_err: float
     h2_err: float
     h3_err: float
     final_err: float
     bound: float
-
-    def to_dict(self) -> dict:
-        return self._asdict()
 
 
 class Boost3Result(NamedTuple):
@@ -298,7 +290,7 @@ def boost3(weak: WeakLearner, dataset: WeightedDataset, rng: RngStream) -> Boost
         final_err=_weight(w, _vote(p1, p2, p3) != ys),
         bound=bound,
     )
-    return Boost3Result(majority_vote(h1, h2, h3), diagnostics)
+    return Boost3Result(MajorityVoteHypothesis(h1, h2, h3), diagnostics)
 
 
 def boost_error_bound(gamma: float) -> float:
@@ -308,9 +300,12 @@ def boost_error_bound(gamma: float) -> float:
     return 3.0 * p * p - 2.0 * p * p * p
 
 
-def boost_recursion_depth(gamma: float, target_epsilon: float, max_depth: int = 64) -> int:
-    """Smallest d such that iterating p -> 3p^2 - 2p^3 d times from
-    p = 1/2 - gamma lands at or below target_epsilon."""
+_MAX_DEPTH = 64
+
+
+def boost_recursion_depth(gamma: float, target_epsilon: float) -> int:
+    """Smallest d <= 64 such that iterating p -> 3p^2 - 2p^3 d times from
+    p = 1/2 - gamma lands at or below target_epsilon, else ConvergenceError."""
     target_epsilon = _real("boost_recursion_depth: target_epsilon", target_epsilon, 0, 0.5, "()")
     error = 0.5 - _real("boost_recursion_depth: gamma", gamma, 0, 0.5)
     depth = 0
@@ -324,7 +319,7 @@ def boost_recursion_depth(gamma: float, target_epsilon: float, max_depth: int = 
             )
         error = next_error
         depth += 1
-        if depth > max_depth:
+        if depth > _MAX_DEPTH:
             raise ConvergenceError("boost_recursion_depth: exceeded max recursion depth")
     return depth
 

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List
 
 import numpy as np
 
-from .anneal import SCHEDULE_KINDS, CoolingSchedule, EnergyLandscape, schedule_temperature
+from .anneal import SCHEDULE_KINDS, CoolingSchedule, EnergyLandscape
 from .anneal import anneal as run_anneal
 from .config import FieldSpec, _problem, _read_text, _within, parse_config_file, resolved, validate_against
 from .errors import NumericalError, ThermolearnError, ValidationError
@@ -166,7 +166,7 @@ def _check_schedule(cfg) -> List[str]:
         problem = str(exc).removeprefix("CoolingSchedule: ")
         return [f"schedule.{'floor' if 'floor' in problem else 'parameter'}: {problem}"]
     last = cfg["sweeps"] - 1
-    if not schedule_temperature(schedule, last) > 0.0:
+    if not schedule.temperature(last) > 0.0:
         key = "schedule.parameter" if cfg["schedule.kind"] == "geometric" else "schedule.t0"
         return [f"{key}: the temperature reaches 0 by the last sweep ({last}); cool more slowly or run fewer sweeps"]
     return []
@@ -210,7 +210,10 @@ def _cooling_ratio(cfg) -> float:
 
 
 def _json_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    try:  # strict JSON: json.dumps would write a NaN or an infinity as a bare word
+        return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+    except ValueError as exc:
+        raise NumericalError(f"a JSON artifact holds a value beyond the float range ({exc})") from None
 
 
 def _trace_bytes(trace: Trace, fmt: str) -> Iterator[bytes]:
@@ -416,7 +419,7 @@ def _run_boost(cfg, rng):
         dataset = boost.WeightedDataset.uniform(xs, ys)
     learner = boost.NoisyThresholdLearner(threshold, float(cfg["gamma"]))
     _, diagnostics = boost.boost3(learner, dataset, rng.substream(2))
-    return diagnostics.to_dict(), {}
+    return diagnostics._asdict(), {}
 
 
 def _run_activeinf(cfg, rng):

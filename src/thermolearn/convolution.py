@@ -76,7 +76,7 @@ def _fft_inplace(a: np.ndarray, roots: np.ndarray, work: np.ndarray) -> None:
 
 def _transform(x, name: str, inverse: bool) -> np.ndarray:
     # validated x as complex128, transformed in place (unscaled); _array returns x's own memory
-    # only as x itself or as a view, and only that is copied
+    # only as x itself or as a view, and only that is copied. A sum beyond the float range raises.
     out = _array(f"{name}: x", x, dtype=np.complex128)
     if out is x or out.base is not None:
         out = out.copy()
@@ -86,7 +86,10 @@ def _transform(x, name: str, inverse: bool) -> np.ndarray:
     roots = _twiddles(out.size, work)
     if inverse:
         np.conjugate(roots, out=roots)
-    _fft_inplace(out, roots, work)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite result
+        _fft_inplace(out, roots, work)
+    if not np.isfinite(out).all():
+        raise NumericalError(f"{name}: result is not finite; the input overflows the float range")
     return out
 
 
@@ -106,8 +109,11 @@ def ifft_radix2(x) -> np.ndarray:
 
 
 def conv_naive(x, y) -> np.ndarray:
-    """Direct linear convolution, length len(x) + len(y) - 1."""
-    return np.convolve(_array("conv_naive: x", x), _array("conv_naive: y", y))
+    """Direct linear convolution, length len(x) + len(y) - 1; NumericalError if it overflows."""
+    out = np.convolve(_array("conv_naive: x", x), _array("conv_naive: y", y))
+    if not np.isfinite(out).all():
+        raise NumericalError("conv_naive: result is not finite; the signals overflow the float range")
+    return out
 
 
 def _peak(v: np.ndarray) -> float:

@@ -10,16 +10,16 @@ means the implied and observed multisets agree exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
 from operator import sub
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from .anneal import EnergyLandscape
-from .config import _array, _content_lines, _count, _items, _real
+from .config import _array, _content_lines, _count, _items
 from .errors import ValidationError
 from .rng import RngStream
 
@@ -47,22 +47,18 @@ def _fragment_tuple(values, name: str) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DoubleDigestInstance:
-    """Observed fragment multisets; all three must sum to the same length."""
+    """Observed fragment multisets, which must all sum to ``total_length``."""
 
     a: Tuple[int, ...]
     b: Tuple[int, ...]
     c: Tuple[int, ...]
-    total_length: Optional[int] = None
+    total_length: int = field(init=False)
 
     def __post_init__(self):
         a = _fragment_tuple(self.a, "a")
         b = _fragment_tuple(self.b, "b")
         c = _fragment_tuple(self.c, "c")
         total = sum(a)
-        if self.total_length is not None:
-            given = _count("DoubleDigestInstance: total_length", self.total_length, 1)
-            if given != total:
-                raise ValidationError(f"DoubleDigestInstance: total_length {given} != sum(a) = {total}")
         if sum(b) != total or sum(c) != total:
             raise ValidationError(
                 f"DoubleDigestInstance: fragment sums disagree: sum(a)={total}, sum(b)={sum(b)}, sum(c)={sum(c)}"
@@ -307,17 +303,13 @@ class BruteForceResult(NamedTuple):
     evaluated: int
 
 
-def brute_force_min_energy(
-    instance: DoubleDigestInstance, stop_at: Optional[float] = None
-) -> BruteForceResult:
-    """Scan all ordering pairs; optionally stop early once energy <= stop_at.
+def brute_force_min_energy(instance: DoubleDigestInstance) -> BruteForceResult:
+    """Scan all ordering pairs, stopping at the first of energy 0, the floor.
 
     Duplicate fragment lengths produce equivalent orderings, so the scan
     enumerates distinct value sequences only.
     """
     _checked_instance("brute_force_min_energy", instance)
-    if stop_at is not None:
-        stop_at = _real("brute_force_min_energy: stop_at", stop_at)
 
     def distinct_perms(values: Tuple[int, ...]):
         seen = set()
@@ -343,7 +335,7 @@ def brute_force_min_energy(
             if energy < best_energy:
                 best_energy = energy
                 best_ordering = DigestOrdering(sigma, mu)
-                if stop_at is not None and best_energy <= stop_at:
+                if best_energy == 0.0:
                     return BruteForceResult(best_energy, best_ordering, evaluated)
     return BruteForceResult(best_energy, best_ordering, evaluated)
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .config import SUM_TOL, _array, _count, _index, _stochastic
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError
 
 def log_normalize(log_weights) -> Tuple[np.ndarray, float]:
     """Probabilities exp(w - ln Z) and ln Z over all entries of log-weights w
@@ -78,15 +78,12 @@ def _unpack_bits(index: int, n_bits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Probability vector over a finite outcome set, optionally labelled."""
+    """Probability vector over a finite outcome set."""
 
     probs: np.ndarray
-    labels: Optional[Sequence] = None
 
     def __post_init__(self):
         object.__setattr__(self, "probs", _stochastic("DiscreteDistribution: probs", self.probs))
-        if self.labels is not None and len(self.labels) != self.probs.size:
-            raise ValidationError("DiscreteDistribution: labels length must match probs")
 
     def __len__(self):
         return self.probs.size

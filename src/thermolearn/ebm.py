@@ -280,18 +280,19 @@ def bm_gibbs_sample(
     hidden = np.empty((steps, n_h), dtype=np.uint8)
     # row t + 1 holds v_t: a step looks up the bytes of the v it starts from
     visible = np.empty((steps + 1, n_v), dtype=np.uint8)
-    for first in range(0, steps, _GIBBS_BLOCK):
-        last = min(first + _GIBBS_BLOCK, steps)
-        h_rows, v_rows = [], []
-        for k_h, k_v in zip(_uniform_lanes(u_h[first:last]), _uniform_lanes(u_v[first:last])):
-            thresholds, v_row = h_memo.get(v) or _conditional(h_memo, v, bm_hidden_activation, machine, n_v)
-            h = (thresholds - k_h) & h_flags
-            thresholds, h_row = v_memo.get(h) or _conditional(v_memo, h, bm_visible_activation, machine, n_h)
-            v = (thresholds - k_v) & v_flags
-            h_rows.append(h_row)
-            v_rows.append(v_row)
-        hidden[first:last] = np.frombuffer(b"".join(h_rows), np.uint8).reshape(last - first, n_h)
-        visible[first:last] = np.frombuffer(b"".join(v_rows), np.uint8).reshape(last - first, n_v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a saturated activation, 0 or 1, is the correct float
+        for first in range(0, steps, _GIBBS_BLOCK):
+            last = min(first + _GIBBS_BLOCK, steps)
+            h_rows, v_rows = [], []
+            for k_h, k_v in zip(_uniform_lanes(u_h[first:last]), _uniform_lanes(u_v[first:last])):
+                thresholds, v_row = h_memo.get(v) or _conditional(h_memo, v, bm_hidden_activation, machine, n_v)
+                h = (thresholds - k_h) & h_flags
+                thresholds, h_row = v_memo.get(h) or _conditional(v_memo, h, bm_visible_activation, machine, n_h)
+                v = (thresholds - k_v) & v_flags
+                h_rows.append(h_row)
+                v_rows.append(v_row)
+            hidden[first:last] = np.frombuffer(b"".join(h_rows), np.uint8).reshape(last - first, n_h)
+            visible[first:last] = np.frombuffer(b"".join(v_rows), np.uint8).reshape(last - first, n_v)
     visible[steps] = _row(v, n_v)
     return GibbsSampleRun(visible[1:], hidden)
 
@@ -331,14 +332,14 @@ def bm_free_energy(machine: BoltzmannMachine, v) -> float:
     return float(-machine.a @ vf - np.logaddexp(0.0, machine.b + vf @ machine.W).sum())
 
 
-def _enumerate_visible(machine: BoltzmannMachine):
-    # (bits, b + vW, F(v), p(v), ln Z) over the 2^{n_v} visible states, one
-    # row per unit; the hidden layer is summed out in closed form
+def _enumerate_visible(machine: BoltzmannMachine, name: str):
+    # (bits, b + vW, F(v), p(v), ln Z) over the 2^{n_v} visible states, one row per unit,
+    # the hidden layer summed out in closed form; a NumericalError names ``name``
     _check_capacity(machine)
     bits = state_bits(machine.n_visible)
     pre = machine.b[:, None] + machine.W.T @ bits
     free = -(machine.a @ bits) - np.logaddexp(0.0, pre).sum(axis=0)
-    return (bits, pre, free) + log_normalize(-free)
+    return (bits, pre, free) + _log_normalize_inplace(name, -free)
 
 
 def _mean_log_likelihood(enumeration, index: np.ndarray) -> float:
@@ -350,7 +351,7 @@ def _mean_log_likelihood(enumeration, index: np.ndarray) -> float:
 def bm_log_likelihood(machine: BoltzmannMachine, data) -> float:
     """Mean log p(v) over the data rows, by exact enumeration."""
     X = _units("bm_log_likelihood: data", data, (None, machine.n_visible))
-    return _mean_log_likelihood(_enumerate_visible(machine), _pack_bits(X))
+    return _mean_log_likelihood(_enumerate_visible(machine, "bm_log_likelihood"), _pack_bits(X))
 
 
 def _exact_model_stats(enumeration):
@@ -383,7 +384,8 @@ def bm_exact_gradient(machine: BoltzmannMachine, data) -> BMGradient:
     Capacity-guarded like every other enumeration routine here.
     """
     X = _units("bm_exact_gradient: data", data, (None, machine.n_visible)).astype(float)
-    return _gradient(_row_stats(X, bm_hidden_activation(machine, X)), _exact_model_stats(_enumerate_visible(machine)))
+    model_stats = _exact_model_stats(_enumerate_visible(machine, "bm_exact_gradient"))
+    return _gradient(_row_stats(X, bm_hidden_activation(machine, X)), model_stats)
 
 
 class TrainResult(NamedTuple):
@@ -410,7 +412,8 @@ def bm_train(
     requires enumeration capacity, so cd_k on large machines reports an
     empty curve). ``exact_gradient`` enumerates each machine once: the
     enumeration that scores an epoch gives the next epoch's model
-    expectations.
+    expectations. A loss, free energy or parameter beyond the float range
+    raises NumericalError naming the epoch.
     """
     if method not in ("exact_gradient", "cd_k"):
         raise ValidationError(f"bm_train: unknown method {method!r}")
@@ -426,30 +429,42 @@ def bm_train(
     if exact:
         _check_capacity(machine)
         index = _pack_bits(bits)
-        enumeration = _enumerate_visible(machine) if epochs else None
     can_score = machine.n_visible + machine.n_hidden <= MAX_EXACT_UNITS
 
     losses: List[float] = []
-    for _ in range(epochs):
-        p_data = bm_hidden_activation(machine, X)
-        if exact:
-            model_stats = _exact_model_stats(enumeration)
-        else:
-            # k block-Gibbs steps from the data rows, whose p(h|v) is p_data
-            v_neg, p_neg = X, p_data
-            for _ in range(k):
-                h = (rng.generator.random(p_neg.shape) < p_neg).astype(float)
-                v_neg = (rng.generator.random(X.shape) < bm_visible_activation(machine, h)).astype(float)
-                p_neg = bm_hidden_activation(machine, v_neg)
-            model_stats = _row_stats(v_neg, p_neg)
-        params = (machine.a, machine.b, machine.W)
-        grad = _gradient(_row_stats(X, p_data), model_stats)
-        machine = BoltzmannMachine(*(p + learning_rate * g for p, g in zip(params, grad)))
-        if exact:
-            enumeration = _enumerate_visible(machine)
-            losses.append(-_mean_log_likelihood(enumeration, index))
-        elif can_score:
-            losses.append(-bm_log_likelihood(machine, bits))
+    with np.errstate(over="ignore", invalid="ignore"):
+        enumeration = _enumerate_visible(machine, "bm_train at epoch 0") if exact and epochs else None
+        for epoch in range(1, epochs + 1):
+            p_data = bm_hidden_activation(machine, X)
+            if exact:
+                model_stats = _exact_model_stats(enumeration)
+            else:
+                # k block-Gibbs steps from the data rows, whose p(h|v) is p_data
+                v_neg, p_neg = X, p_data
+                for _ in range(k):
+                    h = (rng.generator.random(p_neg.shape) < p_neg).astype(float)
+                    v_neg = (rng.generator.random(X.shape) < bm_visible_activation(machine, h)).astype(float)
+                    p_neg = bm_hidden_activation(machine, v_neg)
+                model_stats = _row_stats(v_neg, p_neg)
+            params = (machine.a, machine.b, machine.W)
+            grad = _gradient(_row_stats(X, p_data), model_stats)
+            try:
+                machine = BoltzmannMachine(*(p + learning_rate * g for p, g in zip(params, grad)))
+            except ValidationError:
+                raise NumericalError(f"bm_train at epoch {epoch}: a parameter overflows a float") from None
+            if exact:
+                enumeration = _enumerate_visible(machine, f"bm_train at epoch {epoch}")
+                loss = -_mean_log_likelihood(enumeration, index)
+            elif can_score:
+                try:
+                    loss = -bm_log_likelihood(machine, bits)
+                except NumericalError as exc:
+                    raise NumericalError(f"bm_train at epoch {epoch}: {exc}") from None
+            else:
+                continue
+            if not math.isfinite(loss):
+                raise NumericalError(f"bm_train at epoch {epoch}: the negative log-likelihood overflows a float")
+            losses.append(loss)
     return TrainResult(machine, losses)
 
 

@@ -85,12 +85,9 @@ class CouplingGraph:
         h = np.zeros(n) if self.fields_h is None else _array("CouplingGraph: fields_h", self.fields_h, (n,))
         object.__setattr__(self, "fields_h", h)
 
+    @cached_property
     def adjacency(self) -> Tuple[Tuple[Tuple[int, float], ...], ...]:
         """Neighbor list per site as (site, coupling) pairs, built once per graph."""
-        return self._adjacency
-
-    @cached_property
-    def _adjacency(self) -> Tuple[Tuple[Tuple[int, float], ...], ...]:
         adj = [[] for _ in range(self.n_sites)]
         for i, j, coupling in self.edges:
             adj[i].append((j, coupling))
@@ -268,14 +265,15 @@ def _subtract_terms(plan, block_index: int) -> None:
     """Subtract each planned term from the block whose sites above it are
     the bits of ``block_index``. Since x - (-y) is x + y bit for bit, the
     spins of a term's parts and high sites only decide whether a part has
-    the term's row subtracted or added."""
-    for row, parts, high in plan:
-        flip = (high & ~block_index).bit_count() & 1  # an odd number of the high sites are at -1
-        for part, sign in parts:
-            if (sign < 0) != flip:
-                part += row
-            else:
-                part -= row
+    the term's row subtracted or added. An overflow is left to the caller's check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, parts, high in plan:
+            flip = (high & ~block_index).bit_count() & 1  # an odd number of the high sites are at -1
+            for part, sign in parts:
+                if (sign < 0) != flip:
+                    part += row
+                else:
+                    part -= row
 
 
 def _energy_blocks(graph: CouplingGraph):
@@ -366,7 +364,7 @@ def _log_partition(graph: CouplingGraph, beta: float) -> float:
     maxes, sums = [], []
     for log_w in _energy_blocks(graph):
         try:
-            with np.errstate(over="raise"):
+            with np.errstate(over="raise", invalid="ignore"):  # inf * 0 is NaN, which the max check rejects
                 log_w *= -beta
         except FloatingPointError:  # an infinite log-weight would make the max shift inf - inf
             raise NumericalError(f"partition_exact: beta * energy overflows a float at beta = {beta!r}") from None
@@ -396,20 +394,13 @@ def acceptance_probability(delta_h: float, beta: float) -> float:
     return math.exp(-beta * delta_h)
 
 
-def _local_field(spins, adjacency, fields, site: int) -> float:
-    local = fields[site]
-    for j, coupling in adjacency[site]:
-        local += coupling * spins[j]
-    return local
-
-
 def _flip_table(adjacency, fields, spins, beta: float, width: int):
     """Site i's flip as a function of its code ``(i << width) | bits``, where
     bit 0 is set iff the site's spin is +1 and bit k + 1 iff its k-th
     neighbour's is: each code's dH, acceptance probability and pre-flip spin.
     Also the current codes and, per site, the (site, bit) pairs its flip
-    toggles. Every field is summed by :func:`_local_field` in the direct
-    loop's order, and ``math.exp`` rounds as that loop does, so no decision moves."""
+    toggles. Every field is summed in the direct loop's order, and
+    ``math.exp`` rounds as that loop does, so no decision moves."""
     spin_of = state_bits(width).astype(np.int8) * 2 - 1  # row b: bit b's spin in each pattern
     degrees = [len(neighbours) for neighbours in adjacency]
     dh = np.empty((len(adjacency), 1 << width))
@@ -418,8 +409,9 @@ def _flip_table(adjacency, fields, spins, beta: float, width: int):
         # as a column times bit k + 1's spins, added in k order
         rows = [i for i, degree in enumerate(degrees) if degree == d]
         local = np.repeat(np.array([fields[i] for i in rows])[:, None], 1 << width, axis=1)
-        terms = [(k + 1, np.array([adjacency[i][k][1] for i in rows])[:, None]) for k in range(d)]
-        dh[rows] = 2.0 * spin_of[0] * _local_field(spin_of, [terms], [local], 0)
+        for k in range(d):
+            local += np.array([adjacency[i][k][1] for i in rows])[:, None] * spin_of[k + 1]
+        dh[rows] = 2.0 * spin_of[0] * local
     code, toggles = [], [[] for _ in adjacency]
     for i, neighbours in enumerate(adjacency):
         c = (i << width) | (spins[i] > 0)
@@ -535,7 +527,7 @@ def metropolis_chain(
         spins_arr = check_spins(initial, n)
     spins = [int(s) for s in spins_arr]
 
-    adjacency = graph.adjacency()
+    adjacency = graph.adjacency
     fields = [float(h) for h in graph.fields_h]
     # The sites are drawn CHUNK_ROWS at a time, all before any uniform, into
     # the smallest unsigned dtype that holds n - 1. A bounded int64 draw keeps

@@ -110,9 +110,6 @@ class QTable:
     def set(self, key: tuple, value: float) -> None:
         self.values[key] = _real(f"QTable: value for {key}", value)
 
-    def row(self, state, mean_bin, n_actions: int) -> np.ndarray:
-        return np.array([self.get((state, a, mean_bin)) for a in range(n_actions)])
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -178,19 +175,11 @@ class IsingGameEnv:
     graph: NeighborGraph
     coupling: float = 1.0
 
-    n_actions = 2
-
     def __post_init__(self):
         _real("IsingGameEnv: coupling", self.coupling)
         for j, row in enumerate(self.graph.neighbors):
             if not row:
                 raise DomainError(f"IsingGameEnv: agent {j} has no neighbors")
-
-    def reward(self, agent: int, spins: Sequence[int]) -> float:
-        total = 0
-        for k in self.graph.neighbors[agent]:
-            total += spins[k]
-        return float(spins[agent] * self.coupling * total)
 
 
 class IsingGameResult(NamedTuple):

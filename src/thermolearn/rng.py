@@ -66,10 +66,3 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def as_stream(rng) -> RngStream:
-    """Coerce a seed in [0, 2^64) or an RngStream into an RngStream."""
-    if isinstance(rng, RngStream):
-        return rng
-    return RngStream(_count("as_stream: rng, if not an RngStream,", rng, 0, _U64))

@@ -78,9 +78,6 @@ class Trace:
     def __len__(self):
         return self._length
 
-    def row(self, i: int) -> dict:
-        return {name: arr[i].item() for name, arr in self._columns.items()}
-
     def _rows(self, start: int, stop: int) -> "Trace":
         # rows start..stop-1 as a trace over views of this one's columns
         return Trace({name: col[start:stop] for name, col in self._columns.items()})

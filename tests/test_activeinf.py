@@ -328,9 +328,9 @@ def test_fevi_negate_reward_prefers_high_reward_state():
     transition = np.zeros((2, 2, 2))
     transition[0] = np.eye(2)
     transition[1] = np.eye(2)[[1, 0]]
-    model = two_state_model(transition, [1.0, 3.0])
-    result = fe_value_iteration(model, tolerance=1e-12, discount=0.5, negate_reward=True)
-    # minimizing -E[r]: reach s1 (reward 3) and stay
+    model = two_state_model(transition, [-1.0, -3.0])
+    result = fe_value_iteration(model, tolerance=1e-12, discount=0.5)
+    # minimizing the negated reward -E[r]: reach s1 (reward 3) and stay
     assert list(result.policy) == [1, 0]
 
 

@@ -7,7 +7,6 @@ from thermolearn.anneal import (
     CoolingSchedule,
     EnergyLandscape,
     anneal,
-    schedule_temperature,
 )
 from thermolearn.errors import ValidationError
 from thermolearn.rng import RngStream
@@ -34,8 +33,8 @@ class IntLine(EnergyLandscape):
 
 def test_geometric_schedule():
     s = CoolingSchedule("geometric", 10.0, 0.5)
-    assert schedule_temperature(s, 0) == 10.0
-    assert schedule_temperature(s, 3) == pytest.approx(1.25)
+    assert s.temperature(0) == 10.0
+    assert s.temperature(3) == pytest.approx(1.25)
 
 
 def test_linear_schedule_hits_floor():

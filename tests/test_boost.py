@@ -9,6 +9,7 @@ import pytest
 
 from thermolearn.distributions import DiscreteDistribution
 from thermolearn.boost import (
+    MajorityVoteHypothesis,
     NoisyThresholdLearner,
     TableHypothesis,
     ThresholdHypothesis,
@@ -20,7 +21,6 @@ from thermolearn.boost import (
     dump_dataset,
     empirical_risk,
     load_dataset,
-    majority_vote,
     reweight_d2,
     reweight_d3,
 )
@@ -190,7 +190,7 @@ def test_ascending_lookup_replays_the_unsorted_lookup(name, queries):
         assert got.tobytes() == want.tobytes()
     h1, h2, h3, _ = _tables()
     votes = sum(_unsorted_lookup(h, queries).astype(int) for h in (h1, h2, h3)) >= 2
-    assert majority_vote(h1, h2, h3).predict_many(queries).tobytes() == votes.astype(np.int8).tobytes()
+    assert MajorityVoteHypothesis(h1, h2, h3).predict_many(queries).tobytes() == votes.astype(np.int8).tobytes()
 
 
 def test_noisy_learner_keys_are_np_unique():
@@ -300,15 +300,15 @@ def test_d3_identical_hypotheses_error():
 def test_vote_unanimous_and_two_of_three():
     ones = FixedHypothesis(1)
     zeros = FixedHypothesis(0)
-    assert majority_vote(ones, ones, ones).predict(0.3) == 1
-    assert majority_vote(ones, ones, zeros).predict(0.3) == 1
-    assert majority_vote(zeros, ones, zeros).predict(0.3) == 0
+    assert MajorityVoteHypothesis(ones, ones, ones).predict(0.3) == 1
+    assert MajorityVoteHypothesis(ones, ones, zeros).predict(0.3) == 1
+    assert MajorityVoteHypothesis(zeros, ones, zeros).predict(0.3) == 0
 
 
 def test_vote_ignores_third_when_first_two_agree():
     ds = threshold_data(50, 0.5, seed=1)
     h = ThresholdHypothesis(0.5)
-    voted = majority_vote(h, h, FixedHypothesis(0))
+    voted = MajorityVoteHypothesis(h, h, FixedHypothesis(0))
     assert np.array_equal(voted.predict_many(ds.xs), h.predict_many(ds.xs))
 
 
@@ -341,8 +341,9 @@ def test_depth_examples():
 
 
 def test_depth_stall_detection():
-    with pytest.raises(ConvergenceError):
-        boost_recursion_depth(1e-9, 0.01, max_depth=50)
+    # 69 rounds from gamma = 1e-12, past the cap of 64
+    with pytest.raises(ConvergenceError, match=r"^boost_recursion_depth: exceeded max recursion depth$"):
+        boost_recursion_depth(1e-12, 0.01)
 
 
 def test_depth_at_gamma_zero_stalls_at_the_fixed_point_one_half():
@@ -440,7 +441,7 @@ def test_boost3_predicts_once_per_trained_hypothesis_on_the_dataset_items(base, 
 def test_boost3_to_dict_round_trips_floats():
     ds = threshold_data(2000, 0.5, seed=5)
     result = boost3(NoisyThresholdLearner(0.5, 0.15), ds, RngStream(1))
-    payload = result.diagnostics.to_dict()
+    payload = result.diagnostics._asdict()
     assert set(payload) == {"h1_err", "h2_err", "h3_err", "final_err", "bound"}
     assert all(isinstance(v, float) for v in payload.values())
 

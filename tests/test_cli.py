@@ -467,6 +467,61 @@ def test_ising_beta_energy_overflow_prints_only_the_failure_line(tmp_path, beta,
     assert proc.stderr == message + "\n"
 
 
+def _cli_process(tmp_path, subcommand, cfg):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "thermolearn.cli", subcommand, "--config", cfg, "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("rows, n_hidden, epochs, method, message", [
+    ("0101\n1100\n0011\n", 2, 30, "exact_gradient", "bm_train at epoch 2: the negative log-likelihood overflows a float"),
+    ("0101\n1100\n0011\n", 2, 30, "cd_k", "bm_train at epoch 6: the negative log-likelihood overflows a float"),
+    ("1111\n1111\n1110\n", 1, 5, "exact_gradient", "bm_train at epoch 1: log-weights overflow a float (largest inf)"),
+], ids=["exact_gradient", "cd_k", "free_energy"])
+def test_ebm_training_overflow_prints_only_the_failure_line(tmp_path, rows, n_hidden, epochs, method, message):
+    # numpy's overflow warnings came first; the first two exited 0 with "final_nll": Infinity
+    # in result.json and inf rows in loss_curve.csv, the third named log_normalize
+    (tmp_path / "v.txt").write_text(rows)
+    cfg = write_cfg(tmp_path, "e.cfg", f'data = "{tmp_path / "v.txt"}"\nn_hidden = {n_hidden}\nlearning_rate = 1e308\n'
+                    f'epochs = {epochs}\nmethod = "{method}"\n')
+    proc = _cli_process(tmp_path, "ebm", cfg)
+    assert (proc.returncode, proc.stderr) == (2, f"numerical failure: {message}\n")
+    assert not (tmp_path / "o" / "result.json").exists()
+
+
+@pytest.mark.parametrize("config, largest", [("field = 1e308\nbeta = 0.5", "inf"), ("field = 6e307\nbeta = 0.0", "nan")],
+                         ids=["field_1e308", "field_6e307_beta_0"])
+def test_ising_enumeration_overflow_prints_only_the_failure_line(tmp_path, config, largest):
+    # numpy's overflow warnings from the energy blocks, and at beta = 0 an invalid-value warning, came first
+    cfg = write_cfg(tmp_path, "i.cfg", f"n_sites = 3\nsteps = 100\n{config}\n")
+    proc = _cli_process(tmp_path, "ising", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr == f"numerical failure: partition_exact: log-weights overflow a float (largest {largest})\n"
+
+
+def test_a_json_value_beyond_the_float_range_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # result.json held a bare NaN, which a strict JSON parser rejects
+    _, check = cli._SUBCOMMANDS["entropy"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "entropy", (lambda cfg, rng: ({"h": math.nan}, {}), check))
+    cfg = write_cfg(tmp_path, "e.cfg", "probs = [0.5, 0.5]\n")
+    assert cli.main(["entropy", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: a JSON artifact holds a value beyond the float range (")
+    assert not (tmp_path / "o" / "result.json").exists()
+
+
+def test_every_golden_run_writes_strict_json(tmp_path):
+    from test_cli_golden import run_matrix
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    run_matrix(tmp_path)
+    paths = sorted(tmp_path.glob("*/*.json"))  # manifests, results and JSON traces
+    assert len(paths) > 100
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_marl_q_value_overflow_exits_2(tmp_path, capsys):
     # it was a validation failure (exit 1) under QTable's name
     cfg = write_cfg(tmp_path, "m.cfg", "rows = 3\ncols = 3\ncoupling = 1e308\nepisodes = 5\n")
@@ -688,7 +743,7 @@ def test_json_format_trace(tmp_path):
 
 
 def test_digest_subcommand_solves_worked_instance(tmp_path):
-    inst = DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5), 8)
+    inst = DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5))
     inst_path = tmp_path / "bench.inst"
     dump_instance(inst, inst_path)
     cfg = write_cfg(

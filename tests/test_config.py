@@ -20,7 +20,7 @@ from thermolearn.activeinf import (
     value_iteration,
     variational_free_energy,
 )
-from thermolearn.anneal import CoolingSchedule, schedule_temperature
+from thermolearn.anneal import CoolingSchedule
 from thermolearn.boost import NoisyThresholdLearner, WeightedDataset
 from thermolearn.config import _array, _count, _index, _problem, _real, _stochastic, parse_config
 from thermolearn.convolution import conv_naive, fft_radix2
@@ -61,7 +61,7 @@ from thermolearn.marl import (
     run_ising_game,
     torus_graph,
 )
-from thermolearn.rng import RngStream, as_stream
+from thermolearn.rng import RngStream
 from thermolearn.sampling import importance_estimate
 from thermolearn.trace import Trace
 
@@ -158,7 +158,7 @@ TIGHTENED = [
     ("hypothesis_count", lambda: pac_sample_bound(0.1, 0.1, 2.5)),
     ("multiplicity", lambda: boltzmann_entropy(2.5)),
     ("k_B", lambda: boltzmann_entropy(3, k_B=INF)),
-    ("k", lambda: schedule_temperature(SCHEDULE, 0.5)),
+    ("k", lambda: SCHEDULE.temperature(0.5)),
     ("linear decrement", lambda: CoolingSchedule("linear", 1.0, NAN)),
     ("T0", lambda: CoolingSchedule("geometric", True, 0.5)),
     ("beta", lambda: metropolis_chain(RING, True, 10, 0, RngStream(0))),
@@ -179,11 +179,10 @@ TIGHTENED = [
     # raised ValueError
     ("chain_graph: h", lambda: chain_graph(3, h="x")),
     ("complete_graph: h", lambda: complete_graph(3, h="x")),
-    # raised "total_length 3 != sum(a) = 3"
-    ("DoubleDigestInstance: total_length", lambda: DoubleDigestInstance((1, 2), (3,), (3,), total_length="3")),
-    # accepted without complaint
-    ("DoubleDigestInstance: total_length", lambda: DoubleDigestInstance((1, 2), (3,), (3,), total_length=3.0)),
-    ("DoubleDigestInstance: total_length", lambda: DoubleDigestInstance((1,), (1,), (1,), total_length=True)),
+    # a fragment that is a string, a float or a bool
+    ("DoubleDigestInstance: a fragments", lambda: DoubleDigestInstance((1, "2"), (3,), (3,))),
+    ("DoubleDigestInstance: a fragments", lambda: DoubleDigestInstance((1, 2.0), (3,), (3,))),
+    ("DoubleDigestInstance: a fragments", lambda: DoubleDigestInstance((True,), (1,), (1,))),
     # wrote a JSON key that json.loads rejects
     ("Trace: column names", lambda: Trace({0: [1, 2]}).json_text()),
     # raised TypeError from sorted
@@ -284,7 +283,7 @@ TIGHTENED_ARRAYS = [
     ("mf_actor_critic_grad: own_action", lambda: mf_actor_critic_grad([1.0, 2.0], 0.5, 1.0)),
     ("NeighborGraph: a neighbor of agent", lambda: NeighborGraph(((1.5,), (0,)))),
     ("CouplingGraph: a site of edge", lambda: CouplingGraph(2, ((0.5, 1, 1.0),))),
-    ("as_stream: rng", lambda: as_stream(True)),  # returned RngStream(seed=1)
+    ("RngStream: seed", lambda: RngStream(True)),
     # a non-sequence where a constructor iterates the argument: raised TypeError or AttributeError
     ("CouplingGraph: edges must be a sequence, got None", lambda: CouplingGraph(3, None)),
     ("CouplingGraph: edges must be a sequence, got 5", lambda: CouplingGraph(3, 5)),

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from thermolearn import convolution
 from thermolearn.convolution import conv_fft, conv_naive, fft_radix2, ifft_radix2, next_pow2
 from thermolearn.errors import NumericalError, ValidationError
 from thermolearn.rng import RngStream
@@ -126,11 +127,26 @@ def test_transforms_replay_reference_bit_for_bit(k):
     assert ifft_radix2(x).tobytes() == _reference_transform(x, inverse=True).tobytes()
 
 
+def _unchecked_transform(x, inverse):
+    # the transform of fft_radix2 and ifft_radix2 without their finite check,
+    # as conv_fft runs it before its own
+    a = np.array(x, dtype=np.complex128)
+    work = np.empty_like(a)
+    roots = convolution._twiddles(a.size, work)
+    if inverse:
+        np.conjugate(roots, out=roots)
+    convolution._fft_inplace(a, roots, work)
+    if inverse:
+        a /= a.size
+    return a
+
+
 @pytest.mark.parametrize("k", [3, 6, 10, 14])
 def test_transforms_replay_reference_where_passes_overflow(k):
     # six entries near the top of the float range among signed zeros and
     # ones: the sums overflow to inf, and inf - inf or inf times a twiddle
-    # gives NaN, whose bytes depend on the operand order of O w
+    # gives NaN, whose bytes depend on the operand order of O w. The public
+    # transforms raise on that result, without a numpy warning.
     n = 1 << k
     gen = np.random.default_rng(100 + k)
     parts = gen.choice([0.0, -0.0, 1.0, -1.0], size=2 * n)
@@ -139,8 +155,11 @@ def test_transforms_replay_reference_where_passes_overflow(k):
     with np.errstate(all="ignore"):
         want = _reference_transform(x, inverse=False)
         assert np.isnan(want).any() and np.isinf(want).any()
-        assert fft_radix2(x).tobytes() == want.tobytes()
-        assert ifft_radix2(x).tobytes() == _reference_transform(x, inverse=True).tobytes()
+        assert _unchecked_transform(x, inverse=False).tobytes() == want.tobytes()
+        assert _unchecked_transform(x, inverse=True).tobytes() == _reference_transform(x, inverse=True).tobytes()
+    for transform, name in ((fft_radix2, "fft_radix2"), (ifft_radix2, "ifft_radix2")):
+        with pytest.raises(NumericalError, match=f"^{name}: result is not finite"):
+            transform(x)
 
 
 # --- convolution -------------------------------------------------------------
@@ -255,6 +274,19 @@ def test_conv_validation():
             route([[1, 2], [3]], [1])
         with pytest.raises(ValidationError, match="1-D sequence"):
             route([1], [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("name, call", [
+    ("fft_radix2", lambda: fft_radix2([1e308, 1e308])),
+    ("ifft_radix2", lambda: ifft_radix2([1e308, 1e308])),
+    ("conv_naive", lambda: conv_naive([1e308, 1e308], [1.0, 1.0])),  # returned [1e308, inf, 1e308]
+], ids=["fft_radix2", "ifft_radix2", "conv_naive"])
+def test_transform_and_naive_overflow_is_numerical_error(name, call):
+    # the transforms printed numpy's overflow warning and returned inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^{name}: result is not finite"):
+            call()
 
 
 @pytest.mark.parametrize("x, y", [([1e308], [1e308]), ([1e300, 1.0], [1e10, 1.0]), ([1e200] * 3, [-1e200, 1e200])])

@@ -33,9 +33,9 @@ def test_instance_totals_must_agree():
         DoubleDigestInstance((3, 5), (2, 6), (1, 2, 6))
     with pytest.raises(ValidationError, match=r"^DoubleDigestInstance: fragment sums disagree"):
         DoubleDigestInstance((3, 5), (2, 7), (1, 2, 5))
-    with pytest.raises(ValidationError, match=r"^DoubleDigestInstance: total_length 9 != sum\(a\) = 8$"):
-        DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5), total_length=9)
-    assert DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5), total_length=8).total_length == 8
+    assert DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5)).total_length == 8
+    with pytest.raises(TypeError):  # a computed field, not an argument
+        DoubleDigestInstance((3, 5), (2, 6), (1, 2, 5), total_length=8)
 
 
 def test_instance_fragments_must_be_positive_integers():
@@ -427,13 +427,13 @@ def test_brute_force_finds_zero_on_generated_instance():
 
 def test_brute_force_early_stop():
     inst = generate_instance(4, 4, 48, RngStream(12))
-    result = brute_force_min_energy(inst, stop_at=0.0)
+    result = brute_force_min_energy(inst)
     assert result.best_energy == 0.0
-    full = brute_force_min_energy(inst)
-    assert result.evaluated <= full.evaluated
+    full = _reference_brute_force(inst)
+    assert result.evaluated <= full[2]
 
 
-def test_instance_and_stop_at_are_checked():
+def test_instance_is_checked():
     # each escaped as AttributeError or TypeError before
     ordering = DigestOrdering.identity(INST)
     for call in (
@@ -444,10 +444,6 @@ def test_instance_and_stop_at_are_checked():
     ):
         with pytest.raises(ValidationError, match="must be a DoubleDigestInstance"):
             call()
-    for stop_at in ("x", True, math.nan, math.inf, [0.0]):
-        with pytest.raises(ValidationError, match="stop_at"):
-            brute_force_min_energy(INST, stop_at=stop_at)
-    assert brute_force_min_energy(INST, stop_at=np.float64(0.0)).best_energy == 0.0
 
 
 def _reference_brute_force(inst, stop_at=None):
@@ -483,9 +479,10 @@ def test_brute_force_matches_reference_scan():
             inst = generate_instance(n_a, n_b, total, RngStream(k))
         else:  # c unrelated to a and b, so the minimum is positive
             inst = DoubleDigestInstance(*(_random_split(gen, total, gen.randint(1, 6)) for _ in range(3)))
-        for stop_at in (None, 0.0):
-            got = brute_force_min_energy(inst, stop_at=stop_at)
-            assert tuple(got) == _reference_brute_force(inst, stop_at)
+        got = brute_force_min_energy(inst)
+        assert tuple(got) == _reference_brute_force(inst, 0.0)
+        # the full scan keeps the same first minimum
+        assert tuple(got)[:2] == _reference_brute_force(inst)[:2]
 
 
 def _distinct_perms(values):
@@ -525,9 +522,9 @@ def test_brute_force_with_cached_cuts_matches_the_cut_gap_scan():
             inst = DoubleDigestInstance(*(tuple(scale * x for x in _random_split(gen, total, n)) for n in sizes))
         seen["single"] += min(len(inst.a), len(inst.b)) == 1
         seen["duplicate"] += len(set(inst.a)) < len(inst.a) or len(set(inst.b)) < len(inst.b)
-        for stop_at in (None, 0.0):
-            got = brute_force_min_energy(inst, stop_at=stop_at)
-            assert (got.best_energy.hex(), got.best_ordering, got.evaluated) == _cut_gap_scan(inst, stop_at)
+        got = brute_force_min_energy(inst)
+        assert (got.best_energy.hex(), got.best_ordering, got.evaluated) == _cut_gap_scan(inst, 0.0)
+        assert (got.best_energy.hex(), got.best_ordering) == _cut_gap_scan(inst, None)[:2]
         seen["solvable"] += got.best_energy == 0.0
     assert min(seen.values()) >= 5, seen
 

@@ -100,6 +100,25 @@ def test_log_weight_overflow_is_numerical_error_without_warnings():
         assert (loss_nll([0.0, 1e308], 0, 10.0), loss_nll([0.0, 1e308], 1, 10.0)) == (0.0, 1e308)
 
 
+def test_training_whose_parameters_overflow_is_numerical_error():
+    # W + learning_rate * dW passes the float range: a ValidationError on W after a numpy warning
+    machine = BoltzmannMachine(np.array([-1.5e308]), np.zeros(1), np.array([[1.5e308]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method, epoch in (("exact_gradient", 1), ("cd_k", 2)):
+            with pytest.raises(NumericalError, match=rf"^bm_train at epoch {epoch}: a parameter overflows a float$"):
+                bm_train(machine, [[1]], method=method, learning_rate=1e308, epochs=3, rng=RngStream(0))
+
+
+def test_gibbs_sampling_with_saturated_activations_has_no_warning():
+    # b + vW overflows to inf, whose activation 1 is the correct float: numpy warned
+    machine = BoltzmannMachine(np.zeros(2), np.zeros(2), np.full((2, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = bm_gibbs_sample(machine, 50, RngStream(0), start=BMState(np.ones(2), np.ones(2)))
+    assert run.visible.all() and run.hidden.all()
+
+
 @pytest.mark.parametrize(
     "name, loss",
     [
@@ -615,7 +634,7 @@ def _train_reference(machine, data, method, learning_rate, epochs, k, rng):
     losses = []
     for _ in range(epochs):
         if method == "exact_gradient":
-            states, pre, _, p, _ = ebm._enumerate_visible(machine)
+            states, pre, _, p, _ = ebm._enumerate_visible(machine, "reference")
             act = ebm._logistic(pre)
             model_stats = states @ p, act @ p, (states * p) @ act.T
         else:
@@ -650,7 +669,7 @@ def test_train_replays_the_two_enumeration_loop_bit_for_bit(method, k, n_v):
 def test_exact_training_enumerates_each_machine_once(monkeypatch, epochs):
     calls = []
     enumerate_visible = ebm._enumerate_visible
-    monkeypatch.setattr(ebm, "_enumerate_visible", lambda machine: calls.append(machine) or enumerate_visible(machine))
+    monkeypatch.setattr(ebm, "_enumerate_visible", lambda machine, name: calls.append(machine) or enumerate_visible(machine, name))
     data = np.random.default_rng(1).random((10, 5)) < 0.5
     result = bm_train(_random_machine(1, 5, 3), data, "exact_gradient", 0.1, epochs)
     assert len(calls) == (epochs + 1 if epochs else 0)

@@ -85,8 +85,8 @@ def test_graph_normalizes_edge_orientation():
 
 def test_adjacency_is_built_once_and_read_only():
     g = CouplingGraph(3, ((0, 1, 1.0), (2, 0, -0.5)))
-    adjacency = g.adjacency()
-    assert g.adjacency() is adjacency
+    adjacency = g.adjacency
+    assert g.adjacency is adjacency
     # tuples all the way down: a list never compares equal to a tuple
     assert adjacency == (((1, 1.0), (2, -0.5)), ((0, 1.0),), ((0, -0.5),))
 
@@ -507,7 +507,7 @@ def reference_chain(graph, beta, steps, burn_in, rng, initial=None):
     n = graph.n_sites
     spins_arr = random_spins(n, rng) if initial is None else np.array(initial, dtype=np.int8)
     spins = [int(s) for s in spins_arr]
-    adjacency = graph.adjacency()
+    adjacency = graph.adjacency
     fields = [float(h) for h in graph.fields_h]
     energy = ising_energy(spins_arr, graph)
     mag_sum = float(sum(spins))

@@ -21,10 +21,10 @@ EXPORTS = {
         "DiscreteMDP", "FactorizedPosterior", "GenerativeModel", "fe_value_iteration", "helmholtz_free_energy",
         "mean_field_kl", "mean_field_update", "value_iteration", "variational_free_energy",
     ),
-    "anneal": ("AnnealResult", "CoolingSchedule", "EnergyLandscape", "anneal", "schedule_temperature"),
+    "anneal": ("AnnealResult", "CoolingSchedule", "EnergyLandscape", "anneal"),
     "boost": (
         "NoisyThresholdLearner", "WeightedDataset", "boost3", "boost_error_bound", "boost_recursion_depth",
-        "boost_recursive", "empirical_risk", "majority_vote", "reweight_d2", "reweight_d3",
+        "boost_recursive", "empirical_risk", "reweight_d2", "reweight_d3",
     ),
     "convolution": ("conv_fft", "conv_naive", "fft_radix2", "ifft_radix2"),
     "digest": (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thermolearn.errors import ValidationError
-from thermolearn.rng import RngStream, as_stream, mix_seed, splitmix64
+from thermolearn.rng import RngStream, mix_seed, splitmix64
 
 
 def test_same_seed_same_sequence():
@@ -65,26 +65,15 @@ def test_integers_range():
     assert vals.min() >= 0 and vals.max() < 10
 
 
-def test_as_stream_passthrough_and_coercion():
-    stream = RngStream(1)
-    assert as_stream(stream) is stream
-    coerced = as_stream(7)
-    assert isinstance(coerced, RngStream)
-    np.testing.assert_array_equal(coerced.random(5), RngStream(7).random(5))
+def test_seed_rejects_junk():
+    for junk in ("not an rng", True, np.True_, 2.0):
+        with pytest.raises(ValidationError, match="RngStream: seed must be an integer"):
+            RngStream(junk)
 
 
-def test_as_stream_rejects_junk():
-    with pytest.raises(ValidationError):
-        as_stream("not an rng")
-    # a bool was taken as the seed 1
-    for junk in (True, np.True_, 2.0):
-        with pytest.raises(ValidationError, match="as_stream: rng, if not an RngStream, must be an integer"):
-            as_stream(junk)
-
-
-def test_as_stream_takes_any_u64_seed():
+def test_seed_takes_any_u64_integer():
     for seed in (0, np.uint8(7), np.int64(5), 2**64 - 1, np.uint64(2**64 - 1)):
-        np.testing.assert_array_equal(as_stream(seed).random(3), RngStream(int(seed)).random(3))
+        np.testing.assert_array_equal(RngStream(seed).random(3), RngStream(int(seed)).random(3))
 
 
 def test_stream_ids_outside_u64_are_rejected():
@@ -94,11 +83,9 @@ def test_stream_ids_outside_u64_are_rejected():
             RngStream(bad)
         with pytest.raises(ValidationError, match=rf"RngStream: stream_id must be an integer in \[0, {2**64}\)"):
             RngStream(1, bad)
-        with pytest.raises(ValidationError, match="as_stream: rng, if not an RngStream, must be an integer"):
-            as_stream(bad)
     for good in (0, 2**64 - 1):
-        assert (RngStream(good).seed, RngStream(1, good).stream_id, as_stream(good).seed) == (good, good, good)
-    assert not np.array_equal(as_stream(0).random(3), as_stream(2**64 - 1).random(3))
+        assert (RngStream(good).seed, RngStream(1, good).stream_id) == (good, good)
+    assert not np.array_equal(RngStream(0).random(3), RngStream(2**64 - 1).random(3))
     # a substream's seed is a mix of its parent's pair, so always in range
     assert RngStream(2**64 - 1, 2**64 - 1).substream(2**64 - 1).random(3).shape == (3,)
 

@@ -28,11 +28,6 @@ def test_bools_become_int8():
     assert list(col) == [1, 0, 1]
 
 
-def test_row_access():
-    t = Trace({"a": [1, 2], "b": [10.0, 20.0]})
-    assert t.row(1) == {"a": 2, "b": 20.0}
-
-
 def test_length_and_names():
     t = Trace({"x": [1, 2, 3], "y": [4, 5, 6]})
     assert len(t) == 3
