@@ -107,7 +107,7 @@ def anneal(
     or flat moves are accepted, uphill moves with probability
     exp(-dH / T(k)) against a uniform draw in [0, 1). Draws: the initial
     state from ``problem.random_state(rng)`` unless ``initial`` is given,
-    then per sweep ``problem.moves(rng, P)`` and then ``rng.random(P)``,
+    then per sweep ``problem.moves(rng, P)`` and then ``rng.generator.random(P)``,
     one uniform per proposal. The trace records one row per sweep:
     temperature, end-of-sweep current energy, best energy so far, and the
     sweep's acceptance rate.
@@ -128,7 +128,7 @@ def anneal(
         inv_t = 1.0 / temperature
         accepted = 0
         moves = problem.moves(rng, proposals_per_sweep)
-        uniforms = rng.random(proposals_per_sweep).tolist()
+        uniforms = rng.generator.random(proposals_per_sweep).tolist()
         for move, u in zip(moves, uniforms):
             candidate = apply(state, move)
             candidate_energy = float(energy_of(candidate))

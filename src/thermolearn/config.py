@@ -184,6 +184,24 @@ def _items(name: str, value, size: Optional[int] = None, into=tuple):
     return items
 
 
+def _edges(name: str, value, n: int, form: str = "(i, j)") -> List[tuple]:
+    """``value`` as a list of edges (i, j, ...) with i < j when it is a sequence of edges, each a
+    sequence of as many items as ``form`` names whose first two are sites in [0, ``n``), with no
+    self-loop and no pair given twice; otherwise ValidationError. The one edge rule of both graph types."""
+    seen, edges = set(), []
+    for edge in _items(f"{name}: edges", value):
+        i, j, *rest = _items(f"{name}: edge {form}", edge, form.count(",") + 1)
+        i, j = (_index(f"{name}: a site of edge ({i}, {j})", k, n) for k in (i, j))
+        if i == j:
+            raise ValidationError(f"{name}: self-loop at site {i}")
+        i, j = min(i, j), max(i, j)
+        if (i, j) in seen:
+            raise ValidationError(f"{name}: duplicate edge ({i},{j})")
+        seen.add((i, j))
+        edges.append((i, j, *rest))
+    return edges
+
+
 def _array(name: str, value, shape=(None,), low=-math.inf, high=math.inf, ends: str = "[]", dtype=float) -> np.ndarray:
     """``value`` as a ``dtype`` array of ``shape`` whose entries each pass :func:`_problem`; otherwise ValidationError.
 

@@ -30,15 +30,21 @@ def log_normalize(log_weights) -> Tuple[np.ndarray, float]:
 def _log_normalize_inplace(name: str, log_w: np.ndarray) -> Tuple[np.ndarray, float]:
     # log_normalize on a float array the caller owns, overwritten with the probabilities;
     # a NumericalError names the caller
-    m = log_w.max()
+    m, total = _exp_shifted(name, log_w)
+    log_w /= total
+    return log_w, m + math.log(total)
+
+
+def _exp_shifted(name: str, log_w: np.ndarray) -> Tuple[float, float]:
+    # the max shift of log_normalize: (the max m of log_w, the sum of exp(w - m)), with
+    # log_w overwritten by exp(w - m); a NumericalError names the caller
+    m = float(log_w.max())
     if not math.isfinite(m):  # +inf would make the max shift inf - inf, and all -inf leaves no weight
-        raise NumericalError(f"{name}: log-weights overflow a float (largest {float(m)!r})")
+        raise NumericalError(f"{name}: log-weights overflow a float (largest {m!r})")
     with np.errstate(over="ignore"):  # log-weights further apart than the float range: a weight of 0
         log_w -= m
     np.exp(log_w, out=log_w)
-    total = log_w.sum()
-    log_w /= total
-    return log_w, float(m + math.log(total))
+    return m, float(log_w.sum())
 
 
 def partition_value(log_z: float) -> float:

@@ -21,7 +21,7 @@ from typing import List, NamedTuple, Sequence
 import numpy as np
 
 from .config import _array, _content_lines, _count, _index, _real
-from .distributions import DiscreteDistribution, _log_normalize_inplace, _pack_bits, _unpack_bits, log_normalize
+from .distributions import DiscreteDistribution, _log_normalize_inplace, _pack_bits, _unpack_bits
 from .distributions import partition_value, state_bits
 from .errors import CapacityError, NumericalError, ValidationError
 from .rng import RngStream
@@ -202,8 +202,9 @@ def bm_partition_exact(machine: BoltzmannMachine):
     _check_capacity(machine)
     bits = state_bits(machine.n_visible + machine.n_hidden)
     V, H = bits[: machine.n_visible], bits[machine.n_visible :]
-    neg_energy = machine.a @ V + machine.b @ H + ((machine.W.T @ V) * H).sum(axis=0)
-    probs, log_z = log_normalize(neg_energy)
+    with np.errstate(over="ignore", invalid="ignore"):  # a -E beyond the float range fails the max check
+        neg_energy = machine.a @ V + machine.b @ H + ((machine.W.T @ V) * H).sum(axis=0)
+    probs, log_z = _log_normalize_inplace("bm_partition_exact", neg_energy)
     return partition_value(log_z), DiscreteDistribution(probs)
 
 
@@ -255,9 +256,10 @@ def bm_gibbs_sample(
     all visible units given the new h; one recorded state per full step.
 
     The stationary distribution is the machine's exact joint. ``start``
-    defaults to all zeros. Draws, all up front: ``rng.random((steps, n_h))``,
-    then ``rng.random((steps, n_v))``; step t uses row t of each, and unit
-    i turns on when its uniform is below its conditional probability.
+    defaults to all zeros. Draws, all up front:
+    ``rng.generator.random((steps, n_h))``, then
+    ``rng.generator.random((steps, n_v))``; step t uses row t of each, and
+    unit i turns on when its uniform is below its conditional probability.
     """
     steps = _count("bm_gibbs_sample: steps", steps, 1)
     if rng is None:
@@ -337,8 +339,9 @@ def _enumerate_visible(machine: BoltzmannMachine, name: str):
     # the hidden layer summed out in closed form; a NumericalError names ``name``
     _check_capacity(machine)
     bits = state_bits(machine.n_visible)
-    pre = machine.b[:, None] + machine.W.T @ bits
-    free = -(machine.a @ bits) - np.logaddexp(0.0, pre).sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an F(v) beyond the float range fails the max check
+        pre = machine.b[:, None] + machine.W.T @ bits
+        free = -(machine.a @ bits) - np.logaddexp(0.0, pre).sum(axis=0)
     return (bits, pre, free) + _log_normalize_inplace(name, -free)
 
 

@@ -19,8 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import _array, _content_lines, _count, _index, _items, _real
-from .distributions import DiscreteDistribution, _log_normalize_inplace, _pack_bits, _unpack_bits
+from .config import _array, _content_lines, _count, _edges, _index, _real
+from .distributions import DiscreteDistribution, _exp_shifted, _log_normalize_inplace, _pack_bits, _unpack_bits
 from .distributions import partition_value, state_bits
 from .errors import CapacityError, NumericalError, ValidationError
 from .rng import RngStream
@@ -68,20 +68,9 @@ class CouplingGraph:
 
     def __post_init__(self):
         n = _count("CouplingGraph: n_sites", self.n_sites, 1)
-        seen = set()
-        normalized = []
-        for edge in _items("CouplingGraph: edges", self.edges):
-            i, j, coupling = _items("CouplingGraph: edge (i, j, coupling)", edge, 3)
-            i, j = (_index(f"CouplingGraph: a site of edge ({i}, {j})", k, n) for k in (i, j))
-            if i == j:
-                raise ValidationError(f"CouplingGraph: self-loop at site {i}")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise ValidationError(f"CouplingGraph: duplicate edge ({i},{j})")
-            seen.add((i, j))
-            normalized.append((i, j, _real(f"CouplingGraph: coupling of edge ({i},{j})", coupling)))
-        object.__setattr__(self, "edges", tuple(normalized))
+        edges = _edges("CouplingGraph", self.edges, n, "(i, j, coupling)")
+        edges = tuple((i, j, _real(f"CouplingGraph: coupling of edge ({i},{j})", c)) for i, j, c in edges)
+        object.__setattr__(self, "edges", edges)
         h = np.zeros(n) if self.fields_h is None else _array("CouplingGraph: fields_h", self.fields_h, (n,))
         object.__setattr__(self, "fields_h", h)
 
@@ -310,7 +299,8 @@ def _energy_blocks(graph: CouplingGraph):
 
 def enumerate_energies(graph: CouplingGraph) -> np.ndarray:
     """Energies of all 2^N configurations, indexed by ``config_index``:
-    the blocks of :func:`_energy_blocks` one after another."""
+    the blocks of :func:`_energy_blocks` one after another. An energy
+    beyond the float range raises NumericalError."""
     blocks = _energy_blocks(graph)
     # The table gets its own zero-filled mapping, whose pages leave the
     # process when the table is dropped. From malloc, a freed 2^20-entry table
@@ -318,6 +308,8 @@ def enumerate_energies(graph: CouplingGraph) -> np.ndarray:
     # memory would depend on the calls that came before.
     energies = np.frombuffer(mmap.mmap(-1, (1 << graph.n_sites) * 8), dtype=float)
     for table_block, block in zip(energies.reshape(-1, 1 << min(graph.n_sites, ENUM_BLOCK_BITS)), blocks):
+        if not np.isfinite(block).all():
+            raise NumericalError("enumerate_energies: an energy is beyond the float range")
         table_block[...] = block
     return energies
 
@@ -356,10 +348,10 @@ def partition_exact(graph: CouplingGraph, beta: float) -> PartitionResult:
 
 def _log_partition(graph: CouplingGraph, beta: float) -> float:
     """ln Z reduced one block of :func:`_energy_blocks` at a time. Each
-    block's log-weights are shifted by their max m and their exps summed to
-    s, as :func:`log_normalize` does over all of them; the blocks' (m, s)
-    pairs are then combined in block order as one exactly rounded sum of
-    s exp(m - max m). With one block this is the arithmetic of
+    block's log-weights go through :func:`_exp_shifted`, the max shift of
+    :func:`log_normalize`, to their max m and sum of exps s; the blocks'
+    (m, s) pairs are then combined in block order as one exactly rounded sum
+    of s exp(m - max m). With one block this is the arithmetic of
     :func:`log_normalize`, bit for bit; with more, the last bits can differ."""
     maxes, sums = [], []
     for log_w in _energy_blocks(graph):
@@ -368,14 +360,9 @@ def _log_partition(graph: CouplingGraph, beta: float) -> float:
                 log_w *= -beta
         except FloatingPointError:  # an infinite log-weight would make the max shift inf - inf
             raise NumericalError(f"partition_exact: beta * energy overflows a float at beta = {beta!r}") from None
-        m = float(log_w.max())
-        if not math.isfinite(m):
-            raise NumericalError(f"partition_exact: log-weights overflow a float (largest {m!r})")
-        with np.errstate(over="ignore"):  # log-weights further apart than the float range: a weight of 0
-            log_w -= m
-        np.exp(log_w, out=log_w)
+        m, s = _exp_shifted("partition_exact", log_w)
         maxes.append(m)
-        sums.append(float(log_w.sum()))
+        sums.append(s)
     top = max(maxes)
     return top + math.log(math.fsum(s * math.exp(m - top) for m, s in zip(maxes, sums)))
 

@@ -16,7 +16,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .config import _array, _count, _index, _items, _real
+from .config import _array, _count, _edges, _index, _real
 from .distributions import DiscreteDistribution, _log_normalize_inplace, log_normalize
 from .errors import DomainError, NumericalError, ValidationError
 from .rng import RngStream
@@ -39,30 +39,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NeighborGraph:
-    """Undirected neighbor structure as per-agent adjacency lists."""
+    """Undirected neighbor structure as per-agent adjacency lists, built by :meth:`from_edges`."""
 
     neighbors: Tuple[Tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = _items("NeighborGraph: neighbors", self.neighbors)
-        n = len(rows)
-        if n == 0:
-            raise ValidationError("NeighborGraph: need at least one agent")
-        lists = tuple(
-            tuple(_index(f"NeighborGraph: a neighbor of agent {j}", k, n) for k in _items(f"NeighborGraph: neighbors of agent {j}", row))
-            for j, row in enumerate(rows)
-        )
-        for j, row in enumerate(lists):
-            if len(set(row)) != len(row):
-                raise ValidationError(f"NeighborGraph: repeated neighbor in list of agent {j}")
-            for k in row:
-                if k == j:
-                    raise ValidationError(f"NeighborGraph: self-loop at agent {j}")
-                if j not in lists[k]:
-                    raise ValidationError(f"NeighborGraph: edge {j}-{k} not symmetric")
-        object.__setattr__(self, "neighbors", lists)
 
     @property
     def n_agents(self) -> int:
@@ -70,13 +51,15 @@ class NeighborGraph:
 
     @classmethod
     def from_edges(cls, n_agents: int, edges: Sequence[Tuple[int, int]]) -> "NeighborGraph":
-        lists = [[] for _ in range(_count("NeighborGraph.from_edges: n_agents", n_agents, 0))]
-        for edge in _items("NeighborGraph.from_edges: edges", edges):
-            pair = _items("NeighborGraph.from_edges: edge (i, j)", edge, 2)
-            i, j = (_index(f"NeighborGraph.from_edges: a site of edge {edge}", k, n_agents) for k in pair)
+        """Agent i's list holds its neighbours in the order of their edges; ``edges`` follow
+        ``CouplingGraph``'s edge rule, sites being agents."""
+        lists = [[] for _ in range(_count("NeighborGraph.from_edges: n_agents", n_agents, 1))]
+        for i, j in _edges("NeighborGraph.from_edges", edges, len(lists)):
             lists[i].append(j)
             lists[j].append(i)
-        return cls(tuple(tuple(row) for row in lists))
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "neighbors", tuple(map(tuple, lists)))
+        return graph
 
 
 def torus_graph(rows: int, cols: int) -> NeighborGraph:

@@ -57,12 +57,5 @@ class RngStream:
         """Derive an independent child stream; child seed is this pair's mix."""
         return RngStream(mix_seed(self.seed, self.stream_id), stream_id)
 
-    # Thin pass-throughs for the most common draws.
-    def random(self, size=None):
-        return self.generator.random(size)
-
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high, size)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"

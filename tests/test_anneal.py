@@ -19,13 +19,13 @@ class IntLine(EnergyLandscape):
         return float((state - 3) ** 2)
 
     def moves(self, rng, count):
-        return (2 * rng.integers(2, size=count) - 1).tolist()
+        return (2 * rng.generator.integers(2, size=count) - 1).tolist()
 
     def apply(self, state, move):
         return state + move
 
     def random_state(self, rng):
-        return int(rng.integers(-50, 51))
+        return int(rng.generator.integers(-50, 51))
 
 
 # --- schedules --------------------------------------------------------------

@@ -30,7 +30,7 @@ from thermolearn.rng import RngStream
 
 def threshold_data(n, threshold, seed):
     rng = RngStream(seed)
-    xs = rng.random(size=n)
+    xs = rng.generator.random(size=n)
     ys = (xs >= threshold).astype(int)
     return WeightedDataset.uniform(xs, ys)
 

@@ -281,14 +281,14 @@ TIGHTENED_ARRAYS = [
     ("loss_nll: correct", lambda: loss_nll([0.0, 1.0], 0.5, 1.0)),  # kept
     ("variational_free_energy: evidence_index", lambda: variational_free_energy([1.0], [1.0], [[1.0, 0.5]], evidence_index=0.5)),
     ("mf_actor_critic_grad: own_action", lambda: mf_actor_critic_grad([1.0, 2.0], 0.5, 1.0)),
-    ("NeighborGraph: a neighbor of agent", lambda: NeighborGraph(((1.5,), (0,)))),
+    ("NeighborGraph.from_edges: a site of edge (1.5, 0)", lambda: NeighborGraph.from_edges(2, [(1.5, 0)])),  # kept
     ("CouplingGraph: a site of edge", lambda: CouplingGraph(2, ((0.5, 1, 1.0),))),
     ("RngStream: seed", lambda: RngStream(True)),
     # a non-sequence where a constructor iterates the argument: raised TypeError or AttributeError
     ("CouplingGraph: edges must be a sequence, got None", lambda: CouplingGraph(3, None)),
     ("CouplingGraph: edges must be a sequence, got 5", lambda: CouplingGraph(3, 5)),
-    ("NeighborGraph: neighbors must be a sequence, got 5", lambda: NeighborGraph(5)),
-    ("NeighborGraph: neighbors of agent 1 must be a sequence", lambda: NeighborGraph(((1,), 0))),
+    ("NeighborGraph.from_edges: edges must be a sequence, got 5", lambda: NeighborGraph.from_edges(2, 5)),  # kept
+    ("NeighborGraph.from_edges: edge (i, j) must be a sequence of 2 items, got 0", lambda: NeighborGraph.from_edges(2, [(0, 1), 0])),  # kept
     ("NeighborGraph.from_edges: edges must be a sequence, got None", lambda: NeighborGraph.from_edges(3, None)),
     ("DoubleDigestInstance: a must be a sequence, got 5", lambda: DoubleDigestInstance(5, (1,), (1,))),
     ("Trace: columns must be a mapping, got [1, 2]", lambda: Trace([1, 2])),

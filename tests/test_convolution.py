@@ -26,13 +26,13 @@ def test_next_pow2_values():
 def test_fft_matches_reference_on_random_inputs():
     rng = RngStream(0)
     for n in (1, 2, 4, 8, 64, 256, 1024):
-        x = rng.random(size=n) - 0.5
+        x = rng.generator.random(size=n) - 0.5
         assert np.allclose(fft_radix2(x), np.fft.fft(x), atol=1e-10)
 
 
 def test_fft_complex_input():
     rng = RngStream(1)
-    x = rng.random(size=128) + 1j * rng.random(size=128)
+    x = rng.generator.random(size=128) + 1j * rng.generator.random(size=128)
     assert np.allclose(fft_radix2(x), np.fft.fft(x), atol=1e-10)
 
 
@@ -54,7 +54,7 @@ def test_transforms_leave_their_input_unchanged():
 
 def test_ifft_inverts_fft():
     rng = RngStream(2)
-    x = rng.random(size=512)
+    x = rng.generator.random(size=512)
     assert np.allclose(ifft_radix2(fft_radix2(x)), x, atol=1e-12)
 
 
@@ -73,7 +73,7 @@ def test_fft_rejects_non_power_of_two():
 
 def test_fft_parseval():
     rng = RngStream(3)
-    x = rng.random(size=256)
+    x = rng.generator.random(size=256)
     X = fft_radix2(x)
     assert np.sum(np.abs(x) ** 2) == pytest.approx(np.sum(np.abs(X) ** 2) / 256)
 
@@ -167,8 +167,8 @@ def test_transforms_replay_reference_where_passes_overflow(k):
 
 def test_naive_matches_numpy():
     rng = RngStream(4)
-    x = rng.random(size=37)
-    y = rng.random(size=11)
+    x = rng.generator.random(size=37)
+    y = rng.generator.random(size=11)
     assert np.allclose(conv_naive(x, y), np.convolve(x, y), atol=1e-12)
 
 
@@ -190,18 +190,18 @@ def test_conv_ones_gives_triangle():
 
 def test_conv_commutes():
     rng = RngStream(5)
-    x = rng.random(size=20)
-    y = rng.random(size=7)
+    x = rng.generator.random(size=20)
+    y = rng.generator.random(size=7)
     assert np.allclose(conv_fft(x, y), conv_fft(y, x), atol=1e-12)
 
 
 def test_routes_agree_on_seeded_pairs():
     rng = RngStream(6)
     for _ in range(25):
-        nx = int(rng.integers(1, 300))
-        ny = int(rng.integers(1, 300))
-        x = rng.random(size=nx) * 2 - 1
-        y = rng.random(size=ny) * 2 - 1
+        nx = int(rng.generator.integers(1, 300))
+        ny = int(rng.generator.integers(1, 300))
+        x = rng.generator.random(size=nx) * 2 - 1
+        y = rng.generator.random(size=ny) * 2 - 1
         fast = conv_fft(x, y)
         slow = conv_naive(x, y)
         assert np.max(np.abs(fast - slow)) <= 1e-9

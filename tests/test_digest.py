@@ -553,7 +553,7 @@ def test_anneal_solves_small_benchmark():
 
 
 def test_sweep_draws_moves_then_uniforms():
-    # one sweep replayed by hand from a fresh stream: moves(rng, P), then random(P)
+    # one sweep replayed by hand from a fresh stream: moves(rng, P), then generator.random(P)
     inst = generate_instance(4, 5, 50, RngStream(8))
     land = DigestLandscape(inst)
     start = land.random_state(RngStream(9))
@@ -562,7 +562,7 @@ def test_sweep_draws_moves_then_uniforms():
 
     rng = RngStream(10)
     moves = land.moves(rng, per_sweep)
-    uniforms = rng.random(per_sweep)
+    uniforms = rng.generator.random(per_sweep)
     state, energy = start, land.energy(start)
     best_state, best_energy, accepted = state, energy, 0
     for move, u in zip(moves, uniforms):

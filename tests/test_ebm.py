@@ -110,6 +110,25 @@ def test_training_whose_parameters_overflow_is_numerical_error():
                 bm_train(machine, [[1]], method=method, learning_rate=1e308, epochs=3, rng=RngStream(0))
 
 
+@pytest.mark.parametrize(
+    "name, call, largest",
+    [
+        ("bm_log_likelihood", bm_log_likelihood, "inf"),
+        ("bm_exact_gradient", bm_exact_gradient, "inf"),
+        # -E(v, h) is inf on some states and inf - inf on others
+        ("bm_partition_exact", lambda machine, data: bm_partition_exact(machine), "nan"),
+    ],
+    ids=["bm_log_likelihood", "bm_exact_gradient", "bm_partition_exact"],
+)
+def test_exact_routines_beyond_the_float_range_are_numerical_error(name, call, largest):
+    # a.v and v W h pass the float range: a numpy overflow warning came first
+    machine = BoltzmannMachine(np.full(3, 1e308), np.zeros(2), np.full((3, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=rf"^{name}: log-weights overflow a float \(largest {largest}\)$"):
+            call(machine, [[1, 0, 1]])
+
+
 def test_gibbs_sampling_with_saturated_activations_has_no_warning():
     # b + vW overflows to inf, whose activation 1 is the correct float: numpy warned
     machine = BoltzmannMachine(np.zeros(2), np.zeros(2), np.full((2, 2), 1e308))

@@ -179,6 +179,15 @@ def test_energy_beyond_the_float_range_is_numerical_error():
         assert ising_energy(np.ones(3), complete_graph(3, coupling=5e307)) == -1.5e308
 
 
+def test_enumerated_energy_beyond_the_float_range_is_numerical_error():
+    # three fields of 1e308 give the all-up state an energy of -3e308: the table held -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^enumerate_energies: an energy is beyond the float range$"):
+            enumerate_energies(CouplingGraph(3, (), fields_h=[1e308] * 3))
+        assert enumerate_energies(CouplingGraph(3, (), fields_h=[5e307] * 3)).min() == -1.5e308
+
+
 def test_enumerate_matches_pointwise_energy():
     g = complete_graph(4, coupling=0.7)
     energies = enumerate_energies(g)

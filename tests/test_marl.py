@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -201,18 +202,48 @@ def test_boltzmann_temperature_validation():
         boltzmann_policy(np.array([1.0]), temperature=0.0)
 
 
+def _coupled(edges):
+    # the same edge list as CouplingGraph takes it, a coupling of 1.0 after each tuple
+    return [(*edge, 1.0) if isinstance(edge, tuple) else edge for edge in edges] if isinstance(edges, list) else edges
+
+
+# each graph type: a builder of 3 sites from an edge list, and the form and arity its edges take
+GRAPH_TYPES = {
+    "CouplingGraph": (lambda edges: CouplingGraph(3, _coupled(edges)), "(i, j, coupling)", 3),
+    "NeighborGraph.from_edges": (lambda edges: NeighborGraph.from_edges(3, edges), "(i, j)", 2),
+}
+
+
+@pytest.mark.parametrize("graph_type", GRAPH_TYPES)
 @pytest.mark.parametrize(
-    "neighbors, message",
+    "edges, message",
     [
-        ((), "NeighborGraph: need at least one agent"),
-        (((0,),), "NeighborGraph: self-loop at agent 0"),
-        (((1,), ()), "NeighborGraph: edge 0-1 not symmetric"),
+        ([(0, 1), (2, 2)], "self-loop at site 2"),
+        ([(0, 1), (0, 1)], "duplicate edge (0,1)"),
+        ([(1, 2), (2, 1)], "duplicate edge (1,2)"),
+        ([(0, 3)], "a site of edge (0, 3) out of range: must be an integer in [0, 3), got 3"),
+        ([(-1, 0)], "a site of edge (-1, 0) out of range: must be an integer in [0, 3), got -1"),
+        ([(0,)], "edge {form} must be a sequence of {arity} items"),
+        ([(0, 1), 2], "edge {form} must be a sequence of {arity} items, got 2"),
+        (None, "edges must be a sequence, got None"),
     ],
-    ids=["empty", "self_loop", "asymmetric"],
+    ids=["self_loop", "duplicate", "duplicate_reversed", "site_above", "site_below", "arity", "edge_not_a_sequence",
+         "edges_not_a_sequence"],
 )
-def test_neighbor_graph_rejects_malformed_lists(neighbors, message):
-    with pytest.raises(ValidationError, match=f"^{message}"):
-        NeighborGraph(neighbors)
+def test_both_graph_types_reject_the_same_malformed_edge_lists(graph_type, edges, message):
+    build, form, arity = GRAPH_TYPES[graph_type]
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{graph_type}: {message.format(form=form, arity=arity)}")):
+        build(edges)
+
+
+def test_neighbor_graph_is_built_from_edges_only():
+    # from_edges is the only constructor, and it puts both ends of every edge in the lists
+    with pytest.raises(TypeError):
+        NeighborGraph(((1,), (0,)))
+    with pytest.raises(ValidationError, match=r"^NeighborGraph.from_edges: n_agents must be an integer >= 1, got 0$"):
+        NeighborGraph.from_edges(0, [])
+    g = NeighborGraph.from_edges(3, [(2, 0), (1, 0)])
+    assert g.neighbors == ((2, 1), (0,), (0,)) and g == NeighborGraph.from_edges(3, [(0, 2), (0, 1)])
 
 
 def test_run_ising_game_rejects_a_schedule_that_is_neither_a_schedule_nor_callable():

@@ -101,6 +101,15 @@ def test_a_run_loads_only_its_subcommands_modules(tmp_path):
     assert code == 0
     assert "digest" in after
     assert not set(after) & {"ising", "ebm", "marl", "boost", "activeinf", "info", "sampling", "convolution"}
+    # the game validates its graph's edges by config's rule, not by loading ising
+    after = _fresh(
+        "import json, sys\n"
+        "from thermolearn import CoolingSchedule, RngStream, marl\n"
+        "env = marl.IsingGameEnv(marl.torus_graph(2, 3))\n"
+        "marl.run_ising_game(env, 2, 2, 0.1, 0.9, CoolingSchedule('constant', 1.0), RngStream(0))\n"
+        f"print(json.dumps({_LOADED}))\n"
+    )
+    assert "marl" in after and "ising" not in after
 
 
 def test_namespace_keeps_every_name():

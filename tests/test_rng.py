@@ -8,43 +8,43 @@ from thermolearn.rng import RngStream, mix_seed, splitmix64
 
 
 def test_same_seed_same_sequence():
-    a = RngStream(123, 7).random(100)
-    b = RngStream(123, 7).random(100)
+    a = RngStream(123, 7).generator.random(100)
+    b = RngStream(123, 7).generator.random(100)
     np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_stream_ids_diverge():
-    a = RngStream(123, 0).random(50)
-    b = RngStream(123, 1).random(50)
+    a = RngStream(123, 0).generator.random(50)
+    b = RngStream(123, 1).generator.random(50)
     assert not np.array_equal(a, b)
 
 
 def test_distinct_seeds_diverge():
-    a = RngStream(1).random(50)
-    b = RngStream(2).random(50)
+    a = RngStream(1).generator.random(50)
+    b = RngStream(2).generator.random(50)
     assert not np.array_equal(a, b)
 
 
 def test_substream_is_deterministic():
     parent = RngStream(99)
-    a = parent.substream(3).random(20)
-    b = RngStream(99).substream(3).random(20)
+    a = parent.substream(3).generator.random(20)
+    b = RngStream(99).substream(3).generator.random(20)
     np.testing.assert_array_equal(a, b)
 
 
 def test_substream_independent_of_parent_consumption():
     p1 = RngStream(5)
-    p1.random(1000)
-    a = p1.substream(2).random(10)
-    b = RngStream(5).substream(2).random(10)
+    p1.generator.random(1000)
+    a = p1.substream(2).generator.random(10)
+    b = RngStream(5).substream(2).generator.random(10)
     np.testing.assert_array_equal(a, b)
 
 
 def test_substreams_differ_from_each_other_and_parent():
     parent = RngStream(5)
-    s0 = parent.substream(0).random(20)
-    s1 = parent.substream(1).random(20)
-    base = RngStream(5).random(20)
+    s0 = parent.substream(0).generator.random(20)
+    s1 = parent.substream(1).generator.random(20)
+    base = RngStream(5).generator.random(20)
     assert not np.array_equal(s0, s1)
     assert not np.array_equal(s0, base)
 
@@ -61,7 +61,7 @@ def test_splitmix64_known_fixed_point_free():
 
 
 def test_integers_range():
-    vals = RngStream(0).integers(0, 10, size=1000)
+    vals = RngStream(0).generator.integers(0, 10, size=1000)
     assert vals.min() >= 0 and vals.max() < 10
 
 
@@ -73,7 +73,7 @@ def test_seed_rejects_junk():
 
 def test_seed_takes_any_u64_integer():
     for seed in (0, np.uint8(7), np.int64(5), 2**64 - 1, np.uint64(2**64 - 1)):
-        np.testing.assert_array_equal(RngStream(seed).random(3), RngStream(int(seed)).random(3))
+        np.testing.assert_array_equal(RngStream(seed).generator.random(3), RngStream(int(seed)).generator.random(3))
 
 
 def test_stream_ids_outside_u64_are_rejected():
@@ -85,9 +85,9 @@ def test_stream_ids_outside_u64_are_rejected():
             RngStream(1, bad)
     for good in (0, 2**64 - 1):
         assert (RngStream(good).seed, RngStream(1, good).stream_id) == (good, good)
-    assert not np.array_equal(RngStream(0).random(3), RngStream(2**64 - 1).random(3))
+    assert not np.array_equal(RngStream(0).generator.random(3), RngStream(2**64 - 1).generator.random(3))
     # a substream's seed is a mix of its parent's pair, so always in range
-    assert RngStream(2**64 - 1, 2**64 - 1).substream(2**64 - 1).random(3).shape == (3,)
+    assert RngStream(2**64 - 1, 2**64 - 1).substream(2**64 - 1).generator.random(3).shape == (3,)
 
 
 # Each Generator method that src/ calls, in the argument forms that src/ uses. NEP 19 keeps only

@@ -13,7 +13,7 @@ from thermolearn.sampling import importance_estimate
 
 def test_same_proposal_reduces_to_plain_mean():
     rng = RngStream(7)
-    x = rng.random(size=500)
+    x = rng.generator.random(size=500)
     p = np.full(500, 0.3)
     h = x * x
     assert importance_estimate(h, p, p) == pytest.approx(float(np.mean(h)), abs=0.0)
@@ -58,7 +58,7 @@ def test_discrete_reweighting_hand_value():
 def test_constant_integrand_recovers_target_mass():
     rng = RngStream(42)
     n = 20000
-    x = rng.random(size=n)
+    x = rng.generator.random(size=n)
     # target: triangular density 2x on [0,1]; proposal: uniform
     p = 2.0 * x
     q = np.ones(n)
