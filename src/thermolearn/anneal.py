@@ -36,7 +36,13 @@ class EnergyLandscape(ABC):
 
     Implementations must be reentrant: no hidden mutable state, so
     parallel restarts over independent rng streams stay independent.
+
+    ``energy_floor`` states that no state has a lower energy. ``anneal``
+    stops once its best energy reaches it, since no later proposal could
+    replace the best; the default, -inf, is reached only by an energy of -inf.
     """
+
+    energy_floor = -math.inf
 
     @abstractmethod
     def energy(self, state) -> float: ...
@@ -108,7 +114,9 @@ def anneal(
     exp(-dH / T(k)) against a uniform draw in [0, 1). Draws: the initial
     state from ``problem.random_state(rng)`` unless ``initial`` is given,
     then per sweep ``problem.moves(rng, P)`` and then ``rng.generator.random(P)``,
-    one uniform per proposal. The trace records one row per sweep:
+    one uniform per proposal. The walk ends after the first sweep whose
+    best energy is at or below ``problem.energy_floor``, so ``sweeps`` is
+    the most sweeps it runs. The trace records one row per sweep run:
     temperature, end-of-sweep current energy, best energy so far, and the
     sweep's acceptance rate.
     """
@@ -122,7 +130,7 @@ def anneal(
 
     currents, bests, acc_rates = np.empty((3, sweeps))
     exp = math.exp
-    apply, energy_of = problem.apply, problem.energy
+    apply, energy_of, floor = problem.apply, problem.energy, problem.energy_floor
 
     for k, temperature in enumerate(temps):
         inv_t = 1.0 / temperature
@@ -142,14 +150,17 @@ def anneal(
         currents[k] = energy
         bests[k] = best_energy
         acc_rates[k] = accepted / proposals_per_sweep
+        if best_energy <= floor:
+            sweeps = k + 1
+            break
 
     trace = Trace(
         {
             "sweep": np.arange(sweeps),
-            "temperature": np.array(temps),
-            "current_energy": currents,
-            "best_energy": bests,
-            "acceptance_rate": acc_rates,
+            "temperature": np.array(temps[:sweeps]),
+            "current_energy": currents[:sweeps],
+            "best_energy": bests[:sweeps],
+            "acceptance_rate": acc_rates[:sweeps],
         }
     )
     return AnnealResult(best_state, float(best_energy), trace)

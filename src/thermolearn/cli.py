@@ -292,7 +292,9 @@ def _run_ising(cfg, rng):
 
 
 class _QuadraticLine(EnergyLandscape):
-    """Integer line with E(x) = x^2 and unit-step moves."""
+    """Integer line with E(x) = x^2 and unit-step moves; E >= 0, so 0.0 is its floor."""
+
+    energy_floor = 0.0
 
     def __init__(self, span: int):
         self.span = int(span)

@@ -211,7 +211,13 @@ class DigestLandscape(EnergyLandscape):
     clear are each atomic under the GIL, so walks sharing one landscape
     stay independent. Threads racing on a full cache may clear it twice
     or pass the cap by one entry each; neither changes an energy.
+
+    ``energy_floor`` is 0.0: each term (c_j - v)^2 / c_j is a square over
+    a positive length, so it is >= 0, and adding such terms left to right
+    from 0.0 never rounds below 0.0, so ``anneal`` stops at energy 0.
     """
+
+    energy_floor = 0.0
 
     def __init__(self, instance: DoubleDigestInstance):
         self.instance = _checked_instance("DigestLandscape", instance)

@@ -191,10 +191,16 @@ def ising_energy(spins, graph: CouplingGraph) -> float:
     """Total energy of a configuration under the graph's Hamiltonian; an
     energy beyond the float range raises NumericalError."""
     s = check_spins(spins, graph.n_sites)
+    terms = graph.fields_h * s
     try:
-        energy = -math.fsum(graph.fields_h * s)
+        energy = -math.fsum(terms)
     except OverflowError:  # a partial sum of the field terms passed the float range
-        energy = math.nan
+        from fractions import Fraction
+
+        try:  # the exact sum, rounded once, as fsum rounds it
+            energy = -float(sum(map(Fraction, terms.tolist())))
+        except OverflowError:  # the sum itself is beyond the float range
+            energy = math.nan
     for i, j, coupling in graph.edges:
         energy -= coupling * float(s[i] * s[j])
     if not math.isfinite(energy):

@@ -8,6 +8,8 @@ from thermolearn.anneal import (
     EnergyLandscape,
     anneal,
 )
+from thermolearn.cli import _QuadraticLine
+from thermolearn.digest import DigestLandscape, DigestOrdering, DoubleDigestInstance, generate_instance
 from thermolearn.errors import ValidationError
 from thermolearn.rng import RngStream
 
@@ -194,3 +196,61 @@ def test_schedule_that_reaches_zero_fails_before_any_proposal():
         anneal(CountingLine(), CoolingSchedule("geometric", 10.0, 0.5), 1200, 5, RngStream(0))
     assert CountingLine.calls == 0
 
+
+
+
+# --- the stop at a landscape's energy floor ----------------------------------
+
+
+def _with_and_without_floor(landscape_type, arg):
+    # the landscape, and the same landscape with no floor, whose walk runs every sweep
+    floorless = type(f"Floorless{landscape_type.__name__}", (landscape_type,), {"energy_floor": -math.inf})
+    return landscape_type(arg), floorless(arg)
+
+
+def _instance(n_a, n_b, total, seed):
+    return generate_instance(n_a, n_b, total, RngStream(seed))
+
+
+# landscape type and arguments, schedule, sweeps, proposals per sweep, walk seed
+STOP_CASES = {
+    "digest-5x4": (DigestLandscape, _instance(5, 4, 60, 123), CoolingSchedule("geometric", 5.0, 0.98), 250, 100, 7),
+    "digest-7x8": (DigestLandscape, _instance(7, 8, 90, 1), CoolingSchedule("geometric", 5.0, 0.98), 250, 100, 102),
+    # the same instance, on a walk that ends at energy 0.2333 after all 250 sweeps
+    "digest-7x8-unsolved": (DigestLandscape, _instance(7, 8, 90, 1), CoolingSchedule("geometric", 5.0, 0.98), 250, 100, 101),
+    "digest-6x6": (DigestLandscape, _instance(6, 6, 50, 2), CoolingSchedule("linear", 4.0, 0.02, floor=0.05), 300, 40, 9),
+    "quadratic": (_QuadraticLine, 60, CoolingSchedule("geometric", 10.0, 0.95), 200, 10, 0),
+    # no ordering gives the observed 1 + 7 from cuts at 4 alone, so the floor is never reached
+    "digest-unsolvable": (DigestLandscape, DoubleDigestInstance((4, 4), (4, 4), (1, 7)), CoolingSchedule("constant", 1.0), 60, 5, 3),
+}
+FLOOR_NOT_REACHED = {"digest-7x8-unsolved", "digest-unsolvable"}
+
+
+@pytest.mark.parametrize("case", STOP_CASES)
+def test_stop_at_the_floor_keeps_the_floorless_walk_up_to_it(case):
+    landscape_type, arg, schedule, sweeps, per_sweep, seed = STOP_CASES[case]
+    landscape, floorless = _with_and_without_floor(landscape_type, arg)
+    stopped = anneal(landscape, schedule, sweeps, per_sweep, RngStream(seed))
+    full = anneal(floorless, schedule, sweeps, per_sweep, RngStream(seed))
+    assert len(full.trace) == sweeps
+    # the walk ends after the first sweep whose best energy reaches the floor, or runs every sweep
+    reached = np.flatnonzero(full.trace.column("best_energy") <= landscape.energy_floor)
+    rows = int(reached[0]) + 1 if reached.size else sweeps
+    assert (rows == sweeps) == (case in FLOOR_NOT_REACHED)
+    assert len(stopped.trace) == rows
+    assert stopped.trace.csv_text().splitlines() == full.trace.csv_text().splitlines()[: rows + 1]
+    assert stopped.best_state == full.best_state
+    assert stopped.best_energy.hex() == full.best_energy.hex()
+
+
+def test_initial_state_at_the_floor_runs_one_sweep():
+    inst = _instance(5, 4, 60, 5)
+    schedule = CoolingSchedule("geometric", 5.0, 0.98)
+    for (landscape_type, arg), initial in (((DigestLandscape, inst), DigestOrdering.identity(inst)), ((_QuadraticLine, 10), 0)):
+        landscape, floorless = _with_and_without_floor(landscape_type, arg)
+        stopped = anneal(landscape, schedule, 50, 20, RngStream(1), initial=initial)
+        full = anneal(floorless, schedule, 50, 20, RngStream(1), initial=initial)
+        assert len(stopped.trace) == 1 and len(full.trace) == 50
+        assert stopped.trace.csv_text().splitlines() == full.trace.csv_text().splitlines()[:2]
+        assert stopped.best_state == full.best_state == initial
+        assert stopped.best_energy == 0.0

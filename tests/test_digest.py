@@ -303,14 +303,19 @@ def test_term_tables_are_built_only_below_the_cap():
     assert peaks["beyond_int64"] < 8 * 2**10 and peaks["benchmark"] <= 100_000, peaks
 
 
-class _Uncached(DigestLandscape):
+class _Floorless(DigestLandscape):
+    # anneals every sweep of the schedule, for tests that study the whole walk, not the stop at 0
+    energy_floor = -math.inf
+
+
+class _Uncached(_Floorless):
     # the energy as the free function computes it, prefix cuts rebuilt on every call
     def energy(self, state):
         inst = self.instance
         return digest._gap_energy(self._observed, digest._cut_gaps(inst.a, inst.b, state.sigma, state.mu))
 
 
-class _CacheWatch(DigestLandscape):
+class _CacheWatch(_Floorless):
     def __init__(self, instance):
         super().__init__(instance)
         self.largest = [0, 0]
@@ -344,7 +349,7 @@ def test_longer_anneal_grows_memory_only_by_its_trace_rows():
     schedule = CoolingSchedule("geometric", 5.0, 0.995)
     peaks = []
     for sweeps in (100, 400):
-        land = DigestLandscape(inst)
+        land = _Floorless(inst)
         tracemalloc.start()
         try:
             anneal(land, schedule, sweeps, 50, RngStream(4))
@@ -594,7 +599,7 @@ def test_anneal_same_seed_same_trace():
 def test_uphill_acceptance_dies_in_final_decile():
     sweeps, per_sweep = 1000, 100
 
-    class Tracking(DigestLandscape):
+    class Tracking(_Floorless):
         def __init__(self, inst):
             super().__init__(inst)
             self.pending = None

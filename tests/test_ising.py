@@ -179,6 +179,15 @@ def test_energy_beyond_the_float_range_is_numerical_error():
         assert ising_energy(np.ones(3), complete_graph(3, coupling=5e307)) == -1.5e308
 
 
+def test_energy_whose_field_partial_sum_overflows_is_summed_exactly():
+    # fsum raises OverflowError on 1e308 + 1e308 - 1e308, whose exact sum 1e308 fits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ising_energy(np.ones(3), CouplingGraph(3, (), fields_h=[1e308, 1e308, -1e308])) == -1e308
+        # the terms -1e308, -1e308, 1e308: the partial sum passes the range below, and E = 1e308
+        assert ising_energy(np.array([1, -1, -1]), CouplingGraph(3, (), fields_h=[-1e308, 1e308, -1e308])) == 1e308
+
+
 def test_enumerated_energy_beyond_the_float_range_is_numerical_error():
     # three fields of 1e308 give the all-up state an energy of -3e308: the table held -inf
     with warnings.catch_warnings():
