@@ -74,7 +74,10 @@ def variational_free_energy(q, prior, likelihood, evidence_index=None) -> float:
     ``likelihood`` is either the vector P(x_obs | Z) over hidden states,
     or, given ``evidence_index``, a matrix with one row per state whose column
     at that index is the observed one. The exact posterior is prior * likelihood,
-    normalized. Zero iff q equals the exact posterior.
+    normalized. Zero iff q equals the exact posterior. The likelihood is first
+    scaled by the power of two that brings its largest entry into [0.5, 1): the
+    scaling cancels in the normalisation, and it keeps tiny likelihoods from
+    vanishing in the product.
     """
     q = as_distribution(q)
     prior = as_distribution(prior)
@@ -84,7 +87,7 @@ def variational_free_energy(q, prior, likelihood, evidence_index=None) -> float:
         lik = lik[:, _index("variational_free_energy: evidence_index", evidence_index, lik.shape[1])]
     if len(q) != len(prior):
         raise DomainError("variational_free_energy: q and prior must share the hidden state space")
-    joint = prior.probs * lik
+    joint = prior.probs * np.ldexp(lik, -math.frexp(lik.max())[1])
     total = joint.sum()
     if total <= 0:
         raise DomainError("variational_free_energy: evidence has zero probability under the model")

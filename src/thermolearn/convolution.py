@@ -25,23 +25,42 @@ def next_pow2(n: int) -> int:
     return 1 << (_count("next_pow2: n", n, 1) - 1).bit_length()
 
 
-def _twiddles(n: int, work: np.ndarray) -> np.ndarray:
-    # the forward transform's last-pass twiddles exp(-2 pi i k / n), k < n/2;
-    # work is scratch of size n. Each pass's twiddles are a strided slice of
-    # these: the angle of k * (n / length) over n rounds exactly as the angle
-    # of k over length. The inverse uses their conjugate.
-    angles = work.view(np.float64)[: n // 2]
-    np.multiply(-2.0 * math.pi, np.arange(n // 2), out=angles)
+def _twiddles(n: int) -> np.ndarray:
+    # the forward transform's last-pass twiddles exp(-2 pi i k / n), k < n/2, read-only.
+    # Each pass's twiddles are a strided slice of these: the angle of
+    # k * (n / length) over n rounds exactly as the angle of k over length.
+    # The inverse uses their conjugate.
+    angles = np.arange(n // 2, dtype=np.float64)
+    angles *= -2.0 * math.pi
     angles /= n
     roots = np.multiply(1j, angles)
     np.exp(roots, out=roots)
+    roots.flags.writeable = False
     return roots
 
 
-def _fft_inplace(a: np.ndarray, roots: np.ndarray, work: np.ndarray) -> None:
+_KEPT_TWIDDLES = 1 << 17  # the largest size whose twiddles are kept: 2^16 entries, 1 MB
+_kept_roots = _twiddles(2)
+
+
+def _roots(n: int) -> np.ndarray:
+    # _twiddles(n). Up to _KEPT_TWIDDLES one table is kept, for the largest size
+    # asked for so far, and a size n takes its slice of stride N / n, which by the
+    # same exact rounding is bit for bit _twiddles(n) (size 1 gets a root it does
+    # not use). A larger size gets a table of its own.
+    global _kept_roots
+    if n > _KEPT_TWIDDLES:
+        return _twiddles(n)
+    if n > 2 * _kept_roots.size:
+        _kept_roots = _twiddles(n)
+    return _kept_roots[:: 2 * _kept_roots.size // n]
+
+
+def _fft_inplace(a: np.ndarray, roots: np.ndarray, work: np.ndarray, inverse: bool = False) -> None:
     # unscaled transform of complex128 a, whose size is a power of two, with
-    # roots from _twiddles (conjugated for the inverse) and scratch of a's size:
-    # the textbook butterflies E + O w, E - O w, on rows >= ~sqrt(n) / 2 points
+    # roots from _roots (never written: the inverse conjugates each pass's slice
+    # into a copy) and scratch of a's size: the textbook butterflies E + O w,
+    # E - O w, on rows >= ~sqrt(n) / 2 points
     n = a.size
     bits = n.bit_length() - 1
     if not bits:
@@ -55,7 +74,8 @@ def _fft_inplace(a: np.ndarray, roots: np.ndarray, work: np.ndarray) -> None:
         m = n // (2 * length)
         evens, odds = src.reshape(length, 2, m).transpose(1, 0, 2)
         low, high = dst.reshape(2, length, m)
-        np.multiply(odds, roots[::m, None], out=low)
+        w = roots[::m, None]
+        np.multiply(odds, w.conjugate() if inverse else w, out=low)
         np.subtract(evens, low, out=high)
         np.add(evens, low, out=low)
         src, dst, length = dst, src, 2 * length
@@ -67,7 +87,10 @@ def _fft_inplace(a: np.ndarray, roots: np.ndarray, work: np.ndarray) -> None:
     odd, twiddle = work[: n // 2], work[n // 2 :]
     while length < n:
         half, length = length, 2 * length
-        twiddle[:half] = roots[:: n // length]
+        if inverse:
+            np.conjugate(roots[:: n // length], out=twiddle[:half])
+        else:
+            twiddle[:half] = roots[:: n // length]
         blocks, products = a.reshape(-1, length), odd.reshape(-1, half)
         np.multiply(blocks[:, half:], twiddle[:half], out=products)
         np.subtract(blocks[:, :half], products, out=blocks[:, half:])
@@ -83,11 +106,8 @@ def _transform(x, name: str, inverse: bool) -> np.ndarray:
     if out.size & (out.size - 1):
         raise ValidationError(f"{name}: length must be a power of two, got {out.size}")
     work = np.empty_like(out)
-    roots = _twiddles(out.size, work)
-    if inverse:
-        np.conjugate(roots, out=roots)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a non-finite result
-        _fft_inplace(out, roots, work)
+        _fft_inplace(out, _roots(out.size), work, inverse)
     if not np.isfinite(out).all():
         raise NumericalError(f"{name}: result is not finite; the input overflows the float range")
     return out
@@ -133,8 +153,10 @@ def conv_fft(x, y) -> np.ndarray:
     scaled by -i/(4N), gives the convolution. Each signal is first scaled
     by a power of two to a peak in [0.5, 1), and the result by the inverse
     powers: these scalings are exact, and they keep a small signal from
-    being lost in a large one's rounding. Both transforms share one table of
-    twiddles, the inverse taking its conjugate, and one scratch array.
+    being lost in a large one's rounding. Both transforms read one table of
+    twiddles, shared read-only with every transform up to 2^17 points and
+    never written: the inverse conjugates each pass's slice into its scratch.
+    Both also share one scratch array.
 
     The result is real: the imaginary residue is checked against
     ``IMAG_RESIDUE_TOL`` and discarded. A result that is not finite raises
@@ -152,7 +174,7 @@ def conv_fft(x, y) -> np.ndarray:
         np.ldexp(signal, -exponent, out=part[: signal.size])
         shift += exponent
     work = np.empty_like(z)
-    roots = _twiddles(size, work)
+    roots = _roots(size)
     _fft_inplace(z, roots, work)
     # k = 0 and k = N/2 pair with themselves: the product is 4i Re Z_k Im Z_k
     half = size // 2
@@ -168,8 +190,7 @@ def conv_fft(x, y) -> np.ndarray:
         upper = z[half + 1 :]
         np.conjugate(lower[::-1], out=upper)
         np.negative(upper, out=upper)
-    np.conjugate(roots, out=roots)
-    _fft_inplace(z, roots, work)
+    _fft_inplace(z, roots, work, inverse=True)
     del work, roots  # so the result below is made with only z alive
     # times -i/(4N), the real part is Im z / (4N) and the residue -Re z / (4N);
     # an overflow shows as a non-finite result, reported below

@@ -55,12 +55,22 @@ def partition_value(log_z: float) -> float:
         raise NumericalError(f"partition function exp({log_z!r}) overflows a float") from None
 
 
+_KEPT_BITS = 12  # widths whose tables state_bits keeps: 90 kB in all
+_kept_bits = {}
+
+
 def state_bits(n_bits: int) -> np.ndarray:
     """Bit i of every state index k in 0..2^n_bits - 1 as uint8 row i, so column k
-    is the state that :func:`_pack_bits` maps to k."""
-    bits = np.zeros((n_bits, 1 << n_bits), dtype=np.uint8)
-    for i in range(n_bits):
-        bits[i].reshape(-1, 2, 1 << i)[:, 1, :] = 1
+    is the state that :func:`_pack_bits` maps to k. The table is read-only: up to
+    ``_KEPT_BITS`` bits, one table per width is kept and shared by every call."""
+    bits = _kept_bits.get(n_bits)
+    if bits is None:
+        bits = np.zeros((n_bits, 1 << n_bits), dtype=np.uint8)
+        for i in range(n_bits):
+            bits[i].reshape(-1, 2, 1 << i)[:, 1, :] = 1
+        bits.flags.writeable = False
+        if n_bits <= _KEPT_BITS:
+            _kept_bits[n_bits] = bits
     return bits
 
 

@@ -371,8 +371,10 @@ class BMGradient(NamedTuple):
 
 
 def _row_stats(V: np.ndarray, P_h: np.ndarray):
-    # mean v, mean p(h|v) and V^T p(h|V) / m over the m float rows of V, given P_h = p(h|V)
-    return V.mean(axis=0), P_h.mean(axis=0), V.T @ P_h / V.shape[0]
+    # mean v, mean p(h|v) and V^T p(h|V) / m over the m float rows of V, given P_h = p(h|V);
+    # each mean is the sum and the division that ndarray.mean does, without its wrapper
+    m = V.shape[0]
+    return np.add.reduce(V, axis=0) / m, np.add.reduce(P_h, axis=0) / m, V.T @ P_h / m
 
 
 def _gradient(data_stats, model_stats) -> BMGradient:
@@ -451,10 +453,7 @@ def bm_train(
                 model_stats = _row_stats(v_neg, p_neg)
             params = (machine.a, machine.b, machine.W)
             grad = _gradient(_row_stats(X, p_data), model_stats)
-            try:
-                machine = BoltzmannMachine(*(p + learning_rate * g for p, g in zip(params, grad)))
-            except ValidationError:
-                raise NumericalError(f"bm_train at epoch {epoch}: a parameter overflows a float") from None
+            machine = _updated_machine([p + learning_rate * g for p, g in zip(params, grad)], epoch)
             if exact:
                 enumeration = _enumerate_visible(machine, f"bm_train at epoch {epoch}")
                 loss = -_mean_log_likelihood(enumeration, index)
@@ -469,6 +468,17 @@ def bm_train(
                 raise NumericalError(f"bm_train at epoch {epoch}: the negative log-likelihood overflows a float")
             losses.append(loss)
     return TrainResult(machine, losses)
+
+
+def _updated_machine(params, epoch: int) -> BoltzmannMachine:
+    # the machine of float parameters (a, b, W) of a machine's shapes, checked only for
+    # finiteness, which is all the constructor could still find wrong with them
+    if not all(np.isfinite(p).all() for p in params):
+        raise NumericalError(f"bm_train at epoch {epoch}: a parameter overflows a float")
+    machine = object.__new__(BoltzmannMachine)
+    for name, value in zip("abW", params):
+        object.__setattr__(machine, name, value)
+    return machine
 
 
 def load_visible_data(path) -> np.ndarray:

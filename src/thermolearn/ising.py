@@ -375,9 +375,14 @@ def _log_partition(graph: CouplingGraph, beta: float) -> float:
 
 # kept for ROADMAP item 13: F = U - TS from exact counts
 def boltzmann_entropy(multiplicity: int, k_B: float = 1.0) -> float:
-    """S = k_B ln(Omega) for a macro-state with the given multiplicity."""
+    """S = k_B ln(Omega) for a macro-state with the given multiplicity; NumericalError
+    when S is beyond the float range."""
     multiplicity = _count("boltzmann_entropy: multiplicity", multiplicity, 1)
-    return _real("boltzmann_entropy: k_B", k_B, 0, ends="(]") * math.log(multiplicity)
+    k_B = _real("boltzmann_entropy: k_B", k_B, 0, ends="(]")
+    entropy = k_B * math.log(multiplicity)
+    if entropy == math.inf:
+        raise NumericalError(f"boltzmann_entropy: k_B ln(Omega) overflows a float (k_B = {k_B!r})")
+    return entropy
 
 
 def acceptance_probability(delta_h: float, beta: float) -> float:

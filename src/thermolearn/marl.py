@@ -228,6 +228,7 @@ def run_ising_game(
 
     spins = [int(s) for s in (rng.generator.integers(0, 2, n) * 2 - 1)]
     up_counts = [sum(spins[k] > 0 for k in row) for row in neighbor_lists]
+    agents = list(zip(range(n), cells, neighbor_lists))
     mags = np.empty(episodes)
 
     exp, isfinite = math.exp, math.isfinite
@@ -236,8 +237,8 @@ def run_ising_game(
         temperature = _temperature(f"run_ising_game: T at episode {episode}", temp_at(episode))
         inv_t = 1.0 / temperature
         for u_row in rng.generator.random((steps_per_episode, n)).tolist():
-            for j, u in enumerate(u_row):
-                cell, up_reward = cells[j][up_counts[j]]
+            for (j, cell_row, row), u in zip(agents, u_row):
+                cell, up_reward = cell_row[up_counts[j]]
                 q0, q1 = cell[0], cell[1]
                 # softmax over the two actions at the current temperature; the
                 # larger weight is exp(0) = 1
@@ -247,25 +248,35 @@ def run_ising_game(
                 else:
                     w0 = exp(z0 - z1)
                     p0 = w0 / (w0 + 1.0)
-                action = 0 if u < p0 else 1
-                spin = 2 * action - 1
-                if spin != spins[j]:
-                    spins[j] = spin
-                    for k in neighbor_lists[j]:
-                        up_counts[k] += spin
-                reward = up_reward if action else -up_reward
-                next_value = p0 * q0 + (1.0 - p0) * q1
-                # mf_q_update with a same-key bootstrap value
-                value = keep * cell[action] + alpha * (reward + gamma * next_value)
-                if not isfinite(value):
-                    raise NumericalError(
-                        f"run_ising_game: Q value of agent {j} overflows a float at episode {episode} ({value!r})"
-                    )
-                cell[action] = value
-                if cell[3 + action]:
-                    # the first update places the key in the QTable's order
-                    cell[3 + action] = False
-                    tables[j].values[(state, action, cell[2])] = cell
+                discounted = gamma * (p0 * q0 + (1.0 - p0) * q1)
+                # one branch per action: its spin's flip bookkeeping, then
+                # mf_q_update with a same-key bootstrap value (action 0's reward
+                # is -up_reward, and (-r) + g is g - r bit for bit); the first
+                # update of an action places its key in the QTable's order
+                if u < p0:
+                    if spins[j] > 0:
+                        spins[j] = -1
+                        for k in row:
+                            up_counts[k] -= 1
+                    value = keep * q0 + alpha * (discounted - up_reward)
+                    if not isfinite(value):
+                        raise _q_overflow(j, episode, value)
+                    cell[0] = value
+                    if cell[3]:
+                        cell[3] = False
+                        tables[j].values[(state, 0, cell[2])] = cell
+                else:
+                    if spins[j] < 0:
+                        spins[j] = 1
+                        for k in row:
+                            up_counts[k] += 1
+                    value = keep * q1 + alpha * (up_reward + discounted)
+                    if not isfinite(value):
+                        raise _q_overflow(j, episode, value)
+                    cell[1] = value
+                    if cell[4]:
+                        cell[4] = False
+                        tables[j].values[(state, 1, cell[2])] = cell
         mags[episode] = abs(sum(spins)) / n
 
     for table in tables:
@@ -274,3 +285,7 @@ def run_ising_game(
 
     trace = Trace({"episode": np.arange(episodes), "magnetization": mags})
     return IsingGameResult(tables, trace, np.array(spins, dtype=np.int8))
+
+
+def _q_overflow(agent: int, episode: int, value: float) -> NumericalError:
+    return NumericalError(f"run_ising_game: Q value of agent {agent} overflows a float at episode {episode} ({value!r})")

@@ -110,6 +110,22 @@ def test_vfe_point_mass_on_map():
     assert variational_free_energy(q, prior, lik) == pytest.approx(-math.log(0.75), abs=1e-12)
 
 
+def test_vfe_of_likelihoods_that_underflow_in_the_product():
+    # 0.5 * 5e-324 rounds to 0; with the likelihood scaled by a power of two
+    # first, the exact posterior is (0.5, 0.5) and the KL is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert variational_free_energy([0.5, 0.5], [0.5, 0.5], [5e-324, 5e-324]) == 0.0
+
+
+def test_vfe_keeps_its_bits_where_the_products_are_normal():
+    # the values of the unscaled product: a power-of-two scaling of normal
+    # floats cancels exactly in the normalisation
+    assert variational_free_energy([0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.9, 0.05, 0.3]) == 0.6483887295206047
+    lik = [[0.7, 0.3], [0.2, 0.8]]
+    assert variational_free_energy([0.6, 0.4], [0.5, 0.5], lik, evidence_index=1) == 0.23393961591631388
+
+
 def test_vfe_matrix_likelihood_with_evidence_index():
     prior = DiscreteDistribution([0.5, 0.5])
     lik = np.array([[0.9, 0.1], [0.3, 0.7]])
@@ -151,6 +167,19 @@ def test_vi_single_state_geometric_series():
     result = value_iteration(mdp, tolerance=1e-12)
     assert result.values[0] == pytest.approx(2.0, abs=1e-9)
     assert result.residual < 1e-12
+
+
+def test_vi_default_tolerance_certifies_the_closed_form():
+    # one state, reward 3, gamma 1/2: V* = r / (1 - gamma) = 6, and each
+    # iterate 6 - 6 * 2^-t is exact, so the certified bounds need no float
+    # slack. They are gamma / (1 - gamma) times the last sweep's change, which
+    # the default tolerance 1e-10 bounds, and residual / (1 - gamma).
+    gamma = 0.5
+    result = value_iteration(DiscreteMDP(np.ones((1, 1, 1)), np.array([[3.0]]), gamma))
+    error = 6.0 - result.values[0]
+    assert 0 < error <= gamma * result.sup_diffs[-1] / (1 - gamma)
+    assert error <= result.residual / (1 - gamma)
+    assert error <= gamma * 1e-10 / (1 - gamma)
 
 
 def test_values_beyond_the_float_range_are_numerical_errors():

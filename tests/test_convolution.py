@@ -131,11 +131,7 @@ def _unchecked_transform(x, inverse):
     # the transform of fft_radix2 and ifft_radix2 without their finite check,
     # as conv_fft runs it before its own
     a = np.array(x, dtype=np.complex128)
-    work = np.empty_like(a)
-    roots = convolution._twiddles(a.size, work)
-    if inverse:
-        np.conjugate(roots, out=roots)
-    convolution._fft_inplace(a, roots, work)
+    convolution._fft_inplace(a, convolution._roots(a.size), np.empty_like(a), inverse)
     if inverse:
         a /= a.size
     return a
@@ -160,6 +156,39 @@ def test_transforms_replay_reference_where_passes_overflow(k):
     for transform, name in ((fft_radix2, "fft_radix2"), (ifft_radix2, "ifft_radix2")):
         with pytest.raises(NumericalError, match=f"^{name}: result is not finite"):
             transform(x)
+
+
+def _transform_bytes(sizes):
+    # the bytes of both transforms and of a convolution at each size, on seeded inputs
+    out = []
+    for n in sizes:
+        gen = np.random.default_rng(n)
+        x = gen.normal(size=n) + 1j * gen.normal(size=n)
+        conv = conv_fft(gen.normal(size=n // 2), gen.normal(size=n // 2 + 1))
+        out.append(fft_radix2(x).tobytes() + ifft_radix2(x).tobytes() + conv.tobytes())
+    return out
+
+
+def test_transforms_keep_their_bytes_whatever_the_kept_twiddle_table(monkeypatch):
+    # a size takes a strided slice of the one kept table, whichever size that
+    # table was built for: before a larger transform, after one at the largest
+    # size kept, and after one past it, which gets a table of its own
+    monkeypatch.setattr(convolution, "_kept_roots", convolution._twiddles(2))
+    sizes = (1 << 4, 1 << 12, 1 << 16)
+    before = _transform_bytes(sizes)
+    assert 2 * convolution._kept_roots.size == 1 << 16
+    for larger in (convolution._KEPT_TWIDDLES, 2 * convolution._KEPT_TWIDDLES):
+        fft_radix2(np.ones(larger))
+        assert 2 * convolution._kept_roots.size == convolution._KEPT_TWIDDLES
+        assert _transform_bytes(sizes) == before
+
+
+def test_twiddle_tables_are_read_only():
+    for n in (1 << 4, 2 * convolution._KEPT_TWIDDLES):
+        with pytest.raises(ValueError, match="read-only"):
+            convolution._roots(n)[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        convolution._kept_roots[0] = 0
 
 
 # --- convolution -------------------------------------------------------------

@@ -133,6 +133,15 @@ def test_state_bits_match_index_conventions():
     assert state_bits(0).shape == (0, 1)
 
 
+@pytest.mark.parametrize("n_bits", [0, 5, 12, 13])
+def test_state_bits_tables_are_read_only(n_bits):
+    # up to 12 bits one table per width is kept and shared by every caller
+    bits = state_bits(n_bits)
+    assert (state_bits(n_bits) is bits) == (n_bits <= 12)
+    with pytest.raises(ValueError, match="read-only"):
+        bits[...] = 1
+
+
 @pytest.mark.parametrize("n_bits", [1, 8, 63, 64, 70, 130])
 def test_state_index_is_exact_past_63_bits(n_bits):
     bits = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)

@@ -635,6 +635,20 @@ def test_train_rejects_an_unknown_method():
         bm_train(SMALL, [np.array([1])], method="pcd", epochs=1, rng=RngStream(0))
 
 
+def test_cd_k_scores_each_epoch_with_the_public_log_likelihood(monkeypatch):
+    # the traced benchmark times bm_log_likelihood per call and divides by its call count
+    calls = []
+
+    def counted(machine, data):
+        calls.append(1)
+        return bm_log_likelihood(machine, data)
+
+    monkeypatch.setattr(ebm, "bm_log_likelihood", counted)
+    data = [np.array([1, 1, 0]), np.array([0, 0, 1])]
+    result = bm_train(BoltzmannMachine.zeros(3, 2), data, method="cd_k", epochs=7, k=1, rng=RngStream(2))
+    assert len(calls) == len(result.loss_curve) == 7
+
+
 def test_cd_k_requires_rng():
     with pytest.raises(ValidationError):
         bm_train(BoltzmannMachine.zeros(1, 1), [np.array([1])], method="cd_k", rng=None)

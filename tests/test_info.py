@@ -63,6 +63,15 @@ def test_gibbs_uniform_matches_log_multiplicity():
         )
 
 
+def test_gibbs_default_constant_is_entropy_in_nats():
+    # k_B = 1 by default: bit for bit the entropy in nats, and ln(Omega) on a
+    # uniform law to the rounding of Omega terms
+    p = DiscreteDistribution([0.1, 0.2, 0.3, 0.4])
+    assert entropy_gibbs(p) == entropy_nats(p)
+    for omega in (2, 3, 10, 1024):
+        assert entropy_gibbs(DiscreteDistribution.uniform(omega)) == pytest.approx(math.log(omega), rel=1e-15)
+
+
 def test_gibbs_physical_constant_scaling():
     k_b = 1.38e-16
     assert entropy_gibbs(DiscreteDistribution([0.5, 0.5]), k_b) == pytest.approx(k_b * math.log(2))

@@ -267,6 +267,15 @@ def test_boltzmann_entropy_values():
         boltzmann_entropy(0)
 
 
+def test_boltzmann_entropy_beyond_the_float_range_is_numerical_error():
+    # k_B ln(Omega) at k_B = 1e308 fits for Omega = 2 and overflows for Omega = 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert boltzmann_entropy(2, k_B=1e308) == 1e308 * math.log(2)
+        with pytest.raises(NumericalError, match=r"^boltzmann_entropy: k_B ln\(Omega\) overflows a float \(k_B = 1e\+308\)$"):
+            boltzmann_entropy(10, k_B=1e308)
+
+
 # --- Metropolis dynamics -----------------------------------------------------
 
 
