@@ -14,7 +14,7 @@ import numpy as np
 
 from .distributions import as_distribution, as_joint
 from .config import _real
-from .errors import DomainError, ValidationError
+from .errors import DomainError, NumericalError, ValidationError
 
 __all__ = [
     "entropy_nats",
@@ -46,8 +46,13 @@ def entropy_gibbs(dist, k_B: float = 1.0) -> float:
     """Thermodynamic entropy -k_B sum p_i ln p_i.
 
     For the uniform distribution over Omega states this equals k_B ln Omega.
+    NumericalError when it is beyond the float range.
     """
-    return _real("entropy_gibbs: k_B", k_B, 0, ends="(]") * entropy_nats(dist)
+    k_B = _real("entropy_gibbs: k_B", k_B, 0, ends="(]")
+    entropy = k_B * entropy_nats(dist)
+    if entropy == math.inf:
+        raise NumericalError(f"entropy_gibbs: k_B S overflows a float (k_B = {k_B!r})")
+    return entropy
 
 
 def kl_divergence(q, p) -> float:

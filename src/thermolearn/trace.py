@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
-from typing import Callable, Dict, Iterator, List, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,17 +26,53 @@ def _json_cells(values: list) -> List[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
-def _formatted(col: np.ndarray, cells: Callable[[list], List[str]]) -> List[str]:
-    """The text of every entry of a non-empty column, each distinct value formatted once.
+@functools.lru_cache(maxsize=None)  # keyed by the writers' three separators and two widths
+def _last_digits(sep: str, width: int) -> Tuple[str, ...]:
+    """The text of 0..999 zero-padded to ``width`` digits, each followed by ``sep``."""
+    return tuple(f"{v:0{width}d}{sep}" for v in range(1000))
 
-    Entries are keyed on their bit pattern, so -0.0 and 0.0 stay apart. A strictly
-    increasing column (such as a step count) has no repeat and no NaN, so it skips the sort.
+
+def _counting(start: int, rows: int, sep: str) -> List[List[str]]:
+    """The slots of the column start, start + 1, ...: per row its thousands prefix
+    ("" below 1000) and its last three digits with ``sep``, both shared texts."""
+    prefixes, suffixes = [], []
+    for thousand in range(start // 1000, (start + rows - 1) // 1000 + 1):
+        base = 1000 * thousand
+        lo, hi = max(start, base) - base, min(start + rows, base + 1000) - base
+        prefixes += [str(thousand) if thousand else ""] * (hi - lo)
+        suffixes += _last_digits(sep, 3 if thousand else 1)[lo:hi]
+    return [prefixes, suffixes]
+
+
+def _cell_slots(col: np.ndarray, sep: str, cells: Callable[[list], List[str]]) -> List[List[str]]:
+    """The text of every entry of a non-empty column, each followed by ``sep``, as one
+    or two lists of per-row slots whose row-wise concatenation is the cell.
+
+    A counting integer column (non-negative, up by 1 each row) takes two shared texts
+    per row. A small-range integer column (max - min < rows) is looked up in a table of
+    its range. Any other column is keyed on its entries' bit patterns, so -0.0 and 0.0
+    stay apart, and each distinct value is formatted once.
     """
-    if len(col) > 1 and (col[1:] > col[:-1]).all():
-        return cells(col.tolist())
+    if col.dtype.kind != "f":
+        low, high = int(col.min()), int(col.max())  # Python ints: no difference wraps
+        if low >= 0 and high - low == len(col) - 1 and (col[1:] > col[:-1]).all():
+            return _counting(low, len(col), sep)
+        if high - low < len(col):
+            texts = np.array([f"{v}{sep}" for v in range(low, high + 1)], dtype=object)
+            # the difference wraps in the column's own dtype; its unsigned view does not
+            offsets = (col - col.min()).view(f"u{col.itemsize}").astype(np.intp)
+            return [texts[offsets].tolist()]
     distinct, codes = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    texts = np.array(cells(distinct.view(col.dtype).tolist()), dtype=object)
-    return texts[codes].tolist()
+    texts = np.array([text + sep for text in cells(distinct.view(col.dtype).tolist())], dtype=object)
+    return [texts[codes].tolist()]
+
+
+def _joined(slots: List[List[str]]) -> str:
+    # one flat list, row by row, each slot list filling its stride; joined once
+    flat = [None] * (len(slots) * len(slots[0]))
+    for k, slot in enumerate(slots):
+        flat[k :: len(slots)] = slot
+    return "".join(flat)
 
 
 class Trace:
@@ -103,13 +140,10 @@ class Trace:
     def csv_text(self) -> str:
         pieces = [self._csv_header()]
         cols = list(self._columns.values())
-        # per chunk one flat list, this row template once per row; each column fills its slots
-        row = [None, ","] * (len(cols) - 1) + [None, "\n"]
+        seps = [","] * (len(cols) - 1) + ["\n"]
         for start in range(0, self._length, CHUNK_ROWS):
-            flat = row * min(CHUNK_ROWS, self._length - start)
-            for k, col in enumerate(cols):
-                flat[2 * k :: len(row)] = _formatted(col[start : start + CHUNK_ROWS], _csv_cells)
-            pieces.append("".join(flat))
+            slots = [slot for col, sep in zip(cols, seps) for slot in _cell_slots(col[start : start + CHUNK_ROWS], sep, _csv_cells)]
+            pieces.append(_joined(slots))
         return "".join(pieces)
 
     def _json_pieces(self) -> Iterator[str]:
@@ -120,7 +154,10 @@ class Trace:
             opening = "[\n      " if self._length else "[]"
             yield (",\n" if index else "") + f"    {json.dumps(name)}: {opening}"
             for start in range(0, self._length, CHUNK_ROWS):
-                yield (sep if start else "") + sep.join(_formatted(col[start : start + CHUNK_ROWS], _json_cells))
+                slots = _cell_slots(col[start : start + CHUNK_ROWS], sep, _json_cells)
+                if start + CHUNK_ROWS >= self._length:  # the column's last cell closes its list
+                    slots[-1][-1] = slots[-1][-1][: -len(sep)]
+                yield _joined(slots)
             if self._length:
                 yield "\n    ]"
         yield "\n  }\n}"

@@ -54,6 +54,18 @@ def test_ordering_must_be_permutation():
         double_digest_energy(DigestOrdering(sigma=(0,), mu=(0, 1)), INST)
 
 
+def test_ordering_that_is_not_a_permutation_names_its_range():
+    # one fragment: every in-range sequence of length 1 is (0,), so only the range check can fail
+    one = DoubleDigestInstance((3,), (1, 2), (1, 2))
+    with pytest.raises(ValidationError, match=r"^sigma must be a 1-D sequence of shape \(1,\) of integers in \[0, 1\), got 1 at \[0\]$"):
+        double_digest_energy(DigestOrdering(sigma=(1,), mu=(0, 1)), one)
+    with pytest.raises(ValidationError, match=r"^mu must be a permutation of 0\.\.1, got \(1, 1\)$"):
+        double_digest_energy(DigestOrdering(sigma=(0,), mu=(1, 1)), one)
+    three = DoubleDigestInstance((1, 2, 3), (6,), (1, 2, 3))
+    with pytest.raises(ValidationError, match=r"^sigma must be a permutation of 0\.\.2, got \(0, 0, 1\)$"):
+        double_digest_energy(DigestOrdering(sigma=(0, 0, 1), mu=(0,)), three)
+
+
 # --- implied fragments --------------------------------------------------------
 
 

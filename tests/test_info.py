@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermolearn.distributions import DiscreteDistribution, JointDistribution
-from thermolearn.errors import DomainError, ValidationError
+from thermolearn.errors import DomainError, NumericalError, ValidationError
 from thermolearn.info import (
     entropy_gibbs,
     entropy_nats,
@@ -75,6 +75,16 @@ def test_gibbs_default_constant_is_entropy_in_nats():
 def test_gibbs_physical_constant_scaling():
     k_b = 1.38e-16
     assert entropy_gibbs(DiscreteDistribution([0.5, 0.5]), k_b) == pytest.approx(k_b * math.log(2))
+
+
+def test_gibbs_beyond_the_float_range_is_numerical_error():
+    # k_B S at k_B = 1e308 fits for two equal outcomes (S = ln 2) and overflows for ten
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        half = DiscreteDistribution([0.5, 0.5])
+        assert entropy_gibbs(half, k_B=1e308) == 1e308 * entropy_nats(half)
+        with pytest.raises(NumericalError, match=r"^entropy_gibbs: k_B S overflows a float \(k_B = 1e\+308\)$"):
+            entropy_gibbs(DiscreteDistribution.uniform(10), k_B=1e308)
 
 
 def test_gibbs_requires_positive_constant():

@@ -205,7 +205,7 @@ def test_cli_writes_a_trace_in_memory_that_does_not_grow_with_its_length(tmp_pat
     assert peaks[1] < 1.5 * peaks[0]
 
 
-# --- strictly increasing columns skip the sort ------------------------------------
+# --- increasing columns, and the routes of integer columns ------------------------
 
 
 def assert_writers_match_reference(trace):
@@ -264,13 +264,141 @@ def test_step_column_of_a_chain_never_reaches_unique(monkeypatch, fmt):
     text = "".join(trace._text_pieces(fmt))
     monkeypatch.undo()
     assert text == (reference_csv(trace) if fmt == "csv" else reference_json(trace))
-    names = ["energy", "accepted", "magnetization"]
+    # step is a counting column and accepted a small-range one: only the floats are sorted
+    names = ["energy", "magnetization"]
     chunks = [trace.column(name)[start : start + CHUNK_ROWS] for start in range(0, steps, CHUNK_ROWS) for name in names]
     if fmt == "json":  # column by column, in key order
         chunks = [trace.column(name)[start : start + CHUNK_ROWS] for name in sorted(names) for start in range(0, steps, CHUNK_ROWS)]
-    assert len(seen) == len(chunks) == 3 * 3
+    assert len(seen) == len(chunks) == 2 * 3
     for bits, chunk in zip(seen, chunks):
         assert np.array_equal(bits, chunk.view(f"u{chunk.itemsize}"))
+
+
+def unique_calls(monkeypatch, trace):
+    """How often the writers of ``trace`` reach ``np.unique``: CSV and JSON, in full and in pieces."""
+    from thermolearn import trace as trace_module
+
+    calls = []
+    unique = trace_module.np.unique
+
+    def counting_unique(bits, **kwargs):
+        calls.append(len(bits))
+        return unique(bits, **kwargs)
+
+    monkeypatch.setattr(trace_module.np, "unique", counting_unique)
+    try:
+        assert_writers_match_reference(trace)
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+def chunks(length):
+    return -(-length // CHUNK_ROWS)
+
+
+@pytest.mark.parametrize("length", [1, 2, 10, CHUNK_ROWS + 7])
+@pytest.mark.parametrize(
+    "start",
+    [0, 1, 500, 995, 9_995, 99_990, 999_997, 2**40 + 999, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1],
+)
+def test_counting_columns_match_per_cell_reference(monkeypatch, start, length):
+    # across 999/1000, 9 999/10 000, 99 999/100 000 and 999 999/1 000 000, from mid-thousand
+    # starts and from the chunk size +- 1; the other column is the chunk's 0/1 flags
+    trace = Trace({"step": np.arange(start, start + length), "flag": np.arange(length) % 2 == 0})
+    assert unique_calls(monkeypatch, trace) == 0
+
+
+def test_counting_columns_of_every_integer_dtype(monkeypatch):
+    top = np.uint64(2**64 - 1)
+    trace = Trace(
+        {
+            "int8": np.arange(-3, 125, dtype=np.int8) + np.int8(3),
+            "uint16": np.arange(65_408, 65_536, dtype=np.uint16),
+            "uint64 near 2**64": top - np.arange(128, dtype=np.uint64)[::-1],
+            "int64 near 2**63": np.arange(2**63 - 128, 2**63 - 1, dtype=np.int64).tolist() + [2**63 - 1],
+        }
+    )
+    assert trace.column("uint64 near 2**64")[-1] == top
+    assert unique_calls(monkeypatch, trace) == 0
+
+
+SMALL_RANGE_CASES = {
+    "descending": np.arange(2000, 0, -1),
+    "negative": np.arange(-1500, 1500),
+    "flags with a gap": np.array([3, 1, 3, 3]),
+    "repeats": np.array([2, 2]),
+    # offsets above 127 wrap in int8; with no 127 in the column a wrapped offset indexes a wrong text
+    "int8 from -128": np.random.default_rng(1).permutation(np.arange(300) % 229 - 128).astype(np.int8),
+    "int8 full range": np.random.default_rng(1).permutation(np.arange(300) % 256 - 128).astype(np.int8),
+    "uint64 near 2**64": np.uint64(2**64 - 1) - np.array([0, 5, 2, 5, 4, 1], dtype=np.uint64),
+    "int64 at -2**63": np.array([-(2**63), -(2**63) + 2, -(2**63) + 1], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_RANGE_CASES))
+def test_small_range_integer_columns_match_per_cell_reference(monkeypatch, name):
+    col = SMALL_RANGE_CASES[name]
+    assert int(col.max()) - int(col.min()) < len(col)
+    if name == "int8 from -128":
+        assert col.dtype == np.int8 and col.min() == -128 and col.max() == 100
+    assert unique_calls(monkeypatch, Trace({"x": col})) == 0
+
+
+FALLBACK_CASES = {
+    "non-consecutive": np.arange(0, 6000, 3),
+    "descending by two": np.arange(4000, 0, -2),
+    "negative": -np.arange(1, 3001) * 7,
+    "two rows with a gap": np.array([5, 3]),
+    "uint64 across the range": np.array([0, 2**64 - 1, 2**63, 1], dtype=np.uint64),
+    # max - min wraps to -1 in int64; as Python ints it is 2**64 - 1
+    "int64 extremes": np.array([-(2**63), 2**63 - 1], dtype=np.int64),
+    "int64 extremes and zero": np.array([-(2**63), 0, 2**63 - 1], dtype=np.int64),
+    "int8 extremes": np.array([-128, 127], dtype=np.int8),
+    "long": np.random.default_rng(2).integers(-(2**40), 2**40, size=2 * CHUNK_ROWS + 3),
+}
+
+
+@pytest.mark.parametrize("name", list(FALLBACK_CASES))
+def test_other_integer_columns_fall_back_to_unique(monkeypatch, name):
+    col = FALLBACK_CASES[name]
+    # once per chunk for CSV and JSON, each in full and in pieces
+    assert unique_calls(monkeypatch, Trace({"x": col})) == 4 * chunks(len(col))
+
+
+@st.composite
+def routed_columns(draw):
+    """1-3 columns at lengths around the chunk size, each drawn for one writer route:
+    counting, small-range or any other integers, or floats with or without repeats."""
+    length = draw(st.sampled_from([CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, CHUNK_ROWS + 1000]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for index in range(draw(st.integers(1, 3))):
+        route = draw(st.sampled_from(["counting", "small", "any", "float"]))
+        if route == "float":
+            values = gen.normal(size=length) * 10.0 ** draw(st.integers(-300, 300))
+            if draw(st.booleans()):
+                values = gen.choice(np.append(values[:5], SPECIAL_FLOATS), size=length)
+            columns[f"c{index}"] = values
+            continue
+        dtype = np.dtype(draw(st.sampled_from(["int8", "int16", "int32", "int64", "uint8", "uint32", "uint64"])))
+        info = np.iinfo(dtype)
+        if route == "counting" and info.max >= length:
+            start = draw(st.one_of(st.integers(0, 3 * CHUNK_ROWS), st.integers(0, int(info.max) - length + 1)))
+            columns[f"c{index}"] = np.arange(length, dtype=dtype) + dtype.type(start)
+        elif route == "small":
+            span = draw(st.integers(0, min(length - 1, int(info.max) - int(info.min))))
+            low = draw(st.integers(int(info.min), int(info.max) - span))
+            columns[f"c{index}"] = gen.integers(low, low + span, size=length, dtype=dtype, endpoint=True)
+        else:
+            columns[f"c{index}"] = gen.integers(info.min, info.max, size=length, dtype=dtype, endpoint=True)
+    return columns
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(routed_columns())
+def test_writers_match_per_cell_reference_on_every_route(columns):
+    assert_writers_match_reference(Trace(columns))
 
 
 @pytest.mark.parametrize("columns", [{0: [1, 2]}, {0: [1], "a": [2]}, {("a",): [1.0]}, {b"a": [1]}])
