@@ -1,10 +1,10 @@
 """Statistical-physics tools for machine learning experiments.
 
 Entropy and information measures, Monte Carlo estimators, Ising-model
-sampling with exact small-system references, simulated annealing,
-energy-based losses and a small Boltzmann machine, FFT convolution,
-three-hypothesis boosting, free-energy planning, mean-field variational
-inference, mean-field multi-agent Q-learning, and a seeded CLI runner.
+sampling with exact small-system references, simulated annealing, a
+small Boltzmann machine, FFT convolution, three-hypothesis boosting,
+free-energy planning, mean-field variational inference, mean-field
+multi-agent Q-learning, and a seeded CLI runner.
 
 Only the core every run uses (errors, config, random streams, traces and
 annealing) is imported with the package; each other subsystem is imported
@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 # Every other exported name, by the submodule that defines it.
 _LAZY = {
     "activeinf": (
-        "DiscreteMDP", "FactorizedPosterior", "GenerativeModel", "fe_value_iteration", "helmholtz_free_energy",
-        "mean_field_kl", "mean_field_update", "value_iteration", "variational_free_energy",
+        "DiscreteMDP", "FactorizedPosterior", "GenerativeModel", "fe_value_iteration", "mean_field_kl",
+        "mean_field_update", "value_iteration",
     ),
     "boost": (
         "NoisyThresholdLearner", "WeightedDataset", "boost3", "boost_error_bound", "boost_recursion_depth",
@@ -51,16 +51,13 @@ _LAZY = {
     "distributions": ("DiscreteDistribution", "JointDistribution"),
     "ebm": (
         "BMState", "BoltzmannMachine", "bm_energy", "bm_exact_gradient", "bm_gibbs_sample", "bm_log_likelihood",
-        "bm_partition_exact", "bm_train", "gibbs_posterior", "loss_nll",
+        "bm_partition_exact", "bm_train",
     ),
-    "info": (
-        "entropy_gibbs", "entropy_nats", "entropy_shannon", "ib_objective", "kl_divergence", "mutual_information",
-    ),
+    "info": ("entropy_nats", "entropy_shannon", "ib_objective", "kl_divergence", "mutual_information"),
     "ising": (
-        "CouplingGraph", "boltzmann_entropy", "chain_graph", "complete_graph", "estimate_observables", "ising_energy",
-        "metropolis_chain", "partition_exact",
+        "CouplingGraph", "chain_graph", "complete_graph", "estimate_observables", "ising_energy", "metropolis_chain",
+        "partition_exact",
     ),
-    "learning_theory": ("approximation_ratio", "pac_sample_bound"),
     "marl": (
         "IsingGameEnv", "NeighborGraph", "QTable", "boltzmann_policy", "mf_actor_critic_grad", "mf_q_update", "mf_value",
         "run_ising_game", "torus_graph",

@@ -1,8 +1,6 @@
-"""Free-energy quantities and discrete planning.
+"""Free-energy planning and mean-field inference.
 
-Covers the thermodynamic free energy A = U - TS, the variational free
-energy of an approximate posterior (a KL divergence to the exact
-posterior), standard max-form value iteration, a min-form variant over a
+Covers standard max-form value iteration, a min-form variant over a
 generative model whose per-step cost is the one-step expected free
 energy, and mean-field coordinate-ascent variational inference over
 small factorized posteriors.
@@ -15,15 +13,14 @@ reward table acts as a cost.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .config import _array, _count, _index, _items, _real, _stochastic
+from .config import _array, _count, _items, _real, _stochastic
 from .distributions import DiscreteDistribution, as_distribution, log_normalize
-from .errors import CapacityError, ConvergenceError, DomainError, NumericalError, ValidationError
+from .errors import CapacityError, ConvergenceError, NumericalError, ValidationError
 from .info import kl_divergence
 
 MAX_MF_VARIABLES = 3
@@ -31,8 +28,6 @@ MAX_MF_VALUES = 16
 MAX_SWEEPS = 100_000
 
 __all__ = [
-    "helmholtz_free_energy",
-    "variational_free_energy",
     "GenerativeModel",
     "DiscreteMDP",
     "mdp_from_json",
@@ -44,55 +39,6 @@ __all__ = [
     "mean_field_update",
     "mean_field_kl",
 ]
-
-
-# kept for ROADMAP item 13: F = U - TS from exact counts
-def helmholtz_free_energy(internal_energy: float, temperature: float, entropy: float) -> float:
-    """A = U - T S; an A beyond the float range raises NumericalError.
-
-    When T S alone overflows, A is 2 (U/2 - T (S/2)): halving is exact at
-    such magnitudes, so A is rounded as U - T S would be with a wider
-    exponent range.
-    """
-    internal_energy = _real("helmholtz_free_energy: U", internal_energy)
-    temperature = _real("helmholtz_free_energy: T", temperature, 0)
-    entropy = _real("helmholtz_free_energy: S", entropy)
-    heat = temperature * entropy
-    if math.isfinite(heat):
-        free_energy = internal_energy - heat
-    else:
-        free_energy = 2.0 * (internal_energy / 2.0 - temperature * (entropy / 2.0))
-    if not math.isfinite(free_energy):
-        raise NumericalError(f"helmholtz_free_energy: T S or A = U - T S is beyond the float range ({free_energy!r})")
-    return free_energy
-
-
-# kept for ROADMAP item 7: the mean-field gap F_q - F = KL(q || p)
-def variational_free_energy(q, prior, likelihood, evidence_index=None) -> float:
-    """KL from the approximate posterior q(Z) to the exact posterior P(Z|X).
-
-    ``likelihood`` is either the vector P(x_obs | Z) over hidden states,
-    or, given ``evidence_index``, a matrix with one row per state whose column
-    at that index is the observed one. The exact posterior is prior * likelihood,
-    normalized. Zero iff q equals the exact posterior. The likelihood is first
-    scaled by the power of two that brings its largest entry into [0.5, 1): the
-    scaling cancels in the normalisation, and it keeps tiny likelihoods from
-    vanishing in the product.
-    """
-    q = as_distribution(q)
-    prior = as_distribution(prior)
-    shape = (len(prior),) if evidence_index is None else (len(prior), None)
-    lik = _array("variational_free_energy: likelihood", likelihood, shape, 0)
-    if evidence_index is not None:
-        lik = lik[:, _index("variational_free_energy: evidence_index", evidence_index, lik.shape[1])]
-    if len(q) != len(prior):
-        raise DomainError("variational_free_energy: q and prior must share the hidden state space")
-    joint = prior.probs * np.ldexp(lik, -math.frexp(lik.max())[1])
-    total = joint.sum()
-    if total <= 0:
-        raise DomainError("variational_free_energy: evidence has zero probability under the model")
-    posterior = DiscreteDistribution(joint / total)
-    return kl_divergence(q, posterior)
 
 
 @dataclass(frozen=True)
@@ -137,7 +83,7 @@ class GenerativeModel:
         t = self.transition
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(t > 0, t * np.log(t), 0.0)
-        return -terms.sum(axis=2)
+        return 0.0 - terms.sum(axis=2)  # +0.0, not -0.0, for a deterministic row
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,9 @@
-"""A Gibbs posterior and loss over finite label spaces, and a bipartite Boltzmann machine.
+"""A bipartite Boltzmann machine: exact references, block Gibbs sampling and training.
 
-Label-space side: an energy table assigns one real energy per candidate
-label; the Gibbs posterior exponentiates and normalizes, and the negative
-log likelihood compares the correct label's energy against the competition.
-
-Machine side: binary {0,1} visible and hidden units with biases a, b and
-cross weights W, energy E(v,h) = -a.v - b.h - v W h, inverse temperature
-fixed at 1 (rescale the parameters for other temperatures). The +-1 spin
-convention maps onto this one by v = (s+1)/2 with rescaled parameters.
+Binary {0,1} visible and hidden units with biases a, b and cross weights
+W, energy E(v,h) = -a.v - b.h - v W h, inverse temperature fixed at 1
+(rescale the parameters for other temperatures). The +-1 spin convention
+maps onto this one by v = (s+1)/2 with rescaled parameters.
 """
 
 from __future__ import annotations
@@ -31,9 +27,6 @@ _MEMO_ROWS = 4096  # conditional rows a Gibbs chain keeps, so its memory is boun
 _GIBBS_BLOCK = 256  # Gibbs steps whose uniforms become lanes, and whose rows are written, at a time
 
 __all__ = [
-    "gibbs_posterior",
-    "GibbsPosterior",
-    "loss_nll",
     "BoltzmannMachine",
     "BMState",
     "bm_energy",
@@ -57,48 +50,6 @@ __all__ = [
 
 def _logistic(z):
     return np.exp(-np.logaddexp(0.0, -np.asarray(z, dtype=float)))
-
-
-class GibbsPosterior(NamedTuple):
-    posterior: DiscreteDistribution
-    z: float
-
-
-# kept for ROADMAP item 20: Gibbs learning over an enumerated perceptron class
-def gibbs_posterior(energies, beta: float) -> GibbsPosterior:
-    """Exponentiate-and-normalize over labels, with the partition value.
-
-    P(y) = exp(-beta E_y) / Z, computed with a max shift. beta = 0 gives
-    the uniform distribution; a Z or a -beta E_y above the float range
-    raises NumericalError.
-    """
-    table = _array("gibbs_posterior: energies", energies)
-    beta = _real("gibbs_posterior: beta", beta, 0)
-    with np.errstate(over="ignore"):  # an overflow to -inf is a weight of 0; to +inf, NumericalError
-        log_w = -beta * table
-    probs, log_z = _log_normalize_inplace("gibbs_posterior", log_w)
-    return GibbsPosterior(DiscreteDistribution(probs), partition_value(log_z))
-
-
-# kept for ROADMAP item 19: exact likelihood curves of trained machines
-def loss_nll(energies, correct: int, beta: float) -> float:
-    """E_correct + (1/beta) log sum_y exp(-beta E_y).
-
-    Equals -(1/beta) log of the Gibbs posterior at the correct label;
-    computed as E_correct - E_min + (1/beta) log sum_y exp(-beta (E_y - E_min)),
-    so every log-weight is at most 0.
-    """
-    table = _array("loss_nll: energies", energies)
-    correct = _index("loss_nll: correct", correct, table.size)
-    beta = _real("loss_nll: beta", beta, 0, ends="(]")
-    e_min = float(table.min())
-    with np.errstate(over="ignore"):  # an overflow to -inf is a weight of 0
-        log_w = -beta * (table - e_min)
-    log_z = _log_normalize_inplace("loss_nll", log_w)[1]
-    loss = float(table[correct]) - e_min + log_z / beta
-    if not math.isfinite(loss):
-        raise NumericalError("loss_nll: loss overflows a float")
-    return loss
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,11 @@ import numpy as np
 
 from .distributions import as_distribution, as_joint
 from .config import _real
-from .errors import DomainError, NumericalError, ValidationError
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "entropy_nats",
     "entropy_shannon",
-    "entropy_gibbs",
     "kl_divergence",
     "mutual_information",
     "ib_objective",
@@ -30,7 +29,7 @@ def entropy_nats(dist) -> float:
     """-sum p_i ln p_i, with 0 ln 0 = 0."""
     p = as_distribution(dist).probs
     nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(0.0 - (nz * np.log(nz)).sum())  # +0.0, not -0.0, for a certain outcome
 
 
 def entropy_shannon(dist, log_base: float = 2.0) -> float:
@@ -39,20 +38,6 @@ def entropy_shannon(dist, log_base: float = 2.0) -> float:
     ``log_base`` must exceed 1; base 2 gives bits, base e gives nats.
     """
     return entropy_nats(dist) / math.log(_real("entropy_shannon: log_base", log_base, 1, ends="(]"))
-
-
-# kept for ROADMAP item 13: F = U - TS from exact counts
-def entropy_gibbs(dist, k_B: float = 1.0) -> float:
-    """Thermodynamic entropy -k_B sum p_i ln p_i.
-
-    For the uniform distribution over Omega states this equals k_B ln Omega.
-    NumericalError when it is beyond the float range.
-    """
-    k_B = _real("entropy_gibbs: k_B", k_B, 0, ends="(]")
-    entropy = k_B * entropy_nats(dist)
-    if entropy == math.inf:
-        raise NumericalError(f"entropy_gibbs: k_B S overflows a float (k_B = {k_B!r})")
-    return entropy
 
 
 def kl_divergence(q, p) -> float:

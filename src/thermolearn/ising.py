@@ -49,7 +49,6 @@ __all__ = [
     "enumerate_energies",
     "partition_exact",
     "PartitionResult",
-    "boltzmann_entropy",
     "acceptance_probability",
     "metropolis_chain",
     "ChainResult",
@@ -371,18 +370,6 @@ def _log_partition(graph: CouplingGraph, beta: float) -> float:
         sums.append(s)
     top = max(maxes)
     return top + math.log(math.fsum(s * math.exp(m - top) for m, s in zip(maxes, sums)))
-
-
-# kept for ROADMAP item 13: F = U - TS from exact counts
-def boltzmann_entropy(multiplicity: int, k_B: float = 1.0) -> float:
-    """S = k_B ln(Omega) for a macro-state with the given multiplicity; NumericalError
-    when S is beyond the float range."""
-    multiplicity = _count("boltzmann_entropy: multiplicity", multiplicity, 1)
-    k_B = _real("boltzmann_entropy: k_B", k_B, 0, ends="(]")
-    entropy = k_B * math.log(multiplicity)
-    if entropy == math.inf:
-        raise NumericalError(f"boltzmann_entropy: k_B ln(Omega) overflows a float (k_B = {k_B!r})")
-    return entropy
 
 
 def acceptance_probability(delta_h: float, beta: float) -> float:

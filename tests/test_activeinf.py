@@ -10,16 +10,14 @@ from thermolearn.activeinf import (
     FactorizedPosterior,
     GenerativeModel,
     fe_value_iteration,
-    helmholtz_free_energy,
     mdp_from_json,
     mdp_to_json,
     mean_field_kl,
     mean_field_update,
     value_iteration,
-    variational_free_energy,
 )
 from thermolearn.distributions import DiscreteDistribution
-from thermolearn.errors import CapacityError, DomainError, NumericalError, ValidationError
+from thermolearn.errors import CapacityError, NumericalError, ValidationError
 
 
 def two_state_model(transition, reward_per_state, prior=(0.5, 0.5)):
@@ -30,133 +28,6 @@ def two_state_model(transition, reward_per_state, prior=(0.5, 0.5)):
         transition=np.asarray(transition, dtype=float),
         reward=np.diag(np.asarray(reward_per_state, dtype=float)),
     )
-
-
-# --- Helmholtz free energy -----------------------------------------------------
-
-
-def test_helmholtz_values():
-    assert helmholtz_free_energy(10.0, 2.0, 3.0) == pytest.approx(4.0)
-    assert helmholtz_free_energy(7.5, 0.0, 100.0) == pytest.approx(7.5)
-    assert helmholtz_free_energy(7.5, 3.0, 0.0) == pytest.approx(7.5)
-
-
-def test_helmholtz_beyond_the_float_range_is_numerical_error():
-    message = r"^helmholtz_free_energy: T S or A = U - T S is beyond the float range \(-inf\)$"
-    for args in ((-1e308, 1e308, 1e308), (-1e308, 1.0, 1e308)):
-        with pytest.raises(NumericalError, match=message):
-            helmholtz_free_energy(*args)
-    assert helmholtz_free_energy(-1e308, 0.5, 1e308) == -1e308 - 5e307
-    assert helmholtz_free_energy(1e308, 1e308, 1.0) == 0.0
-
-
-@pytest.mark.parametrize("u, t, s", [(1.7e308, 2.0, 9e307), (-1e307, 3.0, -6e307), (1.7e308, 1.5, 1.7e308)])
-def test_helmholtz_fits_when_only_t_s_overflows(u, t, s):
-    # T S is beyond the float range but A is not; it raised NumericalError. A rounds
-    # T S and then U - T S, as it would with a wider exponent range.
-    from fractions import Fraction
-
-    assert not math.isfinite(t * s)
-    assert helmholtz_free_energy(u, t, s) == float(Fraction(u) - 2 * Fraction(t * (s / 2)))
-    assert helmholtz_free_energy(1.7e308, 2.0, 9e307) == pytest.approx(-1e307, rel=1e-14)
-
-
-@pytest.mark.parametrize("u, t, s, a", [(1e308, 1e300, 1e10, "-inf"), (1.0, 1e308, 1e308, "-inf"), (1.0, 2.0, -1e308, "inf")])
-def test_helmholtz_that_overflows_after_t_s_overflows_still_raises(u, t, s, a):
-    with pytest.raises(NumericalError, match=rf"^helmholtz_free_energy: T S or A = U - T S is beyond the float range \({a}\)$"):
-        helmholtz_free_energy(u, t, s)
-
-
-def test_helmholtz_validation():
-    with pytest.raises(ValidationError):
-        helmholtz_free_energy(1.0, -0.5, 1.0)
-    with pytest.raises(ValidationError):
-        helmholtz_free_energy(float("nan"), 1.0, 1.0)
-
-
-# --- variational free energy ------------------------------------------------------
-
-
-def test_vfe_zero_at_exact_posterior():
-    prior = DiscreteDistribution([0.5, 0.5])
-    lik = np.array([0.9, 0.3])
-    posterior = DiscreteDistribution([0.75, 0.25])
-    assert variational_free_energy(posterior, prior, lik) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_vfe_needs_q_and_prior_on_one_state_space():
-    with pytest.raises(DomainError, match="^variational_free_energy: q and prior must share the hidden state space"):
-        variational_free_energy([1.0], [0.5, 0.5], [0.9, 0.3])
-
-
-def test_factorized_posterior_needs_a_factor():
-    with pytest.raises(ValidationError, match="^FactorizedPosterior: need at least one factor"):
-        FactorizedPosterior(())
-
-
-def test_vfe_uniform_q_hand_value():
-    prior = DiscreteDistribution([0.5, 0.5])
-    lik = np.array([0.9, 0.3])
-    q = DiscreteDistribution([0.5, 0.5])
-    expected = 0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25)
-    assert expected == pytest.approx(0.143841, abs=1e-6)
-    assert variational_free_energy(q, prior, lik) == pytest.approx(expected, abs=1e-12)
-
-
-def test_vfe_point_mass_on_map():
-    prior = DiscreteDistribution([0.5, 0.5])
-    lik = np.array([0.9, 0.3])
-    q = DiscreteDistribution([1.0, 0.0])
-    assert variational_free_energy(q, prior, lik) == pytest.approx(-math.log(0.75), abs=1e-12)
-
-
-def test_vfe_of_likelihoods_that_underflow_in_the_product():
-    # 0.5 * 5e-324 rounds to 0; with the likelihood scaled by a power of two
-    # first, the exact posterior is (0.5, 0.5) and the KL is 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert variational_free_energy([0.5, 0.5], [0.5, 0.5], [5e-324, 5e-324]) == 0.0
-
-
-def test_vfe_keeps_its_bits_where_the_products_are_normal():
-    # the values of the unscaled product: a power-of-two scaling of normal
-    # floats cancels exactly in the normalisation
-    assert variational_free_energy([0.2, 0.3, 0.5], [0.3, 0.3, 0.4], [0.9, 0.05, 0.3]) == 0.6483887295206047
-    lik = [[0.7, 0.3], [0.2, 0.8]]
-    assert variational_free_energy([0.6, 0.4], [0.5, 0.5], lik, evidence_index=1) == 0.23393961591631388
-
-
-def test_vfe_matrix_likelihood_with_evidence_index():
-    prior = DiscreteDistribution([0.5, 0.5])
-    lik = np.array([[0.9, 0.1], [0.3, 0.7]])
-    q = DiscreteDistribution([0.75, 0.25])
-    assert variational_free_energy(q, prior, lik, evidence_index=0) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    with pytest.raises(ValidationError):
-        variational_free_energy(q, prior, lik)
-
-
-def test_vfe_non_negative_random():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        prior = rng.random(n) + 0.05
-        prior /= prior.sum()
-        lik = rng.random(n) + 0.05
-        q = rng.random(n) + 0.05
-        q /= q.sum()
-        f = variational_free_energy(
-            DiscreteDistribution(q), DiscreteDistribution(prior), lik
-        )
-        assert f >= -1e-15
-
-
-def test_vfe_zero_evidence_rejected():
-    prior = DiscreteDistribution([1.0, 0.0])
-    lik = np.array([0.0, 0.5])
-    with pytest.raises(DomainError):
-        variational_free_energy(DiscreteDistribution([0.5, 0.5]), prior, lik)
 
 
 # --- value iteration -------------------------------------------------------------------
@@ -310,6 +181,7 @@ def test_fevi_deterministic_reduces_to_min_cost():
     transition[0] = np.eye(2)  # action 0: stay
     transition[1] = np.eye(2)[[1, 0]]  # action 1: swap
     model = two_state_model(transition, [1.0, 3.0])
+    assert (model.n_actions, model.n_states) == (2, 2)
     result = fe_value_iteration(model, tolerance=1e-12, discount=0.5)
     # optimal plan from either state: reach s0 (cost 1) and stay
     # V(s0) = 1 + 0.5 V(s0) -> 2; V(s1) = 3 + 0.5 V(s0) -> 4
@@ -364,6 +236,11 @@ def test_fevi_negate_reward_prefers_high_reward_state():
 
 
 # --- mean-field variational inference --------------------------------------------------------
+
+
+def test_factorized_posterior_needs_a_factor():
+    with pytest.raises(ValidationError, match="^FactorizedPosterior: need at least one factor"):
+        FactorizedPosterior(())
 
 
 def test_mf_independent_target_is_exact_after_one_sweep():

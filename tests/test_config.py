@@ -18,27 +18,24 @@ from thermolearn.activeinf import (
     mean_field_kl,
     mean_field_update,
     value_iteration,
-    variational_free_energy,
 )
 from thermolearn.anneal import CoolingSchedule
-from thermolearn.boost import NoisyThresholdLearner, WeightedDataset
+from thermolearn.boost import NoisyThresholdLearner, WeightedDataset, boost_error_bound
 from thermolearn.config import _array, _count, _index, _problem, _real, _stochastic, parse_config
-from thermolearn.convolution import conv_naive, fft_radix2
+from thermolearn.convolution import conv_fft, conv_naive, fft_radix2
 from thermolearn.digest import DoubleDigestInstance, generate_instance
 from thermolearn.distributions import DiscreteDistribution, JointDistribution
 from thermolearn.ebm import (
     BoltzmannMachine,
     bm_free_energy,
+    bm_gibbs_sample,
     bm_state_from_index,
     bm_train,
-    gibbs_posterior,
-    loss_nll,
 )
 from thermolearn.errors import ThermolearnError, ValidationError
-from thermolearn.info import entropy_gibbs, entropy_shannon, ib_objective
+from thermolearn.info import entropy_shannon, ib_objective
 from thermolearn.ising import (
     CouplingGraph,
-    boltzmann_entropy,
     chain_graph,
     check_spins,
     complete_graph,
@@ -48,7 +45,6 @@ from thermolearn.ising import (
     partition_exact,
     random_spins,
 )
-from thermolearn.learning_theory import pac_sample_bound
 from thermolearn.marl import (
     IsingGameEnv,
     NeighborGraph,
@@ -150,14 +146,14 @@ TIGHTENED = [
     ("n_a", lambda: generate_instance(2.5, 2, 10, RngStream(0))),
     ("beta", lambda: metropolis_chain(RING, "0.5", 10, 0, RngStream(0))),
     ("beta", lambda: partition_exact(RING, None)),
-    ("beta", lambda: gibbs_posterior([0.0, 1.0], "1")),
-    ("beta", lambda: loss_nll([0.0, 1.0], 0, "1")),  # kept
+    ("beta", lambda: ib_objective(JOINT, JOINT, "1")),  # kept
+    ("beta", lambda: partition_exact(RING, "1")),  # kept
     # accepted without complaint
     ("n_bins", lambda: discretize_mean([0.5, 0.5], 2.5)),
     ("n_bins", lambda: _game(n_bins=2.5)),
-    ("hypothesis_count", lambda: pac_sample_bound(0.1, 0.1, 2.5)),
-    ("multiplicity", lambda: boltzmann_entropy(2.5)),
-    ("k_B", lambda: boltzmann_entropy(3, k_B=INF)),
+    ("n_b", lambda: generate_instance(2, 2.5, 10, RngStream(0))),  # kept
+    ("total_length", lambda: generate_instance(2, 2, 10.5, RngStream(0))),  # kept
+    ("steps", lambda: bm_gibbs_sample(BoltzmannMachine.zeros(2, 1), 2.5, RngStream(0))),  # kept
     ("k", lambda: SCHEDULE.temperature(0.5)),
     ("linear decrement", lambda: CoolingSchedule("linear", 1.0, NAN)),
     ("T0", lambda: CoolingSchedule("geometric", True, 0.5)),
@@ -165,7 +161,7 @@ TIGHTENED = [
     ("log_base", lambda: entropy_shannon([0.5, 0.5], log_base=INF)),
     ("beta", lambda: ib_objective(JOINT, JOINT, NAN)),
     ("tolerance", lambda: value_iteration(MDP, tolerance=INF)),
-    ("k_B", lambda: entropy_gibbs([0.5, 0.5], k_B=INF)),  # kept
+    ("gamma", lambda: boost_error_bound(INF)),  # kept
     ("learning_rate", lambda: bm_train(BoltzmannMachine.zeros(2, 1), [[1, 0]], learning_rate=-1.0, epochs=1)),
     ("threshold", lambda: NoisyThresholdLearner(NAN, 0.1)),
     # rejected as "BoltzmannMachine: a must be finite" after the first epoch
@@ -239,7 +235,7 @@ TIGHTENED_ARRAYS = [
     # raised ValueError, TypeError or IndexError
     ("DiscreteDistribution: probs", lambda: DiscreteDistribution(["a"])),
     ("JointDistribution: table", lambda: JointDistribution([["a"]])),
-    ("loss_nll: energies", lambda: loss_nll(["a"], 0, 1.0)),  # kept
+    ("conv_naive: y", lambda: conv_naive([1.0], ["a"])),  # kept
     ("boltzmann_policy: q_row", lambda: boltzmann_policy(["a"], 1.0)),
     ("mf_actor_critic_grad: policy_params", lambda: mf_actor_critic_grad(["a"], 0, 1.0)),
     ("check_spins: spins", lambda: check_spins(["a", "b"], 2)),
@@ -250,8 +246,8 @@ TIGHTENED_ARRAYS = [
     ("bm_free_energy: v", lambda: bm_free_energy(M21, [1, 0, 1])),
     ("GenerativeModel: likelihood", lambda: GenerativeModel(DiscreteDistribution([1.0]), [["a"]], [[[1.0]]], [[0.0]])),
     ("DiscreteMDP: transition", lambda: DiscreteMDP([[["a"]]], [[0.0]], 0.5)),
-    ("variational_free_energy: likelihood", lambda: variational_free_energy([1.0], [1.0], ["a"])),
-    ("gibbs_posterior: energies", lambda: gibbs_posterior(["a"], 1.0)),  # kept
+    ("GenerativeModel: reward", lambda: GenerativeModel(DiscreteDistribution([1.0]), [[1.0]], [[[1.0]]], [["a"]])),  # kept
+    ("DiscreteMDP: reward", lambda: DiscreteMDP([[[1.0]]], [["a"]], 0.5)),  # kept
     ("mean_field_kl: joint_log_table", lambda: mean_field_kl(FactorizedPosterior.uniform((1,)), ["a"])),
     ("CouplingGraph: fields_h", lambda: CouplingGraph(1, (), ["a"])),
     ("mf_value: q_row", lambda: mf_value(["a"], DiscreteDistribution([1.0]))),  # kept
@@ -264,7 +260,7 @@ TIGHTENED_ARRAYS = [
     # accepted without complaint
     ("DiscreteDistribution: probs", lambda: DiscreteDistribution([[0.5, 0.5]])),
     ("DiscreteDistribution: probs", lambda: DiscreteDistribution([True])),
-    ("loss_nll: energies", lambda: loss_nll([True, False], 0, 1.0)),  # kept
+    ("conv_fft: x", lambda: conv_fft([True, False], [1.0])),  # kept
     ("conv_naive: x", lambda: conv_naive([True], [1.0])),
     ("fft_radix2: x", lambda: fft_radix2([True, False])),
     ("importance_estimate: h_values", lambda: importance_estimate([NAN], [1.0], [1.0])),  # returned nan
@@ -274,12 +270,12 @@ TIGHTENED_ARRAYS = [
     ("GenerativeModel: likelihood", lambda: GenerativeModel(DiscreteDistribution([1.0]), [[NAN]], [[[1.0]]], [[0.0]])),
     ("GenerativeModel: transition", lambda: GenerativeModel(DiscreteDistribution([1.0]), [[1.0]], [[[NAN]]], [[0.0]])),
     ("DiscreteMDP: transition", lambda: DiscreteMDP([[[NAN]]], [[0.0]], 0.5)),
-    ("gibbs_posterior: energies", lambda: gibbs_posterior([NAN], 1.0)),  # kept
+    ("BoltzmannMachine: W", lambda: BoltzmannMachine([0.0], [0.0], [[NAN]])),  # kept
     ("mf_value: q_row", lambda: mf_value([NAN], DiscreteDistribution([1.0]))),  # kept
     ("DiscreteDistribution.point_mass: index", lambda: DiscreteDistribution.point_mass(-1, 2)),  # mass on index 1
     ("DiscreteDistribution.point_mass: index", lambda: DiscreteDistribution.point_mass(0.5, 2)),  # kept
-    ("loss_nll: correct", lambda: loss_nll([0.0, 1.0], 0.5, 1.0)),  # kept
-    ("variational_free_energy: evidence_index", lambda: variational_free_energy([1.0], [1.0], [[1.0, 0.5]], evidence_index=0.5)),
+    ("mean_field_update: joint_log_table", lambda: mean_field_update(FactorizedPosterior.uniform((1,)), [NAN])),  # kept
+    ("WeightedDataset: ys", lambda: WeightedDataset([0.0], [0.5], [1.0])),  # kept
     ("mf_actor_critic_grad: own_action", lambda: mf_actor_critic_grad([1.0, 2.0], 0.5, 1.0)),
     ("NeighborGraph.from_edges: a site of edge (1.5, 0)", lambda: NeighborGraph.from_edges(2, [(1.5, 0)])),  # kept
     ("CouplingGraph: a site of edge", lambda: CouplingGraph(2, ((0.5, 1, 1.0),))),

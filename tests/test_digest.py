@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -351,6 +353,27 @@ def test_anneal_at_benchmark_size_matches_uncached_energy(n_a, n_b, seed):
     assert runs[0].best_energy.hex() == runs[1].best_energy.hex()
     # both caches reached their cap, and neither grew past it
     assert cached.largest == [digest.CUT_CACHE_SIZE] * 2
+
+
+def test_walks_sharing_one_landscape_across_threads_match_walks_on_their_own(monkeypatch):
+    # at 3 entries both caches clear in the middle of every walk, while the other thread reads them
+    monkeypatch.setattr(digest, "CUT_CACHE_SIZE", 3)
+    inst = generate_instance(9, 6, 90, RngStream(2))
+    schedule = CoolingSchedule("geometric", 5.0, 0.98)
+
+    def walk(land, seed):
+        result = anneal(land, schedule, 100, 100, RngStream(seed))
+        return result.best_state, result.best_energy.hex(), result.trace.csv_text()
+
+    shared = DigestLandscape(inst)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads switch every few moves, not every few sweeps
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            together = list(pool.map(lambda seed: walk(shared, seed), range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert together == [walk(DigestLandscape(inst), seed) for seed in range(4)]
 
 
 def test_longer_anneal_grows_memory_only_by_its_trace_rows():

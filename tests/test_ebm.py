@@ -1,17 +1,12 @@
-import decimal
 import math
 import sys
 import tracemalloc
 import warnings
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from thermolearn.distributions import DiscreteDistribution
 from thermolearn import ebm
 from thermolearn.ebm import (
     BMState,
@@ -28,10 +23,8 @@ from thermolearn.ebm import (
     bm_train,
     bm_visible_activation,
     dump_visible_data,
-    gibbs_posterior,
     GibbsSampleRun,
     load_visible_data,
-    loss_nll,
 )
 from thermolearn.errors import CapacityError, NumericalError, ValidationError
 from thermolearn.rng import RngStream
@@ -39,65 +32,7 @@ from thermolearn.rng import RngStream
 SMALL = BoltzmannMachine(a=np.array([0.5]), b=np.array([-0.25]), W=np.array([[1.0]]))
 
 
-# --- inference and losses ----------------------------------------------------
-
-
-def test_posterior_equal_energies():
-    post, z = gibbs_posterior([0.0, 0.0], beta=1.0)
-    assert np.allclose(post.probs, [0.5, 0.5])
-    assert z == pytest.approx(2.0)
-
-
-def test_posterior_infinite_temperature_is_uniform():
-    post, _ = gibbs_posterior([5.0, -3.0, 100.0], beta=0.0)
-    assert np.allclose(post.probs, 1.0 / 3.0)
-
-
-def test_posterior_two_level_hand_value():
-    post, z = gibbs_posterior([0.0, 1.0], beta=1.0)
-    assert post.probs[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
-    assert post.probs[1] == pytest.approx(math.exp(-1.0) / (1.0 + math.exp(-1.0)), abs=1e-12)
-    assert z == pytest.approx(1.0 + math.exp(-1.0), rel=1e-12)
-
-
-def test_posterior_normalized_and_dual_to_infer():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        energies = rng.normal(size=int(rng.integers(1, 9)))
-        post, _ = gibbs_posterior(energies, beta=2.5)
-        assert post.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert int(np.argmax(post.probs)) == int(np.argmin(energies))
-
-
-def test_posterior_survives_extreme_energies():
-    post, _ = gibbs_posterior([1000.0, 1001.0], beta=1.0)
-    assert post.probs[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
-
-
-def test_posterior_partition_overflow_is_numerical_error():
-    with pytest.raises(NumericalError):
-        gibbs_posterior([-1000.0, 0.0], beta=1.0)
-    with pytest.raises(NumericalError):
-        bm_partition_exact(BoltzmannMachine(a=np.array([800.0]), b=np.zeros(1), W=np.zeros((1, 1))))
-    # the log-domain quantities stay finite at the same scale
-    assert loss_nll([-1000.0, 0.0], 0, beta=1.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_log_weight_overflow_is_numerical_error_without_warnings():
-    # -beta * E = 1e309 overflows: loss_nll returned nan, and gibbs_posterior raised
-    # ValidationError over NaN probabilities, both after numpy RuntimeWarnings.
-    # loss_nll shifts the energies by E_min, so its log-weights stay at most 0
-    # and a loss that fits a float is returned.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert loss_nll([0.0, -1e308], 0, 10.0) == 1e308
-        assert loss_nll([0.0, -1e308], 1, 10.0) == 0.0
-        with pytest.raises(NumericalError, match=r"^gibbs_posterior: log-weights overflow a float \(largest inf\)$"):
-            gibbs_posterior([0.0, -1e308], 10.0)
-        # an overflow to -inf is a weight of 0
-        post, z = gibbs_posterior([0.0, 1e308], 10.0)
-        assert post.probs.tolist() == [1.0, 0.0] and z == 1.0
-        assert (loss_nll([0.0, 1e308], 0, 10.0), loss_nll([0.0, 1e308], 1, 10.0)) == (0.0, 1e308)
+# --- values beyond the float range ------------------------------------------------
 
 
 def test_training_whose_parameters_overflow_is_numerical_error():
@@ -136,112 +71,6 @@ def test_gibbs_sampling_with_saturated_activations_has_no_warning():
         warnings.simplefilter("error")
         run = bm_gibbs_sample(machine, 50, RngStream(0), start=BMState(np.ones(2), np.ones(2)))
     assert run.visible.all() and run.hidden.all()
-
-
-@pytest.mark.parametrize(
-    "name, loss",
-    [
-        ("loss_nll", lambda: loss_nll([1.7e308, -1.7e308], 0, 1.0)),
-    ],
-)
-def test_energy_gap_loss_beyond_the_float_range_is_numerical_error(name, loss):
-    # valid inputs whose loss, about 3.4e308, passes the float range: the final
-    # sum printed a numpy overflow warning or none, and returned inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match=rf"^{name}: loss overflows a float$"):
-            loss()
-
-
-def test_energy_gap_losses_whose_first_sum_overflows_take_a_second_order():
-    # ln Z / beta passes the float range, and the loss does not
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert loss_nll([-1e308, -1e308], 0, 5e-309) == math.log(2.0) / 5e-309
-
-
-def test_energy_gap_losses_keep_gaps_that_a_large_energy_would_absorb():
-    # E_correct + ln Z / beta rounds the gap away; the true loss is log1p(e^-16)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert loss_nll([1e17, 1e17 + 16], 0, 1.0) == pytest.approx(math.log1p(math.exp(-16.0)), rel=1e-9)
-
-
-def _nll_reference(energies, correct, beta):
-    # E_correct - E_min + (1/beta) ln sum exp(-beta (E - E_min)) in 60-digit decimals
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        e = [Decimal(x) for x in energies]
-        b = Decimal(beta)
-        e_min = min(e)
-        z = sum((-b * (x - e_min)).exp() for x in e)
-        return e[correct] - e_min + z.ln() / b
-
-
-_ENERGY = st.floats(-1e300, 1e300)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_ENERGY, min_size=1, max_size=6), st.integers(0, 5), st.floats(1e-6, 1e6))
-def test_energy_gap_losses_are_non_negative_and_nll_matches_a_decimal_reference(energies, correct, beta):
-    correct %= len(energies)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        nll = loss_nll(energies, correct, beta)
-        assert nll >= 0.0
-    # ln Z is in [0, ln n]; its last bits are an error of about 1e-16 / beta
-    ref = _nll_reference(energies, correct, beta)
-    assert abs(Decimal(nll) - ref) <= Decimal(1e-12) * max(ref, 1 / Decimal(beta))
-
-
-def test_energy_gap_losses_near_the_float_range_keep_their_bits():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert loss_nll([8e307, -9e307], 0, 1.0) == 8e307 + 9e307
-
-
-def test_nll_loss_values():
-    assert loss_nll([0.4, 0.4], 0, beta=1.0) == pytest.approx(math.log(2.0), abs=1e-12)
-    with pytest.raises(ValidationError):
-        loss_nll([0.0, 1.0], 0, beta=0.0)
-
-
-def test_nll_posterior_identity():
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        energies = rng.normal(size=5)
-        beta = float(rng.uniform(0.1, 4.0))
-        post, _ = gibbs_posterior(energies, beta)
-        for c in range(5):
-            assert loss_nll(energies, c, beta) == pytest.approx(
-                -math.log(post.probs[c]) / beta, abs=1e-12
-            )
-
-
-def test_nll_approaches_perceptron_at_low_temperature():
-    # the perceptron loss is the gap E_correct - min E
-    energies = [0.0, 1.0]
-    for c in range(2):
-        assert loss_nll(energies, c, beta=50.0) == pytest.approx(energies[c] - min(energies), abs=1e-3)
-
-
-def test_shift_invariance():
-    rng = np.random.default_rng(2)
-    energies = rng.normal(size=6)
-    shifted = energies + 37.5
-    p0, _ = gibbs_posterior(energies, 1.3)
-    p1, _ = gibbs_posterior(shifted, 1.3)
-    assert np.allclose(p0.probs, p1.probs, atol=1e-10)
-    for c in range(6):
-        assert loss_nll(shifted, c, 1.3) == pytest.approx(loss_nll(energies, c, 1.3), abs=1e-10)
-
-
-def test_losses_non_negative():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        energies = rng.normal(size=4)
-        c = int(rng.integers(0, 4))
-        assert loss_nll(energies, c, beta=1.0) >= 0.0
 
 
 # --- Boltzmann machine: structure and energy -----------------------------------
@@ -335,6 +164,9 @@ def test_partition_matches_direct_enumeration():
 def test_partition_capacity_guard():
     with pytest.raises(CapacityError):
         bm_partition_exact(BoltzmannMachine.zeros(11, 10))
+    # every log-weight fits a float, and Z = 2 (1 + e^800) does not
+    with pytest.raises(NumericalError):
+        bm_partition_exact(BoltzmannMachine(a=np.array([800.0]), b=np.zeros(1), W=np.zeros((1, 1))))
 
 
 def test_hidden_activation_hand_value():
@@ -647,6 +479,27 @@ def test_cd_k_scores_each_epoch_with_the_public_log_likelihood(monkeypatch):
     data = [np.array([1, 1, 0]), np.array([0, 0, 1])]
     result = bm_train(BoltzmannMachine.zeros(3, 2), data, method="cd_k", epochs=7, k=1, rng=RngStream(2))
     assert len(calls) == len(result.loss_curve) == 7
+
+
+def test_cd_k_past_the_enumeration_limit_trains_with_an_empty_loss_curve():
+    # 12 + 10 units pass MAX_EXACT_UNITS, so no epoch can be scored exactly
+    data = [np.ones(12), np.zeros(12)]
+    result = bm_train(BoltzmannMachine.zeros(12, 10), data, method="cd_k", epochs=2, rng=RngStream(0))
+    assert result.loss_curve == []
+    assert np.any(result.machine.a != 0) or np.any(result.machine.W != 0)
+
+
+def test_training_names_the_epoch_of_a_score_or_loss_beyond_the_float_range():
+    # v W h passes the float range while no parameter moves (learning_rate = 0)
+    machine = BoltzmannMachine(np.zeros(3), np.zeros(2), np.full((3, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^bm_train at epoch 1: bm_log_likelihood: log-weights overflow"):
+            bm_train(machine, [[1, 0, 1]], method="cd_k", learning_rate=0.0, epochs=1, rng=RngStream(0))
+        # a.v = -inf on the data row: its likelihood is 0 and its loss inf
+        machine = BoltzmannMachine(np.array([-1e308, -1e308]), np.zeros(1), np.zeros((2, 1)))
+        with pytest.raises(NumericalError, match="^bm_train at epoch 1: the negative log-likelihood overflows a float$"):
+            bm_train(machine, [[1, 1]], epochs=1)
 
 
 def test_cd_k_requires_rng():

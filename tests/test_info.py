@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermolearn.activeinf import GenerativeModel
 from thermolearn.distributions import DiscreteDistribution, JointDistribution
-from thermolearn.errors import DomainError, NumericalError, ValidationError
+from thermolearn.errors import DomainError, ValidationError
 from thermolearn.info import (
-    entropy_gibbs,
     entropy_nats,
     entropy_shannon,
     ib_objective,
@@ -34,6 +34,15 @@ def test_entropy_point_mass_is_zero():
     assert entropy_shannon(DiscreteDistribution([1.0]), 2) == 0.0
 
 
+def test_a_certain_outcome_has_entropy_plus_zero():
+    # a zero sum was negated into -0.0, which a JSON artifact prints as "-0.0"
+    model = GenerativeModel(DiscreteDistribution([0.5, 0.5]), np.eye(2), [np.eye(2), np.eye(2)[::-1]], np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [entropy_nats([1.0]), entropy_nats([0.0, 1.0]), entropy_shannon([1.0]), *model.transition_entropy().flat]
+    assert [math.copysign(1.0, h) for h in values] == [1.0] * 7
+
+
 def test_entropy_hand_value():
     assert entropy_shannon(DiscreteDistribution([0.5, 0.25, 0.25]), 2) == pytest.approx(1.5)
 
@@ -51,45 +60,6 @@ def test_entropy_maximality_over_random_distributions():
         h = entropy_shannon(d, 2)
         assert h <= math.log2(n) + 1e-12
     assert entropy_shannon(DiscreteDistribution.uniform(8), 2) == pytest.approx(3.0, abs=1e-12)
-
-
-# --- Gibbs entropy ------------------------------------------------------
-
-
-def test_gibbs_uniform_matches_log_multiplicity():
-    for omega in (1, 2, 5, 64):
-        assert entropy_gibbs(DiscreteDistribution.uniform(omega), 1.0) == pytest.approx(
-            math.log(omega), abs=1e-12
-        )
-
-
-def test_gibbs_default_constant_is_entropy_in_nats():
-    # k_B = 1 by default: bit for bit the entropy in nats, and ln(Omega) on a
-    # uniform law to the rounding of Omega terms
-    p = DiscreteDistribution([0.1, 0.2, 0.3, 0.4])
-    assert entropy_gibbs(p) == entropy_nats(p)
-    for omega in (2, 3, 10, 1024):
-        assert entropy_gibbs(DiscreteDistribution.uniform(omega)) == pytest.approx(math.log(omega), rel=1e-15)
-
-
-def test_gibbs_physical_constant_scaling():
-    k_b = 1.38e-16
-    assert entropy_gibbs(DiscreteDistribution([0.5, 0.5]), k_b) == pytest.approx(k_b * math.log(2))
-
-
-def test_gibbs_beyond_the_float_range_is_numerical_error():
-    # k_B S at k_B = 1e308 fits for two equal outcomes (S = ln 2) and overflows for ten
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        half = DiscreteDistribution([0.5, 0.5])
-        assert entropy_gibbs(half, k_B=1e308) == 1e308 * entropy_nats(half)
-        with pytest.raises(NumericalError, match=r"^entropy_gibbs: k_B S overflows a float \(k_B = 1e\+308\)$"):
-            entropy_gibbs(DiscreteDistribution.uniform(10), k_B=1e308)
-
-
-def test_gibbs_requires_positive_constant():
-    with pytest.raises(ValidationError):
-        entropy_gibbs(DiscreteDistribution([1.0]), 0.0)
 
 
 # --- KL divergence ------------------------------------------------------

@@ -11,7 +11,6 @@ from thermolearn.errors import CapacityError, NumericalError, ValidationError
 from thermolearn.ising import (
     CouplingGraph,
     acceptance_probability,
-    boltzmann_entropy,
     chain_graph,
     complete_graph,
     config_from_index,
@@ -257,23 +256,6 @@ def test_gibbs_prefers_low_energy_at_high_beta():
     energies = enumerate_energies(g)
     ground = np.flatnonzero(energies == energies.min())
     assert result.gibbs.probs[ground].sum() > 0.99
-
-
-def test_boltzmann_entropy_values():
-    assert boltzmann_entropy(1) == 0.0
-    assert boltzmann_entropy(8) == pytest.approx(math.log(8))
-    assert boltzmann_entropy(2, k_B=1.38e-16) == pytest.approx(1.38e-16 * math.log(2))
-    with pytest.raises(ValidationError):
-        boltzmann_entropy(0)
-
-
-def test_boltzmann_entropy_beyond_the_float_range_is_numerical_error():
-    # k_B ln(Omega) at k_B = 1e308 fits for Omega = 2 and overflows for Omega = 10
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert boltzmann_entropy(2, k_B=1e308) == 1e308 * math.log(2)
-        with pytest.raises(NumericalError, match=r"^boltzmann_entropy: k_B ln\(Omega\) overflows a float \(k_B = 1e\+308\)$"):
-            boltzmann_entropy(10, k_B=1e308)
 
 
 # --- Metropolis dynamics -----------------------------------------------------

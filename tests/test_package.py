@@ -18,8 +18,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # by the submodule that defines it, less the names deleted since.
 EXPORTS = {
     "activeinf": (
-        "DiscreteMDP", "FactorizedPosterior", "GenerativeModel", "fe_value_iteration", "helmholtz_free_energy",
-        "mean_field_kl", "mean_field_update", "value_iteration", "variational_free_energy",
+        "DiscreteMDP", "FactorizedPosterior", "GenerativeModel", "fe_value_iteration", "mean_field_kl",
+        "mean_field_update", "value_iteration",
     ),
     "anneal": ("AnnealResult", "CoolingSchedule", "EnergyLandscape", "anneal"),
     "boost": (
@@ -34,20 +34,17 @@ EXPORTS = {
     "distributions": ("DiscreteDistribution", "JointDistribution"),
     "ebm": (
         "BMState", "BoltzmannMachine", "bm_energy", "bm_exact_gradient", "bm_gibbs_sample", "bm_log_likelihood",
-        "bm_partition_exact", "bm_train", "gibbs_posterior", "loss_nll",
+        "bm_partition_exact", "bm_train",
     ),
     "errors": (
         "CapacityError", "ConvergenceError", "DegenerateSplitError", "DomainError", "NumericalError",
         "ThermolearnError", "ValidationError",
     ),
-    "info": (
-        "entropy_gibbs", "entropy_nats", "entropy_shannon", "ib_objective", "kl_divergence", "mutual_information",
-    ),
+    "info": ("entropy_nats", "entropy_shannon", "ib_objective", "kl_divergence", "mutual_information"),
     "ising": (
-        "CouplingGraph", "boltzmann_entropy", "chain_graph", "complete_graph", "estimate_observables", "ising_energy",
-        "metropolis_chain", "partition_exact",
+        "CouplingGraph", "chain_graph", "complete_graph", "estimate_observables", "ising_energy", "metropolis_chain",
+        "partition_exact",
     ),
-    "learning_theory": ("approximation_ratio", "pac_sample_bound"),
     "marl": (
         "IsingGameEnv", "NeighborGraph", "QTable", "boltzmann_policy", "mf_actor_critic_grad", "mf_q_update", "mf_value",
         "run_ising_game", "torus_graph",
@@ -62,8 +59,7 @@ PUBLIC = sorted({name for names in EXPORTS.values() for name in names} | set(SUB
 
 # the subsystems an eager package used to load on every import
 SUBSYSTEMS = (
-    "activeinf", "boost", "convolution", "digest", "distributions", "ebm", "info", "ising", "learning_theory", "marl",
-    "sampling",
+    "activeinf", "boost", "convolution", "digest", "distributions", "ebm", "info", "ising", "marl", "sampling",
 )
 
 

@@ -27,6 +27,7 @@ def test_distinct_seeds_diverge():
 
 def test_substream_is_deterministic():
     parent = RngStream(99)
+    assert repr(parent.substream(3)) == f"RngStream(seed={mix_seed(99, 0)}, stream_id=3)"
     a = parent.substream(3).generator.random(20)
     b = RngStream(99).substream(3).generator.random(20)
     np.testing.assert_array_equal(a, b)
