@@ -59,8 +59,7 @@ _LAZY = {
         "partition_exact",
     ),
     "marl": (
-        "IsingGameEnv", "NeighborGraph", "QTable", "boltzmann_policy", "mf_actor_critic_grad", "mf_q_update", "mf_value",
-        "run_ising_game", "torus_graph",
+        "IsingGameEnv", "NeighborGraph", "QTable", "mf_actor_critic_grad", "mf_q_update", "run_ising_game", "torus_graph",
     ),
     "sampling": ("importance_estimate",),
 }

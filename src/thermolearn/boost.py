@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import _array, _read_text, _real
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, as_distribution
 from .errors import ConvergenceError, DegenerateSplitError, ValidationError
 from .rng import RngStream
 
@@ -60,9 +60,7 @@ class WeightedDataset:
     def __post_init__(self):
         xs = _array("WeightedDataset: xs", self.xs)
         ys = _array("WeightedDataset: ys", self.ys, xs.shape, 0, 1, dtype=np.int8)
-        weights = self.weights
-        if not isinstance(weights, DiscreteDistribution):
-            weights = DiscreteDistribution(weights)
+        weights = as_distribution(self.weights)
         if len(weights) != xs.size:
             raise ValidationError("WeightedDataset: one weight per item required")
         object.__setattr__(self, "xs", xs)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .anneal import SCHEDULE_KINDS, CoolingSchedule, EnergyLandscape
 from .anneal import anneal as run_anneal
-from .config import FieldSpec, _problem, _read_text, _within, parse_config_file, resolved, validate_against
+from .config import FieldSpec, _array, _problem, _read_text, _within, parse_config_file, resolved, validate_against
 from .errors import NumericalError, ThermolearnError, ValidationError
 from .rng import RngStream
 from .trace import Trace
@@ -154,6 +154,10 @@ def _check_digest(cfg) -> List[str]:
     missing = [] if "instance" in cfg else [key for key in ("n_a", "n_b", "total_length") if key not in cfg]
     if missing:
         return [f"{key}: required when no instance file is given" for key in missing]
+    if "instance" not in cfg:  # generate_instance's bound: each enzyme's cuts fit in the segment
+        problem = _problem(cfg["total_length"], max(cfg["n_a"], cfg["n_b"]), 2**63, "[)", integer=True)
+        if problem:
+            return [f"total_length: {problem}"]
     return _check_schedule(cfg)
 
 
@@ -181,9 +185,14 @@ def _check_entropy(cfg) -> List[str]:
 
 
 def _check_conv(cfg) -> List[str]:
-    if "n" in cfg:
+    if "x" in cfg and "y" in cfg:  # the run convolves the given signals, n or not
+        for key in ("x", "y"):
+            try:
+                _array(f"conv_fft: {key}", np.asarray(cfg[key], dtype=float))
+            except ValidationError as exc:
+                return [f"{key}: {str(exc).removeprefix(f'conv_fft: {key} ')}"]
         return []
-    if "x" in cfg and "y" in cfg:
+    if "n" in cfg:
         return []
     return ["n: give n for random signals, or both x and y"]
 

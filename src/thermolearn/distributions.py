@@ -118,10 +118,6 @@ class DiscreteDistribution:
         probs[_index("DiscreteDistribution.point_mass: index", index, n)] = 1.0
         return cls(probs)
 
-    def mean(self) -> float:
-        """Mean of the integer support 0..n-1."""
-        return float(np.arange(len(self)) @ self.probs)
-
 
 def as_distribution(dist) -> DiscreteDistribution:
     """Coerce an array-like of probabilities into a validated distribution."""

@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .config import _array, _count, _edges, _index, _real
-from .distributions import DiscreteDistribution, _log_normalize_inplace, log_normalize
+from .distributions import log_normalize
 from .errors import DomainError, NumericalError, ValidationError
 from .rng import RngStream
 from .trace import Trace
@@ -30,8 +30,6 @@ __all__ = [
     "discretize_mean",
     "QTable",
     "mf_q_update",
-    "boltzmann_policy",
-    "mf_value",
     "mf_actor_critic_grad",
     "IsingGameEnv",
     "run_ising_game",
@@ -120,20 +118,6 @@ def _temperature(name: str, value) -> float:
     if not math.isfinite(1.0 / temperature):
         raise ValidationError(f"{name} must have a finite reciprocal 1/T, got {temperature!r}")
     return temperature
-
-
-def boltzmann_policy(q_row, temperature: float) -> DiscreteDistribution:
-    """softmax(q / temperature), max-shifted."""
-    row = _array("boltzmann_policy: q_row", q_row)
-    temperature = _temperature("boltzmann_policy: temperature", temperature)
-    with np.errstate(over="ignore"):  # an overflow to -inf is a weight of 0; to +inf, NumericalError
-        log_w = row / temperature
-    return DiscreteDistribution(_log_normalize_inplace("boltzmann_policy", log_w)[0])
-
-
-def mf_value(q_row, policy: DiscreteDistribution) -> float:
-    """Expected Q under the policy: V = sum_a pi(a) Q(a)."""
-    return float(_array("mf_value: q_row", q_row, policy.probs.shape) @ policy.probs)
 
 
 def mf_actor_critic_grad(policy_params, own_action: int, q_value: float) -> np.ndarray:

@@ -208,6 +208,11 @@ def test_validate_config_cross_checks():
     assert cli.validate_config("conv", {"x": [1.0]}) != []
     assert cli.validate_config("conv", {"x": [1.0], "y": [1.0]}) == []
     assert cli.validate_config("conv", {"n": 8}) == []
+    # ... each of them non-empty, n or not (x = [] ran and failed in conv_fft)
+    for key in ("x", "y"):
+        assert cli.validate_config("conv", {"x": [1.0], "y": [1.0], "n": 8, key: []}) == [
+            f"{key}: must be a non-empty 1-D sequence of finite reals, got shape (0,)"
+        ]
     # marl: at least two agents
     assert cli.validate_config("marl", {"rows": 1, "cols": 1}) != []
     assert cli.validate_config("marl", {"rows": 1, "cols": 2}) == []
@@ -323,6 +328,16 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: total_length: must be an integer in [1, {2**63}), got {10**19}\n"
     )
+    # a generated instance too short for an enzyme's fragments, and an empty signal, each exited 1
+    # as a validation failure under a library name after writing the manifest
+    for sub, text, message in (
+        ("digest", "n_a = 5\nn_b = 2\ntotal_length = 3\n", f"total_length: must be an integer in [5, {2**63}), got 3"),
+        ("conv", "x = []\ny = [1.0]\n", "x: must be a non-empty 1-D sequence of finite reals, got shape (0,)"),
+    ):
+        out = tmp_path / f"o-{sub}"
+        assert cli.main([sub, "--config", write_cfg(tmp_path, "short.cfg", text), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "manifest.json").exists()
     # a dataset row whose x is not finite: the message names the file and line
     for x in ("nan", "inf", "-inf"):
         data = tmp_path / "d.csv"

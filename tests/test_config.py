@@ -22,7 +22,7 @@ from thermolearn.activeinf import (
 from thermolearn.anneal import CoolingSchedule
 from thermolearn.boost import NoisyThresholdLearner, WeightedDataset, boost_error_bound
 from thermolearn.config import _array, _count, _index, _problem, _real, _stochastic, parse_config
-from thermolearn.convolution import conv_fft, conv_naive, fft_radix2
+from thermolearn.convolution import conv_fft, conv_naive, fft_radix2, ifft_radix2
 from thermolearn.digest import DoubleDigestInstance, generate_instance
 from thermolearn.distributions import DiscreteDistribution, JointDistribution
 from thermolearn.ebm import (
@@ -49,11 +49,9 @@ from thermolearn.marl import (
     IsingGameEnv,
     NeighborGraph,
     QTable,
-    boltzmann_policy,
     discretize_mean,
     mf_actor_critic_grad,
     mf_q_update,
-    mf_value,
     run_ising_game,
     torus_graph,
 )
@@ -236,7 +234,7 @@ TIGHTENED_ARRAYS = [
     ("DiscreteDistribution: probs", lambda: DiscreteDistribution(["a"])),
     ("JointDistribution: table", lambda: JointDistribution([["a"]])),
     ("conv_naive: y", lambda: conv_naive([1.0], ["a"])),  # kept
-    ("boltzmann_policy: q_row", lambda: boltzmann_policy(["a"], 1.0)),
+    ("mf_actor_critic_grad: own_action", lambda: mf_actor_critic_grad([1.0, 2.0], 2, 1.0)),  # kept
     ("mf_actor_critic_grad: policy_params", lambda: mf_actor_critic_grad(["a"], 0, 1.0)),
     ("check_spins: spins", lambda: check_spins(["a", "b"], 2)),
     ("WeightedDataset: xs", lambda: WeightedDataset(["x"], [0], [1.0])),
@@ -250,7 +248,7 @@ TIGHTENED_ARRAYS = [
     ("DiscreteMDP: reward", lambda: DiscreteMDP([[[1.0]]], [["a"]], 0.5)),  # kept
     ("mean_field_kl: joint_log_table", lambda: mean_field_kl(FactorizedPosterior.uniform((1,)), ["a"])),
     ("CouplingGraph: fields_h", lambda: CouplingGraph(1, (), ["a"])),
-    ("mf_value: q_row", lambda: mf_value(["a"], DiscreteDistribution([1.0]))),  # kept
+    ("ifft_radix2: x", lambda: ifft_radix2(["a", "b"])),  # kept
     ("discretize_mean: mean", lambda: discretize_mean(["a"])),
     ("discretize_mean: mean", lambda: discretize_mean([NAN])),
     ("DiscreteDistribution.point_mass: index", lambda: DiscreteDistribution.point_mass(5, 2)),
@@ -271,7 +269,7 @@ TIGHTENED_ARRAYS = [
     ("GenerativeModel: transition", lambda: GenerativeModel(DiscreteDistribution([1.0]), [[1.0]], [[[NAN]]], [[0.0]])),
     ("DiscreteMDP: transition", lambda: DiscreteMDP([[[NAN]]], [[0.0]], 0.5)),
     ("BoltzmannMachine: W", lambda: BoltzmannMachine([0.0], [0.0], [[NAN]])),  # kept
-    ("mf_value: q_row", lambda: mf_value([NAN], DiscreteDistribution([1.0]))),  # kept
+    ("mf_actor_critic_grad: policy_params", lambda: mf_actor_critic_grad([NAN], 0, 1.0)),  # kept
     ("DiscreteDistribution.point_mass: index", lambda: DiscreteDistribution.point_mass(-1, 2)),  # mass on index 1
     ("DiscreteDistribution.point_mass: index", lambda: DiscreteDistribution.point_mass(0.5, 2)),  # kept
     ("mean_field_update: joint_log_table", lambda: mean_field_update(FactorizedPosterior.uniform((1,)), [NAN])),  # kept
@@ -307,10 +305,13 @@ def test_tightened_array_and_index_inputs_raise_validation_error(prefix, call):
         ("entropy", "log_base", 1.0, lambda v: entropy_shannon([0.5, 0.5], v), "entropy_shannon: log_base"),
         ("ising", "beta", -0.5, lambda v: partition_exact(RING, v), "partition_exact: beta"),
         ("marl", "episodes", 0, lambda v: _game(episodes=v), "run_ising_game: episodes"),
+        ("digest", "total_length", 3, lambda v: generate_instance(5, 2, v, RngStream(0)), "generate_instance: total_length"),
     ],
 )
 def test_config_diagnostic_and_library_error_state_the_same_bound(subcommand, key, value, library_call, library_name):
-    required = {"entropy": {"probs": [1.0]}, "ising": {"n_sites": 3, "steps": 10}}.get(subcommand, {})
+    required = {
+        "entropy": {"probs": [1.0]}, "ising": {"n_sites": 3, "steps": 10}, "digest": {"n_a": 5, "n_b": 2}
+    }.get(subcommand, {})
     (diagnostic,) = cli.validate_config(subcommand, {**required, key: value})
     assert diagnostic.startswith(f"{key}: must be ")
     problem = diagnostic[len(key) + 2 :]

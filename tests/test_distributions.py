@@ -48,11 +48,6 @@ def test_uniform_and_point_mass():
     assert p[2] == 1.0 and p[0] == 0.0
 
 
-def test_mean_over_integer_support():
-    d = DiscreteDistribution([0.5, 0.0, 0.5])
-    assert d.mean() == pytest.approx(1.0)
-
-
 def test_as_distribution_accepts_sequences():
     d = as_distribution([0.5, 0.5])
     assert isinstance(d, DiscreteDistribution)

@@ -1,25 +1,21 @@
 import math
 import re
 import tracemalloc
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from thermolearn.anneal import CoolingSchedule
-from thermolearn.distributions import DiscreteDistribution
 from thermolearn.errors import DomainError, NumericalError, ValidationError
 from thermolearn.ising import CouplingGraph
 from thermolearn.marl import (
     IsingGameEnv,
     NeighborGraph,
     QTable,
-    boltzmann_policy,
     discretize_mean,
     mf_actor_critic_grad,
     mf_q_update,
-    mf_value,
     run_ising_game,
     torus_graph,
 )
@@ -172,36 +168,6 @@ def test_decayed_alpha_converges_to_target_mean():
     assert q.get(key) == pytest.approx(0.5, abs=1e-2)
 
 
-# --- policy ------------------------------------------------------------------------
-
-
-def test_boltzmann_equal_q_is_uniform():
-    pol = boltzmann_policy(np.array([1.5, 1.5, 1.5]), temperature=2.0)
-    assert np.allclose(pol.probs, 1.0 / 3.0)
-
-
-def test_boltzmann_cold_limit():
-    pol = boltzmann_policy(np.array([1.0, 0.0]), temperature=0.01)
-    assert pol.probs[0] > 0.999
-
-
-def test_boltzmann_hot_limit():
-    pol = boltzmann_policy(np.array([1.0, -1.0]), temperature=1e3)
-    assert np.allclose(pol.probs, 0.5, atol=1e-3)
-
-
-def test_boltzmann_shift_invariance():
-    q_row = np.array([0.3, -0.7, 1.1])
-    a = boltzmann_policy(q_row, 0.7)
-    b = boltzmann_policy(q_row + 42.0, 0.7)
-    assert np.allclose(a.probs, b.probs, atol=1e-12)
-
-
-def test_boltzmann_temperature_validation():
-    with pytest.raises(ValidationError):
-        boltzmann_policy(np.array([1.0]), temperature=0.0)
-
-
 def _coupled(edges):
     # the same edge list as CouplingGraph takes it, a coupling of 1.0 after each tuple
     return [(*edge, 1.0) if isinstance(edge, tuple) else edge for edge in edges] if isinstance(edges, list) else edges
@@ -256,31 +222,10 @@ def test_run_ising_game_rejects_a_schedule_that_is_neither_a_schedule_nor_callab
 
 def test_temperatures_whose_reciprocal_overflows_are_rejected():
     # 1 / 1e-320 is inf, and q / T would put NaN into the policy and the Q-values
-    with pytest.raises(ValidationError, match=r"boltzmann_policy: temperature must have a finite reciprocal 1/T, got 1e-320"):
-        boltzmann_policy([0.0, 1.0], 1e-320)
-    assert boltzmann_policy([0.0, 1.0], 1e-300).probs.tolist() == [0.0, 1.0]
-    # q / T = 1e608 overflows; it printed RuntimeWarnings and raised ValidationError over NaN
-    # probabilities, while an overflow to -inf is a weight of 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match=r"^boltzmann_policy: log-weights overflow a float \(largest inf\)$"):
-            boltzmann_policy([1e308, -1e308], 1e-300)
-        assert boltzmann_policy([-1e308, 0.0], 1e-300).probs.tolist() == [0.0, 1.0]
     env = IsingGameEnv(graph=torus_graph(3, 3), coupling=1.0)
     with pytest.raises(ValidationError, match=r"run_ising_game: T at episode 1 must have a finite reciprocal"):
         run_ising_game(env, 2, 3, 0.1, 0.9, lambda k: 1e-320 if k else 1.0, RngStream(9))
     run_ising_game(env, 2, 3, 0.1, 0.9, lambda k: 1e-300 if k else 1.0, RngStream(9))
-
-
-def test_mf_value_cases():
-    q_row = np.array([1.0, 3.0])
-    uniform = DiscreteDistribution([0.5, 0.5])
-    point = DiscreteDistribution([0.0, 1.0])
-    assert mf_value(q_row, uniform) == pytest.approx(2.0)
-    assert mf_value(q_row, point) == pytest.approx(3.0)
-    assert mf_value(np.array([4.0, 4.0]), uniform) == pytest.approx(4.0)
-    with pytest.raises(ValidationError):
-        mf_value(np.array([1.0]), uniform)
 
 
 # --- actor-critic gradient ------------------------------------------------------------

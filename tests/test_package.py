@@ -2,8 +2,10 @@
 
 import importlib
 import json
+import operator
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 import thermolearn
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 # Every name the package bound when it imported all its subsystems eagerly,
 # by the submodule that defines it, less the names deleted since.
@@ -46,8 +49,7 @@ EXPORTS = {
         "partition_exact",
     ),
     "marl": (
-        "IsingGameEnv", "NeighborGraph", "QTable", "boltzmann_policy", "mf_actor_critic_grad", "mf_q_update", "mf_value",
-        "run_ising_game", "torus_graph",
+        "IsingGameEnv", "NeighborGraph", "QTable", "mf_actor_critic_grad", "mf_q_update", "run_ising_game", "torus_graph",
     ),
     "rng": ("RngStream",),
     "sampling": ("importance_estimate",),
@@ -144,6 +146,22 @@ def test_every_submodule_exports_the_names_its_all_lists():
     for module, names in thermolearn._LAZY.items():
         namespace = importlib.import_module(f"thermolearn.{module}")
         assert type(names) is tuple and all(hasattr(namespace, name) for name in names), module
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name` (or `module.Class.name`) in the README whose module is a
+    # submodule names one of its attributes; `trace.csv` and `trace.json` are artifact files
+    submodules = {info.name for info in pkgutil.iter_modules(thermolearn.__path__)}
+    refs = set(re.findall(r"`(\w+)\.(\w+(?:\.\w+)*)`", (ROOT / "README.md").read_text()))
+    refs = sorted((module, name) for module, name in refs if module in submodules and name not in ("csv", "json"))
+    assert len(refs) > 20  # the pattern still finds the README's references
+    missing = []
+    for module, name in refs:
+        try:
+            operator.attrgetter(name)(importlib.import_module(f"thermolearn.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{name}")
+    assert missing == []
 
 
 def test_lazy_names_load_on_first_use():
