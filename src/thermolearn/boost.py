@@ -17,7 +17,6 @@ import csv
 import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -116,34 +115,21 @@ class ThresholdHypothesis(Hypothesis):
 class TableHypothesis(Hypothesis):
     """Memorized labels for known x values, with a fallback rule for the rest.
 
-    Lookups compare x by float equality, as a dict keyed by float(x) does:
-    -0.0 finds 0.0, and NaN finds nothing. Predictions come from sorted
-    copies of the keys and labels taken at construction; ``table`` is the
-    dict they were taken from.
+    ``keys`` are distinct, ascending and finite, with one 0/1 label each; an
+    empty table predicts by the fallback alone. Lookups compare x by float
+    equality: -0.0 finds 0.0, and NaN finds nothing.
     """
 
-    def __init__(self, table: dict, fallback: Hypothesis):
-        self.table = dict(table)
-        keys = np.array(list(self.table), dtype=float)
-        order = np.argsort(keys, kind="stable")
-        self._set_lookup(keys[order], np.array(list(self.table.values()), dtype=np.int8)[order], fallback)
-
-    @classmethod
-    def _from_sorted(cls, keys: np.ndarray, labels: np.ndarray, fallback: Hypothesis) -> "TableHypothesis":
-        """Table over distinct ascending float keys; its dict is built only if ``table`` is read."""
-        hypothesis = cls.__new__(cls)
-        hypothesis._set_lookup(keys, labels, fallback)
-        return hypothesis
-
-    def _set_lookup(self, keys, labels, fallback) -> None:
+    def __init__(self, keys, labels, fallback: Hypothesis):
+        keys = _array("TableHypothesis: keys", keys, (len(keys),))
+        at = np.flatnonzero(keys[1:] <= keys[:-1]) + 1  # -0.0 and 0.0 are one key
+        if at.size:
+            raise ValidationError(f"TableHypothesis: keys must be strictly ascending, got {keys[at[0]].item()!r} at [{at[0]}]")
+        labels = _array("TableHypothesis: labels", labels, keys.shape, 0, 1, dtype=np.int8)
         # a NaN after the sorted keys ends every search that runs past them in a miss
         self._keys = np.append(keys, np.nan)
         self._labels = np.append(labels, 0).astype(np.int8)
         self.fallback = fallback
-
-    @cached_property
-    def table(self) -> dict:
-        return dict(zip(self._keys[:-1].tolist(), self._labels[:-1].tolist()))
 
     def predict_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -189,7 +175,7 @@ class NoisyThresholdLearner(WeakLearner):
         xs = np.sort(dataset.xs)
         xs = xs[np.append(True, xs[1:] != xs[:-1])]
         flips = rng.generator.random(xs.size) < flip_prob
-        return TableHypothesis._from_sorted(xs, concept.predict_many(xs) ^ flips, concept)
+        return TableHypothesis(xs, concept.predict_many(xs) ^ flips, concept)
 
 
 def _weight(weights: np.ndarray, mask: np.ndarray) -> float:

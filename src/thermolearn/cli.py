@@ -185,7 +185,10 @@ def _check_entropy(cfg) -> List[str]:
 
 
 def _check_conv(cfg) -> List[str]:
-    if "x" in cfg and "y" in cfg:  # the run convolves the given signals, n or not
+    if ("x" in cfg) != ("y" in cfg):  # the run would drop a lone signal
+        given, missing = ("x", "y") if "x" in cfg else ("y", "x")
+        return [f"{missing}: required when {given} is given; give both signals, or n alone for random ones"]
+    if "x" in cfg:  # the run convolves the given signals, n or not
         for key in ("x", "y"):
             try:
                 _array(f"conv_fft: {key}", np.asarray(cfg[key], dtype=float))

@@ -12,7 +12,7 @@ from .errors import DomainError, NumericalError
 __all__ = ["importance_estimate"]
 
 
-# kept for ROADMAP item 7: annealed importance sampling against exact ln Z
+# kept for ROADMAP item 30, its caller: annealed importance sampling against exact ln Z
 def importance_estimate(h_values, p_densities, q_densities) -> float:
     """Estimate E_p[h(x)] from samples drawn under the proposal q.
 

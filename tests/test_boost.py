@@ -91,28 +91,48 @@ def test_threshold_hypothesis_predicts_indicator():
 
 def test_table_hypothesis_overrides_fallback():
     base = ThresholdHypothesis(0.5)
-    h = TableHypothesis({0.2: 1}, base)
+    h = TableHypothesis([0.2], [1], base)
     assert h.predict(0.2) == 1
     assert h.predict(0.7) == 1
     assert h.predict(0.3) == 0
 
 
-# Table lookups once went through the dict one x at a time, with the
-# threshold fallback's scalar rule for misses; that lookup is the oracle
-# for the array lookup.
+@pytest.mark.parametrize(
+    "keys, labels",
+    [
+        ([0.5, 0.2], [0, 1]),  # unsorted
+        ([0.2, 0.2], [0, 1]),  # repeated
+        ([-0.0, 0.0], [0, 1]),  # one key twice, by float equality
+        ([0.0, -0.0], [0, 1]),
+        ([0.2, np.nan], [0, 1]),
+        ([-np.inf, 0.2], [0, 1]),
+        ([0.2, np.inf], [0, 1]),
+        ([0.2, 0.5], [1]),  # one label short
+        ([0.2], [1, 0]),  # one label over
+        ([0.2, 0.5], [1, 2]),
+    ],
+)
+def test_table_hypothesis_rejects_keys_and_labels_outside_its_rule(keys, labels):
+    with pytest.raises(ValidationError, match="^TableHypothesis: "):
+        TableHypothesis(keys, labels, ThresholdHypothesis(0.5))
 
 
-def _dict_lookup(h, x):
+# Table lookups once went through a dict keyed by float(x) one x at a time,
+# with the threshold fallback's scalar rule for misses; that lookup is the
+# oracle for the array lookup.
+
+
+def _dict_lookup(table, fallback, x):
     key = float(x)
-    if key in h.table:
-        return int(h.table[key])
-    return int(float(x) >= h.fallback.threshold)
+    if key in table:
+        return int(table[key])
+    return int(float(x) >= fallback.threshold)
 
 
 @pytest.mark.parametrize(
     "table",
     [
-        {},
+        {},  # empty: every query falls back
         {0.0: 1},
         {-0.0: 1},
         {-0.0: 1, 0.5: 0, 2.0: 1},
@@ -120,13 +140,14 @@ def _dict_lookup(h, x):
     ],
 )
 def test_table_predict_many_replays_dict_lookup(table):
-    h = TableHypothesis(table, ThresholdHypothesis(0.5))
+    keys = sorted(table)
+    h = TableHypothesis(keys, [table[k] for k in keys], ThresholdHypothesis(0.5))
     queries = np.array(
         [0.0, -0.0, 0.5, 2.0, 0.9, -3.0, 0.1, 1e300, -1e-300,  # keys and their signed zeros
          -np.inf, -5.0, 7.0, np.inf,  # below the smallest and above the largest key
          0.49, 0.51, 0.3, 1.0, np.nan]  # misses on both sides of the fallback threshold
     )
-    want = [_dict_lookup(h, x) for x in queries]
+    want = [_dict_lookup(table, h.fallback, x) for x in queries]
     got = h.predict_many(queries)
     assert got.dtype == np.int8
     assert got.tolist() == want
@@ -141,8 +162,8 @@ def test_noisy_learner_table_replays_scalar_labels():
     for x, flip in zip(np.unique(ds.xs), flips):
         label = int(float(x) >= 0.5)
         want[float(x)] = 1 - label if flip else label
-    assert list(h.table.items()) == list(want.items())
-    assert all(type(k) is float and type(v) is int for k, v in h.table.items())
+    assert h._keys[:-1].tolist() == list(want) and h._labels[:-1].tolist() == list(want.values())
+    assert h.predict_many(np.unique(ds.xs)).tolist() == list(want.values())
 
 
 # Table lookups once searched the queries in their given order; that lookup
@@ -178,7 +199,7 @@ def _tables():
     ds = WeightedDataset.uniform(xs, (xs >= 0.0).astype(int))
     learner = NoisyThresholdLearner(0.0, gamma=0.1)
     return [learner.train(ds, RngStream(seed)) for seed in range(3)] + [
-        TableHypothesis({-0.0: 1, 0.5: 0, 1.25: 1}, ThresholdHypothesis(0.5))]
+        TableHypothesis([-0.0, 0.5, 1.25], [1, 0, 1], ThresholdHypothesis(0.5))]
 
 
 @pytest.mark.parametrize("name, queries", list(_lookup_cases()), ids=[name for name, _ in _lookup_cases()])

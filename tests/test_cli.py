@@ -208,6 +208,12 @@ def test_validate_config_cross_checks():
     assert cli.validate_config("conv", {"x": [1.0]}) != []
     assert cli.validate_config("conv", {"x": [1.0], "y": [1.0]}) == []
     assert cli.validate_config("conv", {"n": 8}) == []
+    # ... and not a lone signal, n or not (with n, the run convolved two random signals)
+    for given, missing in (("x", "y"), ("y", "x")):
+        for n in ({}, {"n": 4}):
+            assert cli.validate_config("conv", {**n, given: [1.0, 2.0]}) == [
+                f"{missing}: required when {given} is given; give both signals, or n alone for random ones"
+            ]
     # ... each of them non-empty, n or not (x = [] ran and failed in conv_fft)
     for key in ("x", "y"):
         assert cli.validate_config("conv", {"x": [1.0], "y": [1.0], "n": 8, key: []}) == [
@@ -333,6 +339,9 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     for sub, text, message in (
         ("digest", "n_a = 5\nn_b = 2\ntotal_length = 3\n", f"total_length: must be an integer in [5, {2**63}), got 3"),
         ("conv", "x = []\ny = [1.0]\n", "x: must be a non-empty 1-D sequence of finite reals, got shape (0,)"),
+        # a lone signal: with n it ran on two random signals, without n it named n
+        ("conv", "n = 4\nx = [1.0, 2.0]\n", "y: required when x is given; give both signals, or n alone for random ones"),
+        ("conv", "y = [1.0]\n", "x: required when y is given; give both signals, or n alone for random ones"),
     ):
         out = tmp_path / f"o-{sub}"
         assert cli.main([sub, "--config", write_cfg(tmp_path, "short.cfg", text), "--out", str(out)]) == 1
@@ -921,3 +930,19 @@ def test_learn_entry_points_are_reached(monkeypatch):
     schedule = CoolingSchedule("geometric", 10.0, 0.1 ** 0.25)
     names, _ = reached(lambda: marl.run_ising_game(env, 5, 2, 0.1, 0.9, schedule, RngStream(6)))
     assert names == ["run_ising_game"] and calls[0][1][0].graph.n_agents == 9
+
+
+def test_traced_benchmark_finds_every_name_it_wraps():
+    """The benchmark's traced run wraps each name with ``getattr`` (bench/worker.py,
+    ``Tracer.install``); a name the program no longer has would fail every traced run."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(root / 'bench')!r})\n"
+        "from worker import Tracer\n"
+        "from thermolearn import cli\n"
+        "Tracer().install(cli)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
